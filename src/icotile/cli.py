@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import click
 
 from . import catalog, checks, inflation, report
 from .geometry import ASSEMBLY_TARGETS, assemble, export_obj, export_patch
-from .golden import embed
+from .golden import embed, embed_decimal
 
 __all__ = ["main", "RunConfig", "canonical_json"]
 
@@ -29,8 +30,6 @@ _FACE_WORDS = {3: "triangular", 4: "quadrilateral", 5: "pentagonal", 6: "hexagon
 class RunConfig:
     """Global knobs, settable by flag or ICOTILE_* environment variable."""
 
-    tolerance_predicates: float = 1e-9
-    tolerance_isometry: float = 1e-12
     max_order: int = 50
     output_path: str | None = None
 
@@ -71,12 +70,6 @@ def _echo_json(obj) -> None:
     click.echo(canonical_json(obj))
 
 
-def _positive(ctx, param, value):
-    if value <= 0:
-        raise click.BadParameter("must be positive")
-    return value
-
-
 def _non_negative(ctx, param, value):
     if value < 0:
         raise click.BadParameter("must be non-negative")
@@ -87,27 +80,21 @@ def _non_negative(ctx, param, value):
     "auto_envvar_prefix": "ICOTILE",
     "help_option_names": ["-h", "--help"],
 })
-@click.option("--tol-predicates", type=float, default=1e-9, show_default=True,
-              callback=_positive, help="Tolerance for geometric predicates.")
-@click.option("--tol-isometry", type=float, default=1e-12, show_default=True,
-              callback=_positive, help="Tolerance for isometry residuals.")
 @click.option("--max-order", type=int, default=50, show_default=True,
               callback=_non_negative, help="Largest accepted inflation order.")
 @click.option("--output-path", type=click.Path(), default=None,
               help="Default destination for build and report output.")
 @click.pass_context
-def main(ctx, tol_predicates, tol_isometry, max_order, output_path):
+def main(ctx, max_order, output_path):
     """Exact golden-ratio tiling toolkit.
 
     Tile catalog, tau-inflation counts, spectral data, decomposition
     ledger, 3D assembly export, self-verification and report bundles.
     """
-    ctx.obj = RunConfig(
-        tolerance_predicates=tol_predicates,
-        tolerance_isometry=tol_isometry,
-        max_order=max_order,
-        output_path=output_path,
-    )
+    # inflation counts and volumes are printed in full, whatever their length
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    ctx.obj = RunConfig(max_order=max_order, output_path=output_path)
 
 
 @main.command("catalog")
@@ -153,15 +140,22 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
             f"--order {order} exceeds --max-order {cfg.max_order}")
     counts = inflation.inflate_counts(_INFLATE_BASES[tile], order)
     volume = counts.total_volume()
+    try:
+        approx = embed(volume)
+        approx_text = f"{approx:.7f}"
+    except OverflowError:
+        # beyond float range: scientific-notation strings instead
+        big = embed_decimal(volume)
+        approx, approx_text = format(big, ".16e"), format(big, ".7e")
     if as_json:
         _echo_json({
             "counts": list(counts.c),
             "volume": volume.to_json(),
-            "volume_float": embed(volume),
+            "volume_float": approx,
         })
         return
     click.echo(f"counts: {' '.join(str(c) for c in counts.c)}")
-    click.echo(f"volume: {volume} = {embed(volume):.7f}")
+    click.echo(f"volume: {volume} = {approx_text}")
 
 
 @main.command("eigen")
@@ -239,7 +233,7 @@ def _face_breakdown(mesh) -> str:
 @click.pass_obj
 def cmd_build(cfg: RunConfig, shape, out, as_json):
     """Assemble a shape from tetrahedra and export its mesh."""
-    asm = assemble(shape, tol=cfg.tolerance_predicates)
+    asm = assemble(shape)
     if out is None and cfg.output_path:
         out = cfg.output_path
     if out is not None:

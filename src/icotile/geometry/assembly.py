@@ -6,10 +6,15 @@ tetrahedron face as internal wall or outer boundary, and fuses coplanar
 boundary triangles into the polygonal faces of the outer hull.
 
 Boundary detection is a coverage test, not face matching: a face is on
-the boundary iff a probe point pushed slightly outward along its normal
-lies in no tetrahedron of the cluster.  Matching faces pairwise would
-misread the quadrilateral contact walls whose two sides are triangulated
-along different diagonals.
+the boundary iff its centroid pushed an infinitesimal distance outward
+along its normal lies in no tetrahedron of the cluster.  Matching faces
+pairwise would misread the quadrilateral contact walls whose two sides are
+triangulated along different diagonals.
+
+Wiring points lie in the half-integer icosahedral frame, so they are held
+as doubled Z[tau] integer pairs and every decision (overlap, wall or
+boundary, coplanarity, collinearity, parity) is an exact integer sign.
+Floats (meshes, tile vertices, exports) are derived from them by embed.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .. import catalog
 from ..catalog import TileKind
 from ..golden import GoldenRational, embed
 from . import _wiring
-from .placement import PlacedTile, _wound_outward
+from .placement import PlacedTile
 
 __all__ = [
     "Mesh",
@@ -138,10 +144,6 @@ class TriangleFace:
                 float(np.linalg.norm(p[2] - p[1])),
                 float(np.linalg.norm(p[0] - p[2])))
 
-    def normal(self) -> np.ndarray:
-        n = np.cross(self.points[1] - self.points[0], self.points[2] - self.points[0])
-        return n / np.linalg.norm(n)
-
 
 @dataclass(frozen=True)
 class Dihedral:
@@ -187,12 +189,9 @@ def expected_triangle_census(kind: TileKind | str, ndigits: int = 6) -> Counter:
 # wiring interpretation
 
 
-def _exact_point(triple) -> tuple[GoldenRational, ...]:
-    return tuple(GoldenRational(an * bd, bn * ad, ad * bd) for (an, ad), (bn, bd) in triple)
-
-
-def _float_point(triple) -> np.ndarray:
-    return np.array([embed(c) for c in _exact_point(triple)])
+def _doubled(triple) -> list[tuple[int, int]]:
+    """Wiring coordinates an/ad + (bn/bd)*tau as doubled Z[tau] pairs (2x = a + b*tau)."""
+    return [(2 * an // ad, 2 * bn // bd) for (an, ad), (bn, bd) in triple]
 
 
 _SOURCES = {
@@ -207,7 +206,40 @@ _SOURCES = {
     "T3bar": (_wiring.I1_COORDS, _wiring.I1_TETS, _wiring.I1_T3BAR),
 }
 
-_TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# faces of tetrahedron abcd wound outward, by the sign of det(b - a, c - a, d - a)
+_WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
+          -1: ((0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2))}
+
+
+# ---------------------------------------------------------------------------
+# exact Z[tau] kernel: arrays whose last axis holds (a, b) for a + b*tau.
+# Wiring coordinates are doubled pairs with |a|, |b| <= 1, so every value
+# below stays far inside int64.
+
+
+def _gmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([a * c + b * d, a * d + b * c + b * d], axis=-1)
+
+
+def _gsign(x: np.ndarray) -> np.ndarray:
+    """Exact sign of a + b*tau: the sign of (2a+b) + b*sqrt(5)."""
+    p = 2 * x[..., 0] + x[..., 1]
+    q = x[..., 1]
+    sp, sq = np.sign(p), np.sign(q)
+    mixed = sp * np.sign(p * p - 5 * q * q)
+    return np.where(sp * sq >= 0, np.where(sp != 0, sp, sq), mixed)
+
+
+def _gcross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product over axis -2 of (..., 3, 2) vectors."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return _gmul(u[..., i, :], v[..., j, :]) - _gmul(u[..., j, :], v[..., i, :])
+
+
+def _gdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over axis -2 of (..., 3, 2) vectors."""
+    return _gmul(u, v).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +255,9 @@ def _tet_axes(verts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
 
 
 def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
-    """True if the interiors intersect (separating axis test)."""
+    """True if the interiors intersect (separating axis test).
+
+    For glue() output, whose coordinates lie outside Q(tau)."""
     e1, f1 = _tet_axes(v1)
     e2, f2 = _tet_axes(v2)
     axes = f1 + f2 + [np.cross(a, b) for a in e1 for b in e2]
@@ -239,12 +273,32 @@ def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _point_in_tets(point: np.ndarray, inverses, origins, tol: float) -> bool:
-    for inv, org in zip(inverses, origins):
-        x = inv @ (point - org)
-        if x.min() >= -tol and x.sum() <= 1.0 + tol:
-            return True
-    return False
+_OVERLAP_CHUNK = 8  # partners per vectorised step; bounds the temporaries
+
+
+def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors meet.
+
+    Exact separating-axis test on the face normals and the edge-edge cross
+    products; zero axes are skipped and touching separates.
+    """
+    edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
+    normals = _gcross(edges[:, [0, 0, 1, 3]], edges[:, [1, 2, 2, 4]])
+    found = []
+    for a in range(len(tets) - 1):
+        for lo in range(a + 1, len(tets), _OVERLAP_CHUNK):
+            bs = np.arange(lo, min(lo + _OVERLAP_CHUNK, len(tets)))
+            mixed = _gcross(edges[a][None, :, None], edges[bs][:, None, :])
+            axes = np.concatenate([
+                np.broadcast_to(normals[a], (len(bs), 4, 3, 2)), normals[bs],
+                mixed.reshape(len(bs), 36, 3, 2)], axis=1)
+            pa = _gdot(axes[:, :, None], tets[a][None, None])
+            pb = _gdot(axes[:, :, None], tets[bs][:, None])
+            s = _gsign(pa[:, :, :, None] - pb[:, :, None, :])
+            apart = (s <= 0).all(axis=(2, 3)) | (s >= 0).all(axis=(2, 3))
+            apart &= axes.any(axis=(2, 3))
+            found += [(a, int(b)) for b in bs[~apart.any(axis=1)]]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -269,59 +323,50 @@ def _merge_cycles(fa: tuple[int, ...], fb: tuple[int, ...]) -> tuple[int, ...] |
     return tuple(merged)
 
 
-def _drop_collinear(cycle: tuple[int, ...], points: np.ndarray, tol: float) -> tuple[int, ...]:
+def _drop_collinear(cycle: tuple[int, ...], points: np.ndarray) -> tuple[int, ...]:
     out = list(cycle)
-    changed = True
-    while changed and len(out) > 3:
-        changed = False
-        for k in range(len(out)):
-            p_prev = points[out[k - 1]]
-            p_cur = points[out[k]]
-            p_next = points[out[(k + 1) % len(out)]]
-            if np.linalg.norm(np.cross(p_cur - p_prev, p_next - p_cur)) <= tol:
-                out.pop(k)
-                changed = True
-                break
+    k = 0
+    while k < len(out) and len(out) > 3:
+        p_prev, p_cur, p_next = points[[out[k - 1], out[k], out[(k + 1) % len(out)]]]
+        if _gcross(p_cur - p_prev, p_next - p_cur).any():
+            k += 1
+        else:
+            out.pop(k)
+            k = 0
     return tuple(out)
 
 
-def _fuse_coplanar(faces: list[tuple[int, ...]], owners: list[set[str]],
-                   points: np.ndarray, tol: float) -> tuple[list, list]:
-    faces = list(faces)
-    owners = [set(o) for o in owners]
+def _plane_key(normal: np.ndarray, offset: np.ndarray) -> tuple[GoldenRational, ...]:
+    """The oriented plane n.x = d, scaled so n's first nonzero component is +-1."""
+    key = [GoldenRational(a, b) for a, b in [*normal.tolist(), offset.tolist()]]
+    scale = abs(next(c for c in key if c.sign()))
+    return tuple(c / scale for c in key)
 
-    def plane(f):
-        pts = points[list(f)]
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-        n = n / np.linalg.norm(n)
-        return n, float(pts[0] @ n)
 
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(faces)):
-            na, da = plane(faces[a])
-            for b in range(a + 1, len(faces)):
-                nb, db = plane(faces[b])
-                if abs(float(na @ nb)) < 1.0 - 1e-9:
-                    continue
-                if abs(da - float(na @ nb) * db) > tol:
-                    continue
-                if float(na @ nb) < 0:
-                    continue  # opposite-facing coplanar faces never fuse
-                merged = _merge_cycles(faces[a], faces[b])
-                if merged is None:
-                    continue
-                faces[a] = merged
-                owners[a] |= owners[b]
-                del faces[b]
-                del owners[b]
-                changed = True
-                break
-            if changed:
-                break
-    faces = [_drop_collinear(f, points, tol) for f in faces]
-    return faces, owners
+def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[set[str]],
+                   points: np.ndarray) -> tuple[list, list]:
+    """Fuse same-facing coplanar faces, given as (cycle, plane key), that share
+    an edge: per plane, merge the first mergeable pair into its earlier slot
+    until none is left."""
+    planes: dict[tuple, list[list]] = {}
+    for slot, ((face, key), own) in enumerate(zip(faces, owners)):
+        planes.setdefault(key, []).append([slot, face, set(own)])
+    survivors = []
+    for group in planes.values():
+        merged = True
+        while merged:
+            merged = False
+            for a, b in combinations(range(len(group)), 2):
+                cycle = _merge_cycles(group[a][1], group[b][1])
+                if cycle is not None:
+                    group[a][1] = cycle
+                    group[a][2] |= group.pop(b)[2]
+                    merged = True
+                    break
+        survivors += group
+    survivors.sort(key=lambda s: s[0])
+    return ([_drop_collinear(f, points) for _, f, _ in survivors],
+            [own for _, _, own in survivors])
 
 
 # ---------------------------------------------------------------------------
@@ -359,75 +404,60 @@ class Assembly:
         return {k: out[k] for k in sorted(out, key=lambda s: s.value)}
 
 
-def _build(target: str, tol: float) -> Assembly:
+def _build(target: str) -> Assembly:
     coords, tets, subset = _SOURCES[target]
     if subset is not None:
         tets = [tets[i] for i in subset]
 
     labels = tuple(coords)
     index = {lab: k for k, lab in enumerate(labels)}
-    exact_points = tuple(_exact_point(coords[lab]) for lab in labels)
+    exact = np.array([_doubled(coords[lab]) for lab in labels], dtype=np.int64)
+    exact_points = tuple(tuple(GoldenRational(a, b, 2) for a, b in p) for p in exact.tolist())
     points = np.array([[embed(c) for c in p] for p in exact_points])
+
+    vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
+    verts = exact[vert_ids]
+    e = verts[:, 1:] - verts[:, :1]
+    parity = _gsign(_gdot(e[:, 0], _gcross(e[:, 1], e[:, 2]))).tolist()
+    if 0 in parity:
+        raise AssemblyError(f"{target}: a tetrahedron is flat")
 
     tiles = []
     counters: dict[str, int] = {}
-    tet_vert_idx = []
-    for kind_name, labs in tets:
-        kind = TileKind(kind_name)
-        idx = tuple(index[l] for l in labs)
-        verts = points[list(idx)]
-        det = float(np.linalg.det(np.stack([verts[1] - verts[0],
-                                            verts[2] - verts[0],
-                                            verts[3] - verts[0]])))
+    for (kind_name, _), par, ids in zip(tets, parity, vert_ids):
         seq = counters.get(kind_name, 0)
         counters[kind_name] = seq + 1
         tiles.append(PlacedTile(
-            kind=kind, vertices=verts,
-            faces=_wound_outward(verts, _TET_FACES),
-            parity=1 if det > 0 else -1,
-            name=f"{kind_name}-{seq}"))
-        tet_vert_idx.append(idx)
+            kind=TileKind(kind_name), vertices=points[ids], faces=_WOUND[par],
+            parity=par, name=f"{kind_name}-{seq}"))
 
     # no two tetrahedra may share interior volume
-    for a in range(len(tiles)):
-        for b in range(a + 1, len(tiles)):
-            if _tets_overlap(tiles[a].vertices, tiles[b].vertices, tol):
-                raise AssemblyError(
-                    f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
+    overlaps = _overlapping_pairs(verts)
+    if overlaps:
+        a, b = overlaps[0]
+        raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
 
-    # classify each tetrahedron face by the outward probe test
-    inverses = []
-    origins = []
-    for t in tiles:
-        a = t.vertices[0]
-        m = np.stack([t.vertices[1] - a, t.vertices[2] - a, t.vertices[3] - a], axis=1)
-        inverses.append(np.linalg.inv(m))
-        origins.append(a)
-
-    eps = 1e-6
-    boundary: list[tuple[int, tuple[int, int, int]]] = []  # (tile index, label indices)
+    # A face is a wall iff its centroid pushed outward by an infinitesimal eps
+    # lies in some closed tetrahedron: per face plane of that tetrahedron the
+    # centroid's side decides, and on the plane the face normal's side (eps).
+    faces = np.array([[ids[list(f)] for f in t.faces] for ids, t in zip(vert_ids, tiles)])
+    corners = exact[faces]
+    normals = _gcross(corners[:, :, 1] - corners[:, :, 0], corners[:, :, 2] - corners[:, :, 0])
+    offsets = 3 * _gdot(normals, corners[:, :, 0])
     walls: list[TriangleFace] = []
+    boundary: list[TriangleFace] = []
+    hull: list[tuple[tuple[int, ...], tuple]] = []  # boundary (point indices, plane key)
     for ti, t in enumerate(tiles):
-        vert_ids = tet_vert_idx[ti]
-        for f in t.faces:
-            tri_ids = tuple(vert_ids[k] for k in f)
-            pts = points[list(tri_ids)]
-            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-            n = n / np.linalg.norm(n)
-            probe = pts.mean(axis=0) + eps * n
-            if _point_in_tets(probe, inverses, origins, tol):
-                walls.append(TriangleFace(owner=tiles[ti].name, points=pts))
-            else:
-                boundary.append((ti, tri_ids))
+        centroids3 = corners[ti].sum(axis=1)
+        side = _gsign(_gdot(normals[None], centroids3[:, None, None]) - offsets[None])
+        eps = _gsign(_gdot(normals[None], normals[ti][:, None, None]))
+        inside = (np.where(side != 0, side, eps) <= 0).all(axis=2).any(axis=1)
+        for f, wall, n, d in zip(faces[ti].tolist(), inside, normals[ti], offsets[ti]):
+            (walls if wall else boundary).append(TriangleFace(owner=t.name, points=points[f]))
+            if not wall:
+                hull.append((tuple(f), _plane_key(n, d)))
 
-    boundary_triangles = tuple(
-        TriangleFace(owner=tiles[ti].name, points=points[list(tri)])
-        for ti, tri in boundary)
-
-    fused, owner_sets = _fuse_coplanar(
-        [tri for _, tri in boundary],
-        [{tiles[ti].name} for ti, _ in boundary],
-        points, tol)
+    fused, owner_sets = _fuse_coplanar(hull, [{b.owner} for b in boundary], exact)
 
     # compact the vertex array to the ones the hull actually uses
     used = sorted({i for f in fused for i in f})
@@ -444,15 +474,15 @@ def _build(target: str, tol: float) -> Assembly:
     return Assembly(
         target=target, tiles=tuple(tiles), labels=labels, points=points,
         exact_points=exact_points, mesh=mesh, walls=tuple(walls),
-        boundary_triangles=boundary_triangles, groups=groups)
+        boundary_triangles=tuple(boundary), groups=groups)
 
 
 @lru_cache(maxsize=None)
-def assemble(target: str, tol: float = 1e-9) -> Assembly:
+def assemble(target: str) -> Assembly:
     """Instantiate one of the precomputed clusters; see ASSEMBLY_TARGETS."""
     if target not in _SOURCES:
         raise KeyError(f"unknown assembly target {target!r}; choose from {ASSEMBLY_TARGETS}")
-    return _build(target, tol)
+    return _build(target)
 
 
 def dihedrals(mesh: Mesh) -> list[Dihedral]:

@@ -137,10 +137,6 @@ class PlacedTile:
         return hits[0]
 
 
-def _sqrt_embed(x) -> float:
-    return math.sqrt(embed(x))
-
-
 def realize(kind: TileKind | str) -> PlacedTile:
     """The canonical pose of a fundamental tile, parity +1."""
     kind = TileKind(kind)

@@ -7,7 +7,7 @@ the ring Z[tau] is closed under multiplication:
 
 The Galois conjugation sends tau to sigma = 1 - tau = (1-sqrt(5))/2 and is
 a ring homomorphism; sqrt(5) itself is 2*tau - 1.  A GoldenRational is a
-GoldenInt numerator over a positive integer denominator, always reduced to
+numerator a + b*tau over a positive integer denominator, always reduced to
 canonical form (gcd of the three integers is 1), so equality is structural.
 
 Ordering never goes through floating point: the sign of a + b*tau is the
@@ -21,12 +21,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 __all__ = [
-    "GoldenInt",
     "GoldenRational",
     "mul",
     "conj",
     "tau_pow",
     "embed",
+    "embed_decimal",
     "exact_sqrt",
     "ZERO",
     "ONE",
@@ -36,52 +36,9 @@ __all__ = [
 ]
 
 
-class GoldenInt:
-    """An element a + b*tau of Z[tau] with arbitrary-width integers a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int = 0):
-        self.a = int(a)
-        self.b = int(b)
-
-    def __add__(self, other: "GoldenInt") -> "GoldenInt":
-        return GoldenInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "GoldenInt") -> "GoldenInt":
-        return GoldenInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "GoldenInt":
-        return GoldenInt(-self.a, -self.b)
-
-    def __mul__(self, other: "GoldenInt") -> "GoldenInt":
-        # tau^2 = tau + 1
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return GoldenInt(a * c + b * d, a * d + b * c + b * d)
-
-    def conj(self) -> "GoldenInt":
-        """Galois conjugate: tau -> 1 - tau."""
-        return GoldenInt(self.a + self.b, -self.b)
-
-    def norm(self) -> int:
-        """x * conj(x), always a plain integer: a^2 + ab - b^2."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GoldenInt) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return f"GoldenInt({self.a}, {self.b})"
-
-
 def _as_golden(x) -> "GoldenRational":
     if isinstance(x, GoldenRational):
         return x
-    if isinstance(x, GoldenInt):
-        return GoldenRational(x.a, x.b, 1)
     if isinstance(x, int):
         return GoldenRational(x, 0, 1)
     if isinstance(x, Fraction):
@@ -92,12 +49,9 @@ def _as_golden(x) -> "GoldenRational":
 class GoldenRational:
     """(a + b*tau)/den in canonical form: den > 0, gcd(a, b, den) = 1."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("a", "b", "den")
 
     def __init__(self, a, b=0, den=1):
-        if isinstance(a, GoldenInt):
-            num, den = a, int(b) if b else 1
-            a, b = num.a, num.b
         a, b, den = int(a), int(b), int(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
@@ -106,8 +60,7 @@ class GoldenRational:
         g = gcd(gcd(abs(a), abs(b)), den)
         if g > 1:
             a, b, den = a // g, b // g, den // g
-        self.num = GoldenInt(a, b)
-        self.den = den
+        self.a, self.b, self.den = a, b, den
 
     # ---- constructors ----
 
@@ -125,15 +78,14 @@ class GoldenRational:
 
     def to_json(self) -> dict:
         """Canonical serialized form with int-strings (safe beyond 2^53)."""
-        return {"a": str(self.num.a), "b": str(self.num.b), "den": str(self.den)}
+        return {"a": str(self.a), "b": str(self.b), "den": str(self.den)}
 
     # ---- field arithmetic ----
 
     def __add__(self, other):
         other = _as_golden(other)
-        a, b = self.num, other.num
-        return GoldenRational(a.a * other.den + b.a * self.den,
-                              a.b * other.den + b.b * self.den,
+        return GoldenRational(self.a * other.den + other.a * self.den,
+                              self.b * other.den + other.b * self.den,
                               self.den * other.den)
 
     def __sub__(self, other):
@@ -143,19 +95,21 @@ class GoldenRational:
         return _as_golden(other) - self
 
     def __neg__(self):
-        return GoldenRational(-self.num.a, -self.num.b, self.den)
+        return GoldenRational(-self.a, -self.b, self.den)
 
     def __mul__(self, other):
+        # tau^2 = tau + 1
         other = _as_golden(other)
-        p = self.num * other.num
-        return GoldenRational(p.a, p.b, self.den * other.den)
+        a, b, c, d = self.a, self.b, other.a, other.b
+        return GoldenRational(a * c + b * d, a * d + b * c + b * d, self.den * other.den)
 
     def inverse(self) -> "GoldenRational":
-        n = self.num.norm()
+        # x * conj(x) is the integer norm a^2 + ab - b^2
+        a, b = self.a, self.b
+        n = a * a + a * b - b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        c = self.num.conj()
-        return GoldenRational(c.a * self.den, c.b * self.den, n)
+        return GoldenRational((a + b) * self.den, -b * self.den, n)
 
     def __truediv__(self, other):
         return self * _as_golden(other).inverse()
@@ -182,8 +136,8 @@ class GoldenRational:
 
     def sign(self) -> int:
         """Exact sign, decided by integer squaring on (2a+b) + b*sqrt(5)."""
-        p = 2 * self.num.a + self.num.b
-        q = self.num.b
+        p = 2 * self.a + self.b
+        q = self.b
         if p == 0 and q == 0:
             return 0
         if p >= 0 and q >= 0:
@@ -201,10 +155,10 @@ class GoldenRational:
             other = _as_golden(other)
         except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.a, self.num.b, self.den))
+        return hash((self.a, self.b, self.den))
 
     def __lt__(self, other):
         return (self - _as_golden(other)).sign() < 0
@@ -224,24 +178,24 @@ class GoldenRational:
     # ---- views ----
 
     def conj(self) -> "GoldenRational":
-        c = self.num.conj()
-        return GoldenRational(c.a, c.b, self.den)
+        """Galois conjugate: tau -> 1 - tau."""
+        return GoldenRational(self.a + self.b, -self.b, self.den)
 
     def is_rational(self) -> bool:
-        return self.num.b == 0
+        return self.b == 0
 
     def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
         """(A, B) with self = A + B*tau."""
-        return Fraction(self.num.a, self.den), Fraction(self.num.b, self.den)
+        return Fraction(self.a, self.den), Fraction(self.b, self.den)
 
     def __float__(self):
         return embed(self)
 
     def __repr__(self):
-        return f"GoldenRational({self.num.a}, {self.num.b}, {self.den})"
+        return f"GoldenRational({self.a}, {self.b}, {self.den})"
 
     def __str__(self):
-        a, b, d = self.num.a, self.num.b, self.den
+        a, b, d = self.a, self.b, self.den
         if b == 0:
             core = str(a)
         elif a == 0:
@@ -299,33 +253,40 @@ def tau_pow(n: int) -> GoldenRational:
 
 
 def _ndigits(x: int) -> int:
-    return len(str(abs(x)))
+    """Upper bound on the decimal digits of x (no int-to-str conversion)."""
+    return abs(x).bit_length() * 31 // 100 + 1
+
+
+def embed_decimal(x) -> decimal.Decimal:
+    """(a + b*(1+sqrt5)/2)/den as a Decimal at any magnitude.
+
+    Evaluated with enough working digits that the value is correct to well
+    under 1 ulp of a double, even when a and b*tau nearly cancel (|x| is
+    bounded below by 1/(den * |a + b*sigma|) because the norm of a nonzero
+    element of Z[tau] is a nonzero integer).
+    """
+    x = _as_golden(x)
+    a, b, den = x.a, x.b, x.den
+    prec = 2 * max(_ndigits(a), _ndigits(b)) + _ndigits(den) + 40
+    ctx = decimal.Context(prec=prec)
+    sqrt5 = ctx.sqrt(decimal.Decimal(5))
+    return ctx.divide(ctx.add(decimal.Decimal(2 * a + b), ctx.multiply(decimal.Decimal(b), sqrt5)),
+                      decimal.Decimal(2 * den))
 
 
 def embed(x) -> float:
-    """Nearest float of (a + b*(1+sqrt5)/2)/den.
-
-    Evaluated through the decimal module with enough working digits that the
-    value is correct to well under 1 ulp before the final binary rounding,
-    even when a and b*tau nearly cancel (|x| is bounded below by
-    1/(den * |conj(num)|) because the norm of a nonzero GoldenInt is a
-    nonzero integer).  Raises OverflowError outside the float range.
-    """
+    """Nearest float of (a + b*(1+sqrt5)/2)/den, rounded once from
+    embed_decimal when irrational.  Raises OverflowError outside the float range."""
     x = _as_golden(x)
-    a, b, den = x.num.a, x.num.b, x.den
+    a, b, den = x.a, x.b, x.den
     if b == 0:
         # plain rational: Fraction -> float is correctly rounded
         try:
             return a / den if abs(a) < (1 << 52) and den < (1 << 52) else float(Fraction(a, den))
         except OverflowError:
             raise OverflowError("value out of float range")
-    prec = 2 * max(_ndigits(a), _ndigits(b)) + _ndigits(den) + 40
-    ctx = decimal.Context(prec=prec)
-    sqrt5 = ctx.sqrt(decimal.Decimal(5))
-    val = ctx.divide(ctx.add(decimal.Decimal(2 * a + b), ctx.multiply(decimal.Decimal(b), sqrt5)),
-                     decimal.Decimal(2 * den))
     try:
-        f = float(val)
+        f = float(embed_decimal(x))
     except OverflowError:
         raise OverflowError("value out of float range")
     if f in (float("inf"), float("-inf")):

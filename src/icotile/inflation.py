@@ -125,7 +125,8 @@ class InflationMatrix:
 
     @property
     def det(self) -> int:
-        return 1
+        """det(M): for a 4x4 matrix, the constant term of det(xI - M)."""
+        return char_poly()[-1]
 
     @property
     def trace(self) -> int:
@@ -141,9 +142,23 @@ def inflate_counts(c: CountVector, n: int) -> CountVector:
     return CountVector(tuple(sum(c[i] * p[i][j] for i in range(4)) for j in range(4)))
 
 
+def _char_poly(rows) -> tuple[int, int, int, int, int]:
+    """Coefficients of det(xI - A) for a 4x4 integer A, leading 1 first, by
+    Faddeev-LeVerrier: B_1 = I, c_k = -tr(A B_k)/k, B_(k+1) = A B_k + c_k I.
+    Each division is exact, so the arithmetic stays in the integers."""
+    coeffs, b = [1], _IDENT
+    for k in range(1, 5):
+        ab = _mat_mul(rows, b)
+        coeffs.append(-sum(ab[i][i] for i in range(4)) // k)
+        b = tuple(tuple(x + coeffs[-1] * (i == j) for j, x in enumerate(row))
+                  for i, row in enumerate(ab))
+    return tuple(coeffs)
+
+
 def char_poly() -> tuple[int, int, int, int, int]:
-    """Coefficients (1, -5, 2, 5, 1) of x^4 - 5x^3 + 2x^2 + 5x + 1."""
-    return (1, -5, 2, 5, 1)
+    """Coefficients of det(xI - M), computed from M.rows:
+    (1, -5, 2, 5, 1), i.e. x^4 - 5x^3 + 2x^2 + 5x + 1."""
+    return _char_poly(M.rows)
 
 
 def composite_volumes() -> tuple[GoldenRational, ...]:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from icotile import inflation
 from icotile.cli import canonical_json, main
+from icotile.golden import TAU, embed, tau_pow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +73,31 @@ def test_inflate_zero_order(runner):
     res = runner.invoke(main, ["inflate", "--tile", "d1", "--order", "0",
                                "--json"])
     assert json.loads(res.output)["counts"] == [3, 4, 0, 4]
+
+
+@pytest.mark.parametrize("order", [1000, 10000])
+def test_inflate_beyond_float_range(runner, order):
+    # the volume overflows a float at both orders; at 10000 the counts also
+    # pass the interpreter's default 4300-digit int-to-str limit
+    args = ["--max-order", "20000", "inflate", "--tile", "T2", "--order", str(order)]
+    text = runner.invoke(main, args)
+    as_json = runner.invoke(main, args + ["--json"])
+    assert text.exit_code == 0, text.output
+    assert as_json.exit_code == 0, as_json.output
+    counts = inflation.inflate_counts(inflation.CountVector.unit(1), order)
+    volume = counts.total_volume()
+    counts_line, volume_line = text.output.splitlines()
+    assert counts_line == "counts: " + " ".join(str(c) for c in counts.c)
+    exact, approx = volume_line.split(" = ")
+    assert exact == f"volume: {volume}"
+    mantissa, exponent = approx.split("e+")
+    assert len(mantissa) == 9
+    log10_volume = 3 * order * math.log10(embed(TAU)) + math.log10(embed(volume / tau_pow(3 * order)))
+    assert math.log10(float(mantissa)) + int(exponent) == pytest.approx(log10_volume, abs=1e-7)
+    data = json.loads(as_json.output)
+    assert data["counts"] == list(counts.c)
+    assert data["volume"] == volume.to_json()
+    assert format(Decimal(data["volume_float"]), ".7e") == approx
 
 
 def test_inflate_order_validation(runner):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from icotile import catalog
 from icotile.geometry import (
     AmbiguityError,
+    AssemblyError,
     AxisFrame,
     CongruenceError,
     GlueError,
@@ -31,6 +33,7 @@ from icotile.geometry import (
     realize,
     triangle_family,
 )
+from icotile.geometry import _wiring, assembly
 from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU2 = tau_pow(2)
@@ -389,6 +392,39 @@ def test_pentagon_face_of_t3():
     quads = [i for i, f in enumerate(bar.mesh.faces) if len(f) == 4]
     assert len(quads) == 2
     assert assemble("T3").volume_exact() == bar.volume_exact()
+
+
+def test_exact_sign_matches_golden_rational():
+    r = range(-40, 41)
+    pairs = np.array([[(a, b) for b in r] for a in r])
+    want = [[GoldenRational(a, b).sign() for b in r] for a in r]
+    assert assembly._gsign(pairs).tolist() == want
+
+
+def _moved_half_in_x(triple):
+    (an, ad), xb = triple[0]
+    x = Fraction(an, ad) + Fraction(1, 2)
+    return ((x.numerator, x.denominator), xb), *triple[1:]
+
+
+@pytest.mark.parametrize("moved, n_pairs", [(None, 0), ("B", 12), ("v0", 6)])
+def test_exact_overlap_matches_float_reference(monkeypatch, moved, n_pairs):
+    coords = dict(_wiring.D1_COORDS)
+    if moved:
+        coords[moved] = _moved_half_in_x(coords[moved])
+    labels = list(coords)
+    exact = np.array([assembly._doubled(coords[lab]) for lab in labels])
+    flt = np.array([[embed(GoldenRational(a, b, 2)) for a, b in p] for p in exact.tolist()])
+    ids = np.array([[labels.index(lab) for lab in labs] for _, labs in _wiring.D1_TETS])
+    got = set(assembly._overlapping_pairs(exact[ids]))
+    want = {(a, b) for a, b in itertools.combinations(range(len(ids)), 2)
+            if assembly._tets_overlap(flt[ids[a]], flt[ids[b]], 1e-9)}
+    assert got == want
+    assert len(got) == n_pairs
+    if moved:
+        monkeypatch.setitem(assembly._SOURCES, "d1", (coords, _wiring.D1_TETS, None))
+        with pytest.raises(AssemblyError):
+            assembly._build("d1")
 
 
 def test_exact_points_match_floats():

@@ -116,6 +116,17 @@ def test_char_poly_and_cayley_hamilton():
             assert acc == 0
 
 
+def test_char_poly_oracle():
+    sympy = pytest.importorskip("sympy")
+    rows = inflation.M.rows
+    assert inflation.char_poly() == tuple(sympy.Matrix(rows).charpoly().all_coeffs())
+    assert inflation.M.det == sympy.Matrix(rows).det()
+    # a changed row must move the polynomial: it is computed, not typed in
+    mutated = (rows[0], rows[1], (1, 2, 1, 2), rows[3])
+    assert inflation._char_poly(mutated) == tuple(sympy.Matrix(mutated).charpoly().all_coeffs())
+    assert inflation._char_poly(mutated) != inflation.char_poly()
+
+
 def test_eigenvalues():
     sd = inflation.pf_vectors()
     exact = (tau_pow(3), tau_pow(1), -tau_pow(-1), -tau_pow(-3))
