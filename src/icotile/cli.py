@@ -21,8 +21,6 @@ from .golden import embed, embed_decimal
 
 __all__ = ["main", "RunConfig", "canonical_json"]
 
-_CHAR_POLY_TEXT = "x^4 - 5x^3 + 2x^2 + 5x + 1"
-
 _FACE_WORDS = {3: "triangular", 4: "quadrilateral", 5: "pentagonal", 6: "hexagonal"}
 
 
@@ -166,7 +164,7 @@ def cmd_eigen(as_json):
     if as_json:
         _echo_json(sd.to_json())
         return
-    click.echo(f"characteristic polynomial: {_CHAR_POLY_TEXT}")
+    click.echo(f"characteristic polynomial: {inflation.format_poly(inflation.char_poly())}")
     click.echo("eigenvalues: " + ", ".join(f"{x:.7f}" for x in sd.eigenvalues))
     click.echo("right PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.right_pf))
     click.echo("left PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.left_pf))

@@ -308,8 +308,8 @@ def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
 def _merge_cycles(fa: tuple[int, ...], fb: tuple[int, ...]) -> tuple[int, ...] | None:
     """Union of two consistently wound polygons sharing exactly one edge."""
     edges_a = {(fa[i], fa[(i + 1) % len(fa)]) for i in range(len(fa))}
-    shared = [e for e in edges_a if (e[1], e[0]) in
-              {(fb[i], fb[(i + 1) % len(fb)]) for i in range(len(fb))}]
+    edges_b = {(fb[i], fb[(i + 1) % len(fb)]) for i in range(len(fb))}
+    shared = [e for e in edges_a if (e[1], e[0]) in edges_b]
     if len(shared) != 1:
         return None
     i, j = shared[0]

@@ -57,9 +57,13 @@ class GoldenRational:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             a, b, den = -a, -b, -den
-        g = gcd(gcd(abs(a), abs(b)), den)
+        # gcd(den, a) first: den is small, while a and b can run to
+        # thousands of digits, and gcd(|a|, |b|) of two such is slow
+        g = gcd(den, a)
         if g > 1:
-            a, b, den = a // g, b // g, den // g
+            g = gcd(g, b)
+            if g > 1:
+                a, b, den = a // g, b // g, den // g
         self.a, self.b, self.den = a, b, den
 
     # ---- constructors ----
@@ -248,8 +252,14 @@ def fibonacci(n: int) -> int:
 
 
 def tau_pow(n: int) -> GoldenRational:
-    """tau^n = F(n)*tau + F(n-1), valid for any integer n (tau is a unit)."""
-    return GoldenRational(fibonacci(n - 1), fibonacci(n), 1)
+    """tau^n = F(n)*tau + F(n-1), valid for any integer n (tau is a unit),
+    from one fast doubling."""
+    f, g = _fib_pair(abs(n))  # F(|n|), F(|n|+1)
+    if n >= 0:
+        return GoldenRational(g - f, f)
+    # tau*sigma = -1, so tau^(-k) = (-1)^k conj(tau^k) = (-1)^k (F(k+1) - F(k)*tau)
+    s = -1 if n & 1 else 1
+    return GoldenRational(s * g, -s * f)
 
 
 def _ndigits(x: int) -> int:

@@ -17,6 +17,16 @@ tile volume vector and its left eigenvector gives the limiting tile
 frequencies.  Everything spectral is constructed exactly in Q(tau) (the
 spectrum is known in closed form) and embedded numerically afterward.
 
+M^n is computed in closed form.  With E3 and E1 the eigenprojectors of M
+for tau^3 and tau (exact in Q(tau), derived from M.rows by the Lagrange
+product after the four eigenvalues are checked to be distinct roots of
+char_poly()) and bars for Galois conjugates,
+
+    M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
+
+so each entry is a sum of two Galois traces, and one Fibonacci fast
+doubling per eigenvalue gives tau^(3n) and tau^n.
+
 The module also carries a verified ledger: specific inflations of single
 tiles whose count vectors regroup into whole unit dodecahedra d(1) and
 tau-scaled dodecahedra d(tau) plus leftover composite tiles.  Each ledger
@@ -26,9 +36,12 @@ entry is checked for exact count and volume consistency at load time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from math import lcm
+from typing import NamedTuple
 
 from .catalog import TileKind, record, total_volume
-from .golden import GoldenRational, embed, tau_pow
+from .golden import TAU, GoldenRational, conj, embed, tau_pow
 
 __all__ = [
     "CountVector",
@@ -40,6 +53,7 @@ __all__ = [
     "M",
     "inflate_counts",
     "char_poly",
+    "format_poly",
     "pf_vectors",
     "projection_matrix",
     "verify_decomposition",
@@ -112,16 +126,29 @@ class InflationMatrix:
         return self.rows[i][j]
 
     def power(self, n: int):
-        """M^n by repeated squaring; entries grow like tau^(3n)."""
+        """M^n in closed form from the spectral parts of M (see the module
+        docstring); entries grow like tau^(3n).
+
+        With tau^m = q + p*tau and D*E = a + b*tau in integers, the trace
+        of (q + p*tau)(a + b*tau) is q*(2a + b) + p*(a + 3b).  Entry (i, j)
+        is that trace for E3 at m = 3n plus the one for E1 at m = n, divided
+        by D; the division is checked to be exact.
+        """
         if n < 0:
             raise ValueError("negative inflation order")
-        result, base = _IDENT, self.rows
-        while n:
-            if n & 1:
-                result = _mat_mul(result, base)
-            base = _mat_mul(base, base)
-            n >>= 1
-        return result
+        parts = _spectral_parts(self.rows)
+        t3, t1 = tau_pow(3 * n), tau_pow(n)
+
+        def entry(e3, e1):
+            (a3, b3), (a1, b1) = e3, e1
+            num = (t3.a * (2 * a3 + b3) + t3.b * (a3 + 3 * b3)
+                   + t1.a * (2 * a1 + b1) + t1.b * (a1 + 3 * b1))
+            x, r = divmod(num, parts.den)
+            if r:
+                raise ArithmeticError(f"entry of M^{n} is not an integer")
+            return x
+
+        return tuple(tuple(entry(e3, e1) for e3, e1 in row) for row in parts.scaled)
 
     @property
     def det(self) -> int:
@@ -159,6 +186,65 @@ def char_poly() -> tuple[int, int, int, int, int]:
     """Coefficients of det(xI - M), computed from M.rows:
     (1, -5, 2, 5, 1), i.e. x^4 - 5x^3 + 2x^2 + 5x + 1."""
     return _char_poly(M.rows)
+
+
+def format_poly(coeffs) -> str:
+    """Integer coefficients, leading first, as text: (1, -5, 2, 5, 1) is
+    'x^4 - 5x^3 + 2x^2 + 5x + 1'.  Zero terms are left out and unit
+    coefficients are written only on the constant term."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        deg = len(coeffs) - 1 - k
+        power = "" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
+        mag = str(abs(c)) if abs(c) != 1 or deg == 0 else ""
+        if terms:
+            terms.append(f"{'-' if c < 0 else '+'} {mag}{power}")
+        else:
+            terms.append(f"{'-' if c < 0 else ''}{mag}{power}")
+    return " ".join(terms) if terms else "0"
+
+
+class _SpectralParts(NamedTuple):
+    projector: tuple[tuple[GoldenRational, ...], ...]  # E3
+    den: int  # D, the lcm of the denominators of E3 and E1
+    # scaled[i][j] = ((a3, b3), (a1, b1)) with D*E3[i][j] = a3 + b3*tau, D*E1[i][j] = a1 + b1*tau
+    scaled: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
+
+
+@cache
+def _spectral_parts(rows) -> _SpectralParts:
+    """Eigenprojectors E3, E1 of the 4x4 integer matrix rows for tau^3 and tau.
+
+    Before the Lagrange product E_l = prod over m != l of (A - mI)/(l - m)
+    is taken over l, m in (tau^3, tau, sigma, sigma^3), each of the four is
+    checked to be an exact root of _char_poly(rows) and the four to be
+    distinct; ValueError if not.  Built on first use, then cached.
+    """
+    coeffs = _char_poly(rows)
+    lams = (tau_pow(3), TAU, conj(TAU), conj(tau_pow(3)))
+    for lam in lams:
+        if sum((c * lam ** (4 - k) for k, c in enumerate(coeffs)), GoldenRational(0)) != 0:
+            raise ValueError(f"{lam} is not a root of the characteristic polynomial {coeffs}")
+    if len(set(lams)) != 4:
+        raise ValueError("the eigenvalues are not distinct")
+
+    def projector(lam):
+        return reduce(_mat_mul, (
+            tuple(tuple((x - (mu if i == j else 0)) / (lam - mu) for j, x in enumerate(row))
+                  for i, row in enumerate(rows))
+            for mu in lams if mu != lam))
+
+    e3, e1 = projector(lams[0]), projector(lams[1])
+    den = lcm(*(x.den for e in (e3, e1) for row in e for x in row))
+
+    def ints(x):
+        k = den // x.den
+        return x.a * k, x.b * k
+
+    scaled = tuple(tuple((ints(x3), ints(x1)) for x3, x1 in zip(r3, r1)) for r3, r1 in zip(e3, e1))
+    return _SpectralParts(e3, den, scaled)
 
 
 def composite_volumes() -> tuple[GoldenRational, ...]:
@@ -220,10 +306,9 @@ def pf_vectors() -> SpectralData:
 
 
 def projection_matrix() -> tuple[tuple[GoldenRational, ...], ...]:
-    """P = v u^T / (u.v): the exact limit of tau^(-3n) M^n; satisfies P^2 = P."""
-    right, left = _exact_pf_raw()
-    uv = sum((right[i] * left[i] for i in range(4)), GoldenRational(0))
-    return tuple(tuple(right[i] * left[j] / uv for j in range(4)) for i in range(4))
+    """P = E3, M's eigenprojector for tau^3: the exact limit of
+    tau^(-3n) M^n, equal to v u^T / (u.v) for the PF vectors; P^2 = P."""
+    return _spectral_parts(M.rows).projector
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def _markdown() -> str:
         "",
         "## Spectrum",
         "",
-        "characteristic polynomial: x^4 - 5x^3 + 2x^2 + 5x + 1",
+        "characteristic polynomial: " + inflation.format_poly(inflation.char_poly()),
         "",
         "eigenvalues: " + ", ".join(f"{x:.7f}" for x in sd.eigenvalues),
         "",

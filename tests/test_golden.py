@@ -6,6 +6,7 @@ import json
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -46,6 +47,22 @@ def test_canonical_form():
     assert x.den > 0
     with pytest.raises(ZeroDivisionError):
         GoldenRational(1, 1, 0)
+    # big numerators over a small denominator reduce to the same triple as
+    # dividing by gcd(gcd(|a|, |b|), den)
+    rng = random.Random(44)
+    cases = [(0, 0, 12), (0, 7 * 3**900, 21), (5**700 * 6, 0, 18), (2**2000 + 1, 3**1300, 1)]
+    for _ in range(30):
+        bits = rng.choice((1000, 8000, 60000))
+        shared = rng.choice((1, 2, 6, 35, 210))
+        den = shared * rng.randint(1, 60)
+        cases.append((shared * rng.getrandbits(bits) * rng.choice((1, -1)),
+                      shared * rng.getrandbits(bits) * rng.choice((1, -1)),
+                      den * rng.choice((1, -1))))
+    for a, b, den in cases:
+        sgn = -1 if den < 0 else 1
+        g = gcd(gcd(abs(a), abs(b)), abs(den))
+        x = GoldenRational(a, b, den)
+        assert (x.a, x.b, x.den) == (sgn * a // g, sgn * b // g, abs(den) // g)
 
 
 def test_ring_axioms_random():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from icotile import inflation
+from icotile import checks, inflation
 from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU3 = tau_pow(3)
@@ -39,6 +39,63 @@ def test_matrix_powers():
                                                    inflation.M.power(b))
     with pytest.raises(ValueError):
         inflation.M.power(-1)
+
+
+def _power_by_squaring(n):
+    """M^n by repeated squaring: the reference for the closed form."""
+    result = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    base = inflation.M.rows
+    while n:
+        if n & 1:
+            result = _matmul(result, base)
+        base = _matmul(base, base)
+        n >>= 1
+    return result
+
+
+ORACLE_ORDERS = (*range(65), 1000, 30000)
+
+
+def test_closed_form_power_matches_squaring():
+    for n in ORACLE_ORDERS:
+        assert inflation.M.power(n) == _power_by_squaring(n), n
+
+
+def test_inflate_counts_matches_squaring():
+    bases = [inflation.CountVector.unit(i) for i in range(4)]
+    bases += [inflation.D1_COUNTS, inflation.DTAU_COUNTS]
+    for n in ORACLE_ORDERS:
+        p = _power_by_squaring(n)
+        for c in bases:
+            want = tuple(sum(c[i] * p[i][j] for i in range(4)) for j in range(4))
+            assert inflation.inflate_counts(c, n).c == want, (c, n)
+
+
+def test_spectral_parts():
+    parts = inflation._spectral_parts(inflation.M.rows)
+    assert parts.den == 30
+    assert parts.projector == inflation.projection_matrix() == checks._projection_expected()
+    # the same P from the Perron-Frobenius vectors: v u^T / (u.v)
+    right, left = inflation._exact_pf_raw()
+    uv = sum((right[i] * left[i] for i in range(4)), ZERO)
+    assert parts.projector == tuple(tuple(right[i] * left[j] / uv for j in range(4))
+                                    for i in range(4))
+    # a changed row moves the characteristic polynomial off tau^3, tau,
+    # sigma, sigma^3: the closed form must refuse, not answer
+    rows = inflation.M.rows
+    for mutated in ((rows[0], rows[1], (1, 2, 1, 2), rows[3]),
+                    ((1, 2, 2, 3), rows[1], rows[2], rows[3])):
+        with pytest.raises(ValueError):
+            inflation._spectral_parts(mutated)
+
+
+def test_format_poly():
+    assert inflation.format_poly((1, -5, 2, 5, 1)) == "x^4 - 5x^3 + 2x^2 + 5x + 1"
+    assert inflation.format_poly(inflation.char_poly()) == "x^4 - 5x^3 + 2x^2 + 5x + 1"
+    assert inflation.format_poly((-1, 0, -1, 1, 0, -7)) == "-x^5 - x^3 + x^2 - 7"
+    assert inflation.format_poly((1, 0, 0, -1)) == "x^3 - 1"
+    assert inflation.format_poly((0, 3, -1, 0)) == "3x^2 - x"
+    assert inflation.format_poly((0, 0)) == "0"
 
 
 def test_primitivity_and_determinant():
