@@ -23,6 +23,7 @@ from .golden import ONE, TAU, GoldenRational
 __all__ = [
     "TileKind",
     "FaceSpec",
+    "triangle_family",
     "TileRecord",
     "Inventory",
     "record",
@@ -65,6 +66,7 @@ CATALOG_ORDER = [
 ]
 
 _SHAPE_SIDES = {"triangle": 3, "trapezoid": 4, "pentagon": 5}
+_TAU2 = TAU * TAU
 
 
 @dataclass(frozen=True)
@@ -106,19 +108,25 @@ def _edge_name(e: GoldenRational) -> str:
     return str(e)
 
 
+def triangle_family(squares) -> str:
+    """'equilateral', 'robinson' or 'other' for a triangle given its exact
+    squared edge lengths; a Robinson triangle (edges x, x, tau*x or
+    x, tau*x, tau*x) has squares in ratio 1:1:tau^2 or 1:tau^2:tau^2."""
+    a, b, c = sorted(squares)
+    if a == c:
+        return "equilateral"
+    if (a == b and c == a * _TAU2) or (b == c and b == a * _TAU2):
+        return "robinson"
+    return "other"
+
+
+_FAMILY_AXIS = {"equilateral": "three-fold", "robinson": "five-fold", "other": "none"}
+
+
 def _axis_class_of(shape: str, edges: tuple[GoldenRational, ...]) -> str:
     if shape != "triangle":
         return "none"
-    lens = sorted(edges)
-    a, b, c = lens
-    if a == b == c:
-        return "three-fold"
-    # Robinson shapes: (x, x, tau*x) or (x, tau*x, tau*x)
-    if a == b and c == a * TAU:
-        return "five-fold"
-    if b == c and b == a * TAU:
-        return "five-fold"
-    return "none"
+    return _FAMILY_AXIS[triangle_family([e * e for e in edges])]
 
 
 @dataclass(frozen=True)
@@ -181,7 +189,6 @@ class Inventory:
         return dict(self.counts)
 
 
-_TAU2 = TAU * TAU
 _T = TAU
 
 

@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 
 from . import catalog, inflation, report
-from .catalog import TileKind
+from .catalog import TileKind, triangle_family
 from .geometry import (
-    AxisFrame,
     assemble,
     dihedrals,
     expected_face_census,
     face_axis_class,
-    triangle_family,
+    squared_edges,
 )
 from .geometry.schemes import cm_volume, edge_scheme
 from .golden import GoldenRational, SQRT5, embed, tau_pow
@@ -98,18 +97,17 @@ def _check_inflation_rules() -> tuple[bool, str]:
 
 
 def _check_spectrum() -> tuple[bool, str]:
-    if inflation.char_poly() != (1, -5, 2, 5, 1):
+    coeffs = inflation.char_poly()
+    if coeffs != (1, -5, 2, 5, 1):
         return False, "characteristic polynomial coefficients"
     sd = inflation.pf_vectors()
     exact = [tau_pow(3), tau_pow(1), -tau_pow(-1), -tau_pow(-3)]
     for lam, ex in zip(sd.eigenvalues, exact):
-        e = embed(ex)
-        coeffs = inflation.char_poly()
-        val = sum(c * lam ** (4 - k) for k, c in enumerate(coeffs))
-        if abs(lam - e) > 1e-9 or abs(val) > 1e-6:
+        root = sum((c * ex ** (4 - k) for k, c in enumerate(coeffs)), GoldenRational(0))
+        if root != 0 or abs(lam - embed(ex)) > 1e-9:
             return False, f"eigenvalue {lam}"
-    # exact residuals: M v = tau^3 v and u M = tau^3 u
-    right, left = inflation._exact_pf_raw()
+    # exact residuals of the derived vectors: M v = tau^3 v and u M = tau^3 u
+    right, left = sd.exact_right_pf, sd.exact_left_pf
     t3 = tau_pow(3)
     for i in range(4):
         r = sum((right[j] * inflation.M.rows[i][j] for j in range(4)), GoldenRational(0))
@@ -233,15 +231,14 @@ def _check_assemblies() -> tuple[bool, str]:
 
 
 def _check_axis_classes() -> tuple[bool, str]:
-    frame = AxisFrame.canonical()
     expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     n = 0
     for target in ("d1", "i1"):
         for w in assemble(target).walls:
-            fam = triangle_family(w.edge_lengths())
+            fam = triangle_family(squared_edges(w.corners))
             if fam not in expect:
                 return False, f"{target}: unexpected wall family {fam}"
-            if face_axis_class(w.points, frame, tol=1e-9) != expect[fam]:
+            if face_axis_class(w.corners) != expect[fam]:
                 return False, f"{target}: wall of {w.owner} off-axis"
             n += 1
     return True, f"{n} internal walls all normal to their symmetry axes"

@@ -68,6 +68,16 @@ def _echo_json(obj) -> None:
     click.echo(canonical_json(obj))
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text, creating missing parent directories; a path that cannot
+    be written (say, under an existing file) is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _non_negative(ctx, param, value):
     if value < 0:
         raise click.BadParameter("must be non-negative")
@@ -242,8 +252,7 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
             payload = canonical_json(export_patch(asm)) + "\n"
         else:
             raise click.UsageError("--out must end in .obj or .json")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(payload, encoding="utf-8", newline="")
+        _write(path, payload)
     if as_json:
         _echo_json(export_patch(asm))
         return
@@ -293,9 +302,8 @@ def cmd_report(cfg: RunConfig, out, as_json):
         _echo_json({"files": bundle})
         return
     outdir = Path(out or cfg.output_path or "report")
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, text in bundle.items():
-        (outdir / name).write_text(text, encoding="utf-8", newline="")
+        _write(outdir / name, text)
         click.echo(f"wrote {outdir / name}")
 
 

@@ -13,9 +13,9 @@ from .assembly import (
     expected_triangle_census,
     export_obj,
     export_patch,
-    triangle_family,
+    squared_edges,
 )
-from .axes import AxisFrame, face_axis_class, icosahedron_vertices
+from .axes import face_axis_class, icosahedron_vertices
 from .placement import (
     AmbiguityError,
     CongruenceError,
@@ -32,7 +32,6 @@ __all__ = [
     "AmbiguityError",
     "Assembly",
     "AssemblyError",
-    "AxisFrame",
     "CMVolume",
     "CongruenceError",
     "Dihedral",
@@ -54,5 +53,5 @@ __all__ = [
     "glue",
     "icosahedron_vertices",
     "realize",
-    "triangle_family",
+    "squared_edges",
 ]

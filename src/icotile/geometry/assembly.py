@@ -11,17 +11,18 @@ along its normal lies in no tetrahedron of the cluster.  Matching faces
 pairwise would misread the quadrilateral contact walls whose two sides are
 triangulated along different diagonals.
 
-Wiring points lie in the half-integer icosahedral frame, so they are held
-as doubled Z[tau] integer pairs and every decision (overlap, wall or
-boundary, coplanarity, collinearity, parity) is an exact integer sign.
-Floats (meshes, tile vertices, exports) are derived from them by embed.
+Wiring points lie in the half-integer icosahedral frame, so each point has
+one representation, doubled Z[tau] integer pairs, and every decision
+(overlap, wall or boundary, coplanarity, collinearity, parity, face census)
+is exact integer arithmetic.  Floats (mesh vertices, tile vertices,
+exports) are derived from the pairs by embed.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -42,7 +43,7 @@ __all__ = [
     "ASSEMBLY_TARGETS",
     "assemble",
     "dihedrals",
-    "triangle_family",
+    "squared_edges",
     "export_obj",
     "export_patch",
 ]
@@ -58,18 +59,19 @@ class AssemblyError(RuntimeError):
 class Mesh:
     """Polygonal outer surface: shared vertices, outward-wound faces.
 
-    provenance[i] lists the names of the tile instances whose triangles
-    were fused into face i.
+    exact holds the vertices as doubled Z[tau] pairs, shape (V, 3, 2), and
+    vertices is their float image.  provenance[i] lists the names of the
+    tile instances whose triangles were fused into face i.
     """
 
-    vertices: np.ndarray
+    exact: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, ...], ...]
+    vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        self.exact.setflags(write=False)
+        object.__setattr__(self, "vertices", _embed_doubled(self.exact))
 
     def counts(self) -> tuple[int, int, int]:
         """(N0, N1, N2): vertices, edges, faces."""
@@ -117,32 +119,22 @@ class Mesh:
                     [p0, self.vertices[f[k]], self.vertices[f[k + 1]]])))
         return total / 6.0
 
-    def face_census(self, ndigits: int = 6) -> Counter:
-        """Counter of (side count, sorted rounded edge lengths)."""
+    def face_census(self) -> Counter:
+        """Counter of (side count, sorted exact squared edge lengths)."""
         out: Counter = Counter()
-        for i in range(len(self.faces)):
-            lens = tuple(sorted(round(x, ndigits) for x in self.face_edge_lengths(i)))
-            out[(len(lens), lens)] += 1
+        for f in self.faces:
+            squares = tuple(sorted(squared_edges(self.exact[list(f)])))
+            out[(len(squares), squares)] += 1
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleFace:
-    """One tetrahedron face inside an assembly, with its owner's name."""
+    """One tetrahedron face inside an assembly, with its owner's name;
+    corners are doubled Z[tau] pairs, shape (3, 3, 2)."""
 
     owner: str
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "points", p)
-
-    def edge_lengths(self) -> tuple[float, float, float]:
-        p = self.points
-        return (float(np.linalg.norm(p[1] - p[0])),
-                float(np.linalg.norm(p[2] - p[1])),
-                float(np.linalg.norm(p[0] - p[2])))
+    corners: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -154,44 +146,33 @@ class Dihedral:
     angle: float | None
 
 
-def triangle_family(lengths, tol: float = 1e-9) -> str:
-    """'equilateral', 'robinson' (ratio 1:1:tau or 1:tau:tau) or 'other'."""
-    a, b, c = sorted(float(x) for x in lengths)
-    tau = embed(GoldenRational(0, 1))
-    if c - a <= tol * max(c, 1.0):
-        return "equilateral"
-    if abs(b - a) <= tol and abs(c - tau * a) <= tol * max(c, 1.0):
-        return "robinson"
-    if abs(c - b) <= tol and abs(b - tau * a) <= tol * max(c, 1.0):
-        return "robinson"
-    return "other"
+def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...]:
+    """Exact squared lengths of a polygon's edges in cyclic order; corners
+    are doubled Z[tau] pairs, shape (k, 3, 2)."""
+    d = np.roll(corners, -1, axis=0) - corners
+    return tuple(GoldenRational(a, b, 4) for a, b in _gdot(d, d).tolist())
 
 
-def expected_face_census(kind: TileKind | str, ndigits: int = 6) -> Counter:
+def expected_face_census(kind: TileKind | str) -> Counter:
     """The cataloged post-merge face census in Mesh.face_census() form."""
     out: Counter = Counter()
     for spec in catalog.record(kind).faces:
-        lens = tuple(sorted(round(embed(e), ndigits) for e in spec.edges))
-        out[(len(lens), lens)] += spec.multiplicity
+        squares = tuple(sorted(e * e for e in spec.edges))
+        out[(len(squares), squares)] += spec.multiplicity
     return out
 
 
-def expected_triangle_census(kind: TileKind | str, ndigits: int = 6) -> Counter:
-    """The cataloged pre-merge triangle census (composite kinds only)."""
+def expected_triangle_census(kind: TileKind | str) -> Counter:
+    """The cataloged pre-merge triangle census (composite kinds only), keyed
+    on sorted exact squared edge lengths."""
     out: Counter = Counter()
     for spec in catalog.record(kind).premerge_triangles:
-        lens = tuple(sorted(round(embed(e), ndigits) for e in spec.edges))
-        out[lens] += spec.multiplicity
+        out[tuple(sorted(e * e for e in spec.edges))] += spec.multiplicity
     return out
 
 
 # ---------------------------------------------------------------------------
 # wiring interpretation
-
-
-def _doubled(triple) -> list[tuple[int, int]]:
-    """Wiring coordinates an/ad + (bn/bd)*tau as doubled Z[tau] pairs (2x = a + b*tau)."""
-    return [(2 * an // ad, 2 * bn // bd) for (an, ad), (bn, bd) in triple]
 
 
 _SOURCES = {
@@ -240,6 +221,16 @@ def _gcross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _gdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot product over axis -2 of (..., 3, 2) vectors."""
     return _gmul(u, v).sum(axis=-2)
+
+
+def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
+    """Read-only float image of doubled pairs (..., 2): (a + b*tau)/2 by
+    embed, each distinct pair embedded once."""
+    uniq, inverse = np.unique(np.reshape(pairs, (-1, 2)), axis=0, return_inverse=True)
+    values = np.array([embed(GoldenRational(a, b, 2)) for a, b in uniq.tolist()])
+    out = values[np.reshape(inverse, np.shape(pairs)[:-1])]
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +370,6 @@ class Assembly:
 
     target: str
     tiles: tuple[PlacedTile, ...]
-    labels: tuple[str, ...]
-    points: np.ndarray
-    exact_points: tuple[tuple[GoldenRational, ...], ...]
     mesh: Mesh
     walls: tuple[TriangleFace, ...]
     boundary_triangles: tuple[TriangleFace, ...]
@@ -409,11 +397,9 @@ def _build(target: str) -> Assembly:
     if subset is not None:
         tets = [tets[i] for i in subset]
 
-    labels = tuple(coords)
-    index = {lab: k for k, lab in enumerate(labels)}
-    exact = np.array([_doubled(coords[lab]) for lab in labels], dtype=np.int64)
-    exact_points = tuple(tuple(GoldenRational(a, b, 2) for a, b in p) for p in exact.tolist())
-    points = np.array([[embed(c) for c in p] for p in exact_points])
+    index = {lab: k for k, lab in enumerate(coords)}
+    exact = np.array(list(coords.values()), dtype=np.int64)
+    points = _embed_doubled(exact)
 
     vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
     verts = exact[vert_ids]
@@ -442,6 +428,7 @@ def _build(target: str) -> Assembly:
     # centroid's side decides, and on the plane the face normal's side (eps).
     faces = np.array([[ids[list(f)] for f in t.faces] for ids, t in zip(vert_ids, tiles)])
     corners = exact[faces]
+    corners.setflags(write=False)  # TriangleFace.corners are views into it
     normals = _gcross(corners[:, :, 1] - corners[:, :, 0], corners[:, :, 2] - corners[:, :, 0])
     offsets = 3 * _gdot(normals, corners[:, :, 0])
     walls: list[TriangleFace] = []
@@ -452,8 +439,9 @@ def _build(target: str) -> Assembly:
         side = _gsign(_gdot(normals[None], centroids3[:, None, None]) - offsets[None])
         eps = _gsign(_gdot(normals[None], normals[ti][:, None, None]))
         inside = (np.where(side != 0, side, eps) <= 0).all(axis=2).any(axis=1)
-        for f, wall, n, d in zip(faces[ti].tolist(), inside, normals[ti], offsets[ti]):
-            (walls if wall else boundary).append(TriangleFace(owner=t.name, points=points[f]))
+        for f, c, wall, n, d in zip(faces[ti].tolist(), corners[ti], inside, normals[ti],
+                                    offsets[ti]):
+            (walls if wall else boundary).append(TriangleFace(owner=t.name, corners=c))
             if not wall:
                 hull.append((tuple(f), _plane_key(n, d)))
 
@@ -463,7 +451,7 @@ def _build(target: str) -> Assembly:
     used = sorted({i for f in fused for i in f})
     remap = {old: new for new, old in enumerate(used)}
     mesh = Mesh(
-        vertices=points[used],
+        exact=exact[used],
         faces=tuple(tuple(remap[i] for i in f) for f in fused),
         provenance=tuple(tuple(sorted(o)) for o in owner_sets))
 
@@ -472,8 +460,7 @@ def _build(target: str) -> Assembly:
         groups = tuple((kind, tuple(ids), region) for kind, ids, region in _wiring.D1_GROUPS)
 
     return Assembly(
-        target=target, tiles=tuple(tiles), labels=labels, points=points,
-        exact_points=exact_points, mesh=mesh, walls=tuple(walls),
+        target=target, tiles=tuple(tiles), mesh=mesh, walls=tuple(walls),
         boundary_triangles=tuple(boundary), groups=groups)
 
 

@@ -1,139 +1,81 @@
 """Icosahedral symmetry axes in the half-integer coordinate frame.
 
 The reference vertex set is the twelve cyclic permutations of
-(0, +-1/2, +-tau/2).  Its rotation group has 60 elements; the classes
-of rotation axes are 6 five-fold (through opposite vertices), 10
-three-fold (through opposite face centers) and 15 two-fold (through
-opposite edge midpoints).  The group is generated here by one five-fold
-and one three-fold rotation and closed by breadth-first products.
+(0, +-1/2, +-tau/2).  Its rotation axes fall into three classes: 6
+five-fold (through opposite vertices), 10 three-fold (through opposite
+face centres) and 15 two-fold (through opposite edge midpoints).  The
+axes are built exactly from the vertices, as doubled Z[tau] pairs: two
+vertices are adjacent when their doubled squared distance is 4, a face
+centre direction is the sum of three mutually adjacent vertices and an
+edge midpoint direction the sum of two.  A face's class is decided by an
+exact zero cross product on the kernel in assembly.py.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
-from ..golden import TAU, embed
+from .assembly import _embed_doubled, _gcross, _gdot
 
-__all__ = ["AxisFrame", "icosahedron_vertices", "face_axis_class"]
+__all__ = ["icosahedron_vertices", "face_axis_class"]
 
-_TAU = embed(TAU)
+
+def _doubled_vertices() -> np.ndarray:
+    """The twelve vertices as doubled Z[tau] pairs, shape (12, 3, 2)."""
+    out = []
+    for y in (1, -1):
+        for z in (1, -1):
+            v = [(0, 0), (y, 0), (0, z)]
+            for s in range(3):
+                out.append(v[s:] + v[:s])
+    return np.array(out, dtype=np.int64)
 
 
 def icosahedron_vertices() -> np.ndarray:
     """The twelve vertices, edge length 1, centered at the origin."""
-    out = []
-    for y in (0.5, -0.5):
-        for z in (_TAU / 2, -_TAU / 2):
-            v = [0.0, y, z]
-            for s in range(3):
-                out.append(v[s:] + v[:s])
-    return np.array(out)
+    return _embed_doubled(_doubled_vertices())
 
 
-def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    a = axis / np.linalg.norm(axis)
-    c, s = math.cos(angle), math.sin(angle)
-    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return c * np.eye(3) + s * k + (1 - c) * np.outer(a, a)
+def _one_per_pair(dirs: list[np.ndarray]) -> np.ndarray:
+    kept: list[np.ndarray] = []
+    for v in dirs:
+        if not any((v == -k).all() for k in kept):
+            kept.append(v)
+    return np.array(kept)
 
 
-def _canonical_axis(v: np.ndarray, tol: float) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    for comp in v:
-        if comp > tol:
-            return v
-        if comp < -tol:
-            return -v
-    return v
+@lru_cache(maxsize=None)
+def _axes() -> dict[str, np.ndarray]:
+    """Axis class name -> one doubled direction per +- pair, shape (k, 3, 2)."""
+    verts = _doubled_vertices()
+    d = verts[:, None] - verts[None]
+    adjacent = (_gdot(d, d) == (4, 0)).all(axis=-1)
+    pairs = [verts[i] + verts[j] for i, j in combinations(range(12), 2) if adjacent[i, j]]
+    triples = [verts[i] + verts[j] + verts[k] for i, j, k in combinations(range(12), 3)
+               if adjacent[i, j] and adjacent[j, k] and adjacent[i, k]]
+    axes = {"five-fold": _one_per_pair(list(verts)), "three-fold": _one_per_pair(triples),
+            "two-fold": _one_per_pair(pairs)}
+    sizes = [len(a) for a in axes.values()]
+    if sizes != [6, 10, 15]:
+        raise RuntimeError(f"axis extraction produced wrong class sizes: {sizes}")
+    return axes
 
 
-@dataclass(frozen=True, eq=False)
-class AxisFrame:
-    """The 60 rotations and the three axis classes of one icosahedral frame."""
+def face_axis_class(corners: np.ndarray) -> str:
+    """'five-fold', 'three-fold', 'two-fold' or 'none' for a planar face.
 
-    rotations: np.ndarray    # (60, 3, 3)
-    fivefold: np.ndarray     # (6, 3) unit axes
-    threefold: np.ndarray    # (10, 3)
-    twofold: np.ndarray      # (15, 3)
-
-    @classmethod
-    @lru_cache(maxsize=None)
-    def canonical(cls, tol: float = 1e-9) -> "AxisFrame":
-        g5 = _rotation(np.array([0.0, 1.0, _TAU]), 2 * math.pi / 5)
-        g3 = _rotation(np.array([1.0, 1.0, 1.0]), 2 * math.pi / 3)
-        group = [np.eye(3)]
-        frontier = [np.eye(3)]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in (g5, g3):
-                    cand = g @ m
-                    if not any(np.max(np.abs(cand - h)) < 1e-7 for h in group):
-                        group.append(cand)
-                        nxt.append(cand)
-            frontier = nxt
-        if len(group) != 60:
-            raise RuntimeError(f"group closure produced {len(group)} rotations")
-
-        buckets: dict[int, list[np.ndarray]] = {5: [], 3: [], 2: []}
-        for m in group:
-            tr = float(np.trace(m))
-            if abs(tr - 3.0) < 1e-7:
-                continue
-            cos_t = (tr - 1.0) / 2.0
-            if abs(cos_t + 1.0) < 1e-7:
-                # half turn: axis spans the +1 eigenspace of m
-                mm = m + np.eye(3)
-                axis = mm[:, int(np.argmax(np.linalg.norm(mm, axis=0)))]
-                order = 2
-            else:
-                axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-                if abs(cos_t + 0.5) < 1e-7:
-                    order = 3
-                elif abs(cos_t - math.cos(2 * math.pi / 5)) < 1e-7 or \
-                        abs(cos_t - math.cos(4 * math.pi / 5)) < 1e-7:
-                    order = 5
-                else:
-                    raise RuntimeError(f"unexpected rotation angle, cos = {cos_t}")
-            axis = _canonical_axis(axis, tol)
-            if not any(np.max(np.abs(axis - a)) < 1e-7 for a in buckets[order]):
-                buckets[order].append(axis)
-        if (len(buckets[5]), len(buckets[3]), len(buckets[2])) != (6, 10, 15):
-            raise RuntimeError("axis extraction produced wrong class sizes: "
-                               f"{[len(buckets[k]) for k in (5, 3, 2)]}")
-
-        def _sorted(rows):
-            arr = np.stack(rows)
-            return arr[np.lexsort(arr.T[::-1])]
-
-        return cls(rotations=np.stack(group),
-                   fivefold=_sorted(buckets[5]),
-                   threefold=_sorted(buckets[3]),
-                   twofold=_sorted(buckets[2]))
-
-    def classify_direction(self, v: np.ndarray, tol: float = 1e-9) -> str:
-        """'five-fold', 'three-fold', 'two-fold' or 'none' for a direction."""
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return "none"
-        u = _canonical_axis(np.asarray(v, dtype=float) / nv, tol)
-        for label, axes in (("five-fold", self.fivefold),
-                            ("three-fold", self.threefold),
-                            ("two-fold", self.twofold)):
-            if any(np.max(np.abs(u - a)) <= tol for a in axes):
-                return label
+    corners are doubled Z[tau] pairs, shape (k, 3, 2), the first three not
+    collinear; the face normal's class is the first one holding an axis
+    whose exact cross product with the normal is zero.
+    """
+    c = np.asarray(corners, dtype=np.int64)
+    n = _gcross(c[1] - c[0], c[2] - c[0])
+    if not n.any():
         return "none"
-
-
-def face_axis_class(points: np.ndarray, frame: AxisFrame | None = None,
-                    tol: float = 1e-9) -> str:
-    """Axis class of a planar face's normal direction within a frame."""
-    if frame is None:
-        frame = AxisFrame.canonical()
-    pts = np.asarray(points, dtype=float)
-    n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    return frame.classify_direction(n, tol)
+    for label, axes in _axes().items():
+        if not _gcross(axes, n[None]).any(axis=(1, 2)).all():
+            return label
+    return "none"

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..catalog import TileKind
 from ..golden import embed
-from .schemes import EdgeScheme, edge_scheme
+from .schemes import edge_scheme
 
 __all__ = [
     "PlacedTile",

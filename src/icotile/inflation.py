@@ -272,22 +272,17 @@ class SpectralData:
         }
 
 
-def _exact_pf_raw() -> tuple[tuple[GoldenRational, ...], tuple[GoldenRational, ...]]:
-    # right: the volume vector (6tau+4, 2tau+1, 4tau+3, 4tau+2)
-    right = tuple(GoldenRational(a, b) for a, b in ((4, 6), (1, 2), (3, 4), (2, 4)))
-    # left: the frequency vector (tau/2, tau^2, tau, 1)
-    left = (GoldenRational(0, 1, 2), GoldenRational(1, 1), GoldenRational(0, 1), GoldenRational(1))
-    return right, left
-
-
 def pf_vectors() -> SpectralData:
     """Exact Perron-Frobenius data of M with numeric images.
 
     Eigenvalues are listed in decreasing absolute value: tau^3, tau, sigma,
-    sigma^3.  Both eigenvectors are L1-normalized to sum 1 (the right one
-    gives volume fractions, the left one tile frequencies).
+    sigma^3.  The eigenvectors are read off P = v u^T / (u.v): column 0 is
+    a multiple of the right one v, row 0 of the left one u.  Both are
+    L1-normalized to sum 1 (the right one gives volume fractions, the left
+    one tile frequencies).
     """
-    right, left = _exact_pf_raw()
+    P = projection_matrix()
+    right, left = tuple(row[0] for row in P), P[0]
     rsum = sum(right, GoldenRational(0))
     lsum = sum(left, GoldenRational(0))
     exact_right = tuple(x / rsum for x in right)
@@ -301,7 +296,7 @@ def pf_vectors() -> SpectralData:
         left_pf=tuple(embed(x) for x in exact_left),
         exact_right_pf=exact_right,
         exact_left_pf=exact_left,
-        projection=projection_matrix(),
+        projection=P,
     )
 
 

@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from icotile import catalog, inflation, report
-from icotile.catalog import TileKind
+from icotile.catalog import TileKind, triangle_family
 from icotile.geometry import (
-    AxisFrame,
     assemble,
     cm_volume,
     dihedrals,
     edge_scheme,
     expected_face_census,
     face_axis_class,
-    triangle_family,
+    squared_edges,
 )
 from icotile.golden import GoldenRational, SQRT5, embed, tau_pow
 
@@ -122,13 +121,21 @@ def test_criterion_05_spectrum():
     exact = (tau_pow(3), tau_pow(1), -tau_pow(-1), -tau_pow(-3))
     for lam, ex in zip(sd.eigenvalues, exact):
         assert abs(lam - embed(ex)) <= 1e-9
-    right, left = inflation._exact_pf_raw()
+    # the volume vector (6tau+4, 2tau+1, 4tau+3, 4tau+2) and the frequency
+    # vector (tau/2, tau^2, tau, 1)
+    right = (GR(4, 6), GR(1, 2), GR(3, 4), GR(2, 4))
+    left = (GR(0, 1, 2), GR(1, 1), GR(0, 1), GR(1))
     t3 = tau_pow(3)
     for i in range(4):
         row = sum((right[j] * inflation.M.rows[i][j] for j in range(4)), ZERO)
         assert row - t3 * right[i] == ZERO
         col = sum((left[j] * inflation.M.rows[j][i] for j in range(4)), ZERO)
         assert col - t3 * left[i] == ZERO
+    uv = sum((right[i] * left[i] for i in range(4)), ZERO)
+    assert inflation.projection_matrix() == tuple(
+        tuple(right[i] * left[j] / uv for j in range(4)) for i in range(4))
+    assert sd.exact_right_pf == tuple(x / sum(right, ZERO) for x in right)
+    assert sd.exact_left_pf == tuple(x / sum(left, ZERO) for x in left)
     printed_right = (0.3820, 0.1180, 0.2639, 0.2361)
     printed_left = (0.1338, 0.4331, 0.2677, 0.1654)
     for got, want in zip(sd.right_pf, printed_right):
@@ -275,14 +282,13 @@ def test_criterion_08_assemblies():
 
 
 def test_criterion_09_axis_classes():
-    frame = AxisFrame.canonical()
     expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     checked = Counter()
     for target in ("d1", "i1"):
         for wall in assemble(target).walls:
-            family = triangle_family(wall.edge_lengths())
+            family = triangle_family(squared_edges(wall.corners))
             assert family in expect
-            assert face_axis_class(wall.points, frame, tol=1e-9) == expect[family]
+            assert face_axis_class(wall.corners) == expect[family]
             checked[target] += 1
     assert checked["d1"] > 0 and checked["i1"] > 0
 

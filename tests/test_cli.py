@@ -194,6 +194,21 @@ def test_build_rejects_unknown_suffix(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["build", "--shape", "T2", "--out", "afile/x.obj"],
+    ["--output-path", "afile/x.obj", "build", "--shape", "T2"],
+    ["report", "--out", "afile/sub"],
+    ["--output-path", "afile", "report"],
+])
+def test_output_path_under_a_file_is_usage_error(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Error: cannot write afile/" in res.output
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+
+
 def test_verify_passing_subset(runner):
     res = runner.invoke(main, ["verify", "--check", "tile-volumes",
                                "--check", "ledger"])

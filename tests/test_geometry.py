@@ -6,16 +6,15 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from icotile import catalog
+from icotile.catalog import triangle_family
 from icotile.geometry import (
     AmbiguityError,
     AssemblyError,
-    AxisFrame,
     CongruenceError,
     GlueError,
     assemble,
@@ -31,9 +30,9 @@ from icotile.geometry import (
     glue,
     icosahedron_vertices,
     realize,
-    triangle_family,
+    squared_edges,
 )
-from icotile.geometry import _wiring, assembly
+from icotile.geometry import _wiring, assembly, axes
 from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU2 = tau_pow(2)
@@ -307,7 +306,7 @@ def test_assembly_counts_and_censuses():
         assert a.mesh.face_census() == expected_face_census(target)
         tri_census = Counter()
         for tri in a.boundary_triangles:
-            tri_census[tuple(sorted(round(x, 6) for x in tri.edge_lengths()))] += 1
+            tri_census[tuple(sorted(squared_edges(tri.corners)))] += 1
         assert tri_census == expected_triangle_census(target)
         assert a.fundamental_counts() == {
             k: n for k, n in catalog.expand_to_fundamental(
@@ -402,9 +401,8 @@ def test_exact_sign_matches_golden_rational():
 
 
 def _moved_half_in_x(triple):
-    (an, ad), xb = triple[0]
-    x = Fraction(an, ad) + Fraction(1, 2)
-    return ((x.numerator, x.denominator), xb), *triple[1:]
+    (a, b), *rest = triple
+    return (a + 1, b), *rest  # doubled pairs: +1 in a is +1/2 in x
 
 
 @pytest.mark.parametrize("moved, n_pairs", [(None, 0), ("B", 12), ("v0", 6)])
@@ -413,7 +411,7 @@ def test_exact_overlap_matches_float_reference(monkeypatch, moved, n_pairs):
     if moved:
         coords[moved] = _moved_half_in_x(coords[moved])
     labels = list(coords)
-    exact = np.array([assembly._doubled(coords[lab]) for lab in labels])
+    exact = np.array([coords[lab] for lab in labels])
     flt = np.array([[embed(GoldenRational(a, b, 2)) for a, b in p] for p in exact.tolist()])
     ids = np.array([[labels.index(lab) for lab in labs] for _, labs in _wiring.D1_TETS])
     got = set(assembly._overlapping_pairs(exact[ids]))
@@ -428,59 +426,74 @@ def test_exact_overlap_matches_float_reference(monkeypatch, moved, n_pairs):
 
 
 def test_exact_points_match_floats():
-    for target in ("d1", "i1"):
+    for target, coords in (("d1", _wiring.D1_COORDS), ("i1", _wiring.I1_COORDS)):
         a = assemble(target)
-        assert len(a.exact_points) == len(a.points)
-        for exact, flt in zip(a.exact_points, a.points):
-            got = np.array([embed(c) for c in exact])
-            assert np.allclose(got, flt, atol=1e-14)
+        want = [[embed(GoldenRational(x, y, 2)) for x, y in p] for p in a.mesh.exact.tolist()]
+        assert a.mesh.vertices.tolist() == want
+        wiring = {tuple(embed(GoldenRational(x, y, 2)) for x, y in p) for p in coords.values()}
+        assert all(tuple(v) in wiring for t in a.tiles for v in t.vertices.tolist())
 
 
 # ---------------------------------------------------------------------------
 # symmetry axes
 
 
+def _face_normal_to(n):
+    """Doubled corners 0, u, n x u of a triangle normal to the integer n."""
+    u = (n[1], -n[0], 0)
+    w = np.cross(n, u)
+    return np.array([[(0, 0)] * 3, [(2 * x, 0) for x in u], [(2 * x, 0) for x in w]])
+
+
 def test_canonical_frame():
-    frame = AxisFrame.canonical()
-    assert frame.rotations.shape == (60, 3, 3)
-    assert frame.fivefold.shape == (6, 3)
-    assert frame.threefold.shape == (10, 3)
-    assert frame.twofold.shape == (15, 3)
-    tau = embed(tau_pow(1))
-    assert frame.classify_direction(np.array([0.0, 1.0, tau])) == "five-fold"
-    assert frame.classify_direction(np.array([1.0, 1.0, 1.0])) == "three-fold"
-    assert frame.classify_direction(np.array([1.0, 0.0, 0.0])) == "two-fold"
-    assert frame.classify_direction(np.array([1.0, 2.0, 3.0])) == "none"
+    assert [len(a) for a in axes._axes().values()] == [6, 10, 15]
+    assert list(axes._axes()) == ["five-fold", "three-fold", "two-fold"]
+    # corners 0, (1, 0, 0), (0, tau, -1): normal (0, 1, tau)
+    five = np.array([[(0, 0)] * 3, [(2, 0), (0, 0), (0, 0)], [(0, 0), (0, 2), (-2, 0)]])
+    assert face_axis_class(five) == "five-fold"
+    assert face_axis_class(_face_normal_to((1, 1, 1))) == "three-fold"
+    assert face_axis_class(_face_normal_to((1, 0, 0))) == "two-fold"
+    assert face_axis_class(_face_normal_to((1, 2, 3))) == "none"
 
 
 def test_triangle_family():
-    assert triangle_family((1.0, 1.0, 1.0)) == "equilateral"
-    t = embed(tau_pow(1))
-    assert triangle_family((t, t, t)) == "equilateral"
-    assert triangle_family((1.0, 1.0, t)) == "robinson"
-    assert triangle_family((1.0, t, t)) == "robinson"
-    assert triangle_family((1.0, 1.0, 1.2)) == "other"
+    one, t = GoldenRational(1), tau_pow(1)
+    assert triangle_family((one, one, one)) == "equilateral"
+    assert triangle_family((t * t, t * t, t * t)) == "equilateral"
+    assert triangle_family((one, one, t * t)) == "robinson"
+    assert triangle_family((one, t * t, t * t)) == "robinson"
+    assert triangle_family((one, one, GoldenRational(144, 0, 100))) == "other"
+    assert triangle_family((one, one, t)) == "other"
+
+
+def test_triangle_family_agrees_with_catalog_axis_class():
+    expect = {"equilateral": "three-fold", "robinson": "five-fold", "other": "none"}
+    n = 0
+    for rec in catalog.all_records():
+        for spec in rec.faces + rec.premerge_triangles:
+            if spec.shape == "triangle":
+                assert expect[triangle_family([e * e for e in spec.edges])] == spec.axis_class
+                n += 1
+    assert n > 0
 
 
 def test_hull_faces_on_axes():
-    frame = AxisFrame.canonical()
     i1 = assemble("i1")
     for i in range(20):
-        assert face_axis_class(i1.mesh.face_points(i), frame) == "three-fold"
+        assert face_axis_class(i1.mesh.exact[list(i1.mesh.faces[i])]) == "three-fold"
     d1 = assemble("d1")
     for i in range(12):
-        assert face_axis_class(d1.mesh.face_points(i), frame) == "five-fold"
+        assert face_axis_class(d1.mesh.exact[list(d1.mesh.faces[i])]) == "five-fold"
 
 
 def test_internal_walls_on_axes():
-    frame = AxisFrame.canonical()
     expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     total = 0
     for target in ("d1", "i1"):
         for wall in assemble(target).walls:
-            family = triangle_family(wall.edge_lengths())
+            family = triangle_family(squared_edges(wall.corners))
             assert family in expect, (target, wall.owner)
-            got = face_axis_class(wall.points, frame, tol=1e-9)
+            got = face_axis_class(wall.corners)
             assert got == expect[family], (target, wall.owner)
             total += 1
     assert total == 160

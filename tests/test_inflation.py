@@ -12,6 +12,11 @@ from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU3 = tau_pow(3)
 ZERO = GoldenRational(0)
+GR = GoldenRational
+# the volume vector (6tau+4, 2tau+1, 4tau+3, 4tau+2), right PF of M
+VOLUME_VECTOR = (GR(4, 6), GR(1, 2), GR(3, 4), GR(2, 4))
+# the frequency vector (tau/2, tau^2, tau, 1), left PF of M
+FREQUENCY_VECTOR = (GR(0, 1, 2), GR(1, 1), GR(0, 1), GR(1))
 
 
 def test_matrix_rows():
@@ -76,7 +81,7 @@ def test_spectral_parts():
     assert parts.den == 30
     assert parts.projector == inflation.projection_matrix() == checks._projection_expected()
     # the same P from the Perron-Frobenius vectors: v u^T / (u.v)
-    right, left = inflation._exact_pf_raw()
+    right, left = VOLUME_VECTOR, FREQUENCY_VECTOR
     uv = sum((right[i] * left[i] for i in range(4)), ZERO)
     assert parts.projector == tuple(tuple(right[i] * left[j] / uv for j in range(4))
                                     for i in range(4))
@@ -203,7 +208,9 @@ def test_eigenvalues():
 
 def test_pf_vectors_exact_and_printed():
     sd = inflation.pf_vectors()
-    right, left = inflation._exact_pf_raw()
+    right, left = VOLUME_VECTOR, FREQUENCY_VECTOR
+    assert sd.exact_right_pf == tuple(x / sum(right, ZERO) for x in right)
+    assert sd.exact_left_pf == tuple(x / sum(left, ZERO) for x in left)
     for i in range(4):
         r = sum((right[j] * inflation.M.rows[i][j] for j in range(4)), ZERO)
         assert r == TAU3 * right[i]
