@@ -7,12 +7,22 @@ is computed exactly in Q(tau); floating point appears only at the
 presentation boundary.
 """
 
-from . import catalog, geometry, golden, inflation
+import importlib
+
+from . import catalog, golden, inflation
 from .catalog import TileKind, record
 from .golden import GoldenRational, SIGMA, SQRT5, TAU, embed, tau_pow
 from .inflation import CountVector, M, inflate_counts
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # geometry pulls in numpy, which only build, verify and report need;
+    # `from . import geometry` here would re-enter this hook without end
+    if name == "geometry":
+        return importlib.import_module(f"{__name__}.geometry")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CountVector",

@@ -32,6 +32,7 @@ __all__ = [
     "all_records",
     "inventory",
     "INVENTORY_TARGETS",
+    "ASSEMBLY_TARGETS",
     "CATALOG_ORDER",
 ]
 
@@ -381,6 +382,10 @@ _INVENTORIES = {
 }
 
 INVENTORY_TARGETS = tuple(_INVENTORIES)
+
+# the clusters geometry.assemble() builds; kept here, away from numpy, so
+# the CLI can list them without loading the geometry layer
+ASSEMBLY_TARGETS = ("d1", "i1", "E", "C", "T1", "T2", "T3", "T3bar", "T4")
 
 _validate_catalog()
 

@@ -14,14 +14,6 @@ from dataclasses import dataclass
 
 from . import catalog, inflation, report
 from .catalog import TileKind, triangle_family
-from .geometry import (
-    assemble,
-    dihedrals,
-    expected_face_census,
-    face_axis_class,
-    squared_edges,
-)
-from .geometry.schemes import cm_volume, edge_scheme
 from .golden import GoldenRational, SQRT5, embed, tau_pow
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
@@ -35,6 +27,8 @@ class CheckResult:
 
 
 def _check_tile_volumes() -> tuple[bool, str]:
+    from .geometry import cm_volume, edge_scheme
+
     want = [GoldenRational(1, 0, 12)]
     want += [tau_pow(k) / 12 for k in (1, 1, 2, 2, 3)]
     for kind, expect in zip(("t1", "t2", "t3", "t4", "t5", "t6"), want):
@@ -188,14 +182,21 @@ def _check_ledger() -> tuple[bool, str]:
 
 
 def _check_assemblies() -> tuple[bool, str]:
+    from .geometry import assemble, dihedrals, expected_face_census, squared_edges
+    from .geometry.assembly import _gcross, _gdot
+
     atan2v = math.atan(2.0)
     d1 = assemble("d1")
     if d1.mesh.counts() != (20, 30, 12):
         return False, f"d1 hull counts {d1.mesh.counts()}"
-    for i in range(12):
-        if len(d1.mesh.faces[i]) != 5 or d1.mesh.face_planarity(i) > 1e-9:
+    for i, face in enumerate(d1.mesh.faces):
+        corners = d1.mesh.exact[list(face)]
+        # exact triple products: corners 0-2 span a plane holding the rest
+        e = corners[1:] - corners[0]
+        normal = _gcross(e[0], e[1])
+        if len(face) != 5 or not normal.any() or _gdot(e[2:], normal).any():
             return False, f"d1 face {i} not a planar pentagon"
-        if any(abs(l - 1) > 1e-9 for l in d1.mesh.face_edge_lengths(i)):
+        if any(sq != 1 for sq in squared_edges(corners)):
             return False, f"d1 face {i} edges not unit"
     if abs(d1.mesh.volume() - d1.tile_volume_sum()) > 1e-9:
         return False, "d1 volume additivity"
@@ -207,8 +208,8 @@ def _check_assemblies() -> tuple[bool, str]:
     i1 = assemble("i1")
     if i1.mesh.counts() != (12, 30, 20):
         return False, f"i1 hull counts {i1.mesh.counts()}"
-    for i in range(20):
-        if any(abs(l - 1) > 1e-9 for l in i1.mesh.face_edge_lengths(i)):
+    for i, face in enumerate(i1.mesh.faces):
+        if any(sq != 1 for sq in squared_edges(i1.mesh.exact[list(face)])):
             return False, f"i1 face {i} not unit equilateral"
     if i1.volume_exact() != GoldenRational(10, 10, 12):
         return False, "i1 exact volume"
@@ -231,6 +232,8 @@ def _check_assemblies() -> tuple[bool, str]:
 
 
 def _check_axis_classes() -> tuple[bool, str]:
+    from .geometry import assemble, face_axis_class, squared_edges
+
     expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     n = 0
     for target in ("d1", "i1"):

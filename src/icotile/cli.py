@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import catalog, checks, inflation, report
-from .geometry import ASSEMBLY_TARGETS, assemble, export_obj, export_patch
+from .catalog import ASSEMBLY_TARGETS
 from .golden import embed, embed_decimal
 
 __all__ = ["main", "RunConfig", "canonical_json"]
@@ -148,13 +149,15 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
             f"--order {order} exceeds --max-order {cfg.max_order}")
     counts = inflation.inflate_counts(_INFLATE_BASES[tile], order)
     volume = counts.total_volume()
-    try:
-        approx = embed(volume)
-        approx_text = f"{approx:.7f}"
-    except OverflowError:
+    big = embed_decimal(volume)
+    approx = float(big)
+    if math.isinf(approx):
         # beyond float range: scientific-notation strings instead
-        big = embed_decimal(volume)
         approx, approx_text = format(big, ".16e"), format(big, ".7e")
+    else:
+        if volume.b == 0:
+            approx = embed(volume)  # rational: embed rounds the Fraction once
+        approx_text = f"{approx:.7f}"
     if as_json:
         _echo_json({
             "counts": list(counts.c),
@@ -241,6 +244,8 @@ def _face_breakdown(mesh) -> str:
 @click.pass_obj
 def cmd_build(cfg: RunConfig, shape, out, as_json):
     """Assemble a shape from tetrahedra and export its mesh."""
+    from .geometry import assemble, export_obj, export_patch
+
     asm = assemble(shape)
     if out is None and cfg.output_path:
         out = cfg.output_path

@@ -48,7 +48,7 @@ __all__ = [
     "export_patch",
 ]
 
-ASSEMBLY_TARGETS = ("d1", "i1", "E", "C", "T1", "T2", "T3", "T3bar", "T4")
+ASSEMBLY_TARGETS = catalog.ASSEMBLY_TARGETS
 
 
 class AssemblyError(RuntimeError):

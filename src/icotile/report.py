@@ -13,7 +13,6 @@ import csv
 import io
 
 from . import catalog, inflation
-from .geometry import assemble
 from .golden import GoldenRational, embed, tau_pow
 
 __all__ = ["build_bundle", "format_volume"]
@@ -84,6 +83,8 @@ def _projection_csv() -> str:
 
 
 def _markdown() -> str:
+    from .geometry import assemble
+
     sd = inflation.pf_vectors()
     lines = [
         "# Tiling system report",

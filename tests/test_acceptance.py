@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from icotile import catalog, inflation, report
+from icotile import catalog, checks, geometry, inflation, report
 from icotile.catalog import TileKind, triangle_family
 from icotile.geometry import (
     assemble,
@@ -20,6 +20,7 @@ from icotile.geometry import (
     face_axis_class,
     squared_edges,
 )
+from icotile.geometry import assembly
 from icotile.golden import GoldenRational, SQRT5, embed, tau_pow
 
 GR = GoldenRational
@@ -253,6 +254,11 @@ def test_criterion_08_assemblies():
         assert len(d1.mesh.faces[i]) == 5
         assert d1.mesh.face_planarity(i) <= 1e-9
         assert all(abs(l - 1) <= 1e-9 for l in d1.mesh.face_edge_lengths(i))
+        corners = d1.mesh.exact[list(d1.mesh.faces[i])]
+        e = corners[1:] - corners[0]
+        normal = assembly._gcross(e[0], e[1])
+        assert normal.any() and not assembly._gdot(e[2:], normal).any()
+        assert squared_edges(corners) == (1,) * 5
     assert abs(d1.mesh.volume() - d1.tile_volume_sum()) <= 1e-9
     for rec in dihedrals(d1.mesh):
         assert rec.angle is not None
@@ -263,6 +269,7 @@ def test_criterion_08_assemblies():
     for i in range(20):
         assert len(i1.mesh.faces[i]) == 3
         assert all(abs(l - 1) <= 1e-9 for l in i1.mesh.face_edge_lengths(i))
+        assert squared_edges(i1.mesh.exact[list(i1.mesh.faces[i])]) == (1,) * 3
     assert i1.volume_exact() == GR(10, 10, 12)
     assert abs(i1.mesh.volume() - embed(GR(10, 10, 12))) <= 1e-9
 
@@ -279,6 +286,26 @@ def test_criterion_08_assemblies():
             off = min(abs(rec.angle - ATAN2),
                       abs(rec.angle - (math.pi - ATAN2)))
             assert off <= 1e-9
+
+
+@pytest.mark.parametrize("target, axis, detail", [
+    ("d1", 0, "d1 face 0 edges not unit"),  # vertex 0 moves inside face 0's plane
+    ("d1", 1, "d1 face 0 not a planar pentagon"),
+    ("d1", 2, "d1 face 0 not a planar pentagon"),
+    ("i1", 0, "i1 face 0 not unit equilateral"),
+])
+def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail):
+    # hull vertex 0 moved by +1 in one doubled rational coordinate (+1/2)
+    built = assemble(target)
+    exact = built.mesh.exact.copy()
+    exact[0, axis, 0] += 1
+    mesh = assembly.Mesh(exact, built.mesh.faces, built.mesh.provenance)
+    moved = dataclasses.replace(built, mesh=mesh)
+    monkeypatch.setattr(geometry, "assemble",
+                        lambda t: moved if t == target else assemble(t))
+    assert checks._check_assemblies() == (False, detail)
+    monkeypatch.setattr(geometry, "assemble", assemble)
+    assert checks._check_assemblies()[0]
 
 
 def test_criterion_09_axis_classes():

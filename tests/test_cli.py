@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shutil
@@ -75,6 +76,19 @@ def test_inflate_zero_order(runner):
     assert json.loads(res.output)["counts"] == [3, 4, 0, 4]
 
 
+# `inflate --tile T2` beyond float range: the printed .7e and JSON .16e
+# volume strings, and sha256 of the whole text and JSON output (the counts
+# run to thousands of digits)
+_BEYOND_FLOAT = {
+    1000: ("3.2411746e+626", "3.2411745836597951e+626",
+           "b388a031e88d2747f294cd93f33a7740869b76e8e7686b255feedbf9f76cf5da",
+           "958d99600de7212e4821f58bbb48f6f02179224f109558c413eabd184b9fc4de"),
+    10000: ("1.5031045e+6269", "1.5031044967780850e+6269",
+            "d19b1c3eb7559b2061cc068fd1030e36a09678807d2ff44a17c226f3cc3ee5a4",
+            "04e9fe66b584a5afbdbc8622651f8294299a0d0a2bab71768cde63bb834e85dc"),
+}
+
+
 @pytest.mark.parametrize("order", [1000, 10000])
 def test_inflate_beyond_float_range(runner, order):
     # the volume overflows a float at both orders; at 10000 the counts also
@@ -84,6 +98,11 @@ def test_inflate_beyond_float_range(runner, order):
     as_json = runner.invoke(main, args + ["--json"])
     assert text.exit_code == 0, text.output
     assert as_json.exit_code == 0, as_json.output
+    want_text, want_json, text_sha, json_sha = _BEYOND_FLOAT[order]
+    assert text.output.splitlines()[1].endswith(f" = {want_text}")
+    assert json.loads(as_json.output)["volume_float"] == want_json
+    assert hashlib.sha256(text.output.encode()).hexdigest() == text_sha
+    assert hashlib.sha256(as_json.output.encode()).hexdigest() == json_sha
     counts = inflation.inflate_counts(inflation.CountVector.unit(1), order)
     volume = counts.total_volume()
     counts_line, volume_line = text.output.splitlines()
@@ -311,3 +330,58 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == _golden("inflate_t2_order3.txt")
+
+
+def _fresh_process(code: str) -> dict:
+    """Run code in a new interpreter (this one already holds numpy) and
+    return the JSON object it prints."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("reach", ["geometry = icotile.geometry",
+                                   "from icotile import geometry"])
+def test_geometry_loads_on_demand(reach):
+    facts = _fresh_process(f"""
+import json, sys
+import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
+loaded = [m for m in ("numpy", "icotile.geometry") if m in sys.modules]
+{reach}
+print(json.dumps({{
+    "loaded": loaded,
+    "module": geometry is sys.modules["icotile.geometry"],
+    "targets": geometry.ASSEMBLY_TARGETS is icotile.catalog.ASSEMBLY_TARGETS,
+    "unknown": hasattr(icotile, "nonexistent"),
+}}))
+""")
+    assert facts == {"loaded": [], "module": True, "targets": True, "unknown": False}
+
+
+def test_light_subcommands_skip_numpy():
+    facts = _fresh_process("""
+import contextlib, io, json, sys
+import click
+from icotile.cli import main
+runs = (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
+        ["ledger", "--verify"], ["build", "--shape", "d2"],
+        ["inflate", "--tile", "T1", "--order", "77"])
+codes, messages = [], []
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(main(args, standalone_mode=False))
+        except click.UsageError as exc:
+            codes.append(exc.exit_code)
+            messages.append(exc.format_message())
+print(json.dumps({"codes": codes, "messages": messages,
+                  "numpy": "numpy" in sys.modules}))
+""")
+    assert facts["codes"] == [None, None, None, None, 2, 2]
+    assert facts["messages"] == [
+        "Invalid value for '--shape': 'd2' is not one of 'd1', 'i1', 'E', 'C', "
+        "'T1', 'T2', 'T3', 'T3bar', 'T4'.",
+        "--order 77 exceeds --max-order 50",
+    ]
+    assert facts["numpy"] is False
