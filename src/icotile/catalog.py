@@ -148,9 +148,6 @@ class TileRecord:
             if self.N0 - self.N1 + self.N2 != 2:
                 raise ValueError(f"{self.kind}: Euler relation violated")
 
-    def face_count(self) -> int:
-        return sum(f.multiplicity for f in self.faces)
-
     def composition_dict(self) -> dict[TileKind, int]:
         return dict(self.composition)
 

@@ -9,7 +9,6 @@ returns structured results; the CLI `verify` command renders them.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from . import catalog, inflation, report
@@ -185,7 +184,6 @@ def _check_assemblies() -> tuple[bool, str]:
     from .geometry import assemble, dihedrals, expected_face_census, squared_edges
     from .geometry.assembly import _gcross, _gdot
 
-    atan2v = math.atan(2.0)
     d1 = assemble("d1")
     if d1.mesh.counts() != (20, 30, 12):
         return False, f"d1 hull counts {d1.mesh.counts()}"
@@ -203,7 +201,7 @@ def _check_assemblies() -> tuple[bool, str]:
     if abs(d1.mesh.volume() - embed(d1.volume_exact())) > 1e-9:
         return False, "d1 volume vs exact"
     for rec in dihedrals(d1.mesh):
-        if rec.angle is None or abs(rec.angle - (math.pi - atan2v)) > 1e-9:
+        if rec.angle_class != "pi-atan2":
             return False, f"d1 dihedral {rec}"
     i1 = assemble("i1")
     if i1.mesh.counts() != (12, 30, 20):
@@ -224,9 +222,7 @@ def _check_assemblies() -> tuple[bool, str]:
             return False, f"{target} face census"
     for target in ("E", "C", "T1", "T2", "T3", "T3bar", "T4"):
         for rec in dihedrals(assemble(target).mesh):
-            if rec.angle is None:
-                continue
-            if min(abs(rec.angle - atan2v), abs(rec.angle - (math.pi - atan2v))) > 1e-9:
+            if rec.angle_class == "neither":
                 return False, f"{target} dihedral {rec.angle}"
     return True, "d1, i1 and composite builds match every published census"
 

@@ -1,4 +1,4 @@
-"""Concrete geometry: realization, gluing, symmetry axes, assemblies."""
+"""Exact Z[tau] geometry: tile placement and gluing, symmetry axes, assemblies."""
 
 from .assembly import (
     ASSEMBLY_TARGETS,

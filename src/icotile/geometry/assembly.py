@@ -20,7 +20,6 @@ exports) are derived from the pairs by embed.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -30,11 +29,11 @@ import numpy as np
 
 from .. import catalog
 from ..catalog import TileKind
-from ..golden import GoldenRational, embed
+from ..golden import TAU, GoldenRational, embed
 from . import _wiring
-from .placement import PlacedTile
 
 __all__ = [
+    "PlacedTile",
     "Mesh",
     "TriangleFace",
     "Dihedral",
@@ -53,6 +52,54 @@ ASSEMBLY_TARGETS = catalog.ASSEMBLY_TARGETS
 
 class AssemblyError(RuntimeError):
     """The tile set is not a packing (overlap or inconsistent wiring)."""
+
+
+@dataclass(frozen=True, eq=False)
+class PlacedTile:
+    """A fundamental tile: four vertices as doubled Z[tau] pairs, shape
+    (4, 3, 2), and the sign of their triple product (b-a).((c-a)x(d-a)),
+    which realize(), glue() and assemble() compute exactly.  faces are wound
+    outward for that parity.  vertices is the float image of exact;
+    assemble() passes rows of the wiring points it embedded once per build.
+    """
+
+    kind: TileKind
+    exact: np.ndarray
+    parity: int
+    name: str = field(default="", compare=False)
+    vertices: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.parity not in (-1, 1):
+            raise ValueError("parity must be +1 or -1")
+        object.__setattr__(self, "kind", TileKind(self.kind))
+        exact = _bounded(self.exact, _TILE_BOUND)
+        if exact.shape != (4, 3, 2):
+            raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
+        exact.setflags(write=False)
+        object.__setattr__(self, "exact", exact)
+        vertices = _embed_doubled(exact) if self.vertices is None else np.asarray(self.vertices)
+        vertices.setflags(write=False)
+        object.__setattr__(self, "vertices", vertices)
+
+    @property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        return _WOUND[self.parity]
+
+    def face_edge_squares(self, face_index: int) -> tuple[GoldenRational, ...]:
+        """Exact squared edge lengths of a face, in cyclic order."""
+        return squared_edges(self.exact[list(self.faces[face_index])])
+
+    def find_face(self, edge_squares) -> int:
+        """Index of the unique face whose exact squared-edge multiset matches."""
+        hits = [i for i in range(4) if sorted(self.face_edge_squares(i)) == sorted(edge_squares)]
+        if len(hits) != 1:
+            raise ValueError(f"{len(hits)} faces of {self.kind.value} match {edge_squares}")
+        return hits[0]
+
+    def volume(self) -> GoldenRational:
+        """Exact volume: |triple product| / 6, or / 48 in doubled coordinates."""
+        return abs(GoldenRational(*_triple(self.exact).tolist(), 48))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,47 +132,18 @@ class Mesh:
                 seen.add((min(a, b), max(a, b)))
         return sorted(seen)
 
-    def face_points(self, i: int) -> np.ndarray:
-        return self.vertices[list(self.faces[i])]
-
-    def face_edge_lengths(self, i: int) -> tuple[float, ...]:
-        pts = self.face_points(i)
-        n = len(pts)
-        return tuple(float(np.linalg.norm(pts[(k + 1) % n] - pts[k])) for k in range(n))
-
-    def face_normal(self, i: int) -> np.ndarray:
-        """Unit normal by the cyclic (Newell) sum; outward for hull faces."""
-        pts = self.face_points(i)
-        n = np.zeros(3)
-        for k in range(len(pts)):
-            a, b = pts[k], pts[(k + 1) % len(pts)]
-            n += np.cross(a, b)
-        return n / np.linalg.norm(n)
-
-    def face_planarity(self, i: int) -> float:
-        """Largest distance of a face vertex from the face's mean plane."""
-        pts = self.face_points(i)
-        n = self.face_normal(i)
-        d = (pts - pts.mean(axis=0)) @ n
-        return float(np.max(np.abs(d)))
-
     def volume(self) -> float:
-        """Enclosed volume by the divergence theorem (faces wound outward)."""
-        total = 0.0
-        for f in self.faces:
-            p0 = self.vertices[f[0]]
-            for k in range(1, len(f) - 1):
-                total += float(np.linalg.det(np.stack(
-                    [p0, self.vertices[f[k]], self.vertices[f[k + 1]]])))
-        return total / 6.0
+        """Enclosed volume by the divergence theorem (faces wound outward),
+        summed exactly over a fan of each face, then embedded."""
+        fan = [(f[0], f[k], f[k + 1]) for f in self.faces for k in range(1, len(f) - 1)]
+        t = self.exact[fan]
+        total = _gdot(t[:, 0], _gcross(t[:, 1], t[:, 2])).sum(axis=0)
+        return embed(GoldenRational(*total.tolist(), 48))  # doubled: 8 det / 6
 
     def face_census(self) -> Counter:
         """Counter of (side count, sorted exact squared edge lengths)."""
-        out: Counter = Counter()
-        for f in self.faces:
-            squares = tuple(sorted(squared_edges(self.exact[list(f)])))
-            out[(len(squares), squares)] += 1
-        return out
+        return Counter((len(f), tuple(sorted(squared_edges(self.exact[list(f)]))))
+                       for f in self.faces)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,16 +157,20 @@ class TriangleFace:
 
 @dataclass(frozen=True)
 class Dihedral:
-    """Interior angle along one mesh edge; None when the edge is open."""
+    """Interior angle along one mesh edge, None when the edge is open; its
+    exact class is "atan2", "pi-atan2" or "neither" (see dihedrals)."""
 
     edge: tuple[int, int]
     faces: tuple[int, ...]
     angle: float | None
+    angle_class: str | None
 
 
 def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...]:
     """Exact squared lengths of a polygon's edges in cyclic order; corners
-    are doubled Z[tau] pairs, shape (k, 3, 2)."""
+    are doubled Z[tau] pairs, shape (k, 3, 2), each entry at most 2**28 in
+    magnitude (OverflowError beyond)."""
+    corners = _bounded(corners, _EDGE_BOUND)
     d = np.roll(corners, -1, axis=0) - corners
     return tuple(GoldenRational(a, b, 4) for a, b in _gdot(d, d).tolist())
 
@@ -194,8 +216,28 @@ _WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
 
 # ---------------------------------------------------------------------------
 # exact Z[tau] kernel: arrays whose last axis holds (a, b) for a + b*tau.
-# Wiring coordinates are doubled pairs with |a|, |b| <= 1, so every value
-# below stays far inside int64.
+# Wiring coordinates are doubled pairs with |a|, |b| <= 1 (and so are mesh
+# points, which dihedrals() takes to degree 8), far inside int64.  Caller
+# coordinates are bounded first so that no product wraps.  With entries at
+# most M, a difference is at most 2M, and per component _gmul(x, y) is at
+# most 3|x||y|, _gcross 6|x||y|, _gdot 9|x||y|; _gsign squares 2a+b <= 3|x|.
+#   squared_edges: _gdot(d, d) <= 9 (2M)^2 = 36 M^2 < 2^63 for M <= 2^28.
+#   face_axis_class: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
+#     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
+#   PlacedTile: triple products and separating-axis projections are at most
+#     9 * 2M * 24 M^2 = 432 M^3; _gsign: (3 * 432 M^3)^2 < 2^63 for M <= 2^7.
+
+_EDGE_BOUND = 2**28
+_AXIS_BOUND = 2**27
+_TILE_BOUND = 2**7
+
+
+def _bounded(x, bound: int) -> np.ndarray:
+    """x as int64 pairs; OverflowError if an entry exceeds bound in magnitude."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.size and (x.max() > bound or x.min() < -bound):
+        raise OverflowError(f"coordinate beyond +-{bound}: the exact int64 kernel would wrap")
+    return x
 
 
 def _gmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -223,6 +265,12 @@ def _gdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _gmul(u, v).sum(axis=-2)
 
 
+def _triple(v: np.ndarray) -> np.ndarray:
+    """Triple product (b-a).((c-a)x(d-a)) of (..., 4, 3, 2) tetrahedra."""
+    e = v[..., 1:, :, :] - v[..., :1, :, :]
+    return _gdot(e[..., 0, :, :], _gcross(e[..., 1, :, :], e[..., 2, :, :]))
+
+
 def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
     """Read-only float image of doubled pairs (..., 2): (a + b*tau)/2 by
     embed, each distinct pair embedded once."""
@@ -235,33 +283,6 @@ def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # geometric predicates
-
-
-def _tet_axes(verts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    a, b, c, d = verts
-    edges = [b - a, c - a, d - a, c - b, d - b, d - c]
-    axes = [np.cross(b - a, c - a), np.cross(b - a, d - a),
-            np.cross(c - a, d - a), np.cross(c - b, d - b)]
-    return edges, axes
-
-
-def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
-    """True if the interiors intersect (separating axis test).
-
-    For glue() output, whose coordinates lie outside Q(tau)."""
-    e1, f1 = _tet_axes(v1)
-    e2, f2 = _tet_axes(v2)
-    axes = f1 + f2 + [np.cross(a, b) for a in e1 for b in e2]
-    for ax in axes:
-        n = np.linalg.norm(ax)
-        if n < 1e-12:
-            continue
-        ax = ax / n
-        p1 = v1 @ ax
-        p2 = v2 @ ax
-        if min(p1.max() - p2.min(), p2.max() - p1.min()) <= tol:
-            return False
-    return True
 
 
 _OVERLAP_CHUNK = 8  # partners per vectorised step; bounds the temporaries
@@ -377,18 +398,14 @@ class Assembly:
 
     def volume_exact(self) -> GoldenRational:
         """Sum of the cataloged volumes of the constituent tetrahedra."""
-        total = GoldenRational(0)
-        for t in self.tiles:
-            total = total + catalog.record(t.kind).volume
-        return total
+        return sum((catalog.record(t.kind).volume for t in self.tiles), GoldenRational(0))
 
     def tile_volume_sum(self) -> float:
-        return float(sum(t.volume() for t in self.tiles))
+        """Float image of the exact volumes of the placed tiles."""
+        return float(sum((t.volume() for t in self.tiles), GoldenRational(0)))
 
     def fundamental_counts(self) -> dict[TileKind, int]:
-        out: dict[TileKind, int] = {}
-        for t in self.tiles:
-            out[t.kind] = out.get(t.kind, 0) + 1
+        out = Counter(t.kind for t in self.tiles)
         return {k: out[k] for k in sorted(out, key=lambda s: s.value)}
 
 
@@ -403,19 +420,16 @@ def _build(target: str) -> Assembly:
 
     vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
     verts = exact[vert_ids]
-    e = verts[:, 1:] - verts[:, :1]
-    parity = _gsign(_gdot(e[:, 0], _gcross(e[:, 1], e[:, 2]))).tolist()
+    parity = _gsign(_triple(verts)).tolist()
     if 0 in parity:
         raise AssemblyError(f"{target}: a tetrahedron is flat")
 
     tiles = []
-    counters: dict[str, int] = {}
-    for (kind_name, _), par, ids in zip(tets, parity, vert_ids):
-        seq = counters.get(kind_name, 0)
-        counters[kind_name] = seq + 1
-        tiles.append(PlacedTile(
-            kind=TileKind(kind_name), vertices=points[ids], faces=_WOUND[par],
-            parity=par, name=f"{kind_name}-{seq}"))
+    count: Counter = Counter()
+    for (kind_name, _), par, ids, v in zip(tets, parity, vert_ids, verts):
+        tiles.append(PlacedTile(kind=kind_name, exact=v, parity=par,
+                                name=f"{kind_name}-{count[kind_name]}", vertices=points[ids]))
+        count[kind_name] += 1
 
     # no two tetrahedra may share interior volume
     overlaps = _overlapping_pairs(verts)
@@ -476,25 +490,29 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     """Interior dihedral angle along every mesh edge.
 
     The angle between two faces is pi minus the angle of their outward
-    normals.  Edges with one incident face are reported with angle None
-    rather than treated as an error.
+    normals n1, n2, the exact cyclic (Newell) sums; it is atan 2 or
+    pi - atan 2 exactly when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or
+    > 0.  Edges with one incident face are reported with angle None rather
+    than treated as an error.
     """
     incident: dict[tuple[int, int], list[int]] = {}
     for fi, f in enumerate(mesh.faces):
         for i in range(len(f)):
             a, b = f[i], f[(i + 1) % len(f)]
             incident.setdefault((min(a, b), max(a, b)), []).append(fi)
-    out = []
-    for edge in sorted(incident):
-        fs = incident[edge]
-        if len(fs) == 2:
-            n1, n2 = mesh.face_normal(fs[0]), mesh.face_normal(fs[1])
-            cosang = max(-1.0, min(1.0, float(n1 @ n2)))
-            angle = math.pi - math.acos(cosang)
-        else:
-            angle = None
-        out.append(Dihedral(edge=edge, faces=tuple(fs), angle=angle))
-    return out
+    normals = np.array([_gcross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+                        for p in (mesh.exact[list(f)] for f in mesh.faces)])
+    shared = [e for e in sorted(incident) if len(incident[e]) == 2]
+    n1, n2 = (normals[[incident[e][k] for e in shared]].reshape(-1, 3, 2) for k in (0, 1))
+    dot, q1, q2 = _gdot(n1, n2), _gdot(n1, n1), _gdot(n2, n2)
+    hit = (_gmul(5 * dot, dot) == _gmul(q1, q2)).all(axis=-1)
+    classes = np.where(hit, np.where(_gsign(dot) > 0, "pi-atan2", "atan2"), "neither")
+    image = (1.0, embed(TAU))
+    cos = (dot @ image) / np.sqrt((q1 @ image) * (q2 @ image))
+    angles = dict(zip(shared, zip((np.pi - np.arccos(np.clip(cos, -1, 1))).tolist(),
+                                  classes.tolist())))
+    return [Dihedral(edge, tuple(incident[edge]), *angles.get(edge, (None, None)))
+            for edge in sorted(incident)]
 
 
 # ---------------------------------------------------------------------------

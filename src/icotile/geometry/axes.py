@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .assembly import _embed_doubled, _gcross, _gdot
+from .assembly import _AXIS_BOUND, _bounded, _embed_doubled, _gcross, _gdot
 
 __all__ = ["icosahedron_vertices", "face_axis_class"]
 
@@ -68,10 +68,11 @@ def face_axis_class(corners: np.ndarray) -> str:
     """'five-fold', 'three-fold', 'two-fold' or 'none' for a planar face.
 
     corners are doubled Z[tau] pairs, shape (k, 3, 2), the first three not
-    collinear; the face normal's class is the first one holding an axis
-    whose exact cross product with the normal is zero.
+    collinear, each entry at most 2**27 in magnitude (OverflowError beyond,
+    see assembly._bounded); the face normal's class is the first one holding
+    an axis whose exact cross product with the normal is zero.
     """
-    c = np.asarray(corners, dtype=np.int64)
+    c = _bounded(corners, _AXIS_BOUND)
     n = _gcross(c[1] - c[0], c[2] - c[0])
     if not n.any():
         return "none"

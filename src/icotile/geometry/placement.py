@@ -1,24 +1,24 @@
-"""Concrete tetrahedra in 3-space: canonical realization and face gluing.
+"""Exact placement of fundamental tiles: canonical pose and face gluing.
 
-realize() puts a tile into a canonical pose, base face in the z = 0 plane
-(first vertex at the origin, second on the positive x axis, third with
-y > 0) and the apex at z > 0.  glue() attaches a copy of one tile onto a
-face of another by the unique isometry matching the two faces, with the
-new tile on the far side; when the shared face has a symmetry that makes
-several attachments legal, the caller must disambiguate with an explicit
-vertex correspondence.
+Tiles sit in the half-integer icosahedral frame of the assemblies, as
+doubled Z[tau] pairs (see assembly.PlacedTile).  glue() attaches a copy of
+one tile onto a face of another, with the new tile on the far side; when
+the shared face has a symmetry that makes several attachments legal, the
+caller must disambiguate with an explicit vertex correspondence.
+Congruence, handedness and duplicate attachments are decided exactly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
 from ..catalog import TileKind
-from ..golden import embed
+from ..golden import ZERO, GoldenRational
+from . import _wiring
+from .assembly import PlacedTile, _gcross, _gdot, _gsign, _triple
 from .schemes import edge_scheme
 
 __all__ = [
@@ -44,183 +44,76 @@ class AmbiguityError(GlueError):
     """Several distinct attachments are legal; pass correspondence=."""
 
 
-# Vertex sequence used for the canonical pose: base triangle first, apex
-# last.  Bases are the faces named in the tile descriptions: equilateral
-# unit for t1/t2/t4, equilateral tau for t3/t5/t6.
-_REALIZE_SEQ = {
-    TileKind.t1: "ABCD",
-    TileKind.t2: "ABCD",
-    TileKind.t3: "BCDA",
-    TileKind.t4: "BCDA",
-    TileKind.t5: "BCDA",
-    TileKind.t6: "ACDB",
-}
-
-_TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+def _pair_squares(points: np.ndarray) -> list:
+    """Exact squared distances between all pairs of points, as Z[tau] pairs."""
+    d = points[:, None] - points[None]
+    return _gdot(d, d).tolist()
 
 
-def _wound_outward(vertices: np.ndarray, faces) -> tuple[tuple[int, ...], ...]:
-    """Reorder each triangle so its normal points away from the centroid."""
-    cen = vertices.mean(axis=0)
-    out = []
-    for f in faces:
-        i, j, k = f
-        n = np.cross(vertices[j] - vertices[i], vertices[k] - vertices[i])
-        if np.dot(n, vertices[i] - cen) < 0:
-            f = (i, k, j)
-        out.append(tuple(f))
-    return tuple(out)
+def _corners(tile: PlacedTile, face: int) -> np.ndarray:
+    if face not in range(4):
+        raise ValueError(f"face index must be 0..3, not {face!r}")
+    return tile.exact[list(tile.faces[face])]
 
 
-@dataclass(frozen=True, eq=False)
-class PlacedTile:
-    """A tile instance with concrete float coordinates.
-
-    vertices follow the canonical realization sequence of the kind, faces
-    are index triples wound outward, and parity records whether the
-    instance is a direct (+1) or mirror (-1) copy of the canonical pose.
-    """
-
-    kind: TileKind
-    vertices: np.ndarray
-    faces: tuple[tuple[int, ...], ...]
-    parity: int
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        if self.parity not in (-1, 1):
-            raise ValueError("parity must be +1 or -1")
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def face_points(self, face_index: int) -> np.ndarray:
-        return self.vertices[list(self.faces[face_index])]
-
-    def face_edge_squares(self, face_index: int) -> tuple[float, ...]:
-        """Squared edge lengths of a face, in cyclic order."""
-        pts = self.face_points(face_index)
-        n = len(pts)
-        return tuple(float(np.sum((pts[(i + 1) % n] - pts[i]) ** 2)) for i in range(n))
-
-    def volume(self) -> float:
-        a, b, c, d = self.vertices
-        return abs(np.linalg.det(np.stack([b - a, c - a, d - a]))) / 6.0
-
-    def transformed(self, rot: np.ndarray, shift: np.ndarray, name: str | None = None) -> "PlacedTile":
-        """Apply x -> rot @ x + shift; parity tracks det(rot)."""
-        det = float(np.linalg.det(rot))
-        new_parity = self.parity * (1 if det > 0 else -1)
-        verts = self.vertices @ rot.T + shift
-        return PlacedTile(
-            kind=self.kind,
-            vertices=verts,
-            faces=_wound_outward(verts, self.faces),
-            parity=new_parity,
-            name=name if name is not None else self.name,
-        )
-
-    def find_face(self, edge_squares: tuple[float, ...], tol: float = 1e-9) -> int:
-        """Index of the unique face whose squared-edge multiset matches."""
-        want = sorted(edge_squares)
-        hits = [
-            i for i in range(len(self.faces))
-            if len(self.faces[i]) == len(want)
-            and all(abs(x - y) <= tol for x, y in zip(sorted(self.face_edge_squares(i)), want))
-        ]
-        if len(hits) != 1:
-            raise ValueError(f"{len(hits)} faces of {self.kind.value} match {edge_squares}")
-        return hits[0]
-
-
+@lru_cache(maxsize=None)
 def realize(kind: TileKind | str) -> PlacedTile:
-    """The canonical pose of a fundamental tile, parity +1."""
-    kind = TileKind(kind)
+    """The canonical pose of a fundamental tile: its first tetrahedron in
+    the dodecahedron wiring, ordered label for label like edge_scheme(kind)
+    with a positive triple product (parity +1)."""
     scheme = edge_scheme(kind)
-    seq = _REALIZE_SEQ[kind]
-    idx = ["ABCD".index(c) for c in seq]
-
-    def q(i: int, j: int) -> float:
-        return embed(scheme.squared(idx[i], idx[j]))
-
-    s01 = math.sqrt(q(0, 1))
-    v0 = np.zeros(3)
-    v1 = np.array([s01, 0.0, 0.0])
-    x2 = (q(0, 1) + q(0, 2) - q(1, 2)) / (2 * s01)
-    y2 = math.sqrt(q(0, 2) - x2 * x2)
-    v2 = np.array([x2, y2, 0.0])
-    x3 = (q(0, 1) + q(0, 3) - q(1, 3)) / (2 * s01)
-    y3 = (q(0, 2) + q(0, 3) - q(2, 3) - 2 * x2 * x3) / (2 * y2)
-    z3 = math.sqrt(q(0, 3) - x3 * x3 - y3 * y3)
-    v3 = np.array([x3, y3, z3])
-
-    verts = np.stack([v0, v1, v2, v3])
-    return PlacedTile(kind=kind, vertices=verts,
-                      faces=_wound_outward(verts, _TET_FACES), parity=1)
+    labels = next(labs for name, labs in _wiring.D1_TETS if name == kind)
+    points = np.array([_wiring.D1_COORDS[lab] for lab in labels])
+    squares = _pair_squares(points)
+    for perm in permutations(range(4)):
+        if all(GoldenRational(*squares[perm[i]][perm[j]], 4) == scheme.squared(i, j)
+               for i, j in combinations(range(4), 2)):
+            v = points[list(perm)]
+            if _gsign(_triple(v)) > 0:
+                return PlacedTile(kind=kind, exact=v, parity=1)
+    raise RuntimeError(f"no positive ordering of {kind} matches its edge scheme")
 
 
 def face_correspondences(fixed: PlacedTile, fixed_face: int,
-                         moving: PlacedTile, moving_face: int,
-                         tol: float = 1e-9) -> list[tuple[int, ...]]:
-    """All length-preserving vertex matchings of moving_face onto fixed_face.
+                         moving: PlacedTile, moving_face: int) -> list[tuple[int, ...]]:
+    """All length-preserving vertex matchings of moving_face onto fixed_face:
+    entry p means moving-face vertex i lands on fixed-face vertex p[i], and
+    an empty result means the faces are not congruent."""
+    fs = _pair_squares(_corners(fixed, fixed_face))
+    ms = _pair_squares(_corners(moving, moving_face))
+    return [p for p in permutations(range(3))
+            if all(ms[i][j] == fs[p[i]][p[j]] for i, j in combinations(range(3), 2))]
 
-    Entry p means moving-face vertex i lands on fixed-face vertex p[i].
-    Empty result means the faces are not congruent.
+
+def _apex(face: np.ndarray, apex: np.ndarray,
+          target: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """Where apex lands when face is laid on target, on the side normal points to.
+
+    apex - face[0] = s u + t v + h (u x v), u and v the face edges from
+    face[0]: s and t solve two linear equations over Q(tau), and
+    h = (apex - face[0]).(u x v) / |u x v|^2.  The image is target[0] plus
+    s and t times target's edges plus |h| normal (as long as u x v), as
+    doubled pairs; GlueError if it leaves the half-integer frame.
     """
-    fp = fixed.face_points(fixed_face)
-    mp = moving.face_points(moving_face)
-    if len(fp) != 3 or len(mp) != 3:
-        raise GlueError("gluing is defined for triangular faces")
+    u, v = face[1] - face[0], face[2] - face[0]
+    e, n = apex - face[0], _gcross(u, v)
+    uu, uv, vv, eu, ev, en, nn = (GoldenRational(*x) for x in _gdot(
+        np.stack([u, u, v, e, e, e, n]), np.stack([u, v, v, u, v, n, n])).tolist())
+    det = uu * vv - uv * uv
+    weights = (1, (eu * vv - ev * uv) / det, (ev * uu - eu * uv) / det, abs(en / nn))
     out = []
-    for p in permutations(range(3)):
-        ok = True
-        for i in range(3):
-            for j in range(i + 1, 3):
-                dm = np.sum((mp[i] - mp[j]) ** 2)
-                df = np.sum((fp[p[i]] - fp[p[j]]) ** 2)
-                if abs(dm - df) > tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(p)
-    return out
-
-
-def _frame(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Right-handed orthonormal frame adapted to a triangle."""
-    e1 = p1 - p0
-    e1 = e1 / np.linalg.norm(e1)
-    u = p2 - p0
-    e2 = u - np.dot(u, e1) * e1
-    e2 = e2 / np.linalg.norm(e2)
-    return np.stack([e1, e2, np.cross(e1, e2)], axis=1)
-
-
-def _same_placement(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """True if the two vertex sets coincide as point sets."""
-    used = [False] * len(b)
-    for pa in a:
-        hit = False
-        for i, pb in enumerate(b):
-            if not used[i] and np.max(np.abs(pa - pb)) <= tol:
-                used[i] = True
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    for xs in zip(*(a.tolist() for a in (target[0], target[1] - target[0],
+                                          target[2] - target[0], normal))):
+        c = sum((w * GoldenRational(*x) for w, x in zip(weights, xs)), ZERO)
+        if c.den != 1:
+            raise GlueError(f"the attachment leaves the half-integer frame ({c} doubled)")
+        out.append((c.a, c.b))
+    return np.array(out)
 
 
 def glue(fixed: PlacedTile, fixed_face: int,
          moving: PlacedTile | TileKind | str, moving_face: int,
-         *, flip: bool = False, correspondence: tuple[int, ...] | None = None,
-         tol: float = 1e-9) -> PlacedTile:
+         *, flip: bool = False, correspondence: tuple[int, ...] | None = None) -> PlacedTile:
     """Attach a copy of `moving` onto `fixed_face`, on the outside of fixed.
 
     The moving face is mapped exactly onto the fixed face and the moving
@@ -228,16 +121,20 @@ def glue(fixed: PlacedTile, fixed_face: int,
     orientation class of the isometry: False keeps the moving tile's
     handedness, True mirrors it.  When the face matching is ambiguous
     (symmetric face), pass correspondence=(p0, p1, p2) meaning moving-face
-    vertex i goes to fixed-face vertex p_i.
+    vertex i goes to fixed-face vertex p_i.  Congruent faces have normals
+    of equal length, so the apex keeps its exact coordinates over the face
+    (see _apex).  Handedness is the sign of the exact triple product, and
+    attachments with the same vertex set count once.
 
-    Raises CongruenceError for incongruent faces, GlueError if no
-    attachment has the requested handedness, AmbiguityError if several
-    distinct ones do.
+    Raises ValueError for a face index outside 0..3, CongruenceError for
+    incongruent faces, GlueError if no attachment has the requested
+    handedness or one leaves the half-integer frame, AmbiguityError if
+    several distinct ones are legal.
     """
     if not isinstance(moving, PlacedTile):
         moving = realize(moving)
 
-    matchings = face_correspondences(fixed, fixed_face, moving, moving_face, tol)
+    matchings = face_correspondences(fixed, fixed_face, moving, moving_face)
     if not matchings:
         raise CongruenceError(
             f"face {fixed_face} of {fixed.kind.value} and face {moving_face} of "
@@ -250,37 +147,28 @@ def glue(fixed: PlacedTile, fixed_face: int,
             raise CongruenceError(f"correspondence {p} does not preserve edge lengths")
         matchings = [p]
 
-    fp = fixed.face_points(fixed_face)
-    mp = moving.face_points(moving_face)
-    # outward normal of the fixed face (faces are wound outward)
-    n = np.cross(fp[1] - fp[0], fp[2] - fp[0])
-    n = n / np.linalg.norm(n)
+    corners = _corners(fixed, fixed_face)
+    normal = _gcross(corners[1] - corners[0], corners[2] - corners[0])  # outward
+    face = list(moving.faces[moving_face])
+    apex = 6 - sum(face)
 
-    results: list[tuple[tuple[int, ...], PlacedTile]] = []
+    results: dict[frozenset, tuple] = {}  # by vertex set: (p, vertices, parity)
     for p in matchings:
-        dst = np.stack([fp[p[i]] for i in range(3)])
-        rot = _frame(dst[0], dst[1], dst[2]) @ _frame(mp[0], mp[1], mp[2]).T
-        shift = dst[0] - rot @ mp[0]
-        moved_cen = rot @ moving.centroid + shift
-        if np.dot(moved_cen - fp[0], n) < 0:
-            # wrong side: compose with the reflection across the fixed face
-            refl = np.eye(3) - 2.0 * np.outer(n, n)
-            shift = fp[0] + refl @ (shift - fp[0])
-            rot = refl @ rot
-        mirrored = float(np.linalg.det(rot)) < 0
-        if mirrored != flip:
-            continue
-        placed = moving.transformed(rot, shift)
-        if not any(_same_placement(placed.vertices, prev.vertices, tol)
-                   for _, prev in results):
-            results.append((p, placed))
+        placed = np.empty((4, 3, 2), dtype=np.int64)
+        placed[face] = corners[list(p)]
+        placed[apex] = _apex(moving.exact[face], moving.exact[apex], placed[face], normal)
+        parity = int(_gsign(_triple(placed)))
+        if (parity != moving.parity) == flip:
+            results.setdefault(frozenset(map(tuple, placed.reshape(4, 6).tolist())),
+                               (p, placed, parity))
 
     if not results:
         raise GlueError("no attachment with the requested handedness (flip"
                         f"={flip}) exists for this face pair")
     if len(results) > 1:
-        opts = ", ".join(str(p) for p, _ in results)
+        opts = ", ".join(str(p) for p, _, _ in results.values())
         raise AmbiguityError(
             f"{len(results)} distinct attachments are legal ({opts}); "
             "pass correspondence= to choose one")
-    return results[0][1]
+    ((_, placed, parity),) = results.values()
+    return PlacedTile(kind=moving.kind, exact=placed, parity=parity, name=moving.name)

@@ -252,8 +252,6 @@ def test_criterion_08_assemblies():
     assert d1.mesh.counts() == (20, 30, 12)
     for i in range(12):
         assert len(d1.mesh.faces[i]) == 5
-        assert d1.mesh.face_planarity(i) <= 1e-9
-        assert all(abs(l - 1) <= 1e-9 for l in d1.mesh.face_edge_lengths(i))
         corners = d1.mesh.exact[list(d1.mesh.faces[i])]
         e = corners[1:] - corners[0]
         normal = assembly._gcross(e[0], e[1])
@@ -261,14 +259,13 @@ def test_criterion_08_assemblies():
         assert squared_edges(corners) == (1,) * 5
     assert abs(d1.mesh.volume() - d1.tile_volume_sum()) <= 1e-9
     for rec in dihedrals(d1.mesh):
-        assert rec.angle is not None
+        assert rec.angle_class == "pi-atan2"
         assert abs(rec.angle - (math.pi - ATAN2)) <= 1e-9
 
     i1 = assemble("i1")
     assert i1.mesh.counts() == (12, 30, 20)
     for i in range(20):
         assert len(i1.mesh.faces[i]) == 3
-        assert all(abs(l - 1) <= 1e-9 for l in i1.mesh.face_edge_lengths(i))
         assert squared_edges(i1.mesh.exact[list(i1.mesh.faces[i])]) == (1,) * 3
     assert i1.volume_exact() == GR(10, 10, 12)
     assert abs(i1.mesh.volume() - embed(GR(10, 10, 12))) <= 1e-9
@@ -281,8 +278,7 @@ def test_criterion_08_assemblies():
 
     for target in ("E", "C", "T1", "T2", "T3", "T3bar", "T4"):
         for rec in dihedrals(assemble(target).mesh):
-            if rec.angle is None:
-                continue
+            assert rec.angle_class in ("atan2", "pi-atan2")
             off = min(abs(rec.angle - ATAN2),
                       abs(rec.angle - (math.pi - ATAN2)))
             assert off <= 1e-9
@@ -306,6 +302,21 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
     assert checks._check_assemblies() == (False, detail)
     monkeypatch.setattr(geometry, "assemble", assemble)
     assert checks._check_assemblies()[0]
+
+
+def test_assemblies_check_decides_dihedrals_exactly(monkeypatch):
+    # E replaced by the icosahedron, whose dihedral arccos(-sqrt(5)/3) is
+    # neither atan 2 nor pi - atan 2
+    monkeypatch.setattr(geometry, "assemble", lambda t: assemble("i1" if t == "E" else t))
+    ok, detail = checks._check_assemblies()
+    assert not ok and detail.startswith("E dihedral ")
+    # the d1 check reads the exact class, not the float angle
+    monkeypatch.setattr(geometry, "assemble", assemble)
+    d1 = assemble("d1").mesh
+    monkeypatch.setattr(geometry, "dihedrals", lambda mesh: [
+        dataclasses.replace(r, angle_class="atan2") if mesh is d1 else r for r in dihedrals(mesh)])
+    ok, detail = checks._check_assemblies()
+    assert not ok and detail.startswith("d1 dihedral ")
 
 
 def test_criterion_09_axis_classes():

@@ -304,6 +304,8 @@ def test_global_flag_validation(runner):
     assert runner.invoke(main, ["--tol-predicates", "0", "catalog"]).exit_code == 2
     assert runner.invoke(main, ["--tol-isometry", "-1", "catalog"]).exit_code == 2
     assert runner.invoke(main, ["--max-order", "-5", "catalog"]).exit_code == 2
+    assert runner.invoke(main, ["--max-order", "abc", "catalog"]).exit_code == 2
+    assert runner.invoke(main, ["catalog"], env={"ICOTILE_MAX_ORDER": "-5"}).exit_code == 2
 
 
 def test_deterministic_stdout(runner):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 
 import numpy as np
@@ -17,6 +16,7 @@ from icotile.geometry import (
     AssemblyError,
     CongruenceError,
     GlueError,
+    PlacedTile,
     assemble,
     cm_volume,
     dihedrals,
@@ -36,18 +36,8 @@ from icotile.geometry import _wiring, assembly, axes
 from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU2 = tau_pow(2)
-T2F = embed(TAU2)
 FUNDAMENTALS = ("t1", "t2", "t3", "t4", "t5", "t6")
 ATAN2 = math.atan(2.0)
-
-
-def _random_rotation(rng: random.Random) -> np.ndarray:
-    m = np.array([[rng.gauss(0, 1) for _ in range(3)] for _ in range(3)])
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -95,62 +85,63 @@ def test_cm_degenerate_rejected():
 
 
 # ---------------------------------------------------------------------------
-# realization and rigid motion
+# exact placement
+
+
+def _point_set(points) -> frozenset:
+    """Doubled-pair points (k, 3, 2) as a set of hashable tuples."""
+    return frozenset(tuple(map(tuple, q)) for q in np.asarray(points).tolist())
+
+
+def _face(tile, i):
+    return tile.exact[list(tile.faces[i])]
+
+
+def _squares(tile):
+    """The six exact squared edge lengths, label for label."""
+    out = []
+    for i, j in itertools.combinations(range(4), 2):
+        d = tile.exact[i] - tile.exact[j]
+        out.append(GoldenRational(*assembly._gdot(d, d).tolist(), 4))
+    return out
+
+
+def _tau_faces(tile):
+    return [i for i in range(4) if tile.face_edge_squares(i) == (TAU2,) * 3]
+
+
+def _rational(points):
+    """Doubled pairs of points with rational doubled coordinates."""
+    return np.array([[(x, 0) for x in q] for q in points])
 
 
 def test_realize_matches_scheme():
     for kind in FUNDAMENTALS:
         t = realize(kind)
-        e = edge_scheme(kind)
-        got = sorted(
-            float(np.sum((t.vertices[i] - t.vertices[j]) ** 2))
-            for i in range(4) for j in range(i + 1, 4))
-        want = sorted(embed(x) for x in e.as_tuple())
-        assert got == pytest.approx(want, abs=1e-12)
+        assert _squares(t) == list(edge_scheme(kind).as_tuple())
         assert t.parity == 1
+        assert assembly._gsign(assembly._triple(t.exact)) == 1
         assert t.kind.value == kind
-        # base triangle in z=0, apex above
-        assert abs(t.vertices[0][2]) < 1e-15
-        assert abs(t.vertices[1][2]) < 1e-15
-        assert abs(t.vertices[2][2]) < 1e-15
-        assert t.vertices[3][2] > 0
+        # the kind's first tetrahedron in the dodecahedron wiring
+        labels = next(labs for name, labs in _wiring.D1_TETS if name == kind)
+        assert _point_set(t.exact) == {_wiring.D1_COORDS[lab] for lab in labels}
+        assert t.vertices.tolist() == [
+            [embed(GoldenRational(a, b, 2)) for a, b in q] for q in t.exact.tolist()]
 
 
 def test_realize_volume_matches_cm():
     for kind in FUNDAMENTALS:
-        t = realize(kind)
-        cm = cm_volume(edge_scheme(kind))
-        assert t.volume() == pytest.approx(cm.root, rel=1e-12)
-
-
-def test_transform_preserves_distances():
-    rng = random.Random(55)
-    for kind in FUNDAMENTALS:
-        t = realize(kind)
-        base = t.vertices
-        for _ in range(20):
-            rot = _random_rotation(rng)
-            shift = np.array([rng.uniform(-5, 5) for _ in range(3)])
-            moved = t.transformed(rot, shift)
-            assert moved.parity == t.parity
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    d0 = np.linalg.norm(base[i] - base[j])
-                    d1 = np.linalg.norm(moved.vertices[i] - moved.vertices[j])
-                    assert abs(d1 - d0) <= 1e-12 * d0
-            refl = rot @ np.diag([1.0, 1.0, -1.0])
-            assert t.transformed(refl, shift).parity == -t.parity
+        assert realize(kind).volume() == cm_volume(edge_scheme(kind)).exact_root
 
 
 def test_find_face():
     t = realize("t5")
-    fi = t.find_face((T2F, T2F, T2F))
-    sq = t.face_edge_squares(fi)
-    assert max(abs(x - T2F) for x in sq) < 1e-12
+    fi = t.find_face((TAU2, TAU2, TAU2))
+    assert t.face_edge_squares(fi) == (TAU2,) * 3
     with pytest.raises(ValueError):
-        realize("t1").find_face((T2F, T2F, T2F))
+        realize("t1").find_face((TAU2, TAU2, TAU2))
     with pytest.raises(ValueError):
-        realize("t1").find_face((1.0, 1.0, 1.0))  # two equilateral faces
+        realize("t1").find_face((1, 1, 1))  # two equilateral faces
 
 
 # ---------------------------------------------------------------------------
@@ -170,128 +161,148 @@ def _proper_glues(fixed, fixed_face, kind, moving_face):
 
 def test_glue_is_isometric():
     t2 = realize("t2")
-    f2 = t2.find_face((1.0, 1.0, 1.0))
+    f2 = t2.find_face((1, 1, 1))
     t4 = realize("t4")
-    f4 = t4.find_face((1.0, 1.0, 1.0))
+    f4 = t4.find_face((1, 1, 1))
     placed = glue(t2, f2, t4, f4)
-    ref = realize("t4").vertices
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d0 = np.linalg.norm(ref[i] - ref[j])
-            d1 = np.linalg.norm(placed.vertices[i] - placed.vertices[j])
-            assert abs(d1 - d0) <= 1e-12 * d0
-    # the two faces coincide as point sets
-    a = np.array(sorted(map(tuple, np.round(t2.face_points(f2), 9))))
-    b = np.array(sorted(map(tuple, np.round(placed.face_points(f4), 9))))
-    assert np.allclose(a, b, atol=1e-9)
+    assert _squares(placed) == _squares(t4)
+    # the two faces coincide as point sets, and the tiles only touch
+    assert _point_set(_face(t2, f2)) == _point_set(_face(placed, f4))
+    assert assembly._overlapping_pairs(np.stack([t2.exact, placed.exact])) == []
 
 
 def test_glue_t2_t4_unambiguous():
     t2 = realize("t2")
-    f2 = t2.find_face((1.0, 1.0, 1.0))
-    f4 = realize("t4").find_face((1.0, 1.0, 1.0))
+    f2 = t2.find_face((1, 1, 1))
+    f4 = realize("t4").find_face((1, 1, 1))
     placed = glue(t2, f2, "t4", f4)
-    vol = t2.volume() + placed.volume()
-    assert vol == pytest.approx(embed(catalog.record("T2").volume), rel=1e-12)
+    assert t2.volume() + placed.volume() == catalog.record("T2").volume
 
 
 def test_glue_congruence_error():
     t3 = realize("t3")
-    tau_face = t3.find_face((T2F, T2F, T2F))
+    tau_face = t3.find_face((TAU2, TAU2, TAU2))
     with pytest.raises(CongruenceError):
         glue(t3, tau_face, "t1", 0)
     t2 = realize("t2")
-    eq_face = t2.find_face((1.0, 1.0, 1.0))
-    rob_face = t2.find_face((1.0, T2F, T2F))
+    eq_face = t2.find_face((1, 1, 1))
+    rob_face = t2.find_face((1, TAU2, TAU2))
     with pytest.raises(CongruenceError):
         glue(t2, eq_face, "t2", rob_face)
     with pytest.raises(ValueError):
-        glue(t2, eq_face, "t4", realize("t4").find_face((1.0, 1.0, 1.0)),
+        glue(t2, eq_face, "t4", realize("t4").find_face((1, 1, 1)),
              correspondence=(0, 0, 1))
 
 
 def test_glue_ambiguity_and_handedness():
     t5 = realize("t5")
-    f5 = t5.find_face((T2F, T2F, T2F))
-    t6 = realize("t6")
-    tau_faces = [i for i in range(4)
-                 if max(abs(x - T2F) for x in t6.face_edge_squares(i)) < 1e-9]
+    f5 = t5.find_face((TAU2, TAU2, TAU2))
+    tau_faces = _tau_faces(realize("t6"))
     assert len(tau_faces) == 2
     with pytest.raises(AmbiguityError):
         glue(t5, f5, "t6", tau_faces[0])
     placements = _proper_glues(t5, f5, "t6", tau_faces[0])
     assert len(placements) == 3
+    assert {t.parity for t in placements} == {1}
     # mirror attachments exist only with flip=True
     perms = face_correspondences(t5, f5, realize("t6"), tau_faces[0])
     assert len(perms) == 6
     flipped = 0
     for p in perms:
         try:
-            glue(t5, f5, "t6", tau_faces[0], flip=True, correspondence=p)
+            t = glue(t5, f5, "t6", tau_faces[0], flip=True, correspondence=p)
+            assert t.parity == -1
+            assert assembly._gsign(assembly._triple(t.exact)) == -1
             flipped += 1
         except GlueError:
             pass
     assert flipped == 3
 
 
+def test_glue_face_index_validated():
+    t2 = realize("t2")
+    for bad in (7, 4, -1):
+        with pytest.raises(ValueError, match="face index"):
+            glue(t2, bad, "t2", 0)
+        with pytest.raises(ValueError, match="face index"):
+            glue(t2, 0, "t2", bad)
+        with pytest.raises(ValueError, match="face index"):
+            face_correspondences(t2, bad, t2, 0)
+        with pytest.raises(ValueError, match="face index"):
+            face_correspondences(t2, 0, t2, bad)
+
+
+def test_glue_outside_frame():
+    # congruent right isosceles faces, the fixed one turned by the 3-4-5
+    # rotation about x: the apex would land at fifths of a doubled unit
+    fixed = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 6, 8), (0, 0, -10)]),
+                       parity=-1)
+    moving = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 10, 0), (0, 0, 2)]),
+                        parity=1)
+    assert face_correspondences(fixed, 0, moving, 0) == [(0, 1, 2), (0, 2, 1)]
+    with pytest.raises(GlueError, match="half-integer frame"):
+        glue(fixed, 0, moving, 0, correspondence=(0, 1, 2))
+
+
 def test_three_tile_pentagon_census():
     # two t5 and one t6 glue in nine proper ways: six give the shape with
     # two trapezoid walls, two close a planar pentagon, one gives a third
     # shape; none of them overlap in volume
-    from icotile.geometry.assembly import _tets_overlap
-
     t5 = realize("t5")
-    f5 = t5.find_face((T2F, T2F, T2F))
-    t6 = realize("t6")
-    tau_faces = [i for i in range(4)
-                 if max(abs(x - T2F) for x in t6.face_edge_squares(i)) < 1e-9]
+    f5 = t5.find_face((TAU2, TAU2, TAU2))
 
-    seen, middles = [], []
-    for j in tau_faces:
+    seen, middles = set(), []
+    for j in _tau_faces(realize("t6")):
         for b in _proper_glues(t5, f5, "t6", j):
-            pts = np.array(sorted(map(tuple, np.round(b.vertices, 6))))
-            if not any(np.allclose(pts, k, atol=1e-9) for k in seen):
-                seen.append(pts)
+            if _point_set(b.exact) not in seen:
+                seen.add(_point_set(b.exact))
                 middles.append(b)
     assert len(middles) == 3
 
-    def shape_key(groups):
-        verts = []
-        for t in groups:
-            for v in t.vertices:
-                if not any(np.linalg.norm(v - u) < 1e-9 for u in verts):
-                    verts.append(v)
-        assert len(verts) == 6
-        dists = sorted(np.linalg.norm(a - b)
-                       for a, b in itertools.combinations(verts, 2))
-        return tuple(np.round(dists, 6))
+    def shape_key(points):
+        points = np.array(sorted(points))
+        assert len(points) == 6
+        d = points[:, None] - points[None]
+        return tuple(sorted(map(tuple, assembly._gdot(d, d).reshape(-1, 2).tolist())))
 
-    fixed_pts = np.array(sorted(map(tuple, np.round(t5.face_points(f5), 9))))
     keys = []
     for b in middles:
-        other = None
-        for i in range(4):
-            if max(abs(x - T2F) for x in b.face_edge_squares(i)) > 1e-9:
-                continue
-            bp = np.array(sorted(map(tuple, np.round(b.face_points(i), 9))))
-            if not np.allclose(bp, fixed_pts, atol=1e-8):
-                other = i
+        shared = _point_set(_face(t5, f5))
+        (other,) = [i for i in _tau_faces(b) if _point_set(_face(b, i)) != shared]
         for c in _proper_glues(b, other, "t5", f5):
-            assert not _tets_overlap(t5.vertices, c.vertices, 1e-9)
-            keys.append(shape_key((t5, b, c)))
+            assert assembly._overlapping_pairs(np.stack([t5.exact, b.exact, c.exact])) == []
+            keys.append(shape_key(set().union(*(_point_set(t.exact) for t in (t5, b, c)))))
 
     assert len(keys) == 9
     classes = Counter(keys)
     assert sorted(classes.values()) == [1, 2, 6]
+    assert classes[shape_key(_point_set(assemble("T3").mesh.exact))] == 2
+    assert classes[shape_key(_point_set(assemble("T3bar").mesh.exact))] == 6
 
-    def mesh_key(target):
-        verts = assemble(target).mesh.vertices
-        dists = sorted(np.linalg.norm(a - b)
-                       for a, b in itertools.combinations(verts, 2))
-        return tuple(np.round(dists, 6))
 
-    assert classes[mesh_key("T3")] == 2
-    assert classes[mesh_key("T3bar")] == 6
+def test_glue_regenerates_wiring():
+    # every tile sharing a whole triangle with another is one attachment of
+    # its kind onto that face of the other
+    def attachments(fixed, face, kind):
+        moving = realize(kind)
+        for j in range(4):
+            for p in face_correspondences(fixed, face, moving, j):
+                for flip in (False, True):
+                    try:
+                        yield _point_set(glue(fixed, face, moving, j, flip=flip,
+                                              correspondence=p).exact)
+                    except GlueError:
+                        pass
+
+    pairs = 0
+    for target in ("d1", "i1"):
+        for owner, nb in itertools.permutations(assemble(target).tiles, 2):
+            shared = _point_set(owner.exact) & _point_set(nb.exact)
+            if len(shared) == 3:
+                (face,) = [i for i in range(4) if _point_set(_face(owner, i)) == shared]
+                assert _point_set(nb.exact) in attachments(owner, face, nb.kind), nb.name
+                pairs += 1
+    assert pairs == 140
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +338,23 @@ def test_assembly_volumes():
         assert abs(a.mesh.volume() - a.tile_volume_sum()) < 1e-9
 
 
+def _planar(corners):
+    """Exact: corners 0-2 span a plane that holds the rest."""
+    e = corners[1:] - corners[0]
+    normal = assembly._gcross(e[0], e[1])
+    return normal.any() and not assembly._gdot(e[2:], normal).any()
+
+
 def test_dodecahedron_hull():
     a = assemble("d1")
     assert len(a.tiles) == 38
     assert a.mesh.counts() == (20, 30, 12)
-    for i, face in enumerate(a.mesh.faces):
+    for face in a.mesh.faces:
         assert len(face) == 5
-        assert a.mesh.face_planarity(i) < 1e-9
-        for length in a.mesh.face_edge_lengths(i):
-            assert abs(length - 1.0) < 1e-9
+        assert _planar(a.mesh.exact[list(face)])
+        assert squared_edges(a.mesh.exact[list(face)]) == (1,) * 5
     for rec in dihedrals(a.mesh):
-        assert rec.angle is not None
+        assert rec.angle_class == "pi-atan2"
         assert abs(rec.angle - (math.pi - ATAN2)) < 1e-9
     named = {k.value: n for k, n in a.fundamental_counts().items()}
     assert named == {"t1": 3, "t2": 4, "t3": 10, "t4": 10, "t5": 4, "t6": 7}
@@ -360,10 +377,9 @@ def test_icosahedron_hull():
     a = assemble("i1")
     assert len(a.tiles) == 16
     assert a.mesh.counts() == (12, 30, 20)
-    for i in range(20):
-        assert len(a.mesh.faces[i]) == 3
-        for length in a.mesh.face_edge_lengths(i):
-            assert abs(length - 1.0) < 1e-9
+    for face in a.mesh.faces:
+        assert len(face) == 3
+        assert squared_edges(a.mesh.exact[list(face)]) == (1,) * 3
     hull = {tuple(np.round(v, 9)) for v in a.mesh.vertices}
     ref = {tuple(np.round(v, 9)) for v in icosahedron_vertices()}
     assert hull == ref
@@ -372,21 +388,34 @@ def test_icosahedron_hull():
 
 
 def test_composite_dihedrals():
+    angle = {"atan2": ATAN2, "pi-atan2": math.pi - ATAN2}
+    seen = Counter()
     for target in ("E", "C", "T1", "T2", "T3", "T3bar", "T4"):
         for rec in dihedrals(assemble(target).mesh):
-            if rec.angle is None:
-                continue
-            off = min(abs(rec.angle - ATAN2), abs(rec.angle - (math.pi - ATAN2)))
-            assert off < 1e-9, (target, rec.angle)
+            assert rec.angle_class in angle, (target, rec)
+            assert abs(rec.angle - angle[rec.angle_class]) < 1e-9, (target, rec)
+            seen[rec.angle_class] += 1
+    assert seen == {"atan2": 28, "pi-atan2": 47}
+
+
+def test_dihedral_class_neither():
+    # the icosahedron's dihedral, arccos(-sqrt(5)/3), is neither class
+    for rec in dihedrals(assemble("i1").mesh):
+        assert rec.angle_class == "neither"
+        assert abs(rec.angle - math.acos(-math.sqrt(5) / 3)) < 1e-9
+    # an open edge has no angle and no class
+    tri = assembly.Mesh(exact=_rational([(0, 0, 0), (2, 0, 0), (0, 2, 0)]), faces=((0, 1, 2),),
+                        provenance=((),))
+    assert {(d.angle, d.angle_class) for d in dihedrals(tri)} == {(None, None)}
 
 
 def test_pentagon_face_of_t3():
     a = assemble("T3")
     pent = [i for i, f in enumerate(a.mesh.faces) if len(f) == 5]
     assert len(pent) == 1
-    assert a.mesh.face_planarity(pent[0]) < 1e-9
-    for length in a.mesh.face_edge_lengths(pent[0]):
-        assert abs(length - 1.0) < 1e-9
+    corners = a.mesh.exact[list(a.mesh.faces[pent[0]])]
+    assert _planar(corners)
+    assert squared_edges(corners) == (1,) * 5
     bar = assemble("T3bar")
     quads = [i for i, f in enumerate(bar.mesh.faces) if len(f) == 4]
     assert len(quads) == 2
@@ -398,6 +427,33 @@ def test_exact_sign_matches_golden_rational():
     pairs = np.array([[(a, b) for b in r] for a in r])
     want = [[GoldenRational(a, b).sign() for b in r] for a in r]
     assert assembly._gsign(pairs).tolist() == want
+
+
+def _tet_axes(verts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    a, b, c, d = verts
+    edges = [b - a, c - a, d - a, c - b, d - b, d - c]
+    axes = [np.cross(b - a, c - a), np.cross(b - a, d - a),
+            np.cross(c - a, d - a), np.cross(c - b, d - b)]
+    return edges, axes
+
+
+def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
+    """True if the interiors intersect (separating axis test).
+
+    The float reference for the exact assembly._overlapping_pairs."""
+    e1, f1 = _tet_axes(v1)
+    e2, f2 = _tet_axes(v2)
+    axes = f1 + f2 + [np.cross(a, b) for a in e1 for b in e2]
+    for ax in axes:
+        n = np.linalg.norm(ax)
+        if n < 1e-12:
+            continue
+        ax = ax / n
+        p1 = v1 @ ax
+        p2 = v2 @ ax
+        if min(p1.max() - p2.min(), p2.max() - p1.min()) <= tol:
+            return False
+    return True
 
 
 def _moved_half_in_x(triple):
@@ -416,7 +472,7 @@ def test_exact_overlap_matches_float_reference(monkeypatch, moved, n_pairs):
     ids = np.array([[labels.index(lab) for lab in labs] for _, labs in _wiring.D1_TETS])
     got = set(assembly._overlapping_pairs(exact[ids]))
     want = {(a, b) for a, b in itertools.combinations(range(len(ids)), 2)
-            if assembly._tets_overlap(flt[ids[a]], flt[ids[b]], 1e-9)}
+            if _tets_overlap(flt[ids[a]], flt[ids[b]], 1e-9)}
     assert got == want
     assert len(got) == n_pairs
     if moved:
@@ -445,15 +501,53 @@ def _face_normal_to(n):
     return np.array([[(0, 0)] * 3, [(2 * x, 0) for x in u], [(2 * x, 0) for x in w]])
 
 
+# corners 0, (1, 0, 0), (0, tau, -1): normal (0, 1, tau)
+FIVE = np.array([[(0, 0)] * 3, [(2, 0), (0, 0), (0, 0)], [(0, 0), (0, 2), (-2, 0)]])
+
+
 def test_canonical_frame():
     assert [len(a) for a in axes._axes().values()] == [6, 10, 15]
     assert list(axes._axes()) == ["five-fold", "three-fold", "two-fold"]
-    # corners 0, (1, 0, 0), (0, tau, -1): normal (0, 1, tau)
-    five = np.array([[(0, 0)] * 3, [(2, 0), (0, 0), (0, 0)], [(0, 0), (0, 2), (-2, 0)]])
-    assert face_axis_class(five) == "five-fold"
+    assert face_axis_class(FIVE) == "five-fold"
     assert face_axis_class(_face_normal_to((1, 1, 1))) == "three-fold"
     assert face_axis_class(_face_normal_to((1, 0, 0))) == "two-fold"
     assert face_axis_class(_face_normal_to((1, 2, 3))) == "none"
+
+
+def _shifted(points, top):
+    """points moved in the rational part of x so their largest entry is top."""
+    out = np.array(points)
+    out[..., 0, 0] += top - out[..., 0, 0].max()
+    return out
+
+
+def test_magnitude_guards():
+    # scaled by 2**31, FIVE's normal wrapped to zero in int64 ("none") and
+    # its squared edges to 0; the kernel now raises instead
+    with pytest.raises(OverflowError):
+        face_axis_class(FIVE * 2**31)
+    with pytest.raises(OverflowError):
+        squared_edges(FIVE * 2**31)
+    # a translation keeps the answer: right at each bound, then one past it
+    assert face_axis_class(_shifted(FIVE, 2**27)) == "five-fold"
+    assert face_axis_class(-_shifted(FIVE, 2**27)) == "five-fold"
+    with pytest.raises(OverflowError):
+        face_axis_class(_shifted(FIVE, 2**27 + 1))
+    with pytest.raises(OverflowError):
+        face_axis_class(-_shifted(FIVE, 2**27 + 1))
+    assert squared_edges(_shifted(FIVE, 2**28)) == squared_edges(FIVE)
+    with pytest.raises(OverflowError):
+        squared_edges(_shifted(FIVE, 2**28 + 1))
+    t2 = realize("t2")
+    assert PlacedTile(kind="t2", exact=_shifted(t2.exact, 2**7), parity=1).volume() == t2.volume()
+    for exact in (_shifted(t2.exact, 2**7 + 1), t2.exact * 2**31):
+        with pytest.raises(OverflowError):
+            PlacedTile(kind="t2", exact=exact, parity=1)
+    # at the bound, a glue whose apex lands past it raises too
+    edge = t2.exact.copy()
+    edge[:, 1, 0] += 2**7 - edge[:, 1, 0].max()
+    with pytest.raises(OverflowError):
+        glue(PlacedTile(kind="t2", exact=edge, parity=1), 2, "t1", 2, correspondence=(0, 2, 1))
 
 
 def test_triangle_family():
