@@ -336,9 +336,7 @@ def all_records() -> list[TileRecord]:
 def _as_counts(inv) -> dict[TileKind, int]:
     if isinstance(inv, Inventory):
         return inv.counts_dict()
-    if isinstance(inv, dict):
-        return {TileKind(k): int(n) for k, n in inv.items()}
-    return {TileKind(k): int(n) for k, n in inv}
+    return {TileKind(k): int(n) for k, n in inv.items()}
 
 
 def expand_to_fundamental(inv) -> dict[TileKind, int]:

@@ -196,9 +196,9 @@ def _check_assemblies() -> tuple[bool, str]:
             return False, f"d1 face {i} not a planar pentagon"
         if any(sq != 1 for sq in squared_edges(corners)):
             return False, f"d1 face {i} edges not unit"
-    if abs(d1.mesh.volume() - d1.tile_volume_sum()) > 1e-9:
+    if d1.mesh.volume_exact() != sum((t.volume() for t in d1.tiles), GoldenRational(0)):
         return False, "d1 volume additivity"
-    if abs(d1.mesh.volume() - embed(d1.volume_exact())) > 1e-9:
+    if d1.mesh.volume_exact() != d1.volume_exact():
         return False, "d1 volume vs exact"
     for rec in dihedrals(d1.mesh):
         if rec.angle_class != "pi-atan2":
@@ -211,7 +211,7 @@ def _check_assemblies() -> tuple[bool, str]:
             return False, f"i1 face {i} not unit equilateral"
     if i1.volume_exact() != GoldenRational(10, 10, 12):
         return False, "i1 exact volume"
-    if abs(i1.mesh.volume() - embed(i1.volume_exact())) > 1e-9:
+    if i1.mesh.volume_exact() != i1.volume_exact():
         return False, "i1 volume additivity"
     for target in ("T1", "T2", "T3", "T4"):
         a = assemble(target)

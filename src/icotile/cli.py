@@ -123,19 +123,9 @@ def cmd_catalog(mode, as_json):
                    f"{embed(rec.volume):<14.7f} {faces}")
 
 
-_INFLATE_BASES = {
-    "T1": inflation.CountVector.unit(0),
-    "T2": inflation.CountVector.unit(1),
-    "T3": inflation.CountVector.unit(2),
-    "T4": inflation.CountVector.unit(3),
-    "d1": inflation.D1_COUNTS,
-    "dtau": inflation.DTAU_COUNTS,
-}
-
-
 @main.command("inflate")
 @click.option("--tile", required=True,
-              type=click.Choice(sorted(_INFLATE_BASES)),
+              type=click.Choice(sorted(inflation.BASES)),
               help="Starting patch: one composite tile or a dodecahedron.")
 @click.option("--order", required=True, type=int, help="Inflation power n.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
@@ -147,7 +137,7 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     if order > cfg.max_order:
         raise click.UsageError(
             f"--order {order} exceeds --max-order {cfg.max_order}")
-    counts = inflation.inflate_counts(_INFLATE_BASES[tile], order)
+    counts = inflation.inflate_counts(inflation.BASES[tile], order)
     volume = counts.total_volume()
     big = embed_decimal(volume)
     approx = float(big)

@@ -2,8 +2,9 @@
 
 assemble() instantiates a precomputed dissection (see _wiring) as a list
 of PlacedTiles, verifies that no two tetrahedra overlap, classifies every
-tetrahedron face as internal wall or outer boundary, and fuses coplanar
-boundary triangles into the polygonal faces of the outer hull.
+tetrahedron face as internal wall or outer boundary, and fuses the
+boundary triangles of each plane into one polygonal face of the outer hull
+by cancelling the edges they share.
 
 Boundary detection is a coverage test, not face matching: a face is on
 the boundary iff its centroid pushed an infinitesimal distance outward
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -57,30 +57,31 @@ class AssemblyError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class PlacedTile:
     """A fundamental tile: four vertices as doubled Z[tau] pairs, shape
-    (4, 3, 2), and the sign of their triple product (b-a).((c-a)x(d-a)),
-    which realize(), glue() and assemble() compute exactly.  faces are wound
-    outward for that parity.  vertices is the float image of exact;
-    assemble() passes rows of the wiring points it embedded once per build.
+    (4, 3, 2).  parity is the exact sign of their triple product
+    (b-a).((c-a)x(d-a)), and faces are wound outward for it; a flat tile is
+    a ValueError.  vertices is the float image of exact, derived at read.
     """
 
     kind: TileKind
     exact: np.ndarray
-    parity: int
     name: str = field(default="", compare=False)
-    vertices: np.ndarray | None = field(default=None, repr=False)
+    parity: int = field(init=False)
 
     def __post_init__(self):
-        if self.parity not in (-1, 1):
-            raise ValueError("parity must be +1 or -1")
         object.__setattr__(self, "kind", TileKind(self.kind))
         exact = _bounded(self.exact, _TILE_BOUND)
         if exact.shape != (4, 3, 2):
             raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
+        parity = int(_gsign(_triple(exact)))
+        if not parity:
+            raise ValueError("the tile is flat: its triple product is zero")
         exact.setflags(write=False)
         object.__setattr__(self, "exact", exact)
-        vertices = _embed_doubled(exact) if self.vertices is None else np.asarray(self.vertices)
-        vertices.setflags(write=False)
-        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "parity", parity)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return _embed_doubled(self.exact)
 
     @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -106,23 +107,32 @@ class PlacedTile:
 class Mesh:
     """Polygonal outer surface: shared vertices, outward-wound faces.
 
-    exact holds the vertices as doubled Z[tau] pairs, shape (V, 3, 2), and
-    vertices is their float image.  provenance[i] lists the names of the
-    tile instances whose triangles were fused into face i.
+    exact holds the vertices as doubled Z[tau] pairs, shape (V, 3, 2), each
+    entry at most 2**3 in magnitude and each face of at most 16 corners
+    (OverflowError beyond), and vertices is their float image, derived at
+    read.  provenance[i] lists the names of the tile instances whose
+    triangles were fused into face i.
     """
 
     exact: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, ...], ...]
-    vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.exact.setflags(write=False)
-        object.__setattr__(self, "vertices", _embed_doubled(self.exact))
+        exact = _bounded(self.exact, _MESH_BOUND)
+        if max(map(len, self.faces), default=0) > _MESH_CORNERS:
+            raise OverflowError(f"a face beyond {_MESH_CORNERS} corners: "
+                                "the exact int64 kernel would wrap")
+        exact.setflags(write=False)
+        object.__setattr__(self, "exact", exact)
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return _embed_doubled(self.exact)
 
     def counts(self) -> tuple[int, int, int]:
         """(N0, N1, N2): vertices, edges, faces."""
-        return len(self.vertices), len(self.edges()), len(self.faces)
+        return len(self.exact), len(self.edges()), len(self.faces)
 
     def edges(self) -> list[tuple[int, int]]:
         seen = set()
@@ -132,13 +142,17 @@ class Mesh:
                 seen.add((min(a, b), max(a, b)))
         return sorted(seen)
 
-    def volume(self) -> float:
+    def volume_exact(self) -> GoldenRational:
         """Enclosed volume by the divergence theorem (faces wound outward),
-        summed exactly over a fan of each face, then embedded."""
+        summed exactly over a fan of each face."""
         fan = [(f[0], f[k], f[k + 1]) for f in self.faces for k in range(1, len(f) - 1)]
         t = self.exact[fan]
         total = _gdot(t[:, 0], _gcross(t[:, 1], t[:, 2])).sum(axis=0)
-        return embed(GoldenRational(*total.tolist(), 48))  # doubled: 8 det / 6
+        return GoldenRational(*total.tolist(), 48)  # doubled: 8 det / 6
+
+    def volume(self) -> float:
+        """Float image of volume_exact()."""
+        return embed(self.volume_exact())
 
     def face_census(self) -> Counter:
         """Counter of (side count, sorted exact squared edge lengths)."""
@@ -226,10 +240,18 @@ _WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
 #     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
 #   PlacedTile: triple products and separating-axis projections are at most
 #     9 * 2M * 24 M^2 = 432 M^3; _gsign: (3 * 432 M^3)^2 < 2^63 for M <= 2^7.
+#   Mesh: the Newell normal of a face of k corners sums k cross products of
+#     its points, so it is at most 6 k M^2; dihedrals() takes the dot products
+#     of two normals, at most D = 9 (6 k M^2)^2 = 324 k^2 M^4, to degree 8 in
+#     _gmul(5 * dot, dot), at most 15 D^2 (and _gsign of a dot at most 9 D^2):
+#     15 * 324^2 k^4 M^8 < 2^63 for k <= 2^4 and M <= 2^3.  Each fan triangle
+#     of volume() adds 9 * M * 6 M^2 = 54 M^3 < 2^15 to the sum.
 
 _EDGE_BOUND = 2**28
 _AXIS_BOUND = 2**27
 _TILE_BOUND = 2**7
+_MESH_BOUND = 2**3
+_MESH_CORNERS = 2**4
 
 
 def _bounded(x, bound: int) -> np.ndarray:
@@ -271,12 +293,17 @@ def _triple(v: np.ndarray) -> np.ndarray:
     return _gdot(e[..., 0, :, :], _gcross(e[..., 1, :, :], e[..., 2, :, :]))
 
 
+@cache
+def _embed_half(a: int, b: int) -> float:
+    return embed(GoldenRational(a, b, 2))
+
+
 def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
     """Read-only float image of doubled pairs (..., 2): (a + b*tau)/2 by
-    embed, each distinct pair embedded once."""
-    uniq, inverse = np.unique(np.reshape(pairs, (-1, 2)), axis=0, return_inverse=True)
-    values = np.array([embed(GoldenRational(a, b, 2)) for a, b in uniq.tolist()])
-    out = values[np.reshape(inverse, np.shape(pairs)[:-1])]
+    embed, each distinct pair embedded once per process (the magnitude
+    guards keep the pairs few)."""
+    out = np.array([_embed_half(a, b) for a, b in np.reshape(pairs, (-1, 2)).tolist()],
+                   dtype=float).reshape(np.shape(pairs)[:-1])
     out.setflags(write=False)
     return out
 
@@ -317,24 +344,6 @@ def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
 # coplanar fusion of boundary triangles
 
 
-def _merge_cycles(fa: tuple[int, ...], fb: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Union of two consistently wound polygons sharing exactly one edge."""
-    edges_a = {(fa[i], fa[(i + 1) % len(fa)]) for i in range(len(fa))}
-    edges_b = {(fb[i], fb[(i + 1) % len(fb)]) for i in range(len(fb))}
-    shared = [e for e in edges_a if (e[1], e[0]) in edges_b]
-    if len(shared) != 1:
-        return None
-    i, j = shared[0]
-    ka = fa.index(i)
-    # rotate fb so it starts at i (the vertex after j in fb)
-    kb = fb.index(i)
-    path = [fb[(kb + s) % len(fb)] for s in range(len(fb))]  # i ... j
-    merged = list(fa[:ka + 1]) + path[1:-1] + list(fa[ka + 1:])
-    if len(set(merged)) != len(merged):
-        return None
-    return tuple(merged)
-
-
 def _drop_collinear(cycle: tuple[int, ...], points: np.ndarray) -> tuple[int, ...]:
     out = list(cycle)
     k = 0
@@ -355,30 +364,34 @@ def _plane_key(normal: np.ndarray, offset: np.ndarray) -> tuple[GoldenRational, 
     return tuple(c / scale for c in key)
 
 
-def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[set[str]],
+def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[str],
                    points: np.ndarray) -> tuple[list, list]:
-    """Fuse same-facing coplanar faces, given as (cycle, plane key), that share
-    an edge: per plane, merge the first mergeable pair into its earlier slot
-    until none is left."""
-    planes: dict[tuple, list[list]] = {}
-    for slot, ((face, key), own) in enumerate(zip(faces, owners)):
-        planes.setdefault(key, []).append([slot, face, set(own)])
-    survivors = []
-    for group in planes.values():
-        merged = True
-        while merged:
-            merged = False
-            for a, b in combinations(range(len(group)), 2):
-                cycle = _merge_cycles(group[a][1], group[b][1])
-                if cycle is not None:
-                    group[a][1] = cycle
-                    group[a][2] |= group.pop(b)[2]
-                    merged = True
-                    break
-        survivors += group
-    survivors.sort(key=lambda s: s[0])
-    return ([_drop_collinear(f, points) for _, f, _ in survivors],
-            [own for _, _, own in survivors])
+    """Fuse the triangles of each oriented plane, given as (cycle, plane key)
+    with their owners' names, into one face: the cycle of their directed
+    edges whose reverse is not among them, walked from the first of the
+    plane's corners on it (in triangle order) and kept in the slot of the
+    plane's first triangle, owned by all of them.  AssemblyError if those
+    edges are not one simple cycle."""
+    planes: dict[tuple, list[int]] = {}
+    for slot, (_, key) in enumerate(faces):
+        planes.setdefault(key, []).append(slot)
+    fused, owner_sets = [], []
+    for slots in planes.values():
+        cycles = [faces[s][0] for s in slots]
+        edges = {(f[i - 1], f[i]) for f in cycles for i in range(len(f))}
+        rim = [e for e in edges if e[::-1] not in edges]
+        after = dict(rim)
+        start = v = next((u for f in cycles for u in f if u in after), None)
+        cycle = []
+        for _ in rim:
+            cycle.append(v)
+            v = after.get(v)
+        if start is None or v != start or len(set(cycle)) != len(rim):
+            raise AssemblyError(f"the boundary triangles in the plane of a face of "
+                                f"{owners[slots[0]]} do not fuse into one simple polygon")
+        fused.append(_drop_collinear(tuple(cycle), points))
+        owner_sets.append({owners[s] for s in slots})
+    return fused, owner_sets
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +429,17 @@ def _build(target: str) -> Assembly:
 
     index = {lab: k for k, lab in enumerate(coords)}
     exact = np.array(list(coords.values()), dtype=np.int64)
-    points = _embed_doubled(exact)
-
     vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
     verts = exact[vert_ids]
-    parity = _gsign(_triple(verts)).tolist()
-    if 0 in parity:
-        raise AssemblyError(f"{target}: a tetrahedron is flat")
 
     tiles = []
     count: Counter = Counter()
-    for (kind_name, _), par, ids, v in zip(tets, parity, vert_ids, verts):
-        tiles.append(PlacedTile(kind=kind_name, exact=v, parity=par,
-                                name=f"{kind_name}-{count[kind_name]}", vertices=points[ids]))
+    for (kind_name, _), v in zip(tets, verts):
+        name = f"{kind_name}-{count[kind_name]}"
+        try:
+            tiles.append(PlacedTile(kind=kind_name, exact=v, name=name))
+        except ValueError as exc:
+            raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
 
     # no two tetrahedra may share interior volume
@@ -459,7 +470,7 @@ def _build(target: str) -> Assembly:
             if not wall:
                 hull.append((tuple(f), _plane_key(n, d)))
 
-    fused, owner_sets = _fuse_coplanar(hull, [{b.owner} for b in boundary], exact)
+    fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], exact)
 
     # compact the vertex array to the ones the hull actually uses
     used = sorted({i for f in fused for i in f})
@@ -529,7 +540,7 @@ def export_obj(assembly: Assembly) -> str:
             lines.append("v " + " ".join(f"{x:.17g}" for x in v))
         for f in t.faces:
             lines.append("f " + " ".join(str(i + 1 + offset) for i in f))
-        offset += len(t.vertices)
+        offset += len(t.exact)
     return "\n".join(lines) + "\n"
 
 

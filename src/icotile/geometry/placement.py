@@ -18,7 +18,7 @@ import numpy as np
 from ..catalog import TileKind
 from ..golden import ZERO, GoldenRational
 from . import _wiring
-from .assembly import PlacedTile, _gcross, _gdot, _gsign, _triple
+from .assembly import PlacedTile, _gcross, _gdot
 from .schemes import edge_scheme
 
 __all__ = [
@@ -68,9 +68,9 @@ def realize(kind: TileKind | str) -> PlacedTile:
     for perm in permutations(range(4)):
         if all(GoldenRational(*squares[perm[i]][perm[j]], 4) == scheme.squared(i, j)
                for i, j in combinations(range(4), 2)):
-            v = points[list(perm)]
-            if _gsign(_triple(v)) > 0:
-                return PlacedTile(kind=kind, exact=v, parity=1)
+            tile = PlacedTile(kind=kind, exact=points[list(perm)])
+            if tile.parity > 0:
+                return tile
     raise RuntimeError(f"no positive ordering of {kind} matches its edge scheme")
 
 
@@ -152,23 +152,22 @@ def glue(fixed: PlacedTile, fixed_face: int,
     face = list(moving.faces[moving_face])
     apex = 6 - sum(face)
 
-    results: dict[frozenset, tuple] = {}  # by vertex set: (p, vertices, parity)
+    results: dict[frozenset, tuple] = {}  # by vertex set: (p, tile)
     for p in matchings:
         placed = np.empty((4, 3, 2), dtype=np.int64)
         placed[face] = corners[list(p)]
         placed[apex] = _apex(moving.exact[face], moving.exact[apex], placed[face], normal)
-        parity = int(_gsign(_triple(placed)))
-        if (parity != moving.parity) == flip:
-            results.setdefault(frozenset(map(tuple, placed.reshape(4, 6).tolist())),
-                               (p, placed, parity))
+        tile = PlacedTile(kind=moving.kind, exact=placed, name=moving.name)
+        if (tile.parity != moving.parity) == flip:
+            results.setdefault(frozenset(map(tuple, placed.reshape(4, 6).tolist())), (p, tile))
 
     if not results:
         raise GlueError("no attachment with the requested handedness (flip"
                         f"={flip}) exists for this face pair")
     if len(results) > 1:
-        opts = ", ".join(str(p) for p, _, _ in results.values())
+        opts = ", ".join(str(p) for p, _ in results.values())
         raise AmbiguityError(
             f"{len(results)} distinct attachments are legal ({opts}); "
             "pass correspondence= to choose one")
-    ((_, placed, parity),) = results.values()
-    return PlacedTile(kind=moving.kind, exact=placed, parity=parity, name=moving.name)
+    ((_, tile),) = results.values()
+    return tile

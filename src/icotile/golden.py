@@ -22,7 +22,6 @@ from math import gcd, isqrt
 
 __all__ = [
     "GoldenRational",
-    "mul",
     "conj",
     "tau_pow",
     "embed",
@@ -219,11 +218,6 @@ ONE = GoldenRational(1)
 TAU = GoldenRational(0, 1)
 SIGMA = GoldenRational(1, -1)
 SQRT5 = GoldenRational(-1, 2)
-
-
-def mul(x: GoldenRational, y: GoldenRational) -> GoldenRational:
-    """Exact product in Q(tau)."""
-    return _as_golden(x) * _as_golden(y)
 
 
 def conj(x: GoldenRational) -> GoldenRational:

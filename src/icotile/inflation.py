@@ -40,7 +40,7 @@ from functools import cache, reduce
 from math import lcm
 from typing import NamedTuple
 
-from .catalog import TileKind, record, total_volume
+from .catalog import TileKind, record
 from .golden import TAU, GoldenRational, conj, embed, tau_pow
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "composite_volumes",
     "D1_COUNTS",
     "DTAU_COUNTS",
+    "BASES",
     "COMPOSITE_ORDER",
 ]
 
@@ -104,6 +105,10 @@ class CountVector:
 
 D1_COUNTS = CountVector((3, 4, 0, 4))
 DTAU_COUNTS = CountVector((7, 18, 14, 10))
+
+# the starting patches by name: one composite tile or a dodecahedron
+BASES = {**{f"T{i + 1}": CountVector.unit(i) for i in range(4)},
+         "d1": D1_COUNTS, "dtau": DTAU_COUNTS}
 
 
 def _mat_mul(a, b):
@@ -319,7 +324,7 @@ class Part:
     count: int
 
     def __post_init__(self):
-        if self.block not in ("d1", "dtau", "T1", "T2", "T3", "T4"):
+        if self.block not in BASES:
             raise ValueError(f"unknown block {self.block!r}")
         if self.count < 0:
             raise ValueError("negative count")
@@ -329,19 +334,13 @@ class Part:
             raise ValueError("dodecahedral blocks carry no inflation order")
 
     def counts(self) -> CountVector:
-        if self.block == "d1":
-            base = D1_COUNTS
-        elif self.block == "dtau":
-            base = DTAU_COUNTS
-        else:
-            base = CountVector.unit(int(self.block[1]) - 1)
-        return inflate_counts(base, self.order).scaled(self.count)
+        return inflate_counts(BASES[self.block], self.order).scaled(self.count)
 
     def volume(self) -> GoldenRational:
         if self.block == "d1":
-            v = total_volume({TileKind.T1: 3, TileKind.T2: 4, TileKind.T4: 4})
+            v = D1_COUNTS.total_volume()
         elif self.block == "dtau":
-            v = tau_pow(3) * total_volume({TileKind.T1: 3, TileKind.T2: 4, TileKind.T4: 4})
+            v = tau_pow(3) * D1_COUNTS.total_volume()
         else:
             v = tau_pow(3 * self.order) * record(TileKind(self.block)).volume
         return v * self.count
@@ -393,26 +392,22 @@ def verify_decomposition(d: Decomposition) -> VerifyReport:
     return VerifyReport(total.c == target.c, vol_parts == vol_target)
 
 
-def _unit(tile: str) -> CountVector:
-    return CountVector.unit(int(tile[1]) - 1)
-
-
 def _ledger_data() -> list[Decomposition]:
     P = Part
     return [
-        Decomposition("T1^(2)", _unit("T1"), 2, (
+        Decomposition("T1^(2)", BASES["T1"], 2, (
             P("d1", 0, 1), P("T2", 1, 2), P("T3", 1, 1), P("T4", 1, 1),
             P("T2", 0, 1), P("T3", 0, 4))),
-        Decomposition("T2^(3)", _unit("T2"), 3, (
+        Decomposition("T2^(3)", BASES["T2"], 3, (
             P("d1", 0, 1), P("T2", 2, 2), P("T2", 0, 5), P("T3", 0, 6))),
-        Decomposition("T3^(2)", _unit("T3"), 2, (
+        Decomposition("T3^(2)", BASES["T3"], 2, (
             P("d1", 0, 1), P("T2", 0, 5), P("T3", 0, 6))),
-        Decomposition("T4^(2)", _unit("T4"), 2, (
+        Decomposition("T4^(2)", BASES["T4"], 2, (
             P("d1", 0, 1), P("T2", 0, 3), P("T3", 0, 5))),
-        Decomposition("T2^(4)", _unit("T2"), 4, (
+        Decomposition("T2^(4)", BASES["T2"], 4, (
             P("d1", 0, 2), P("dtau", 0, 1), P("T2", 2, 4), P("T2", 1, 5),
             P("T3", 1, 6), P("T2", 0, 10), P("T3", 0, 12))),
-        Decomposition("T1^(4)", _unit("T1"), 4, (
+        Decomposition("T1^(4)", BASES["T1"], 4, (
             P("d1", 0, 13), P("dtau", 0, 2), P("T2", 2, 9), P("T2", 1, 14),
             P("T3", 1, 14), P("T4", 1, 3), P("T2", 0, 45), P("T3", 0, 68))),
         Decomposition("d(tau^10)", D1_COUNTS, 10, (

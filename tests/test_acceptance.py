@@ -258,6 +258,7 @@ def test_criterion_08_assemblies():
         assert normal.any() and not assembly._gdot(e[2:], normal).any()
         assert squared_edges(corners) == (1,) * 5
     assert abs(d1.mesh.volume() - d1.tile_volume_sum()) <= 1e-9
+    assert d1.mesh.volume_exact() == GR(24, 42, 12)
     for rec in dihedrals(d1.mesh):
         assert rec.angle_class == "pi-atan2"
         assert abs(rec.angle - (math.pi - ATAN2)) <= 1e-9
@@ -269,6 +270,7 @@ def test_criterion_08_assemblies():
         assert squared_edges(i1.mesh.exact[list(i1.mesh.faces[i])]) == (1,) * 3
     assert i1.volume_exact() == GR(10, 10, 12)
     assert abs(i1.mesh.volume() - embed(GR(10, 10, 12))) <= 1e-9
+    assert i1.mesh.volume_exact() == GR(10, 10, 12)
 
     for target in ("T1", "T2", "T3", "T4"):
         a = assemble(target)
@@ -302,6 +304,23 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
     assert checks._check_assemblies() == (False, detail)
     monkeypatch.setattr(geometry, "assemble", assemble)
     assert checks._check_assemblies()[0]
+
+
+def test_assemblies_check_decides_volumes_exactly(monkeypatch):
+    def inward(a):  # every hull face wound inward: the hull volume changes sign
+        faces = tuple(f[::-1] for f in a.mesh.faces)
+        return dataclasses.replace(a, mesh=assembly.Mesh(a.mesh.exact, faces, a.mesh.provenance))
+
+    d1 = assemble("d1")
+    assert d1.tiles[0].kind is not TileKind.t6
+    relabeled = dataclasses.replace(
+        d1, tiles=(dataclasses.replace(d1.tiles[0], kind="t6"),) + d1.tiles[1:])
+    for target, moved, detail in (("d1", inward(d1), "d1 volume additivity"),
+                                  ("d1", relabeled, "d1 volume vs exact"),
+                                  ("i1", inward(assemble("i1")), "i1 volume additivity")):
+        monkeypatch.setattr(geometry, "assemble",
+                            lambda t: moved if t == target else assemble(t))
+        assert checks._check_assemblies() == (False, detail)
 
 
 def test_assemblies_check_decides_dihedrals_exactly(monkeypatch):

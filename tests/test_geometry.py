@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from icotile import catalog
 from icotile.catalog import triangle_family
+from icotile.cli import canonical_json
 from icotile.geometry import (
     AmbiguityError,
     AssemblyError,
@@ -129,6 +131,38 @@ def test_realize_matches_scheme():
             [embed(GoldenRational(a, b, 2)) for a, b in q] for q in t.exact.tolist()]
 
 
+def _wound_outward(tile) -> bool:
+    """Exact: every face normal points away from the opposite vertex."""
+    for f in tile.faces:
+        p, q, r = tile.exact[list(f)]
+        (o,) = [tile.exact[i] for i in range(4) if i not in f]
+        normal = assembly._gcross(q - p, r - p)
+        if assembly._gsign(assembly._gdot(normal, o - p)) >= 0:
+            return False
+    return True
+
+
+def test_parity_derived_from_exact():
+    t2 = realize("t2")
+    swapped = PlacedTile(kind="t2", exact=t2.exact[[1, 0, 2, 3]])
+    assert (t2.parity, swapped.parity) == (1, -1)
+    assert _wound_outward(t2) and _wound_outward(swapped)
+    assert swapped.volume() == t2.volume()
+    # the swapped copy takes t4 on its unit face like the original does
+    placed = glue(swapped, swapped.find_face((1, 1, 1)), "t4", realize("t4").find_face((1, 1, 1)))
+    assert assembly._overlapping_pairs(np.stack([swapped.exact, placed.exact])) == []
+
+
+def test_flat_tile_rejected(monkeypatch):
+    flat = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)])
+    with pytest.raises(ValueError, match="flat"):
+        PlacedTile(kind="t1", exact=flat)
+    coords = {lab: tuple(map(tuple, q)) for lab, q in zip("abcd", flat.tolist())}
+    monkeypatch.setitem(assembly._SOURCES, "T2", (coords, [("t1", tuple("abcd"))], None))
+    with pytest.raises(AssemblyError, match="T2: t1-0: .*flat"):
+        assembly._build("T2")
+
+
 def test_realize_volume_matches_cm():
     for kind in FUNDAMENTALS:
         assert realize(kind).volume() == cm_volume(edge_scheme(kind)).exact_root
@@ -235,10 +269,8 @@ def test_glue_face_index_validated():
 def test_glue_outside_frame():
     # congruent right isosceles faces, the fixed one turned by the 3-4-5
     # rotation about x: the apex would land at fifths of a doubled unit
-    fixed = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 6, 8), (0, 0, -10)]),
-                       parity=-1)
-    moving = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 10, 0), (0, 0, 2)]),
-                        parity=1)
+    fixed = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 6, 8), (0, 0, -10)]))
+    moving = PlacedTile(kind="t1", exact=_rational([(0, 0, 0), (10, 0, 0), (0, 10, 0), (0, 0, 2)]))
     assert face_correspondences(fixed, 0, moving, 0) == [(0, 1, 2), (0, 2, 1)]
     with pytest.raises(GlueError, match="half-integer frame"):
         glue(fixed, 0, moving, 0, correspondence=(0, 1, 2))
@@ -334,8 +366,35 @@ def test_assembly_volumes():
         else:
             expect = catalog.record(target).volume
         assert a.volume_exact() == expect
+        assert a.mesh.volume_exact() == expect
+        assert a.mesh.volume_exact() == sum((t.volume() for t in a.tiles), GoldenRational(0))
         assert a.mesh.volume() == pytest.approx(embed(expect), abs=1e-9)
         assert abs(a.mesh.volume() - a.tile_volume_sum()) < 1e-9
+
+
+def test_fuse_coplanar_cancels_shared_edges():
+    square = _rational([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 0, 0)])
+    key = ("z = 0",)
+    # a fan of three triangles: one face from the first triangle's first
+    # corner, the collinear corner 4 dropped, owned by all three
+    faces = [((1, 2, 3), key), ((1, 3, 4), key), ((4, 3, 0), key), ((0, 1, 3), ("x",))]
+    fused, owners = assembly._fuse_coplanar(faces, ["a", "b", "c", "d"], square)
+    assert fused == [(1, 2, 3, 0), (0, 1, 3)]
+    assert owners == [{"a", "b", "c"}, {"d"}]
+    # a fan around an inner corner: the walk starts at the first corner on
+    # the rim, whichever corner its first triangle lists first
+    star = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (-2, 0, 0), (0, -2, 0)])
+    for first in ((0, 1, 2), (1, 2, 0)):
+        fan = [first, (0, 2, 3), (0, 3, 4), (0, 4, 1)]
+        fused, owners = assembly._fuse_coplanar([(f, key) for f in fan], list("abcd"), star)
+        assert (fused, owners) == ([(1, 2, 3, 4)], [set("abcd")])
+
+
+def test_fuse_coplanar_rejects_disjoint_triangles():
+    points = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (4, 0, 0), (6, 0, 0), (4, 2, 0)])
+    key = ("z = 0",)
+    with pytest.raises(AssemblyError, match="one simple polygon"):
+        assembly._fuse_coplanar([((0, 1, 2), key), ((3, 4, 5), key)], ["a", "b"], points)
 
 
 def _planar(corners):
@@ -429,31 +488,19 @@ def test_exact_sign_matches_golden_rational():
     assert assembly._gsign(pairs).tolist() == want
 
 
-def _tet_axes(verts: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    a, b, c, d = verts
-    edges = [b - a, c - a, d - a, c - b, d - b, d - c]
-    axes = [np.cross(b - a, c - a), np.cross(b - a, d - a),
-            np.cross(c - a, d - a), np.cross(c - b, d - b)]
-    return edges, axes
-
-
 def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
-    """True if the interiors intersect (separating axis test).
+    """True if the interiors intersect: separating axis test on the 4 + 4
+    face normals and the 36 edge-edge cross products at once.
 
     The float reference for the exact assembly._overlapping_pairs."""
-    e1, f1 = _tet_axes(v1)
-    e2, f2 = _tet_axes(v2)
-    axes = f1 + f2 + [np.cross(a, b) for a in e1 for b in e2]
-    for ax in axes:
-        n = np.linalg.norm(ax)
-        if n < 1e-12:
-            continue
-        ax = ax / n
-        p1 = v1 @ ax
-        p2 = v2 @ ax
-        if min(p1.max() - p2.min(), p2.max() - p1.min()) <= tol:
-            return False
-    return True
+    e1, e2 = (v[[1, 2, 3, 2, 3, 3]] - v[[0, 0, 0, 1, 1, 2]] for v in (v1, v2))
+    axes = np.concatenate([np.cross(e1[[0, 0, 1, 3]], e1[[1, 2, 2, 4]]),
+                           np.cross(e2[[0, 0, 1, 3]], e2[[1, 2, 2, 4]]),
+                           np.cross(e1[:, None], e2[None]).reshape(36, 3)])
+    n = np.linalg.norm(axes, axis=1)
+    axes = axes[n >= 1e-12] / n[n >= 1e-12, None]
+    p1, p2 = v1 @ axes.T, v2 @ axes.T
+    return not (np.minimum(p1.max(0) - p2.min(0), p2.max(0) - p1.min(0)) <= tol).any()
 
 
 def _moved_half_in_x(triple):
@@ -539,15 +586,31 @@ def test_magnitude_guards():
     with pytest.raises(OverflowError):
         squared_edges(_shifted(FIVE, 2**28 + 1))
     t2 = realize("t2")
-    assert PlacedTile(kind="t2", exact=_shifted(t2.exact, 2**7), parity=1).volume() == t2.volume()
+    assert PlacedTile(kind="t2", exact=_shifted(t2.exact, 2**7)).volume() == t2.volume()
     for exact in (_shifted(t2.exact, 2**7 + 1), t2.exact * 2**31):
         with pytest.raises(OverflowError):
-            PlacedTile(kind="t2", exact=exact, parity=1)
+            PlacedTile(kind="t2", exact=exact)
     # at the bound, a glue whose apex lands past it raises too
     edge = t2.exact.copy()
     edge[:, 1, 0] += 2**7 - edge[:, 1, 0].max()
     with pytest.raises(OverflowError):
-        glue(PlacedTile(kind="t2", exact=edge, parity=1), 2, "t1", 2, correspondence=(0, 2, 1))
+        glue(PlacedTile(kind="t2", exact=edge), 2, "t1", 2, correspondence=(0, 2, 1))
+
+
+def test_mesh_magnitude_guard():
+    d1 = assemble("d1").mesh
+    # at the bound the classes and the volume scale; scaled by 2**16,
+    # dihedrals() used to report every edge as atan2 with a NaN angle
+    big = assembly.Mesh(exact=d1.exact * 2**3, faces=d1.faces, provenance=d1.provenance)
+    assert {rec.angle_class for rec in dihedrals(big)} == {"pi-atan2"}
+    assert big.volume_exact() == d1.volume_exact() * 2**9
+    for exact in (d1.exact * 2**16, _shifted(d1.exact, 2**3 + 1)):
+        with pytest.raises(OverflowError):
+            assembly.Mesh(exact=exact, faces=d1.faces, provenance=d1.provenance)
+    ring = np.zeros((17, 3, 2), dtype=np.int64)
+    assembly.Mesh(exact=ring, faces=(tuple(range(16)),), provenance=((),))
+    with pytest.raises(OverflowError):
+        assembly.Mesh(exact=ring, faces=(tuple(range(17)),), provenance=((),))
 
 
 def test_triangle_family():
@@ -631,6 +694,40 @@ def test_export_patch():
     hull = patch["hull"]
     assert len(hull["vertices"]) == 12
     assert len(hull["faces"]) == 20
+
+
+# sha256 of canonical_json(export_patch(a)) + "\n" and of export_obj(a):
+# hull face order, start corners and provenance, tile names, parities and
+# floats, byte for byte
+EXPORT_SHA256 = {
+    "d1": ("c71551eccb22104337e97ab679b676d76dbc1409b8706b2f04d71724a8a46976",
+           "d4e7fadb24d997cbedeb27316b0cf18e60d2e55235a381d60753e798bec10c3b"),
+    "i1": ("2bca913bd6729bc9cac5d5238b8f1137360e9509e05740408678827eb7b81f48",
+           "05d633770170023faedb8378ffb46bc0885a8d3e0f3d3563550d6fc85ba2d00f"),
+    "E": ("0918cdf38b9aa2c3090a54e033ba365ad70182424218484e3e91dcdb79b1df90",
+          "7d2f9ea0fd4e73b6de46189c460e3c3fb8dbfc5db2942881fc534d9479b1f0f9"),
+    "C": ("355e07876798ece474e071b1ddfea58ec30d438600a27823e4dd0476581d61c7",
+          "20c8a439cc5713b4427694cc0cba56a3b4a0fa6e6688e58aab2b2e0fdcff3436"),
+    "T1": ("db04bc39b46398b9ef90508ea62fc20e3d120340fbbfa144942c6d5f08c18ecd",
+           "234903eda640c7d598cf46ad55ee01a21ac6a5b298906c7da586949761f55f52"),
+    "T2": ("db0a7460768a02791c61534670c885fcfdc195456ea3e533435d58e2c54964cd",
+           "e1ed1353677eff1941d0b00593fa824fd65036ba196616abd04d0380e63a25db"),
+    "T3": ("fa288cb89ee3b12cdd1ee48b2883524a5a49eae18142213a8f429609f507e043",
+           "c6813a413ad137c2208341d6dfddcc1028359e62956d8cbd96ce733bababe319"),
+    "T3bar": ("fab4ae6e05e0db388ea893f8c8d3d11a1bd22c88bc4a6c03458958592d58d226",
+              "5be4f66c0e2d12ed5dc6bfb451566a470b388d527b959a26b8cb358dfd2e19ba"),
+    "T4": ("4b294b454ac4b5e604b0ca5537284e3614d3a8dda21ad8fe2dfe331918cd18c8",
+           "fe8e64f038e57fcbffe1365b5aab45ca5a05692a4df07ee3a759b438e24ccc4e"),
+}
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_exports_pinned(target):
+    a = assemble(target)
+    patch = canonical_json(export_patch(a)) + "\n"
+    got = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for text in (patch, export_obj(a)))
+    assert got == EXPORT_SHA256[target]
 
 
 def test_assemble_rejects_unknown():
