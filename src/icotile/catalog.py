@@ -6,15 +6,18 @@ T3bar variant (one t5 of T3 re-seated by a 120 degree turn), and the
 standard polyhedron inventories (unit icosahedron and dodecahedron, their
 tau-scaled versions) expressed in both fundamental and composite tiles.
 
-Volumes are exact GoldenRationals; every composite volume equals the sum
-of its composition, and every composite satisfies Euler's relation
-N0 - N1 + N2 = 2.  Face censuses are stored post-merge: coplanar glued
-triangles are fused, e.g. the four trapezoids of T1 or the base pentagon
-of T3.  The raw triangle census before merging is kept as auxiliary data.
+A fundamental tile is given by its six edge lengths, and its face census
+is derived from them.  Volumes are exact GoldenRationals; every composite
+volume is summed over its composition, and every composite satisfies
+Euler's relation N0 - N1 + N2 = 2.  Composite face censuses are stored
+post-merge: coplanar glued triangles are fused, e.g. the four trapezoids
+of T1 or the base pentagon of T3.  The raw triangle census before merging
+is kept as auxiliary data.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,6 +143,7 @@ class TileRecord:
     N1: int | None = None
     N2: int | None = None
     premerge_triangles: tuple[FaceSpec, ...] = ()
+    edge_lengths: tuple[GoldenRational, ...] = ()  # AB, AC, AD, BC, BD, CD; t1..t6 only
 
     def __post_init__(self):
         if not self.kind.is_fundamental:
@@ -188,24 +192,36 @@ class Inventory:
 
 
 _T = TAU
-
-
-def _tri(*edges) -> tuple[GoldenRational, ...]:
-    return tuple(edges)
-
-
-def _face(shape, edges, mult) -> FaceSpec:
-    return FaceSpec(shape, tuple(edges), mult)
-
-
 _TRAP = (ONE, ONE, ONE, _T)  # isosceles trapezoid from a (1,1,tau) and a (1,tau,tau)
 _PENT = (ONE,) * 5
 
-_E111 = _tri(ONE, ONE, ONE)
-_ETTT = _tri(_T, _T, _T)
-_R11T = _tri(ONE, ONE, _T)
-_R1TT = _tri(ONE, _T, _T)
-_RTT2 = _tri(_T, _T, _TAU2)
+_R11T = (ONE, ONE, _T)
+_R1TT = (ONE, _T, _T)
+_RTT2 = (_T, _T, _TAU2)
+
+
+# Edge lengths of AB, AC, AD, BC, BD, CD for each fundamental tile with
+# vertices A, B, C, D.  Up to relabelling, each is the unique assignment of
+# 1s and taus that gives the tile's face census; _tet_faces derives it.
+_EDGE_LENGTHS = {
+    TileKind.t1: (ONE, ONE, ONE, ONE, ONE, _T),  # the tau edge joins the two Robinson faces
+    TileKind.t2: (ONE, ONE, ONE, ONE, _T, _T),  # BD = CD = tau
+    TileKind.t3: (ONE, ONE, ONE, _T, _T, _T),  # base (tau,tau,tau), apex edges 1
+    TileKind.t4: (_T, _T, _T, ONE, ONE, ONE),  # base (1,1,1), apex edges tau
+    TileKind.t5: (ONE, ONE, _T, _T, _T, _T),  # base (tau,tau,tau), apex edges (1,1,tau)
+    TileKind.t6: (ONE, _T, _T, _T, _T, _T),  # five edges tau, one edge 1
+}
+
+# the faces ABC, ABD, ACD, BCD as positions in that edge order
+_FACE_EDGES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
+
+
+def _tet_faces(lengths) -> tuple[FaceSpec, ...]:
+    """Face census of a tetrahedron with these six edge lengths: one
+    FaceSpec per sorted edge triple, equilateral faces first, then by edges."""
+    census = Counter(tuple(sorted(lengths[i] for i in face)) for face in _FACE_EDGES)
+    return tuple(FaceSpec("triangle", edges, census[edges])
+                 for edges in sorted(census, key=lambda e: (e[0] != e[2], e)))
 
 
 def _records() -> dict[TileKind, TileRecord]:
@@ -218,108 +234,70 @@ def _records() -> dict[TileKind, TileRecord]:
         TileKind.t5: _TAU2 * twelfth,
         TileKind.t6: TAU * _TAU2 * twelfth,
     }
-    recs: dict[TileKind, TileRecord] = {}
-    recs[TileKind.t1] = TileRecord(
-        TileKind.t1,
-        (_face("triangle", _E111, 2), _face("triangle", _R11T, 2)),
-        vols[TileKind.t1],
-    )
-    recs[TileKind.t2] = TileRecord(
-        TileKind.t2,
-        (_face("triangle", _E111, 1), _face("triangle", _R11T, 2), _face("triangle", _R1TT, 1)),
-        vols[TileKind.t2],
-    )
-    recs[TileKind.t3] = TileRecord(
-        TileKind.t3,
-        (_face("triangle", _ETTT, 1), _face("triangle", _R11T, 3)),
-        vols[TileKind.t3],
-    )
-    recs[TileKind.t4] = TileRecord(
-        TileKind.t4,
-        (_face("triangle", _E111, 1), _face("triangle", _R1TT, 3)),
-        vols[TileKind.t4],
-    )
-    recs[TileKind.t5] = TileRecord(
-        TileKind.t5,
-        (_face("triangle", _ETTT, 1), _face("triangle", _R11T, 1), _face("triangle", _R1TT, 2)),
-        vols[TileKind.t5],
-    )
-    recs[TileKind.t6] = TileRecord(
-        TileKind.t6,
-        (_face("triangle", _ETTT, 2), _face("triangle", _R1TT, 2)),
-        vols[TileKind.t6],
-    )
+    recs = {kind: TileRecord(kind, _tet_faces(lengths), vols[kind], edge_lengths=lengths)
+            for kind, lengths in _EDGE_LENGTHS.items()}
 
     def vol_of(comp):
-        return sum((vols[k] * n for k, n in comp), GoldenRational(0))
+        return sum((recs[k].volume * n for k, n in comp), GoldenRational(0))
 
     # E: two t4 matched on the two equilateral faces of a t1 (nonconvex octahedron)
     comp_E = ((TileKind.t4, 2), (TileKind.t1, 1))
     recs[TileKind.E] = TileRecord(
         TileKind.E,
-        (_face("triangle", _R1TT, 6), _face("triangle", _R11T, 2)),
+        (FaceSpec("triangle", _R1TT, 6), FaceSpec("triangle", _R11T, 2)),
         vol_of(comp_E), comp_E, 6, 12, 8,
-        premerge_triangles=(_face("triangle", _R1TT, 6), _face("triangle", _R11T, 2)),
+        premerge_triangles=(FaceSpec("triangle", _R1TT, 6), FaceSpec("triangle", _R11T, 2)),
     )
     # C: a t6 sandwiched between two t3 on its (tau,tau,tau) faces
     comp_C = ((TileKind.t3, 2), (TileKind.t6, 1))
     recs[TileKind.C] = TileRecord(
         TileKind.C,
-        (_face("triangle", _R11T, 6), _face("triangle", _R1TT, 2)),
+        (FaceSpec("triangle", _R11T, 6), FaceSpec("triangle", _R1TT, 2)),
         vol_of(comp_C), comp_C, 6, 12, 8,
-        premerge_triangles=(_face("triangle", _R11T, 6), _face("triangle", _R1TT, 2)),
+        premerge_triangles=(FaceSpec("triangle", _R11T, 6), FaceSpec("triangle", _R1TT, 2)),
     )
     # T1 = E + C, C inserted between the legs of E on two (1,tau,tau) faces
     comp_T1 = ((TileKind.E, 1), (TileKind.C, 1))
     recs[TileKind.T1] = TileRecord(
         TileKind.T1,
-        (_face("triangle", _R11T, 4), _face("trapezoid", _TRAP, 4)),
-        vols[TileKind.t1] + 2 * vols[TileKind.t4] + 2 * vols[TileKind.t3] + vols[TileKind.t6],
-        comp_T1, 8, 14, 8,
-        premerge_triangles=(_face("triangle", _R11T, 8), _face("triangle", _R1TT, 4)),
+        (FaceSpec("triangle", _R11T, 4), FaceSpec("trapezoid", _TRAP, 4)),
+        vol_of(comp_T1), comp_T1, 8, 14, 8,
+        premerge_triangles=(FaceSpec("triangle", _R11T, 8), FaceSpec("triangle", _R1TT, 4)),
     )
     comp_T2 = ((TileKind.t2, 1), (TileKind.t4, 1))
     recs[TileKind.T2] = TileRecord(
         TileKind.T2,
-        (_face("triangle", _R1TT, 2), _face("triangle", _RTT2, 2)),
+        (FaceSpec("triangle", _R1TT, 2), FaceSpec("triangle", _RTT2, 2)),
         vol_of(comp_T2), comp_T2, 4, 6, 4,
-        premerge_triangles=(_face("triangle", _R11T, 2), _face("triangle", _R1TT, 4)),
+        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 4)),
     )
     comp_T3 = ((TileKind.t5, 2), (TileKind.t6, 1))
     recs[TileKind.T3] = TileRecord(
         TileKind.T3,
-        (_face("triangle", _R1TT, 5), _face("pentagon", _PENT, 1)),
+        (FaceSpec("triangle", _R1TT, 5), FaceSpec("pentagon", _PENT, 1)),
         vol_of(comp_T3), comp_T3, 6, 10, 6,
-        premerge_triangles=(_face("triangle", _R11T, 2), _face("triangle", _R1TT, 6)),
+        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 6)),
     )
     # T3bar: same three tiles, one t5 re-seated by a 120 degree turn about its
     # base axis; the pentagon never forms and two trapezoids appear instead
     recs[TileKind.T3bar] = TileRecord(
         TileKind.T3bar,
-        (_face("triangle", _R1TT, 4), _face("trapezoid", _TRAP, 2)),
+        (FaceSpec("triangle", _R1TT, 4), FaceSpec("trapezoid", _TRAP, 2)),
         vol_of(comp_T3), comp_T3, 6, 10, 6,
-        premerge_triangles=(_face("triangle", _R11T, 2), _face("triangle", _R1TT, 6)),
+        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 6)),
     )
     comp_T4 = ((TileKind.t3, 1), (TileKind.t6, 1), (TileKind.t5, 1))
     recs[TileKind.T4] = TileRecord(
         TileKind.T4,
-        (_face("triangle", _R11T, 3), _face("triangle", _R1TT, 3), _face("trapezoid", _TRAP, 1)),
+        (FaceSpec("triangle", _R11T, 3), FaceSpec("triangle", _R1TT, 3),
+         FaceSpec("trapezoid", _TRAP, 1)),
         vol_of(comp_T4), comp_T4, 6, 11, 7,
-        premerge_triangles=(_face("triangle", _R11T, 4), _face("triangle", _R1TT, 4)),
+        premerge_triangles=(FaceSpec("triangle", _R11T, 4), FaceSpec("triangle", _R1TT, 4)),
     )
     return recs
 
 
 _RECORDS = _records()
-
-
-def _validate_catalog():
-    # composite volume must equal the exact sum over its composition
-    for rec in _RECORDS.values():
-        if rec.kind.is_fundamental:
-            continue
-        if total_volume(dict(rec.composition)) != rec.volume:
-            raise AssertionError(f"{rec.kind}: volume differs from composition sum")
 
 
 def record(kind: TileKind | str) -> TileRecord:
@@ -381,9 +359,6 @@ INVENTORY_TARGETS = tuple(_INVENTORIES)
 # the clusters geometry.assemble() builds; kept here, away from numpy, so
 # the CLI can list them without loading the geometry layer
 ASSEMBLY_TARGETS = ("d1", "i1", "E", "C", "T1", "T2", "T3", "T3bar", "T4")
-
-_validate_catalog()
-
 
 def inventory(target: str) -> Inventory:
     """One of the named inventories: i1, itau, d1-fundamental, d1-composite, dtau-composite."""

@@ -9,13 +9,42 @@ returns structured results; the CLI `verify` command renders them.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from . import catalog, inflation, report
 from .catalog import TileKind, triangle_family
-from .golden import GoldenRational, SQRT5, embed, tau_pow
+from .golden import GoldenRational, embed, tau_pow
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
+
+# The published values the checks compare against, each typed once.
+_TILE_VOLUMES = tuple(tau_pow(k) / 12 for k in (0, 1, 1, 2, 2, 3))  # t1..t6
+_COMPOSITE_VOLUMES = {
+    TileKind.T1: tau_pow(4) * 2 / 12,
+    TileKind.T2: tau_pow(3) / 12,
+    TileKind.T3: GoldenRational(3, 4, 12),
+    TileKind.T4: tau_pow(3) * 2 / 12,
+}
+_D1_VOLUME = GoldenRational(24, 42, 12)
+_D1_VOLUME_CLASSICAL = (15 + 7 * math.sqrt(5)) / 4
+_I1_VOLUME = GoldenRational(10, 10, 12)
+_I1_VOLUME_CLASSICAL = (15 + 5 * math.sqrt(5)) / 12
+_CHAR_POLY = (1, -5, 2, 5, 1)
+_SPECTRUM = (tau_pow(3), tau_pow(1), -tau_pow(-1), -tau_pow(-3))
+_PRINTED_RIGHT_PF = (0.3820, 0.1180, 0.2639, 0.2361)
+_PRINTED_LEFT_PF = (0.1338, 0.4331, 0.2677, 0.1654)
+# the projection limit of tau^(-3n) M^n in thirtieths, rows as (a, b) of a + b*tau
+_PROJECTION_THIRTIETHS = (
+    ((4, 2), (4, 12), (8, 4), (-4, 8)),
+    ((-1, 2), (4, 2), (-2, 4), (6, -2)),
+    ((5, 0), (0, 10), (10, 0), (-10, 10)),
+    ((-2, 4), (8, 4), (-4, 8), (12, -4)),
+)
+_LEDGER_SIZE = 7
+_D_TAU10_VOLUME = GoldenRational(47287176, 76512258, 12)  # tau^30 times the d1 volume
+_D1_HULL = (20, 30, 12)
+_I1_HULL = (12, 30, 20)
 
 
 @dataclass(frozen=True)
@@ -28,9 +57,7 @@ class CheckResult:
 def _check_tile_volumes() -> tuple[bool, str]:
     from .geometry import cm_volume, edge_scheme
 
-    want = [GoldenRational(1, 0, 12)]
-    want += [tau_pow(k) / 12 for k in (1, 1, 2, 2, 3)]
-    for kind, expect in zip(("t1", "t2", "t3", "t4", "t5", "t6"), want):
+    for kind, expect in zip(("t1", "t2", "t3", "t4", "t5", "t6"), _TILE_VOLUMES):
         cm = cm_volume(edge_scheme(kind))
         if not cm.is_exact or cm.exact_root != expect:
             return False, f"{kind}: got {cm.exact_root}, want {expect}"
@@ -40,13 +67,7 @@ def _check_tile_volumes() -> tuple[bool, str]:
 
 
 def _check_composite_volumes() -> tuple[bool, str]:
-    want = {
-        TileKind.T1: tau_pow(4) * 2 / 12,
-        TileKind.T2: tau_pow(3) / 12,
-        TileKind.T3: GoldenRational(3, 4, 12),
-        TileKind.T4: tau_pow(3) * 2 / 12,
-    }
-    for kind, expect in want.items():
+    for kind, expect in _COMPOSITE_VOLUMES.items():
         rec = catalog.record(kind)
         by_sum = catalog.total_volume(dict(rec.composition))
         if rec.volume != expect or by_sum != expect:
@@ -60,16 +81,14 @@ def _check_inventories() -> tuple[bool, str]:
     if catalog.expand_to_fundamental(comp) != fund.counts_dict():
         return False, "composite dodecahedron expansion disagrees with tile inventory"
     vol_d = catalog.total_volume(fund)
-    if vol_d != GoldenRational(24, 42, 12):
+    if vol_d != _D1_VOLUME:
         return False, f"d1 volume {vol_d}"
-    classic_d = (15 + 7 * embed(SQRT5)) / 4
-    if abs(embed(vol_d) - classic_d) > 1e-12:
+    if abs(embed(vol_d) - _D1_VOLUME_CLASSICAL) > 1e-12:
         return False, "d1 volume does not match the classical formula"
     vol_i = catalog.total_volume(catalog.inventory("i1"))
-    if vol_i != GoldenRational(10, 10, 12):
+    if vol_i != _I1_VOLUME:
         return False, f"i1 volume {vol_i}"
-    classic_i = (15 + 5 * embed(SQRT5)) / 12
-    if abs(embed(vol_i) - classic_i) > 1e-12:
+    if abs(embed(vol_i) - _I1_VOLUME_CLASSICAL) > 1e-12:
         return False, "i1 volume does not match the classical formula"
     return True, "dodecahedron and icosahedron inventories and volumes agree"
 
@@ -80,9 +99,8 @@ def _check_inflation_rules() -> tuple[bool, str]:
         if got.c != inflation.M.rows[i]:
             return False, f"row {i + 1}: {got.c}"
     vols = inflation.composite_volumes()
-    t3 = tau_pow(3)
     for i in range(4):
-        lhs = t3 * vols[i]
+        lhs = _SPECTRUM[0] * vols[i]
         rhs = sum((vols[j] * inflation.M.rows[i][j] for j in range(4)), GoldenRational(0))
         if lhs != rhs:
             return False, f"volume balance fails for T{i + 1}"
@@ -91,17 +109,16 @@ def _check_inflation_rules() -> tuple[bool, str]:
 
 def _check_spectrum() -> tuple[bool, str]:
     coeffs = inflation.char_poly()
-    if coeffs != (1, -5, 2, 5, 1):
+    if coeffs != _CHAR_POLY:
         return False, "characteristic polynomial coefficients"
     sd = inflation.pf_vectors()
-    exact = [tau_pow(3), tau_pow(1), -tau_pow(-1), -tau_pow(-3)]
-    for lam, ex in zip(sd.eigenvalues, exact):
+    for lam, ex in zip(sd.eigenvalues, _SPECTRUM):
         root = sum((c * ex ** (4 - k) for k, c in enumerate(coeffs)), GoldenRational(0))
         if root != 0 or abs(lam - embed(ex)) > 1e-9:
             return False, f"eigenvalue {lam}"
     # exact residuals of the derived vectors: M v = tau^3 v and u M = tau^3 u
     right, left = sd.exact_right_pf, sd.exact_left_pf
-    t3 = tau_pow(3)
+    t3 = _SPECTRUM[0]
     for i in range(4):
         r = sum((right[j] * inflation.M.rows[i][j] for j in range(4)), GoldenRational(0))
         if r != t3 * right[i]:
@@ -109,23 +126,15 @@ def _check_spectrum() -> tuple[bool, str]:
         l = sum((left[j] * inflation.M.rows[j][i] for j in range(4)), GoldenRational(0))
         if l != t3 * left[i]:
             return False, f"left eigenvector residual column {i}"
-    printed_r = (0.3820, 0.1180, 0.2639, 0.2361)
-    printed_l = (0.1338, 0.4331, 0.2677, 0.1654)
-    for got, want in zip(sd.right_pf + sd.left_pf, printed_r + printed_l):
+    for got, want in zip(sd.right_pf + sd.left_pf, _PRINTED_RIGHT_PF + _PRINTED_LEFT_PF):
         if abs(got - want) > 5e-5:
             return False, f"PF component {got} vs printed {want}"
     return True, "spectrum tau^3, tau, sigma, sigma^3 with exact PF residual zero"
 
 
 def _projection_expected() -> tuple[tuple[GoldenRational, ...], ...]:
-    # thirtieths, rows as (a, b) of a + b*tau
-    rows = (
-        ((4, 2), (4, 12), (8, 4), (-4, 8)),
-        ((-1, 2), (4, 2), (-2, 4), (6, -2)),
-        ((5, 0), (0, 10), (10, 0), (-10, 10)),
-        ((-2, 4), (8, 4), (-4, 8), (12, -4)),
-    )
-    return tuple(tuple(GoldenRational(a, b, 30) for a, b in row) for row in rows)
+    return tuple(tuple(GoldenRational(a, b, 30) for a, b in row)
+                 for row in _PROJECTION_THIRTIETHS)
 
 
 def _check_projection() -> tuple[bool, str]:
@@ -158,7 +167,7 @@ def _check_projection() -> tuple[bool, str]:
 
 def _check_ledger() -> tuple[bool, str]:
     entries = inflation.dodecahedron_ledger()
-    if len(entries) != 7:
+    if len(entries) != _LEDGER_SIZE:
         return False, f"{len(entries)} entries"
     for d in entries:
         rep = inflation.verify_decomposition(d)
@@ -166,9 +175,9 @@ def _check_ledger() -> tuple[bool, str]:
             return False, f"{d.name} fails"
     big = entries[-1]
     vol = sum((p.volume() for p in big.parts), GoldenRational(0))
-    if vol != GoldenRational(47287176, 76512258, 12):
+    if vol != _D_TAU10_VOLUME:
         return False, f"{big.name} total volume {vol}"
-    if vol != tau_pow(30) * GoldenRational(24, 42, 12):
+    if vol != tau_pow(30) * _D1_VOLUME:
         return False, "tau^30 scaling identity fails"
     # a single-coefficient mutation must be detected
     for d in entries:
@@ -185,7 +194,7 @@ def _check_assemblies() -> tuple[bool, str]:
     from .geometry.assembly import _gcross, _gdot
 
     d1 = assemble("d1")
-    if d1.mesh.counts() != (20, 30, 12):
+    if d1.mesh.counts() != _D1_HULL:
         return False, f"d1 hull counts {d1.mesh.counts()}"
     for i, face in enumerate(d1.mesh.faces):
         corners = d1.mesh.exact[list(face)]
@@ -204,12 +213,12 @@ def _check_assemblies() -> tuple[bool, str]:
         if rec.angle_class != "pi-atan2":
             return False, f"d1 dihedral {rec}"
     i1 = assemble("i1")
-    if i1.mesh.counts() != (12, 30, 20):
+    if i1.mesh.counts() != _I1_HULL:
         return False, f"i1 hull counts {i1.mesh.counts()}"
     for i, face in enumerate(i1.mesh.faces):
         if any(sq != 1 for sq in squared_edges(i1.mesh.exact[list(face)])):
             return False, f"i1 face {i} not unit equilateral"
-    if i1.volume_exact() != GoldenRational(10, 10, 12):
+    if i1.volume_exact() != _I1_VOLUME:
         return False, "i1 exact volume"
     if i1.mesh.volume_exact() != i1.volume_exact():
         return False, "i1 volume additivity"
@@ -230,14 +239,14 @@ def _check_assemblies() -> tuple[bool, str]:
 def _check_axis_classes() -> tuple[bool, str]:
     from .geometry import assemble, face_axis_class, squared_edges
 
-    expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     n = 0
     for target in ("d1", "i1"):
         for w in assemble(target).walls:
             fam = triangle_family(squared_edges(w.corners))
-            if fam not in expect:
+            axis = catalog._FAMILY_AXIS[fam]
+            if axis == "none":
                 return False, f"{target}: unexpected wall family {fam}"
-            if face_axis_class(w.corners) != expect[fam]:
+            if face_axis_class(w.corners) != axis:
                 return False, f"{target}: wall of {w.owner} off-axis"
             n += 1
     return True, f"{n} internal walls all normal to their symmetry axes"

@@ -118,9 +118,8 @@ def cmd_catalog(mode, as_json):
     header = f"{'tile':6} {'volume':14} {'volume_float':14} faces"
     click.echo(header)
     for rec in records:
-        faces = ";".join(f"{f.multiplicity}x{f.edge_names()}" for f in rec.faces)
         click.echo(f"{rec.kind.value:6} {report.format_volume(rec.volume):14} "
-                   f"{embed(rec.volume):<14.7f} {faces}")
+                   f"{embed(rec.volume):<14.7f} {report._faces_cell(rec)}")
 
 
 @main.command("inflate")
@@ -234,19 +233,21 @@ def _face_breakdown(mesh) -> str:
 @click.pass_obj
 def cmd_build(cfg: RunConfig, shape, out, as_json):
     """Assemble a shape from tetrahedra and export its mesh."""
+    option = "--out"
+    if out is None and cfg.output_path:
+        out, option = cfg.output_path, "--output-path"
+    if out is not None and Path(out).suffix not in (".obj", ".json"):
+        raise click.UsageError(f"{option} must end in .obj or .json")
+
     from .geometry import assemble, export_obj, export_patch
 
     asm = assemble(shape)
-    if out is None and cfg.output_path:
-        out = cfg.output_path
     if out is not None:
         path = Path(out)
         if path.suffix == ".obj":
             payload = export_obj(asm)
-        elif path.suffix == ".json":
-            payload = canonical_json(export_patch(asm)) + "\n"
         else:
-            raise click.UsageError("--out must end in .obj or .json")
+            payload = canonical_json(export_patch(asm)) + "\n"
         _write(path, payload)
     if as_json:
         _echo_json(export_patch(asm))

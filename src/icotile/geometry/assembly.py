@@ -189,22 +189,23 @@ def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...]:
     return tuple(GoldenRational(a, b, 4) for a, b in _gdot(d, d).tolist())
 
 
+def _census(specs) -> Counter:
+    """Multiplicities of FaceSpecs keyed on sorted exact squared edge lengths."""
+    out: Counter = Counter()
+    for spec in specs:
+        out[tuple(sorted(e * e for e in spec.edges))] += spec.multiplicity
+    return out
+
+
 def expected_face_census(kind: TileKind | str) -> Counter:
     """The cataloged post-merge face census in Mesh.face_census() form."""
-    out: Counter = Counter()
-    for spec in catalog.record(kind).faces:
-        squares = tuple(sorted(e * e for e in spec.edges))
-        out[(len(squares), squares)] += spec.multiplicity
-    return out
+    return Counter({(len(sq), sq): n for sq, n in _census(catalog.record(kind).faces).items()})
 
 
 def expected_triangle_census(kind: TileKind | str) -> Counter:
     """The cataloged pre-merge triangle census (composite kinds only), keyed
     on sorted exact squared edge lengths."""
-    out: Counter = Counter()
-    for spec in catalog.record(kind).premerge_triangles:
-        out[tuple(sorted(e * e for e in spec.edges))] += spec.multiplicity
-    return out
+    return _census(catalog.record(kind).premerge_triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +215,10 @@ def expected_triangle_census(kind: TileKind | str) -> Counter:
 _SOURCES = {
     "d1": (_wiring.D1_COORDS, _wiring.D1_TETS, None),
     "i1": (_wiring.I1_COORDS, _wiring.I1_TETS, None),
-    "T1": (_wiring.D1_COORDS, _wiring.D1_TETS, range(4, 10)),
-    "T2": (_wiring.D1_COORDS, _wiring.D1_TETS, (0, 1)),
-    "T4": (_wiring.D1_COORDS, _wiring.D1_TETS, (10, 11, 12)),
+    # T1, T2 and T4 are the first group of their kind in the d1 dissection
+    **{kind: (_wiring.D1_COORDS, _wiring.D1_TETS,
+              next(ids for k, ids, _ in _wiring.D1_GROUPS if k == kind))
+       for kind in ("T1", "T2", "T4")},
     "E": (_wiring.D1_COORDS, _wiring.D1_TETS, (4, 5, 6)),
     "C": (_wiring.D1_COORDS, _wiring.D1_TETS, (7, 8, 9)),
     "T3": (_wiring.I1_COORDS, _wiring.T3_TETS, None),

@@ -1,14 +1,15 @@
 """Icosahedral symmetry axes in the half-integer coordinate frame.
 
 The reference vertex set is the twelve cyclic permutations of
-(0, +-1/2, +-tau/2).  Its rotation axes fall into three classes: 6
-five-fold (through opposite vertices), 10 three-fold (through opposite
-face centres) and 15 two-fold (through opposite edge midpoints).  The
-axes are built exactly from the vertices, as doubled Z[tau] pairs: two
-vertices are adjacent when their doubled squared distance is 4, a face
-centre direction is the sum of three mutually adjacent vertices and an
-edge midpoint direction the sum of two.  A face's class is decided by an
-exact zero cross product on the kernel in assembly.py.
+(0, +-1/2, +-tau/2), the points of the i1 wiring.  Its rotation axes
+fall into three classes: 6 five-fold (through opposite vertices), 10
+three-fold (through opposite face centres) and 15 two-fold (through
+opposite edge midpoints).  The axes are built exactly from the
+vertices, as doubled Z[tau] pairs: two vertices are adjacent when their
+doubled squared distance is 4, a face centre direction is the sum of
+three mutually adjacent vertices and an edge midpoint direction the sum
+of two.  A face's class is decided by an exact zero cross product on the
+kernel in assembly.py.
 """
 
 from __future__ import annotations
@@ -18,20 +19,16 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _wiring
 from .assembly import _AXIS_BOUND, _bounded, _embed_doubled, _gcross, _gdot
 
 __all__ = ["icosahedron_vertices", "face_axis_class"]
 
 
 def _doubled_vertices() -> np.ndarray:
-    """The twelve vertices as doubled Z[tau] pairs, shape (12, 3, 2)."""
-    out = []
-    for y in (1, -1):
-        for z in (1, -1):
-            v = [(0, 0), (y, 0), (0, z)]
-            for s in range(3):
-                out.append(v[s:] + v[:s])
-    return np.array(out, dtype=np.int64)
+    """The twelve vertices as doubled Z[tau] pairs, shape (12, 3, 2): the
+    points of the i1 wiring."""
+    return np.array(list(_wiring.I1_COORDS.values()), dtype=np.int64)
 
 
 def icosahedron_vertices() -> np.ndarray:

@@ -10,15 +10,8 @@ the Cayley-Menger determinant
     | 1  q_ad q_bd q_cd 0   |
 
 gives the squared volume without any coordinates, so with squared lengths
-in Q(tau) the volume check is exact.  Each tile's edge assignment is the
-unique one reproducing its face census:
-
-    t1: five edges 1, one edge tau (joining the two Robinson faces)
-    t2: AB=AC=BC=AD=1, BD=CD=tau
-    t3: base (tau,tau,tau), three apex edges 1
-    t4: base (1,1,1), three apex edges tau
-    t5: base (tau,tau,tau), apex edges (1,1,tau)
-    t6: five edges tau, one edge 1
+in Q(tau) the volume check is exact.  Each tile's edge lengths are catalog
+data (TileRecord.edge_lengths).
 """
 
 from __future__ import annotations
@@ -26,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..catalog import TileKind
-from ..golden import ONE, TAU, GoldenRational, embed, exact_sqrt
+from ..catalog import TileKind, record
+from ..golden import GoldenRational, embed, exact_sqrt
 
 __all__ = ["EdgeScheme", "CMVolume", "edge_scheme", "cm_volume"]
 
@@ -58,24 +51,12 @@ class EdgeScheme:
         return tuple(getattr(self, p) for p in _PAIRS)
 
 
-_T2 = TAU * TAU
-
-_SCHEMES = {
-    TileKind.t1: (ONE, ONE, ONE, ONE, ONE, _T2),
-    TileKind.t2: (ONE, ONE, ONE, ONE, _T2, _T2),
-    TileKind.t3: (ONE, ONE, ONE, _T2, _T2, _T2),
-    TileKind.t4: (_T2, _T2, _T2, ONE, ONE, ONE),
-    TileKind.t5: (ONE, ONE, _T2, _T2, _T2, _T2),
-    TileKind.t6: (ONE, _T2, _T2, _T2, _T2, _T2),
-}
-
-
 def edge_scheme(kind: TileKind | str) -> EdgeScheme:
-    """The edge scheme of a fundamental tile."""
+    """The edge scheme of a fundamental tile: its catalog edge lengths, squared."""
     kind = TileKind(kind)
     if not kind.is_fundamental:
         raise ValueError(f"{kind} has no single edge scheme (composite)")
-    return EdgeScheme(*_SCHEMES[kind])
+    return EdgeScheme(*(e * e for e in record(kind).edge_lengths))
 
 
 def _det(rows: list[list[GoldenRational]]) -> GoldenRational:

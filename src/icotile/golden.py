@@ -161,6 +161,9 @@ class GoldenRational:
         return self.a == other.a and self.b == other.b and self.den == other.den
 
     def __hash__(self):
+        # a rational value hashes like the int or Fraction it equals
+        if self.b == 0:
+            return hash(self.a) if self.den == 1 else hash(Fraction(self.a, self.den))
         return hash((self.a, self.b, self.den))
 
     def __lt__(self, other):

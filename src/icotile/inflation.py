@@ -40,7 +40,7 @@ from functools import cache, reduce
 from math import lcm
 from typing import NamedTuple
 
-from .catalog import TileKind, record
+from .catalog import TileKind, inventory, record
 from .golden import TAU, GoldenRational, conj, embed, tau_pow
 
 __all__ = [
@@ -68,6 +68,9 @@ __all__ = [
 COMPOSITE_ORDER = (TileKind.T1, TileKind.T2, TileKind.T3, TileKind.T4)
 
 _M_ROWS = ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 1))
+
+# the eigenvalues of M in decreasing absolute value: tau^3, tau, sigma, sigma^3
+_SPECTRUM = (tau_pow(3), TAU, conj(TAU), conj(tau_pow(3)))
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,13 @@ class CountVector:
         return self.c[i]
 
 
-D1_COUNTS = CountVector((3, 4, 0, 4))
-DTAU_COUNTS = CountVector((7, 18, 14, 10))
+def _composite_counts(target: str) -> CountVector:
+    counts = inventory(target).counts_dict()
+    return CountVector(tuple(counts.get(k, 0) for k in COMPOSITE_ORDER))
+
+
+D1_COUNTS = _composite_counts("d1-composite")
+DTAU_COUNTS = _composite_counts("dtau-composite")
 
 # the starting patches by name: one composite tile or a dodecahedron
 BASES = {**{f"T{i + 1}": CountVector.unit(i) for i in range(4)},
@@ -228,20 +236,19 @@ def _spectral_parts(rows) -> _SpectralParts:
     distinct; ValueError if not.  Built on first use, then cached.
     """
     coeffs = _char_poly(rows)
-    lams = (tau_pow(3), TAU, conj(TAU), conj(tau_pow(3)))
-    for lam in lams:
+    for lam in _SPECTRUM:
         if sum((c * lam ** (4 - k) for k, c in enumerate(coeffs)), GoldenRational(0)) != 0:
             raise ValueError(f"{lam} is not a root of the characteristic polynomial {coeffs}")
-    if len(set(lams)) != 4:
+    if len(set(_SPECTRUM)) != 4:
         raise ValueError("the eigenvalues are not distinct")
 
     def projector(lam):
         return reduce(_mat_mul, (
             tuple(tuple((x - (mu if i == j else 0)) / (lam - mu) for j, x in enumerate(row))
                   for i, row in enumerate(rows))
-            for mu in lams if mu != lam))
+            for mu in _SPECTRUM if mu != lam))
 
-    e3, e1 = projector(lams[0]), projector(lams[1])
+    e3, e1 = projector(_SPECTRUM[0]), projector(_SPECTRUM[1])
     den = lcm(*(x.den for e in (e3, e1) for row in e for x in row))
 
     def ints(x):
@@ -292,11 +299,8 @@ def pf_vectors() -> SpectralData:
     lsum = sum(left, GoldenRational(0))
     exact_right = tuple(x / rsum for x in right)
     exact_left = tuple(x / lsum for x in left)
-    # sigma^k = conj(tau^k) = (-1)^k tau^(-k), so sigma and sigma^3 are -tau^(-1), -tau^(-3)
-    eigen = (embed(tau_pow(3)), embed(tau_pow(1)),
-             -embed(tau_pow(-1)), -embed(tau_pow(-3)))
     return SpectralData(
-        eigenvalues=eigen,
+        eigenvalues=tuple(embed(x) for x in _SPECTRUM),
         right_pf=tuple(embed(x) for x in exact_right),
         left_pf=tuple(embed(x) for x in exact_left),
         exact_right_pf=exact_right,

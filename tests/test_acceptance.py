@@ -338,6 +338,41 @@ def test_assemblies_check_decides_dihedrals_exactly(monkeypatch):
     assert not ok and detail.startswith("d1 dihedral ")
 
 
+def test_tile_volumes_check_reads_catalog_edge_lengths(monkeypatch):
+    # t2 with BD = 1 instead of tau has the edges of t1
+    t2 = catalog.record("t2")
+    lengths = t2.edge_lengths[:4] + (GoldenRational(1),) + t2.edge_lengths[5:]
+    monkeypatch.setitem(catalog._RECORDS, TileKind.t2,
+                        dataclasses.replace(t2, edge_lengths=lengths))
+    assert checks._check_tile_volumes() == (False, "t2: got 1/12, want tau/12")
+
+
+def test_inventories_check_fails_on_changed_inventory(monkeypatch):
+    fund = catalog.inventory("d1-fundamental")
+    counts = ((TileKind.t1, 4),) + fund.counts[1:]
+    monkeypatch.setitem(catalog._INVENTORIES, "d1-fundamental",
+                        catalog.Inventory("d1-fundamental", counts))
+    assert checks._check_inventories() == (
+        False, "composite dodecahedron expansion disagrees with tile inventory")
+
+
+def test_spectrum_check_reads_m_rows(monkeypatch):
+    monkeypatch.setattr(inflation.M, "rows",
+                        ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 2)))
+    assert checks._check_spectrum() == (False, "characteristic polynomial coefficients")
+
+
+def test_axis_classes_check_fails_on_wall_off_axis(monkeypatch):
+    wall = assemble("d1").walls[0]
+    monkeypatch.setattr(geometry, "face_axis_class",
+                        lambda c: "two-fold" if c is wall.corners else face_axis_class(c))
+    assert checks._check_axis_classes() == (False, "d1: wall of t2-0 off-axis")
+    # the expected axis of each wall family is the catalog's
+    monkeypatch.setattr(geometry, "face_axis_class", face_axis_class)
+    monkeypatch.setitem(catalog._FAMILY_AXIS, "robinson", "none")
+    assert checks._check_axis_classes() == (False, "d1: unexpected wall family robinson")
+
+
 def test_criterion_09_axis_classes():
     expect = {"equilateral": "three-fold", "robinson": "five-fold"}
     checked = Counter()

@@ -209,6 +209,9 @@ def test_build_json_patch(runner):
 def test_build_rejects_unknown_suffix(runner):
     res = runner.invoke(main, ["build", "--shape", "d1", "--out", "d1.stl"])
     assert res.exit_code == 2
+    res = runner.invoke(main, ["--output-path", "out.txt", "build", "--shape", "T2"])
+    assert res.exit_code == 2
+    assert "Error: --output-path must end in .obj or .json" in res.output
     res = runner.invoke(main, ["build", "--shape", "bogus"])
     assert res.exit_code == 2
 
@@ -368,7 +371,8 @@ import click
 from icotile.cli import main
 runs = (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
         ["ledger", "--verify"], ["build", "--shape", "d2"],
-        ["inflate", "--tile", "T1", "--order", "77"])
+        ["inflate", "--tile", "T1", "--order", "77"],
+        ["build", "--shape", "d1", "--out", "d1.stl"])
 codes, messages = [], []
 for args in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -380,10 +384,11 @@ for args in runs:
 print(json.dumps({"codes": codes, "messages": messages,
                   "numpy": "numpy" in sys.modules}))
 """)
-    assert facts["codes"] == [None, None, None, None, 2, 2]
+    assert facts["codes"] == [None, None, None, None, 2, 2, 2]
     assert facts["messages"] == [
         "Invalid value for '--shape': 'd2' is not one of 'd1', 'i1', 'E', 'C', "
         "'T1', 'T2', 'T3', 'T3bar', 'T4'.",
         "--order 77 exceeds --max-order 50",
+        "--out must end in .obj or .json",
     ]
     assert facts["numpy"] is False

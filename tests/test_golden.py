@@ -65,6 +65,16 @@ def test_canonical_form():
         assert (x.a, x.b, x.den) == (sgn * a // g, sgn * b // g, abs(den) // g)
 
 
+def test_hash_consistent_with_equality():
+    G = GoldenRational
+    assert G(1) == 1 and hash(G(3)) == hash(3)
+    assert hash(G(1, 0, 2)) == hash(Fraction(1, 2))
+    assert G(1) in {1} and 1 in {G(1)}
+    assert {G(3): "x"}.get(3) == "x" and {3: "x"}.get(G(3)) == "x"
+    assert Fraction(-5, 6) in {G(-5, 0, 6)} and G(-5, 0, 6) in {Fraction(-5, 6)}
+    assert len({G(2, 4, 6), G(1, 2, 3), TAU, TAU + 0}) == 2
+
+
 def test_ring_axioms_random():
     rng = random.Random(20260819)
     for _ in range(10**4):
