@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import catalog, checks, inflation, report
+from . import catalog, inflation, report
 from .catalog import ASSEMBLY_TARGETS
 from .golden import embed, embed_decimal
 
@@ -77,6 +77,19 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+class _CheckName(click.Choice):
+    """click.Choice over checks.CHECK_NAMES that imports checks only when it
+    is read (a --check value or the verify help), not for other commands."""
+
+    def __init__(self):
+        self.case_sensitive = True
+
+    @property
+    def choices(self):
+        from . import checks
+        return checks.CHECK_NAMES
 
 
 def _non_negative(ctx, param, value):
@@ -262,12 +275,14 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
 
 @main.command("verify")
 @click.option("--check", "names", multiple=True,
-              type=click.Choice(checks.CHECK_NAMES),
+              type=_CheckName(),
               help="Run only the named checks (repeatable).")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.pass_context
 def cmd_verify(ctx, names, as_json):
     """Re-derive and confirm every published identity."""
+    from . import checks
+
     results = checks.run_checks(tuple(names) or None)
     all_ok = all(r.ok for r in results)
     if as_json:

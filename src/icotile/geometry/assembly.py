@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import compress, islice
 
 import numpy as np
 
@@ -314,31 +315,41 @@ def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
 # geometric predicates
 
 
-_OVERLAP_CHUNK = 8  # partners per vectorised step; bounds the temporaries
+_OVERLAP_CHUNK = 64  # pairs per vectorised step; bounds the temporaries
+
+
+def _separated(axes: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
+    """Whether some nonzero axis of (P, K, 3, 2) separates the tetrahedra
+    ta[p] and tb[p], each (P, 4, 3, 2): all 16 projection differences on it
+    have one sign, so touching separates."""
+    pa = _gdot(axes[:, :, None], ta[:, None])
+    pb = _gdot(axes[:, :, None], tb[:, None])
+    s = _gsign(pa[:, :, :, None] - pb[:, :, None, :])
+    apart = (s <= 0).all(axis=(2, 3)) | (s >= 0).all(axis=(2, 3))
+    return (apart & axes.any(axis=(2, 3))).any(axis=1)
 
 
 def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors meet.
+    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors
+    meet, in lexicographic order.
 
-    Exact separating-axis test on the face normals and the edge-edge cross
-    products; zero axes are skipped and touching separates.
+    Exact separating-axis test in two stages over the 44 axes of a pair:
+    its 8 face normals first, then its 36 edge-edge cross products only if
+    no face normal separates it (face normals alone separate 702 of d1's
+    703 pairs and all 120 of i1's).
     """
     edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
     normals = _gcross(edges[:, [0, 0, 1, 3]], edges[:, [1, 2, 2, 4]])
     found = []
-    for a in range(len(tets) - 1):
-        for lo in range(a + 1, len(tets), _OVERLAP_CHUNK):
-            bs = np.arange(lo, min(lo + _OVERLAP_CHUNK, len(tets)))
-            mixed = _gcross(edges[a][None, :, None], edges[bs][:, None, :])
-            axes = np.concatenate([
-                np.broadcast_to(normals[a], (len(bs), 4, 3, 2)), normals[bs],
-                mixed.reshape(len(bs), 36, 3, 2)], axis=1)
-            pa = _gdot(axes[:, :, None], tets[a][None, None])
-            pb = _gdot(axes[:, :, None], tets[bs][:, None])
-            s = _gsign(pa[:, :, :, None] - pb[:, :, None, :])
-            apart = (s <= 0).all(axis=(2, 3)) | (s >= 0).all(axis=(2, 3))
-            apart &= axes.any(axis=(2, 3))
-            found += [(a, int(b)) for b in bs[~apart.any(axis=1)]]
+    a_all, b_all = np.triu_indices(len(tets), 1)
+    for lo in range(0, len(a_all), _OVERLAP_CHUNK):
+        a, b = a_all[lo:lo + _OVERLAP_CHUNK], b_all[lo:lo + _OVERLAP_CHUNK]
+        left = ~_separated(np.concatenate([normals[a], normals[b]], axis=1), tets[a], tets[b])
+        a, b = a[left], b[left]
+        if len(a):
+            mixed = _gcross(edges[a][:, :, None], edges[b][:, None, :]).reshape(-1, 36, 3, 2)
+            left = ~_separated(mixed, tets[a], tets[b])
+            found += zip(a[left].tolist(), b[left].tolist())
     return found
 
 
@@ -346,17 +357,21 @@ def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
 # coplanar fusion of boundary triangles
 
 
-def _drop_collinear(cycle: tuple[int, ...], points: np.ndarray) -> tuple[int, ...]:
-    out = list(cycle)
-    k = 0
-    while k < len(out) and len(out) > 3:
-        p_prev, p_cur, p_next = points[[out[k - 1], out[k], out[(k + 1) % len(out)]]]
-        if _gcross(p_cur - p_prev, p_next - p_cur).any():
-            k += 1
-        else:
-            out.pop(k)
-            k = 0
-    return tuple(out)
+def _drop_collinear(cycles: list[tuple[int, ...]], points: np.ndarray) -> list[tuple[int, ...]]:
+    """Each cycle of distinct point indices without its corners collinear
+    with their neighbours, tested in one step over all cycles and dropped at
+    once: dropping one leaves the others' collinearity unchanged.
+    AssemblyError if fewer than 3 corners of a cycle remain."""
+    at = [i for c in cycles for i in c]
+    prev = [c[k - 1] for c in cycles for k in range(len(c))]
+    after = [c[k + 1 - len(c)] for c in cycles for k in range(len(c))]
+    p = points[at]
+    keep = iter(_gcross(p - points[prev], points[after] - p).any(axis=(1, 2)).tolist())
+    out = [tuple(compress(c, islice(keep, len(c)))) for c in cycles]
+    if min(map(len, out), default=3) < 3:
+        raise AssemblyError("a fused face has fewer than 3 corners not collinear "
+                            "with their neighbours")
+    return out
 
 
 def _plane_key(normal: np.ndarray, offset: np.ndarray) -> tuple[GoldenRational, ...]:
@@ -377,7 +392,7 @@ def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[str]
     planes: dict[tuple, list[int]] = {}
     for slot, (_, key) in enumerate(faces):
         planes.setdefault(key, []).append(slot)
-    fused, owner_sets = [], []
+    rims, owner_sets = [], []
     for slots in planes.values():
         cycles = [faces[s][0] for s in slots]
         edges = {(f[i - 1], f[i]) for f in cycles for i in range(len(f))}
@@ -391,9 +406,9 @@ def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[str]
         if start is None or v != start or len(set(cycle)) != len(rim):
             raise AssemblyError(f"the boundary triangles in the plane of a face of "
                                 f"{owners[slots[0]]} do not fuse into one simple polygon")
-        fused.append(_drop_collinear(tuple(cycle), points))
+        rims.append(tuple(cycle))
         owner_sets.append({owners[s] for s in slots})
-    return fused, owner_sets
+    return _drop_collinear(rims, points), owner_sets
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from icotile import inflation
+from icotile import checks, inflation
 from icotile.cli import canonical_json, main
 from icotile.golden import TAU, embed, tau_pow
 
@@ -240,6 +240,15 @@ def test_verify_passing_subset(runner):
     assert all(l.startswith("OK ") for l in lines)
 
 
+def test_verify_check_names_choice(runner):
+    names = "|".join(checks.CHECK_NAMES)
+    assert f"--check [{names}]" in runner.invoke(main, ["verify", "--help"]).output
+    res = runner.invoke(main, ["verify", "--check", "nope"])
+    assert res.exit_code == 2
+    quoted = ", ".join(f"'{n}'" for n in checks.CHECK_NAMES)
+    assert f"Invalid value for '--check': 'nope' is not one of {quoted}." in res.output
+
+
 def test_verify_json_consistency(runner):
     res = runner.invoke(main, ["verify", "--json"])
     data = json.loads(res.output)
@@ -382,7 +391,8 @@ for args in runs:
             codes.append(exc.exit_code)
             messages.append(exc.format_message())
 print(json.dumps({"codes": codes, "messages": messages,
-                  "numpy": "numpy" in sys.modules}))
+                  "numpy": "numpy" in sys.modules,
+                  "checks": "icotile.checks" in sys.modules}))
 """)
     assert facts["codes"] == [None, None, None, None, 2, 2, 2]
     assert facts["messages"] == [
@@ -392,3 +402,4 @@ print(json.dumps({"codes": codes, "messages": messages,
         "--out must end in .obj or .json",
     ]
     assert facts["numpy"] is False
+    assert facts["checks"] is False

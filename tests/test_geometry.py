@@ -397,6 +397,19 @@ def test_fuse_coplanar_rejects_disjoint_triangles():
         assembly._fuse_coplanar([((0, 1, 2), key), ((3, 4, 5), key)], ["a", "b"], points)
 
 
+def test_fuse_coplanar_collinear_corners():
+    key = ("z = 0",)
+    # two collinear corners in a row on one side of a square are both dropped
+    points = _rational([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (1, 0, 0), (2, 0, 0)])
+    fan = [(3, 0, 4), (3, 4, 5), (3, 5, 1), (3, 1, 2)]
+    fused, _ = assembly._fuse_coplanar([(f, key) for f in fan], list("abcd"), points)
+    assert fused == [(3, 0, 1, 2)]
+    # a cycle whose corners all lie on one line is no polygon
+    line = _rational([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
+    with pytest.raises(AssemblyError, match="fewer than 3 corners"):
+        assembly._fuse_coplanar([((0, 1, 2), key)], ["a"], line)
+
+
 def _planar(corners):
     """Exact: corners 0-2 span a plane that holds the rest."""
     e = corners[1:] - corners[0]
@@ -503,29 +516,60 @@ def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
     return not (np.minimum(p1.max(0) - p2.min(0), p2.max(0) - p1.min(0)) <= tol).any()
 
 
-def _moved_half_in_x(triple):
+def _moved_in_x(triple, halves):
     (a, b), *rest = triple
-    return (a + 1, b), *rest  # doubled pairs: +1 in a is +1/2 in x
+    return (a + halves, b), *rest  # doubled pairs: +1 in a is +1/2 in x
 
 
-@pytest.mark.parametrize("moved, n_pairs", [(None, 0), ("B", 12), ("v0", 6)])
-def test_exact_overlap_matches_float_reference(monkeypatch, moved, n_pairs):
-    coords = dict(_wiring.D1_COORDS)
+def _float_overlaps(tets: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs _tets_overlap finds among (T, 4, 3, 2) doubled-pair tetrahedra."""
+    flt = np.array([[[embed(GoldenRational(a, b, 2)) for a, b in q] for q in t]
+                    for t in tets.tolist()])
+    return [(a, b) for a, b in itertools.combinations(range(len(flt)), 2)
+            if _tets_overlap(flt[a], flt[b], 1e-9)]
+
+
+@pytest.mark.parametrize("wiring, moved, halves, n_pairs", [
+    ("d1", None, 0, 0), ("d1", "B", 1, 12), ("d1", "v0", 1, 6),
+    ("i1", None, 0, 0), ("i1", "i0", 1, 0), ("i1", "i3", -2, 4),
+], ids=["None-0", "B-12", "v0-6", "i1-None-0", "i1-i0-0", "i1-i3-4"])
+def test_exact_overlap_matches_float_reference(monkeypatch, wiring, moved, halves, n_pairs):
+    coords, tets, _ = assembly._SOURCES[wiring]
+    coords = dict(coords)
     if moved:
-        coords[moved] = _moved_half_in_x(coords[moved])
+        coords[moved] = _moved_in_x(coords[moved], halves)
     labels = list(coords)
     exact = np.array([coords[lab] for lab in labels])
-    flt = np.array([[embed(GoldenRational(a, b, 2)) for a, b in p] for p in exact.tolist()])
-    ids = np.array([[labels.index(lab) for lab in labs] for _, labs in _wiring.D1_TETS])
-    got = set(assembly._overlapping_pairs(exact[ids]))
-    want = {(a, b) for a, b in itertools.combinations(range(len(ids)), 2)
-            if _tets_overlap(flt[ids[a]], flt[ids[b]], 1e-9)}
-    assert got == want
+    ids = np.array([[labels.index(lab) for lab in labs] for _, labs in tets])
+    got = assembly._overlapping_pairs(exact[ids])
+    assert got == sorted(got)
+    assert got == _float_overlaps(exact[ids])
     assert len(got) == n_pairs
-    if moved:
-        monkeypatch.setitem(assembly._SOURCES, "d1", (coords, _wiring.D1_TETS, None))
-        with pytest.raises(AssemblyError):
-            assembly._build("d1")
+    if n_pairs:
+        monkeypatch.setitem(assembly._SOURCES, wiring, (coords, tets, None))
+        with pytest.raises(AssemblyError, match="overlap"):
+            assembly._build(wiring)
+
+
+def test_exact_overlap_contacts_and_zero_normals():
+    # T0 and its mirror images through x = 0, then y = 0, then the origin
+    # share a face, an edge and a vertex with it; two tetrahedra whose edges
+    # cross at one point are apart only on the edge-edge axis
+    t0 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    mirrors = [[(sx * x, sy * y, sz * z) for x, y, z in t0]
+               for sx, sy, sz in ((-1, 1, 1), (-1, -1, 1), (-1, -1, -1))]
+    crossed = ([(-2, 0, 0), (2, 0, 0), (0, 2, -2), (0, -2, -2)],
+               [(0, -2, 0), (0, 2, 0), (2, 0, 2), (-2, 0, 2)])
+    for pair in [(t0, m) for m in mirrors] + [crossed]:
+        tets = np.stack([_rational(t) for t in pair])
+        assert assembly._overlapping_pairs(tets) == _float_overlaps(tets) == []
+    # a flat tetrahedron with three collinear vertices has a zero face
+    # normal, which separates nothing: inside T0 it overlaps, beside it not
+    big = [(0, 0, 0), (8, 0, 0), (0, 8, 0), (0, 0, 8)]
+    flat = [(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1)]
+    beside = [(x + 20, y, z) for x, y, z in flat]
+    tets = np.stack([_rational(t) for t in (big, flat, beside)])
+    assert assembly._overlapping_pairs(tets) == _float_overlaps(tets) == [(0, 1)]
 
 
 def test_exact_points_match_floats():
