@@ -157,8 +157,6 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
         # beyond float range: scientific-notation strings instead
         approx, approx_text = format(big, ".16e"), format(big, ".7e")
     else:
-        if volume.b == 0:
-            approx = embed(volume)  # rational: embed rounds the Fraction once
         approx_text = f"{approx:.7f}"
     if as_json:
         _echo_json({

@@ -59,8 +59,9 @@ class AssemblyError(RuntimeError):
 class PlacedTile:
     """A fundamental tile: four vertices as doubled Z[tau] pairs, shape
     (4, 3, 2).  parity is the exact sign of their triple product
-    (b-a).((c-a)x(d-a)), and faces are wound outward for it; a flat tile is
-    a ValueError.  vertices is the float image of exact, derived at read.
+    (b-a).((c-a)x(d-a)), and faces are wound outward for it; a flat tile,
+    or a kind outside t1..t6, is a ValueError.  vertices is the float image
+    of exact, derived at read.
     """
 
     kind: TileKind
@@ -70,6 +71,8 @@ class PlacedTile:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", TileKind(self.kind))
+        if not self.kind.is_fundamental:
+            raise ValueError(f"{self.kind.value} is not a fundamental tile (t1..t6)")
         exact = _bounded(self.exact, _TILE_BOUND)
         if exact.shape != (4, 3, 2):
             raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
@@ -112,20 +115,36 @@ class Mesh:
     entry at most 2**3 in magnitude and each face of at most 16 corners
     (OverflowError beyond), and vertices is their float image, derived at
     read.  provenance[i] lists the names of the tile instances whose
-    triangles were fused into face i.
+    triangles were fused into face i.  Derived once and read-only: edge_faces
+    pairs each edge (i, j), i < j, in sorted order, with the faces that hold
+    it, and normals[i] is the exact Newell normal of face i, shape (F, 3, 2).
     """
 
     exact: np.ndarray
     faces: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, ...], ...]
+    edge_faces: tuple[tuple[tuple[int, int], tuple[int, ...]], ...] = field(
+        init=False, repr=False)
+    normals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         exact = _bounded(self.exact, _MESH_BOUND)
         if max(map(len, self.faces), default=0) > _MESH_CORNERS:
             raise OverflowError(f"a face beyond {_MESH_CORNERS} corners: "
                                 "the exact int64 kernel would wrap")
+        incident: dict[tuple[int, int], list[int]] = {}
+        for fi, f in enumerate(self.faces):
+            for i in range(len(f)):
+                incident.setdefault((min(f[i - 1], f[i]), max(f[i - 1], f[i])), []).append(fi)
+        normals = np.array([_gcross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+                            for p in (exact[list(f)] for f in self.faces)],
+                           dtype=np.int64).reshape(-1, 3, 2)
         exact.setflags(write=False)
+        normals.setflags(write=False)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "edge_faces",
+                           tuple((e, tuple(incident[e])) for e in sorted(incident)))
+        object.__setattr__(self, "normals", normals)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -133,23 +152,13 @@ class Mesh:
 
     def counts(self) -> tuple[int, int, int]:
         """(N0, N1, N2): vertices, edges, faces."""
-        return len(self.exact), len(self.edges()), len(self.faces)
-
-    def edges(self) -> list[tuple[int, int]]:
-        seen = set()
-        for f in self.faces:
-            for i in range(len(f)):
-                a, b = f[i], f[(i + 1) % len(f)]
-                seen.add((min(a, b), max(a, b)))
-        return sorted(seen)
+        return len(self.exact), len(self.edge_faces), len(self.faces)
 
     def volume_exact(self) -> GoldenRational:
-        """Enclosed volume by the divergence theorem (faces wound outward),
-        summed exactly over a fan of each face."""
-        fan = [(f[0], f[k], f[k + 1]) for f in self.faces for k in range(1, len(f) - 1)]
-        t = self.exact[fan]
-        total = _gdot(t[:, 0], _gcross(t[:, 1], t[:, 2])).sum(axis=0)
-        return GoldenRational(*total.tolist(), 48)  # doubled: 8 det / 6
+        """Enclosed volume by the divergence theorem (faces wound outward):
+        the sum of normals[i] . (a corner of face i) / 6, or / 48 doubled."""
+        total = _gdot(self.normals, self.exact[[f[0] for f in self.faces]]).sum(axis=0)
+        return GoldenRational(*total.tolist(), 48)
 
     def volume(self) -> float:
         """Float image of volume_exact()."""
@@ -213,15 +222,16 @@ def expected_triangle_census(kind: TileKind | str) -> Counter:
 # wiring interpretation
 
 
+# the first group of each kind in the d1 dissection (reversed: the first one wins)
+_FIRST_GROUP = {kind: ids for kind, ids, _ in reversed(_wiring.D1_GROUPS)}
+
 _SOURCES = {
     "d1": (_wiring.D1_COORDS, _wiring.D1_TETS, None),
     "i1": (_wiring.I1_COORDS, _wiring.I1_TETS, None),
-    # T1, T2 and T4 are the first group of their kind in the d1 dissection
-    **{kind: (_wiring.D1_COORDS, _wiring.D1_TETS,
-              next(ids for k, ids, _ in _wiring.D1_GROUPS if k == kind))
-       for kind in ("T1", "T2", "T4")},
-    "E": (_wiring.D1_COORDS, _wiring.D1_TETS, (4, 5, 6)),
-    "C": (_wiring.D1_COORDS, _wiring.D1_TETS, (7, 8, 9)),
+    # the standalone T1, T2 and T4; E and C are the first and last three of T1
+    **{k: (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP[k]) for k in ("T1", "T2", "T4")},
+    "E": (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP["T1"][:3]),
+    "C": (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP["T1"][3:]),
     "T3": (_wiring.I1_COORDS, _wiring.T3_TETS, None),
     "T3bar": (_wiring.I1_COORDS, _wiring.I1_TETS, _wiring.I1_T3BAR),
 }
@@ -247,8 +257,9 @@ _WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
 #     its points, so it is at most 6 k M^2; dihedrals() takes the dot products
 #     of two normals, at most D = 9 (6 k M^2)^2 = 324 k^2 M^4, to degree 8 in
 #     _gmul(5 * dot, dot), at most 15 D^2 (and _gsign of a dot at most 9 D^2):
-#     15 * 324^2 k^4 M^8 < 2^63 for k <= 2^4 and M <= 2^3.  Each fan triangle
-#     of volume() adds 9 * M * 6 M^2 = 54 M^3 < 2^15 to the sum.
+#     15 * 324^2 k^4 M^8 < 2^63 for k <= 2^4 and M <= 2^3.  Each face adds
+#     its normal dotted with a corner, 9 * 6 k M^2 * M = 54 k M^3 < 2^19, to
+#     the sum in volume_exact().
 
 _EDGE_BOUND = 2**28
 _AXIS_BOUND = 2**27
@@ -518,29 +529,22 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     """Interior dihedral angle along every mesh edge.
 
     The angle between two faces is pi minus the angle of their outward
-    normals n1, n2, the exact cyclic (Newell) sums; it is atan 2 or
+    normals n1, n2 (the exact Newell normals, mesh.normals); it is atan 2 or
     pi - atan 2 exactly when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or
     > 0.  Edges with one incident face are reported with angle None rather
     than treated as an error.
     """
-    incident: dict[tuple[int, int], list[int]] = {}
-    for fi, f in enumerate(mesh.faces):
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            incident.setdefault((min(a, b), max(a, b)), []).append(fi)
-    normals = np.array([_gcross(p, np.roll(p, -1, axis=0)).sum(axis=0)
-                        for p in (mesh.exact[list(f)] for f in mesh.faces)])
-    shared = [e for e in sorted(incident) if len(incident[e]) == 2]
-    n1, n2 = (normals[[incident[e][k] for e in shared]].reshape(-1, 3, 2) for k in (0, 1))
+    shared = [(e, fs) for e, fs in mesh.edge_faces if len(fs) == 2]
+    n1, n2 = (mesh.normals[[fs[k] for _, fs in shared]] for k in (0, 1))
     dot, q1, q2 = _gdot(n1, n2), _gdot(n1, n1), _gdot(n2, n2)
     hit = (_gmul(5 * dot, dot) == _gmul(q1, q2)).all(axis=-1)
     classes = np.where(hit, np.where(_gsign(dot) > 0, "pi-atan2", "atan2"), "neither")
     image = (1.0, embed(TAU))
     cos = (dot @ image) / np.sqrt((q1 @ image) * (q2 @ image))
-    angles = dict(zip(shared, zip((np.pi - np.arccos(np.clip(cos, -1, 1))).tolist(),
-                                  classes.tolist())))
-    return [Dihedral(edge, tuple(incident[edge]), *angles.get(edge, (None, None)))
-            for edge in sorted(incident)]
+    angles = dict(zip((e for e, _ in shared),
+                      zip((np.pi - np.arccos(np.clip(cos, -1, 1))).tolist(), classes.tolist())))
+    return [Dihedral(edge, fs, *angles.get(edge, (None, None)))
+            for edge, fs in mesh.edge_faces]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Edge data of the fundamental tetrahedra and exact Cayley-Menger volumes.
 
-A tetrahedron is pinned down metrically by its six squared edge lengths;
-the Cayley-Menger determinant
+A tetrahedron is pinned down metrically by its six squared edge lengths.
+The Gram matrix of its edge vectors u = AB, v = AC, w = AD is written in
+them alone, G_uu = q_ab and G_uv = (q_ab + q_ac - q_bc)/2 and so on, and
+its determinant is the Cayley-Menger determinant over 8:
 
-    | 0  1    1    1    1   |
-    | 1  0    q_ab q_ac q_ad|
-    | 1  q_ab 0    q_bc q_bd|  =  288 V^2
-    | 1  q_ac q_bc 0    q_cd|
-    | 1  q_ad q_bd q_cd 0   |
+    det G = 36 V^2,
 
-gives the squared volume without any coordinates, so with squared lengths
-in Q(tau) the volume check is exact.  Each tile's edge lengths are catalog
-data (TileRecord.edge_lengths).
+so with squared lengths in Q(tau) the volume check is exact and needs no
+coordinates.  Each tile's edge lengths are catalog data
+(TileRecord.edge_lengths).
 """
 
 from __future__ import annotations
@@ -59,21 +57,6 @@ def edge_scheme(kind: TileKind | str) -> EdgeScheme:
     return EdgeScheme(*(e * e for e in record(kind).edge_lengths))
 
 
-def _det(rows: list[list[GoldenRational]]) -> GoldenRational:
-    """Exact determinant by Laplace expansion (matrices here are at most 5x5)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = GoldenRational(0)
-    for j in range(n):
-        if rows[0][j].sign() == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 @dataclass(frozen=True)
 class CMVolume:
     """Exact squared volume plus its real square root.
@@ -94,18 +77,12 @@ class CMVolume:
 
 def cm_volume(e: EdgeScheme) -> CMVolume:
     """Volume of the tetrahedron with squared edges e, exact where possible."""
-    zero, one = GoldenRational(0), GoldenRational(1)
-    rows = [
-        [zero, one, one, one, one],
-        [one, zero, e.ab, e.ac, e.ad],
-        [one, e.ab, zero, e.bc, e.bd],
-        [one, e.ac, e.bc, zero, e.cd],
-        [one, e.ad, e.bd, e.cd, zero],
-    ]
-    det = _det(rows)
+    uu, vv, ww = e.ab, e.ac, e.ad
+    uv, uw, vw = (e.ab + e.ac - e.bc) / 2, (e.ab + e.ad - e.bd) / 2, (e.ac + e.ad - e.cd) / 2
+    det = uu * vv * ww + 2 * uv * uw * vw - uu * vw * vw - vv * uw * uw - ww * uv * uv
     if det.sign() <= 0:
         raise ValueError("degenerate edge scheme (Cayley-Menger determinant not positive)")
-    squared = det / 288
+    squared = det / 36
     exact = exact_sqrt(squared)
     root = embed(exact) if exact is not None else math.sqrt(embed(squared))
     return CMVolume(squared=squared, root=root, exact_root=exact)

@@ -287,15 +287,12 @@ def embed(x) -> float:
     x = _as_golden(x)
     a, b, den = x.a, x.b, x.den
     if b == 0:
-        # plain rational: Fraction -> float is correctly rounded
+        # plain rational: int / int is correctly rounded at any size
         try:
-            return a / den if abs(a) < (1 << 52) and den < (1 << 52) else float(Fraction(a, den))
+            return a / den
         except OverflowError:
             raise OverflowError("value out of float range")
-    try:
-        f = float(embed_decimal(x))
-    except OverflowError:
-        raise OverflowError("value out of float range")
+    f = float(embed_decimal(x))  # a Decimal beyond the float range gives +-inf
     if f in (float("inf"), float("-inf")):
         raise OverflowError("value out of float range")
     return f

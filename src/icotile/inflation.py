@@ -27,10 +27,12 @@ char_poly()) and bars for Galois conjugates,
 so each entry is a sum of two Galois traces, and one Fibonacci fast
 doubling per eigenvalue gives tau^(3n) and tau^n.
 
-The module also carries a verified ledger: specific inflations of single
-tiles whose count vectors regroup into whole unit dodecahedra d(1) and
-tau-scaled dodecahedra d(tau) plus leftover composite tiles.  Each ledger
-entry is checked for exact count and volume consistency at load time.
+The module also carries a ledger: specific inflations of single tiles
+whose count vectors regroup into whole unit dodecahedra d(1) and
+tau-scaled dodecahedra d(tau) plus leftover composite tiles.
+verify_decomposition checks an entry for exact count and volume
+consistency; the ledger and verify commands and the report run it on every
+entry they show.
 """
 
 from __future__ import annotations
@@ -396,9 +398,10 @@ def verify_decomposition(d: Decomposition) -> VerifyReport:
     return VerifyReport(total.c == target.c, vol_parts == vol_target)
 
 
-def _ledger_data() -> list[Decomposition]:
+@cache
+def _ledger_data() -> tuple[Decomposition, ...]:
     P = Part
-    return [
+    return (
         Decomposition("T1^(2)", BASES["T1"], 2, (
             P("d1", 0, 1), P("T2", 1, 2), P("T3", 1, 1), P("T4", 1, 1),
             P("T2", 0, 1), P("T3", 0, 4))),
@@ -417,20 +420,10 @@ def _ledger_data() -> list[Decomposition]:
         Decomposition("d(tau^10)", D1_COUNTS, 10, (
             P("d1", 0, 432139), P("dtau", 0, 92850), P("T1", 0, 1064050),
             P("T2", 0, 6341550), P("T3", 0, 4720730), P("T4", 0, 1064050))),
-    ]
-
-
-_LEDGER: list[Decomposition] | None = None
+    )
 
 
 def dodecahedron_ledger() -> list[Decomposition]:
-    """The seven recorded dodecahedral decompositions, pre-verified at load."""
-    global _LEDGER
-    if _LEDGER is None:
-        entries = _ledger_data()
-        for d in entries:
-            rep = verify_decomposition(d)
-            if not rep.ok:
-                raise AssertionError(f"ledger entry {d.name} failed verification")
-        _LEDGER = entries
-    return list(_LEDGER)
+    """The seven recorded dodecahedral decompositions, unverified: each
+    reader checks the entries it uses with verify_decomposition."""
+    return list(_ledger_data())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -161,6 +162,29 @@ def test_ledger_corrupt_flag(runner):
     # the hidden flag must not corrupt later runs
     again = runner.invoke(main, ["ledger", "--verify"])
     assert again.exit_code == 0
+
+
+def test_wrong_ledger_entry_fails_without_traceback(runner, monkeypatch):
+    entries = inflation._ledger_data()
+    first = entries[0]
+    last = first.parts[-1]
+    wrong = dataclasses.replace(first, parts=first.parts[:-1] + (
+        dataclasses.replace(last, count=last.count + 1),))
+    monkeypatch.setattr(inflation, "_ledger_data", lambda: (wrong,) + entries[1:])
+
+    def run(args, code):
+        res = runner.invoke(main, args)
+        assert res.exit_code == code
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        return res.output
+
+    lines = run(["ledger", "--verify"], 1).splitlines()
+    assert lines[0] == "FAIL T1^(2)"
+    assert all(line.startswith("OK ") for line in lines[1:])
+    assert run(["verify", "--check", "ledger"], 1) == "FAIL ledger: T1^(2) fails\n"
+    md = json.loads(run(["report", "--json"], 0))["files"]["report.md"]
+    assert f"- FAIL {wrong.describe()}\n" in md
+    assert md.count("- OK ") == len(entries) - 1
 
 
 def test_ledger_listing_and_json(runner):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -86,6 +87,44 @@ def test_cm_degenerate_rejected():
         EdgeScheme(ab=-one, ac=one, ad=one, bc=one, bd=one, cd=one)
 
 
+def test_cm_volume_matches_sympy_cayley_menger():
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    from icotile.geometry.schemes import EdgeScheme
+    t = sp.Symbol("t")  # tau, reduced by t^2 = t + 1
+    values = [GoldenRational(1), GoldenRational(2), GoldenRational(3), tau_pow(1), TAU2]
+    rng = random.Random(11)
+    schemes = [(2,) * 6] + [tuple(rng.randrange(5) for _ in range(6)) for _ in range(40)]
+    flat = 0
+    for pick in schemes:
+        q = [values[i] for i in pick]
+        ab, ac, ad, bc, bd, cd = (sp.Rational(x.a, x.den) + sp.Rational(x.b, x.den) * t
+                                  for x in q)
+        matrix = sp.Matrix([[0, 1, 1, 1, 1], [1, 0, ab, ac, ad], [1, ab, 0, bc, bd],
+                            [1, ac, bc, 0, cd], [1, ad, bd, cd, 0]])
+        dm = DomainMatrix.from_Matrix(matrix)
+        det = dm.domain.to_sympy(dm.det())
+        cm = sp.Poly(det / 288, t).rem(sp.Poly(t**2 - t - 1, t))
+        if cm.is_zero or cm.as_expr().subs(t, (1 + sp.sqrt(5)) / 2).evalf(50) < 0:
+            flat += 1
+            with pytest.raises(ValueError, match="degenerate"):
+                cm_volume(EdgeScheme(*q))
+            continue
+        got = cm_volume(EdgeScheme(*q))
+        v = got.squared
+        assert cm == sp.Poly(sp.Rational(v.a, v.den) + sp.Rational(v.b, v.den) * t, t)
+        assert got.root == pytest.approx(math.sqrt(embed(v)), rel=1e-15)
+        if got.is_exact:
+            assert got.exact_root * got.exact_root == v
+    assert 0 < flat < len(schemes)
+    # the regular tetrahedron of edge sqrt(3): V^2 = 3/8 is not a square in Q(tau)
+    regular = cm_volume(EdgeScheme(*[GoldenRational(3)] * 6))
+    assert regular.squared == GoldenRational(3, 0, 8)
+    assert not regular.is_exact and regular.exact_root is None
+    assert regular.root == pytest.approx(math.sqrt(3 / 8), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # exact placement
 
@@ -160,6 +199,16 @@ def test_flat_tile_rejected(monkeypatch):
     coords = {lab: tuple(map(tuple, q)) for lab, q in zip("abcd", flat.tolist())}
     monkeypatch.setitem(assembly._SOURCES, "T2", (coords, [("t1", tuple("abcd"))], None))
     with pytest.raises(AssemblyError, match="T2: t1-0: .*flat"):
+        assembly._build("T2")
+
+
+def test_composite_kind_rejected(monkeypatch):
+    # as one tetrahedron a "T1" would have volume 1/12, not T1's (2+3tau)/6
+    with pytest.raises(ValueError, match="T1 is not a fundamental tile"):
+        PlacedTile(kind="T1", exact=realize("t1").exact)
+    coords, tets, _ = assembly._SOURCES["T2"]
+    monkeypatch.setitem(assembly._SOURCES, "T2", (coords, [("T1", tets[0][1])], None))
+    with pytest.raises(AssemblyError, match="T2: T1-0: T1 is not a fundamental tile"):
         assembly._build("T2")
 
 
@@ -428,6 +477,9 @@ def test_dodecahedron_hull():
     for rec in dihedrals(a.mesh):
         assert rec.angle_class == "pi-atan2"
         assert abs(rec.angle - (math.pi - ATAN2)) < 1e-9
+        assert all(set(rec.edge) <= set(a.mesh.faces[fi]) for fi in rec.faces)
+    edges = [rec.edge for rec in dihedrals(a.mesh)]
+    assert edges == sorted(edges) and all(i < j for i, j in edges)
     named = {k.value: n for k, n in a.fundamental_counts().items()}
     assert named == {"t1": 3, "t2": 4, "t3": 10, "t4": 10, "t5": 4, "t6": 7}
 

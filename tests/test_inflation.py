@@ -293,6 +293,8 @@ def test_ledger_entries_verify():
         assert rep.count_consistent
         assert rep.volume_consistent
         assert rep.ok
+    entries.clear()  # the caller's copy: the ledger keeps its entries
+    assert len(inflation.dodecahedron_ledger()) == 7
 
 
 def test_ledger_big_entry_volume():
