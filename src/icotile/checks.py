@@ -191,17 +191,15 @@ def _check_ledger() -> tuple[bool, str]:
 
 def _check_assemblies() -> tuple[bool, str]:
     from .geometry import assemble, dihedrals, expected_face_census, squared_edges
-    from .geometry.assembly import _gcross, _gdot
+    from .geometry.assembly import _gdot
 
     d1 = assemble("d1")
     if d1.mesh.counts() != _D1_HULL:
         return False, f"d1 hull counts {d1.mesh.counts()}"
-    for i, face in enumerate(d1.mesh.faces):
+    for i, (face, normal) in enumerate(zip(d1.mesh.faces, d1.mesh.normals)):
         corners = d1.mesh.exact[list(face)]
-        # exact triple products: corners 0-2 span a plane holding the rest
-        e = corners[1:] - corners[0]
-        normal = _gcross(e[0], e[1])
-        if len(face) != 5 or not normal.any() or _gdot(e[2:], normal).any():
+        # exact: the Newell normal is nonzero and normal to every edge from corner 0
+        if len(face) != 5 or not normal.any() or _gdot(corners - corners[0], normal).any():
             return False, f"d1 face {i} not a planar pentagon"
         if any(sq != 1 for sq in squared_edges(corners)):
             return False, f"d1 face {i} edges not unit"

@@ -251,8 +251,11 @@ _WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
 #   squared_edges: _gdot(d, d) <= 9 (2M)^2 = 36 M^2 < 2^63 for M <= 2^28.
 #   face_axis_class: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
 #     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
-#   PlacedTile: triple products and separating-axis projections are at most
-#     9 * 2M * 24 M^2 = 432 M^3; _gsign: (3 * 432 M^3)^2 < 2^63 for M <= 2^7.
+#   PlacedTile: triple products, face-plane table entries n.(x - corner) and
+#     separating-axis projections are at most 9 * 2M * 24 M^2 = 432 M^3;
+#     _gsign: (3 * 432 M^3)^2 < 2^63 for M <= 2^7.  A build's wall test sums
+#     three entries (1296 M^3: M <= 2^6), its tie-break dots two normals
+#     (9 (24 M^2)^2 = 5184 M^4: M <= 2^4), so _build bounds points by 2^3.
 #   Mesh: the Newell normal of a face of k corners sums k cross products of
 #     its points, so it is at most 6 k M^2; dihedrals() takes the dot products
 #     of two normals, at most D = 9 (6 k M^2)^2 = 324 k^2 M^4, to degree 8 in
@@ -326,7 +329,14 @@ def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
 # geometric predicates
 
 
-_OVERLAP_CHUNK = 64  # pairs per vectorised step; bounds the temporaries
+def _face_planes(points: np.ndarray, ids: np.ndarray, parity: np.ndarray) -> tuple:
+    """Outward normals n (T, 4, 3, 2) of the _WOUND faces of the tetrahedra
+    points[ids] of the given parities (zero when flat), the plane table
+    n.(points[p] - the face's first corner), (T, 4, P, 2), and its int8 signs."""
+    c = points[ids[:, _WOUND[1]]]
+    n = parity[:, None, None, None] * _gcross(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])
+    planes = _gdot(n[:, :, None], points - c[:, :, :1])
+    return n, planes, _gsign(planes).astype(np.int8)
 
 
 def _separated(axes: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
@@ -340,28 +350,26 @@ def _separated(axes: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return (apart & axes.any(axis=(2, 3))).any(axis=1)
 
 
-def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors
-    meet, in lexicographic order.
-
-    Exact separating-axis test in two stages over the 44 axes of a pair:
-    its 8 face normals first, then its 36 edge-edge cross products only if
-    no face normal separates it (face normals alone separate 702 of d1's
-    703 pairs and all 120 of i1's).
-    """
+def _overlaps(tets: np.ndarray, ids: np.ndarray, signs: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors meet,
+    in lexicographic order, given the signs of their face planes at the
+    points their vertex ids (T, 4) index.  Exact separating-axis test on the
+    facets of a pair's Minkowski difference: it is apart if all four vertices
+    of one lie on or outside a face plane of the other (702 of d1's 703
+    pairs, all 120 of i1's), else if one of its 36 edge-edge cross products
+    separates it.  A flat tetrahedron's planes are zero and separate nothing."""
+    apart = ((signs[:, :, ids] >= 0).all(axis=3) & signs.any(axis=2)[:, :, None]).any(axis=1)
+    a, b = np.nonzero(np.triu(~(apart | apart.T), 1))
     edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
-    normals = _gcross(edges[:, [0, 0, 1, 3]], edges[:, [1, 2, 2, 4]])
-    found = []
-    a_all, b_all = np.triu_indices(len(tets), 1)
-    for lo in range(0, len(a_all), _OVERLAP_CHUNK):
-        a, b = a_all[lo:lo + _OVERLAP_CHUNK], b_all[lo:lo + _OVERLAP_CHUNK]
-        left = ~_separated(np.concatenate([normals[a], normals[b]], axis=1), tets[a], tets[b])
-        a, b = a[left], b[left]
-        if len(a):
-            mixed = _gcross(edges[a][:, :, None], edges[b][:, None, :]).reshape(-1, 36, 3, 2)
-            left = ~_separated(mixed, tets[a], tets[b])
-            found += zip(a[left].tolist(), b[left].tolist())
-    return found
+    mixed = _gcross(edges[a][:, :, None], edges[b][:, None, :]).reshape(-1, 36, 3, 2)
+    left = ~_separated(mixed, tets[a], tets[b])
+    return list(zip(a[left].tolist(), b[left].tolist()))
+
+
+def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
+    """_overlaps of the (T, 4, 3, 2) tetrahedra on their own vertices' planes."""
+    ids = np.arange(4 * len(tets)).reshape(-1, 4)
+    return _overlaps(tets, ids, _face_planes(tets.reshape(-1, 3, 2), ids, _gsign(_triple(tets)))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +393,7 @@ def _drop_collinear(cycles: list[tuple[int, ...]], points: np.ndarray) -> list[t
     return out
 
 
-def _plane_key(normal: np.ndarray, offset: np.ndarray) -> tuple[GoldenRational, ...]:
-    """The oriented plane n.x = d, scaled so n's first nonzero component is +-1."""
-    key = [GoldenRational(a, b) for a, b in [*normal.tolist(), offset.tolist()]]
-    scale = abs(next(c for c in key if c.sign()))
-    return tuple(c / scale for c in key)
-
-
-def _fuse_coplanar(faces: list[tuple[tuple[int, ...], tuple]], owners: list[str],
+def _fuse_coplanar(faces: list[tuple[tuple[int, ...], bytes]], owners: list[str],
                    points: np.ndarray) -> tuple[list, list]:
     """Fuse the triangles of each oriented plane, given as (cycle, plane key)
     with their owners' names, into one face: the cycle of their directed
@@ -456,7 +457,7 @@ def _build(target: str) -> Assembly:
         tets = [tets[i] for i in subset]
 
     index = {lab: k for k, lab in enumerate(coords)}
-    exact = np.array(list(coords.values()), dtype=np.int64)
+    exact = _bounded(list(coords.values()), _MESH_BOUND)
     vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
     verts = exact[vert_ids]
 
@@ -470,33 +471,36 @@ def _build(target: str) -> Assembly:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
 
+    # overlap, walls and hull planes read one table: face planes at points
+    normals, planes, signs = _face_planes(exact, vert_ids, np.array([t.parity for t in tiles]))
+
     # no two tetrahedra may share interior volume
-    overlaps = _overlapping_pairs(verts)
+    overlaps = _overlaps(verts, vert_ids, signs)
     if overlaps:
         a, b = overlaps[0]
         raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
 
     # A face is a wall iff its centroid pushed outward by an infinitesimal eps
     # lies in some closed tetrahedron: per face plane of that tetrahedron the
-    # centroid's side decides, and on the plane the face normal's side (eps).
+    # centroid's side decides (the table summed at the face's corners, exactly
+    # where they straddle the plane), and on the plane the face normal's side.
     faces = np.array([[ids[list(f)] for f in t.faces] for ids, t in zip(vert_ids, tiles)])
+    corner_signs = signs[:, :, faces]
+    hi, lo = corner_signs.max(axis=4), corner_signs.min(axis=4)
+    side = np.where(lo < 0, lo, hi)
+    across = np.nonzero((hi > 0) & (lo < 0))
+    side[across] = _gsign(planes[(*across[:2], faces[across[2:]].T)].sum(axis=0))
+    on = np.nonzero(side == 0)
+    side[on] = _gsign(_gdot(normals[on[:2]], normals[on[2:]]))
+    is_wall = (side <= 0).all(axis=1).any(axis=0)
+
     corners = exact[faces]
     corners.setflags(write=False)  # TriangleFace.corners are views into it
-    normals = _gcross(corners[:, :, 1] - corners[:, :, 0], corners[:, :, 2] - corners[:, :, 0])
-    offsets = 3 * _gdot(normals, corners[:, :, 0])
-    walls: list[TriangleFace] = []
-    boundary: list[TriangleFace] = []
-    hull: list[tuple[tuple[int, ...], tuple]] = []  # boundary (point indices, plane key)
-    for ti, t in enumerate(tiles):
-        centroids3 = corners[ti].sum(axis=1)
-        side = _gsign(_gdot(normals[None], centroids3[:, None, None]) - offsets[None])
-        eps = _gsign(_gdot(normals[None], normals[ti][:, None, None]))
-        inside = (np.where(side != 0, side, eps) <= 0).all(axis=2).any(axis=1)
-        for f, c, wall, n, d in zip(faces[ti].tolist(), corners[ti], inside, normals[ti],
-                                    offsets[ti]):
-            (walls if wall else boundary).append(TriangleFace(owner=t.name, corners=c))
-            if not wall:
-                hull.append((tuple(f), _plane_key(n, d)))
+    walls, boundary, hull = [], [], []  # hull: (point indices, plane key) of boundary
+    for (u, g), wall in np.ndenumerate(is_wall):
+        (walls if wall else boundary).append(TriangleFace(tiles[u].name, corners[u, g]))
+        if not wall:  # equal sign rows: one oriented plane through three corners
+            hull.append((tuple(faces[u, g].tolist()), signs[u, g].tobytes()))
 
     fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], exact)
 
@@ -508,10 +512,7 @@ def _build(target: str) -> Assembly:
         faces=tuple(tuple(remap[i] for i in f) for f in fused),
         provenance=tuple(tuple(sorted(o)) for o in owner_sets))
 
-    groups: tuple = ()
-    if target == "d1":
-        groups = tuple((kind, tuple(ids), region) for kind, ids, region in _wiring.D1_GROUPS)
-
+    groups = tuple(_wiring.D1_GROUPS) if target == "d1" else ()
     return Assembly(
         target=target, tiles=tuple(tiles), mesh=mesh, walls=tuple(walls),
         boundary_triangles=tuple(boundary), groups=groups)

@@ -568,9 +568,10 @@ def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
     return not (np.minimum(p1.max(0) - p2.min(0), p2.max(0) - p1.min(0)) <= tol).any()
 
 
-def _moved_in_x(triple, halves):
+def _moved_in_x(triple, move):
     (a, b), *rest = triple
-    return (a + halves, b), *rest  # doubled pairs: +1 in a is +1/2 in x
+    da, db = move  # doubled pairs: +1 in a is +1/2 in x, +1 in b is +tau/2
+    return (a + da, b + db), *rest
 
 
 def _float_overlaps(tets: np.ndarray) -> list[tuple[int, int]]:
@@ -581,15 +582,17 @@ def _float_overlaps(tets: np.ndarray) -> list[tuple[int, int]]:
             if _tets_overlap(flt[a], flt[b], 1e-9)]
 
 
-@pytest.mark.parametrize("wiring, moved, halves, n_pairs", [
-    ("d1", None, 0, 0), ("d1", "B", 1, 12), ("d1", "v0", 1, 6),
-    ("i1", None, 0, 0), ("i1", "i0", 1, 0), ("i1", "i3", -2, 4),
-], ids=["None-0", "B-12", "v0-6", "i1-None-0", "i1-i0-0", "i1-i3-4"])
-def test_exact_overlap_matches_float_reference(monkeypatch, wiring, moved, halves, n_pairs):
+@pytest.mark.parametrize("wiring, moved, move, n_pairs", [
+    ("d1", None, (0, 0), 0), ("d1", "B", (1, 0), 12), ("d1", "v0", (1, 0), 6),
+    ("i1", None, (0, 0), 0), ("i1", "i0", (1, 0), 0), ("i1", "i3", (-2, 0), 4),
+    ("d1", "B", (0, 1), 12), ("i1", "i3", (0, 1), 3), ("i1", "i3", (0, -1), 4),
+], ids=["None-0", "B-12", "v0-6", "i1-None-0", "i1-i0-0", "i1-i3-4",
+        "B-tau-12", "i1-i3-tau-3", "i1-i3-minus-tau-4"])
+def test_exact_overlap_matches_float_reference(monkeypatch, wiring, moved, move, n_pairs):
     coords, tets, _ = assembly._SOURCES[wiring]
     coords = dict(coords)
     if moved:
-        coords[moved] = _moved_in_x(coords[moved], halves)
+        coords[moved] = _moved_in_x(coords[moved], move)
     labels = list(coords)
     exact = np.array([coords[lab] for lab in labels])
     ids = np.array([[labels.index(lab) for lab in labs] for _, labs in tets])
@@ -709,6 +712,19 @@ def test_mesh_magnitude_guard():
         assembly.Mesh(exact=ring, faces=(tuple(range(17)),), provenance=((),))
 
 
+def test_build_magnitude_guard(monkeypatch):
+    # a build's plane table spans every wiring point, used by a tile or not,
+    # and its wall test is exact only up to 2**4: it takes the mesh bound
+    coords, tets, subset = assembly._SOURCES["T2"]
+    scaled = {lab: tuple((8 * a, 8 * b) for a, b in q) for lab, q in coords.items()}
+    monkeypatch.setitem(assembly._SOURCES, "T2", (scaled, tets, subset))
+    assert assembly._build("T2").mesh.volume_exact() == assemble("T2").volume_exact() * 2**9
+    unused = min(set(coords) - {lab for i in subset for lab in tets[i][1]})
+    scaled[unused] = ((9, 0), *scaled[unused][1:])
+    with pytest.raises(OverflowError):
+        assembly._build("T2")
+
+
 def test_triangle_family():
     one, t = GoldenRational(1), tau_pow(1)
     assert triangle_family((one, one, one)) == "equilateral"
@@ -824,6 +840,40 @@ def test_exports_pinned(target):
     got = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
                 for text in (patch, export_obj(a)))
     assert got == EXPORT_SHA256[target]
+
+
+# sha256 of one "owner corners" line per face (corners as exact doubled
+# pairs), for the walls and for the boundary triangles: owner order and
+# corner winding byte for byte; the axis-classes check reads the walls
+FACES_SHA256 = {
+    "d1": ("891941946941bfcdedad30107af8806c0f817808b02d2b4854e43c5d399e644b",
+           "ddbe41292aceef82afd12d297db98a7ed7800ca5cf459cf0b065a4d665c84240"),
+    "i1": ("9ac33b714ece22514e6100efdec92647c570dd625b29dfaf90f69d9d14f60098",
+           "e4b490da13ab791968c3472cc2359b2edcd20161b0f88d1d9cf7b3d33336333e"),
+    "E": ("b63da94928fae2231e72578fe2c4d17a56e0bd712f68b2b0c544eb339dc587bb",
+          "ab1027311fdf4ae0c6bca6d3a5d1a6d6fcfcb24662486ba586ea1329415977cd"),
+    "C": ("472c0122298b9e7ab690174b6860cc4029c6728780b598082c16cfca8923562c",
+          "0d63446d686c5d9f15a3670634667e4331a9f19c9297f548d9f4e57b6c4b7a89"),
+    "T1": ("a494172fa521d2aff69a191a1f50d0382d85ce994b431863f6e87a75bcb9f53b",
+           "a5a3293929c5298ba5b825a1187e3aa6dcea928ec85513adbb6d0207171f3905"),
+    "T2": ("03b3e8c666b0d65a9d93814f059b424c9ec8980b1420834faad4192b76f554df",
+           "b949acb08b9f8ea0a31459bfa1bee8f7a49dda960cd40090cf96946a032e3d4e"),
+    "T3": ("2bb37b32476b530e5e55fb7bbcc43da6909f1a5a29abaaa6848d2ed83551ea76",
+           "efa62784ae033af9adea4ca7e9436b6c2f36fca28e02bf6787245c25a7d91f02"),
+    "T3bar": ("2bb37b32476b530e5e55fb7bbcc43da6909f1a5a29abaaa6848d2ed83551ea76",
+              "7dd12b3e77a7dd4a3bb668ba88aac92d841681dd19a8e370cd0472a1f8e4c86c"),
+    "T4": ("b849df00b6d11a00b08a64660cfb233250befb32e87bd62d23a0fa2406242d39",
+           "a4259fd797dec1e961c68e8ee0f3e27a8b02758b9ba4945f974750980809554c"),
+}
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_walls_and_boundary_pinned(target):
+    a = assemble(target)
+    got = tuple(hashlib.sha256("".join(f"{f.owner} {f.corners.tolist()}\n" for f in faces)
+                               .encode("utf-8")).hexdigest()
+                for faces in (a.walls, a.boundary_triangles))
+    assert got == FACES_SHA256[target]
 
 
 def test_assemble_rejects_unknown():
