@@ -18,7 +18,7 @@ is kept as auxiliary data.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .golden import ONE, TAU, GoldenRational
@@ -77,16 +77,15 @@ _TAU2 = TAU * TAU
 class FaceSpec:
     """A congruence class of faces: shape, edge multiset, multiplicity.
 
-    axis_class records which symmetry axis the face is normal to when the
-    tile sits inside an icosahedrally symmetric assembly: Robinson triangles
-    (edge ratios (1,1,tau) or (1,tau,tau) at any scale) are normal to 5-fold
-    axes, equilateral triangles to 3-fold axes.
+    axis_class, derived from shape and edges, is the symmetry axis the face
+    is normal to inside an icosahedrally symmetric assembly: Robinson
+    triangles (edge ratios (1,1,tau) or (1,tau,tau) at any scale) are normal
+    to 5-fold axes, equilateral triangles to 3-fold axes, all else to none.
     """
 
     shape: str
     edges: tuple[GoldenRational, ...]
     multiplicity: int = 1
-    axis_class: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.shape not in _SHAPE_SIDES:
@@ -95,8 +94,12 @@ class FaceSpec:
             raise ValueError(f"{self.shape} needs {_SHAPE_SIDES[self.shape]} edges")
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if not self.axis_class:
-            object.__setattr__(self, "axis_class", _axis_class_of(self.shape, self.edges))
+
+    @property
+    def axis_class(self) -> str:
+        if self.shape != "triangle":
+            return "none"
+        return _FAMILY_AXIS[triangle_family([e * e for e in self.edges])]
 
     def edge_names(self) -> str:
         return "(" + ",".join(_edge_name(e) for e in self.edges) + ")"
@@ -125,12 +128,6 @@ def triangle_family(squares) -> str:
 
 
 _FAMILY_AXIS = {"equilateral": "three-fold", "robinson": "five-fold", "other": "none"}
-
-
-def _axis_class_of(shape: str, edges: tuple[GoldenRational, ...]) -> str:
-    if shape != "triangle":
-        return "none"
-    return _FAMILY_AXIS[triangle_family([e * e for e in edges])]
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ def cmd_eigen(as_json):
 @main.command("ledger")
 @click.option("--verify", "do_verify", is_flag=True,
               help="Re-verify each entry; print one status line per entry.")
-@click.option("--corrupt", is_flag=True, hidden=True)
+@click.option("--corrupt", is_flag=True, hidden=True, allow_from_autoenv=False)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.pass_context
 def cmd_ledger(ctx, do_verify, corrupt, as_json):

@@ -15,7 +15,7 @@ from .assembly import (
     export_patch,
     squared_edges,
 )
-from .axes import face_axis_class, icosahedron_vertices
+from .axes import axis_classes, face_axis_class, icosahedron_vertices
 from .placement import (
     AmbiguityError,
     CongruenceError,
@@ -41,6 +41,7 @@ __all__ = [
     "PlacedTile",
     "TriangleFace",
     "assemble",
+    "axis_classes",
     "cm_volume",
     "dihedrals",
     "edge_scheme",

@@ -132,13 +132,14 @@ class Mesh:
         if max(map(len, self.faces), default=0) > _MESH_CORNERS:
             raise OverflowError(f"a face beyond {_MESH_CORNERS} corners: "
                                 "the exact int64 kernel would wrap")
+        # one walk over the directed edges (tail, head, face): normals[face] += tail x head
+        walk = [(f[i - 1], v, fi) for fi, f in enumerate(self.faces) for i, v in enumerate(f)]
         incident: dict[tuple[int, int], list[int]] = {}
-        for fi, f in enumerate(self.faces):
-            for i in range(len(f)):
-                incident.setdefault((min(f[i - 1], f[i]), max(f[i - 1], f[i])), []).append(fi)
-        normals = np.array([_gcross(p, np.roll(p, -1, axis=0)).sum(axis=0)
-                            for p in (exact[list(f)] for f in self.faces)],
-                           dtype=np.int64).reshape(-1, 3, 2)
+        for t, h, fi in walk:
+            incident.setdefault((min(t, h), max(t, h)), []).append(fi)
+        tail, head, face = np.array(walk, dtype=np.intp).reshape(-1, 3).T
+        normals = np.zeros((len(self.faces), 3, 2), dtype=np.int64)
+        np.add.at(normals, face, _gcross(exact[tail], exact[head]))
         exact.setflags(write=False)
         normals.setflags(write=False)
         object.__setattr__(self, "exact", exact)
@@ -237,8 +238,8 @@ _SOURCES = {
 }
 
 # faces of tetrahedron abcd wound outward, by the sign of det(b - a, c - a, d - a)
-_WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
-          -1: ((0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2))}
+_WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3))}
+_WOUND[-1] = tuple((a, c, b) for a, b, c in _WOUND[1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +250,7 @@ _WOUND = {1: ((0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)),
 # most M, a difference is at most 2M, and per component _gmul(x, y) is at
 # most 3|x||y|, _gcross 6|x||y|, _gdot 9|x||y|; _gsign squares 2a+b <= 3|x|.
 #   squared_edges: _gdot(d, d) <= 9 (2M)^2 = 36 M^2 < 2^63 for M <= 2^28.
-#   face_axis_class: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
+#   axis_classes: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
 #     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
 #   PlacedTile: triple products, face-plane table entries n.(x - corner) and
 #     separating-axis projections are at most 9 * 2M * 24 M^2 = 432 M^3;
@@ -329,12 +330,12 @@ def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
 # geometric predicates
 
 
-def _face_planes(points: np.ndarray, ids: np.ndarray, parity: np.ndarray) -> tuple:
-    """Outward normals n (T, 4, 3, 2) of the _WOUND faces of the tetrahedra
-    points[ids] of the given parities (zero when flat), the plane table
-    n.(points[p] - the face's first corner), (T, 4, P, 2), and its int8 signs."""
-    c = points[ids[:, _WOUND[1]]]
-    n = parity[:, None, None, None] * _gcross(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])
+def _face_planes(points: np.ndarray, faces: np.ndarray) -> tuple:
+    """Normals n = (c1 - c0) x (c2 - c0), (T, 4, 3, 2), of the faces
+    points[faces], (T, 4, 3) indices wound outward, the plane table
+    n.(points[p] - c0), (T, 4, P, 2), and its int8 signs."""
+    c = points[faces]
+    n = _gcross(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])
     planes = _gdot(n[:, :, None], points - c[:, :, :1])
     return n, planes, _gsign(planes).astype(np.int8)
 
@@ -357,7 +358,7 @@ def _overlaps(tets: np.ndarray, ids: np.ndarray, signs: np.ndarray) -> list[tupl
     facets of a pair's Minkowski difference: it is apart if all four vertices
     of one lie on or outside a face plane of the other (702 of d1's 703
     pairs, all 120 of i1's), else if one of its 36 edge-edge cross products
-    separates it.  A flat tetrahedron's planes are zero and separate nothing."""
+    separates it.  A zero plane (collinear corners) separates nothing."""
     apart = ((signs[:, :, ids] >= 0).all(axis=3) & signs.any(axis=2)[:, :, None]).any(axis=1)
     a, b = np.nonzero(np.triu(~(apart | apart.T), 1))
     edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
@@ -367,9 +368,10 @@ def _overlaps(tets: np.ndarray, ids: np.ndarray, signs: np.ndarray) -> list[tupl
 
 
 def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
-    """_overlaps of the (T, 4, 3, 2) tetrahedra on their own vertices' planes."""
+    """_overlaps of (T, 4, 3, 2) tetrahedra, wound by their triple products' signs."""
     ids = np.arange(4 * len(tets)).reshape(-1, 4)
-    return _overlaps(tets, ids, _face_planes(tets.reshape(-1, 3, 2), ids, _gsign(_triple(tets)))[2])
+    wound = np.where(_gsign(_triple(tets))[:, None, None] < 0, _WOUND[-1], _WOUND[1])
+    return _overlaps(tets, ids, _face_planes(tets.reshape(-1, 3, 2), ids[:, :1, None] + wound)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +383,9 @@ def _drop_collinear(cycles: list[tuple[int, ...]], points: np.ndarray) -> list[t
     with their neighbours, tested in one step over all cycles and dropped at
     once: dropping one leaves the others' collinearity unchanged.
     AssemblyError if fewer than 3 corners of a cycle remain."""
-    at = [i for c in cycles for i in c]
-    prev = [c[k - 1] for c in cycles for k in range(len(c))]
-    after = [c[k + 1 - len(c)] for c in cycles for k in range(len(c))]
-    p = points[at]
-    keep = iter(_gcross(p - points[prev], points[after] - p).any(axis=(1, 2)).tolist())
+    walk = [(c[k - 1], v, c[k + 1 - len(c)]) for c in cycles for k, v in enumerate(c)]
+    prev, at, after = points[np.array(walk, dtype=np.intp).reshape(-1, 3).T]
+    keep = iter(_gcross(at - prev, after - at).any(axis=(1, 2)).tolist())
     out = [tuple(compress(c, islice(keep, len(c)))) for c in cycles]
     if min(map(len, out), default=3) < 3:
         raise AssemblyError("a fused face has fewer than 3 corners not collinear "
@@ -471,8 +471,9 @@ def _build(target: str) -> Assembly:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
 
-    # overlap, walls and hull planes read one table: face planes at points
-    normals, planes, signs = _face_planes(exact, vert_ids, np.array([t.parity for t in tiles]))
+    # overlap, walls and hull planes read one table: outward-wound face planes at points
+    faces = np.array([np.take(ids, t.faces) for ids, t in zip(vert_ids, tiles)])
+    normals, planes, signs = _face_planes(exact, faces)
 
     # no two tetrahedra may share interior volume
     overlaps = _overlaps(verts, vert_ids, signs)
@@ -484,7 +485,6 @@ def _build(target: str) -> Assembly:
     # lies in some closed tetrahedron: per face plane of that tetrahedron the
     # centroid's side decides (the table summed at the face's corners, exactly
     # where they straddle the plane), and on the plane the face normal's side.
-    faces = np.array([[ids[list(f)] for f in t.faces] for ids, t in zip(vert_ids, tiles)])
     corner_signs = signs[:, :, faces]
     hi, lo = corner_signs.max(axis=4), corner_signs.min(axis=4)
     side = np.where(lo < 0, lo, hi)

@@ -9,7 +9,7 @@ vertices, as doubled Z[tau] pairs: two vertices are adjacent when their
 doubled squared distance is 4, a face centre direction is the sum of
 three mutually adjacent vertices and an edge midpoint direction the sum
 of two.  A face's class is decided by an exact zero cross product on the
-kernel in assembly.py.
+kernel in assembly.py, for a whole stack of faces in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import _wiring
 from .assembly import _AXIS_BOUND, _bounded, _embed_doubled, _gcross, _gdot
 
-__all__ = ["icosahedron_vertices", "face_axis_class"]
+__all__ = ["icosahedron_vertices", "axis_classes", "face_axis_class"]
 
 
 def _doubled_vertices() -> np.ndarray:
@@ -37,11 +37,9 @@ def icosahedron_vertices() -> np.ndarray:
 
 
 def _one_per_pair(dirs: list[np.ndarray]) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for v in dirs:
-        if not any((v == -k).all() for k in kept):
-            kept.append(v)
-    return np.array(kept)
+    """The directions whose opposite does not come before them."""
+    d = np.array(dirs)
+    return d[~np.tril((d[:, None] == -d[None]).all(axis=(2, 3)), -1).any(axis=1)]
 
 
 @lru_cache(maxsize=None)
@@ -61,19 +59,22 @@ def _axes() -> dict[str, np.ndarray]:
     return axes
 
 
-def face_axis_class(corners: np.ndarray) -> str:
-    """'five-fold', 'three-fold', 'two-fold' or 'none' for a planar face.
-
-    corners are doubled Z[tau] pairs, shape (k, 3, 2), the first three not
-    collinear, each entry at most 2**27 in magnitude (OverflowError beyond,
-    see assembly._bounded); the face normal's class is the first one holding
-    an axis whose exact cross product with the normal is zero.
+def axis_classes(faces) -> list[str]:
+    """'five-fold', 'three-fold', 'two-fold' or 'none' for each face of a
+    stack of doubled Z[tau] corners, shape (F, k, 3, 2), each entry at most
+    2**27 in magnitude (OverflowError beyond, see assembly._bounded).  All
+    normals (c1 - c0) x (c2 - c0) are crossed with all 31 axes at once, in
+    class order: a face gets the first class with an exact zero cross
+    product, and 'none' (the last class) for a zero normal or no such axis.
     """
-    c = _bounded(corners, _AXIS_BOUND)
-    n = _gcross(c[1] - c[0], c[2] - c[0])
-    if not n.any():
-        return "none"
-    for label, axes in _axes().items():
-        if not _gcross(axes, n[None]).any(axis=(1, 2)).all():
-            return label
-    return "none"
+    c = _bounded(faces, _AXIS_BOUND)
+    n = _gcross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+    labels = [label for label, axes in _axes().items() for _ in axes] + ["none"]
+    hit = ~_gcross(np.concatenate(list(_axes().values()))[None], n[:, None]).any(axis=(2, 3))
+    hit = np.c_[hit & n.any(axis=(1, 2))[:, None], np.ones(len(n), dtype=bool)]
+    return [labels[j] for j in hit.argmax(axis=1).tolist()]
+
+
+def face_axis_class(corners: np.ndarray) -> str:
+    """axis_classes of the one face with these corners, shape (k, 3, 2)."""
+    return axis_classes([corners])[0]

@@ -13,6 +13,7 @@ from icotile import catalog, checks, geometry, inflation, report
 from icotile.catalog import TileKind, triangle_family
 from icotile.geometry import (
     assemble,
+    axis_classes,
     cm_volume,
     dihedrals,
     edge_scheme,
@@ -364,11 +365,11 @@ def test_spectrum_check_reads_m_rows(monkeypatch):
 
 def test_axis_classes_check_fails_on_wall_off_axis(monkeypatch):
     wall = assemble("d1").walls[0]
-    monkeypatch.setattr(geometry, "face_axis_class",
-                        lambda c: "two-fold" if c is wall.corners else face_axis_class(c))
+    monkeypatch.setattr(geometry, "axis_classes", lambda faces: [
+        "two-fold" if c is wall.corners else got for c, got in zip(faces, axis_classes(faces))])
     assert checks._check_axis_classes() == (False, "d1: wall of t2-0 off-axis")
     # the expected axis of each wall family is the catalog's
-    monkeypatch.setattr(geometry, "face_axis_class", face_axis_class)
+    monkeypatch.setattr(geometry, "axis_classes", axis_classes)
     monkeypatch.setitem(catalog._FAMILY_AXIS, "robinson", "none")
     assert checks._check_axis_classes() == (False, "d1: unexpected wall family robinson")
 

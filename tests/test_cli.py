@@ -164,6 +164,14 @@ def test_ledger_corrupt_flag(runner):
     assert again.exit_code == 0
 
 
+def test_ledger_corrupt_flag_not_from_environment(runner):
+    # every other option is settable as ICOTILE_*; the hidden mutant flag is not
+    res = runner.invoke(main, ["ledger", "--verify"], env={"ICOTILE_LEDGER_CORRUPT": "1"})
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert len(lines) == 7 and all(l.startswith("OK ") for l in lines)
+
+
 def test_wrong_ledger_entry_fails_without_traceback(runner, monkeypatch):
     entries = inflation._ledger_data()
     first = entries[0]

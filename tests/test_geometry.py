@@ -21,6 +21,7 @@ from icotile.geometry import (
     GlueError,
     PlacedTile,
     assemble,
+    axis_classes,
     cm_volume,
     dihedrals,
     edge_scheme,
@@ -533,6 +534,27 @@ def test_dihedral_class_neither():
     assert {(d.angle, d.angle_class) for d in dihedrals(tri)} == {(None, None)}
 
 
+def _per_face_mesh_reference(mesh):
+    """edge_faces and normals as a Mesh derived them face by face: an
+    incidence double loop, and per face the Newell sum of p x roll(p, -1)."""
+    incident = {}
+    for fi, f in enumerate(mesh.faces):
+        for i in range(len(f)):
+            incident.setdefault((min(f[i - 1], f[i]), max(f[i - 1], f[i])), []).append(fi)
+    normals = [assembly._gcross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+               for p in (mesh.exact[list(f)] for f in mesh.faces)]
+    return tuple((e, tuple(incident[e])) for e in sorted(incident)), np.array(normals)
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_mesh_edge_walk_matches_per_face_reference(target):
+    mesh = assemble(target).mesh
+    edge_faces, normals = _per_face_mesh_reference(mesh)
+    assert mesh.edge_faces == edge_faces
+    assert mesh.normals.dtype == np.int64 and mesh.normals.shape == normals.shape
+    assert (mesh.normals == normals).all()
+
+
 def test_pentagon_face_of_t3():
     a = assemble("T3")
     pent = [i for i, f in enumerate(a.mesh.faces) if len(f) == 5]
@@ -658,6 +680,43 @@ def test_canonical_frame():
     assert face_axis_class(_face_normal_to((1, 1, 1))) == "three-fold"
     assert face_axis_class(_face_normal_to((1, 0, 0))) == "two-fold"
     assert face_axis_class(_face_normal_to((1, 2, 3))) == "none"
+
+
+def _one_per_pair_reference(dirs):
+    """_one_per_pair as a loop: keep each direction that no kept one negates."""
+    kept = []
+    for v in dirs:
+        if not any((v == -k).all() for k in kept):
+            kept.append(v)
+    return np.array(kept)
+
+
+def test_one_per_pair_matches_loop_reference():
+    # the twelve vertices are six +- pairs; shuffled and with random signs,
+    # the pairs come in every order and sign
+    verts = list(axes._doubled_vertices())
+    rng = random.Random(5)
+    for _ in range(20):
+        dirs = [rng.choice((1, -1)) * v for v in rng.sample(verts, len(verts))]
+        assert axes._one_per_pair(dirs).tolist() == _one_per_pair_reference(dirs).tolist()
+
+
+def test_axis_classes_one_stack():
+    collinear = np.array([[(0, 0)] * 3, [(2, 0), (0, 0), (0, 0)], [(4, 0), (0, 0), (0, 0)]])
+    stack = np.stack([FIVE, _face_normal_to((1, 1, 1)), _face_normal_to((1, 0, 0)),
+                      _face_normal_to((1, 2, 3)), collinear])
+    want = ["five-fold", "three-fold", "two-fold", "none", "none"]
+    assert axis_classes(stack) == want
+    assert [face_axis_class(face) for face in stack] == want
+    # the bound holds for the whole stack: one entry past it, in any face, raises
+    for k in range(len(stack)):
+        for sign in (1, -1):
+            at = stack.copy()
+            at[k] = sign * _shifted(at[k], 2**27)
+            assert axis_classes(at) == want
+            at[k] = sign * _shifted(stack[k], 2**27 + 1)
+            with pytest.raises(OverflowError):
+                axis_classes(at)
 
 
 def _shifted(points, top):
