@@ -239,8 +239,9 @@ def _check_axis_classes() -> tuple[bool, str]:
     n = 0
     for target in ("d1", "i1"):
         walls = assemble(target).walls
-        for w, got in zip(walls, axis_classes([wall.corners for wall in walls])):
-            fam = triangle_family(squared_edges(w.corners))
+        corners = [wall.corners for wall in walls]
+        for w, got, sq in zip(walls, axis_classes(corners), squared_edges(corners)):
+            fam = triangle_family(sq)
             axis = catalog._FAMILY_AXIS[fam]
             if axis == "none":
                 return False, f"{target}: unexpected wall family {fam}"

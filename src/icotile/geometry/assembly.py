@@ -76,7 +76,7 @@ class PlacedTile:
         exact = _bounded(self.exact, _TILE_BOUND)
         if exact.shape != (4, 3, 2):
             raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
-        parity = int(_gsign(_triple(exact)))
+        parity = GoldenRational(*_scalar_triple(exact.tolist())).sign()
         if not parity:
             raise ValueError("the tile is flat: its triple product is zero")
         exact.setflags(write=False)
@@ -104,7 +104,7 @@ class PlacedTile:
 
     def volume(self) -> GoldenRational:
         """Exact volume: |triple product| / 6, or / 48 in doubled coordinates."""
-        return abs(GoldenRational(*_triple(self.exact).tolist(), 48))
+        return abs(GoldenRational(*_scalar_triple(self.exact.tolist()), 48))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,13 +191,17 @@ class Dihedral:
     angle_class: str | None
 
 
-def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...]:
+def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...] | list[tuple]:
     """Exact squared lengths of a polygon's edges in cyclic order; corners
     are doubled Z[tau] pairs, shape (k, 3, 2), each entry at most 2**28 in
-    magnitude (OverflowError beyond)."""
+    magnitude (OverflowError beyond).  A stack (..., k, 3, 2) gives a list
+    of those tuples, one per polygon in row-major order, in one kernel call."""
     corners = _bounded(corners, _EDGE_BOUND)
-    d = np.roll(corners, -1, axis=0) - corners
-    return tuple(GoldenRational(a, b, 4) for a, b in _gdot(d, d).tolist())
+    d = np.roll(corners, -1, axis=-3) - corners
+    q = _gdot(d, d)
+    polygons = q.reshape(-1, *q.shape[-2:]).tolist()
+    out = [tuple(GoldenRational(a, b, 4) for a, b in p) for p in polygons]
+    return out if q.ndim > 2 else out[0]
 
 
 def _census(specs) -> Counter:
@@ -252,11 +256,14 @@ _WOUND[-1] = tuple((a, c, b) for a, b, c in _WOUND[1])
 #   squared_edges: _gdot(d, d) <= 9 (2M)^2 = 36 M^2 < 2^63 for M <= 2^28.
 #   axis_classes: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
 #     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
-#   PlacedTile: triple products, face-plane table entries n.(x - corner) and
-#     separating-axis projections are at most 9 * 2M * 24 M^2 = 432 M^3;
-#     _gsign: (3 * 432 M^3)^2 < 2^63 for M <= 2^7.  A build's wall test sums
-#     three entries (1296 M^3: M <= 2^6), its tie-break dots two normals
-#     (9 (24 M^2)^2 = 5184 M^4: M <= 2^4), so _build bounds points by 2^3.
+#   PlacedTile: its parity is the sign of a Python-int triple product, exact
+#     at any size.  Face normals are at most 6 (2M)^2 = 24 M^2, so each term
+#     n.x of the plane table n.x - n.c0 (integer matmuls) is at most
+#     9 * 24 M^2 * M = 216 M^3 and an entry at most 432 M^3, as is a
+#     separating-axis projection difference; _gsign: (3 * 432 M^3)^2 < 2^63
+#     for M <= 2^7.  A build's wall test sums three entries (1296 M^3:
+#     M <= 2^6), its tie-break dots two normals (9 (24 M^2)^2 = 5184 M^4:
+#     M <= 2^4), so _build bounds points by 2^3.
 #   Mesh: the Newell normal of a face of k corners sums k cross products of
 #     its points, so it is at most 6 k M^2; dihedrals() takes the dot products
 #     of two normals, at most D = 9 (6 k M^2)^2 = 324 k^2 M^4, to degree 8 in
@@ -305,10 +312,26 @@ def _gdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _gmul(u, v).sum(axis=-2)
 
 
+def _scalar_triple(v) -> tuple[int, int]:
+    """Triple product (b-a).((c-a)x(d-a)) of one tetrahedron, nested (4, 3, 2)
+    Python ints, as a Z[tau] pair: exact at any magnitude."""
+    o, *rest = v
+    d = [(pa - oa, pb - ob) for p in rest for (pa, pb), (oa, ob) in zip(p, o)]
+    a = b = 0
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # x_i (y_j z_k - y_k z_j)
+        (xa, xb), (ya, yb), (za, zb) = d[i], d[3 + j], d[6 + k]
+        (wa, wb), (va, vb) = d[3 + k], d[6 + j]  # y_k, z_j
+        sa = ya * za + yb * zb - wa * va - wb * vb
+        sb = ya * zb + yb * za + yb * zb - wa * vb - wb * va - wb * vb
+        a += xa * sa + xb * sb
+        b += xa * sb + xb * sa + xb * sb
+    return a, b
+
+
 def _triple(v: np.ndarray) -> np.ndarray:
-    """Triple product (b-a).((c-a)x(d-a)) of (..., 4, 3, 2) tetrahedra."""
-    e = v[..., 1:, :, :] - v[..., :1, :, :]
-    return _gdot(e[..., 0, :, :], _gcross(e[..., 1, :, :], e[..., 2, :, :]))
+    """_scalar_triple of (..., 4, 3, 2) tetrahedra as (..., 2) int64 pairs."""
+    out = [_scalar_triple(t) for t in v.reshape(-1, 4, 3, 2).tolist()]
+    return np.array(out, dtype=np.int64).reshape(*v.shape[:-3], 2)
 
 
 @cache
@@ -333,10 +356,12 @@ def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
 def _face_planes(points: np.ndarray, faces: np.ndarray) -> tuple:
     """Normals n = (c1 - c0) x (c2 - c0), (T, 4, 3, 2), of the faces
     points[faces], (T, 4, 3) indices wound outward, the plane table
-    n.(points[p] - c0), (T, 4, P, 2), and its int8 signs."""
+    n.points[p] - n.c0, (T, 4, P, 2), and its int8 signs."""
     c = points[faces]
     n = _gcross(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])
-    planes = _gdot(n[:, :, None], points - c[:, :, :1])
+    (na, nb), (pa, pb) = np.moveaxis(n, -1, 0), points.T
+    at = np.stack([na @ pa + nb @ pb, na @ pb + nb @ (pa + pb)], axis=-1)  # n.points
+    planes = at - _gdot(n, c[:, :, 0])[:, :, None]
     return n, planes, _gsign(planes).astype(np.int8)
 
 
@@ -472,7 +497,8 @@ def _build(target: str) -> Assembly:
         count[kind_name] += 1
 
     # overlap, walls and hull planes read one table: outward-wound face planes at points
-    faces = np.array([np.take(ids, t.faces) for ids, t in zip(vert_ids, tiles)])
+    wound = np.where(np.array([t.parity for t in tiles])[:, None, None] < 0, _WOUND[-1], _WOUND[1])
+    faces = np.take_along_axis(vert_ids[:, None], wound, axis=2)
     normals, planes, signs = _face_planes(exact, faces)
 
     # no two tetrahedra may share interior volume
@@ -552,17 +578,20 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
 # exports
 
 
+def _tile_vertices(assembly: Assembly) -> list:
+    """Float vertices of every tile, nested (T, 4, 3) lists, in one embed."""
+    return _embed_doubled(np.stack([t.exact for t in assembly.tiles])).tolist()
+
+
 def export_obj(assembly: Assembly) -> str:
     """Wavefront OBJ text: one named object per tile, faces wound outward."""
     lines = [f"# {assembly.target}: {len(assembly.tiles)} tetrahedra"]
-    offset = 0
-    for t in assembly.tiles:
+    for k, (t, verts) in enumerate(zip(assembly.tiles, _tile_vertices(assembly))):
         lines.append(f"o {t.name}")
-        for v in t.vertices:
+        for v in verts:
             lines.append("v " + " ".join(f"{x:.17g}" for x in v))
         for f in t.faces:
-            lines.append("f " + " ".join(str(i + 1 + offset) for i in f))
-        offset += len(t.exact)
+            lines.append("f " + " ".join(str(i + 1 + 4 * k) for i in f))
     return "\n".join(lines) + "\n"
 
 
@@ -576,9 +605,9 @@ def export_patch(assembly: Assembly) -> dict:
                 "kind": t.kind.value,
                 "name": t.name,
                 "parity": t.parity,
-                "vertices": [[float(x) for x in v] for v in t.vertices],
+                "vertices": verts,
             }
-            for t in assembly.tiles
+            for t, verts in zip(assembly.tiles, _tile_vertices(assembly))
         ],
         "hull": {
             "vertices": [[float(x) for x in v] for v in assembly.mesh.vertices],

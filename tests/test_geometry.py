@@ -649,6 +649,62 @@ def test_exact_overlap_contacts_and_zero_normals():
     assert assembly._overlapping_pairs(tets) == _float_overlaps(tets) == [(0, 1)]
 
 
+def _triple_reference(v: np.ndarray) -> np.ndarray:
+    """Triple product (b-a).((c-a)x(d-a)) of (..., 4, 3, 2) tetrahedra on the
+    numpy kernel: the reference for the scalar assembly._scalar_triple."""
+    e = v[..., 1:, :, :] - v[..., :1, :, :]
+    return assembly._gdot(e[..., 0, :, :], assembly._gcross(e[..., 1, :, :], e[..., 2, :, :]))
+
+
+def test_scalar_parity_matches_kernel_reference():
+    for target in catalog.ASSEMBLY_TARGETS:
+        tiles = assemble(target).tiles
+        ref = assembly._gsign(_triple_reference(np.stack([t.exact for t in tiles])))
+        assert [t.parity for t in tiles] == ref.tolist()
+        assert [t.volume() for t in tiles] == [catalog.record(t.kind).volume for t in tiles]
+    # every single-vertex move by +-1/2, +-1, 3/2 or +-tau/2 along each axis
+    moves, flat = 0, 0
+    wirings = ((_wiring.D1_COORDS, _wiring.D1_TETS), (_wiring.I1_COORDS, _wiring.I1_TETS))
+    for coords, tets in wirings:
+        labels = list(coords)
+        ids = np.array([[labels.index(lab) for lab in labs] for _, labs in tets])
+        for k, axis, move in itertools.product(range(len(labels)), range(3),
+                                               ((1, 0), (-1, 0), (2, 0), (-2, 0), (3, 0),
+                                                (0, 1), (0, -1))):
+            exact = np.array(list(coords.values()))
+            exact[k, axis] += move
+            v = exact[ids]
+            ref = _triple_reference(v)
+            assert assembly._triple(v).tolist() == ref.tolist()
+            touched = (ids == k).any(axis=1)  # the tetrahedra the move changes
+            for tet, sign in zip(v[touched], assembly._gsign(ref[touched]).tolist()):
+                if sign:
+                    assert PlacedTile(kind="t1", exact=tet).parity == sign
+                else:
+                    flat += 1
+                    with pytest.raises(ValueError, match="flat"):
+                        PlacedTile(kind="t1", exact=tet)
+            moves += 1
+    assert (moves, flat) == (735, 176)
+
+
+def test_scalar_parity_at_tile_bound():
+    # entries at +-2**7, where the int64 kernel's _gsign is still exact
+    rng = random.Random(7)
+    half = [[(rng.randint(-2**7, 2**7), rng.randint(-2**7, 2**7)) for _ in range(3)]
+            for _ in range(4)]
+    half[0][0], half[1][1], half[2][2] = (2**7, -2**7), (-2**7, 2**7), (2**7, 2**7)
+    tile = PlacedTile(kind="t3", exact=np.array(half))
+    p = [[GoldenRational(a, b, 2) for a, b in q] for q in half]
+    x, y, z = ([q[i] - p[0][i] for i in range(3)] for q in p[1:])
+    triple = (x[0] * (y[1] * z[2] - y[2] * z[1]) + x[1] * (y[2] * z[0] - y[0] * z[2])
+              + x[2] * (y[0] * z[1] - y[1] * z[0]))
+    assert triple != 0
+    assert tile.parity == triple.sign()
+    assert tile.volume() == abs(triple) / 6
+    assert tile.parity == int(assembly._gsign(_triple_reference(tile.exact)))
+
+
 def test_exact_points_match_floats():
     for target, coords in (("d1", _wiring.D1_COORDS), ("i1", _wiring.I1_COORDS)):
         a = assemble(target)
@@ -812,6 +868,13 @@ def test_hull_faces_on_axes():
     d1 = assemble("d1")
     for i in range(12):
         assert face_axis_class(d1.mesh.exact[list(d1.mesh.faces[i])]) == "five-fold"
+
+
+def test_squared_edges_of_a_stack():
+    for target in ("d1", "i1"):
+        corners = [wall.corners for wall in assemble(target).walls]
+        assert squared_edges(corners) == [squared_edges(c) for c in corners]
+        assert squared_edges(np.stack(corners)[None])[:2] == squared_edges(corners[:2])
 
 
 def test_internal_walls_on_axes():
