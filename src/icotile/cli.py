@@ -7,7 +7,6 @@ report.  Every command accepts --json for machine output.  Exit codes:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -27,7 +26,7 @@ _FACE_WORDS = {3: "triangular", 4: "quadrilateral", 5: "pentagonal", 6: "hexagon
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Global knobs, settable by flag or ICOTILE_* environment variable."""
+    """Global knobs, from flags or ICOTILE_MAX_ORDER / ICOTILE_OUTPUT_PATH."""
 
     max_order: int = 50
     output_path: str | None = None
@@ -98,13 +97,12 @@ def _non_negative(ctx, param, value):
     return value
 
 
-@click.group(context_settings={
-    "auto_envvar_prefix": "ICOTILE",
-    "help_option_names": ["-h", "--help"],
-})
+@click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--max-order", type=int, default=50, show_default=True,
-              callback=_non_negative, help="Largest accepted inflation order.")
+              envvar="ICOTILE_MAX_ORDER", callback=_non_negative,
+              help="Largest accepted inflation order.")
 @click.option("--output-path", type=click.Path(), default=None,
+              envvar="ICOTILE_OUTPUT_PATH",
               help="Default destination for build and report output.")
 @click.pass_context
 def main(ctx, max_order, output_path):
@@ -139,13 +137,12 @@ def cmd_catalog(mode, as_json):
 @click.option("--tile", required=True,
               type=click.Choice(sorted(inflation.BASES)),
               help="Starting patch: one composite tile or a dodecahedron.")
-@click.option("--order", required=True, type=int, help="Inflation power n.")
+@click.option("--order", required=True, type=int, callback=_non_negative,
+              help="Inflation power n.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.pass_obj
 def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     """Composite-tile counts after n rounds of tau-inflation."""
-    if order < 0:
-        raise click.UsageError("--order must be non-negative")
     if order > cfg.max_order:
         raise click.UsageError(
             f"--order {order} exceeds --max-order {cfg.max_order}")
@@ -186,16 +183,14 @@ def cmd_eigen(as_json):
 @main.command("ledger")
 @click.option("--verify", "do_verify", is_flag=True,
               help="Re-verify each entry; print one status line per entry.")
-@click.option("--corrupt", is_flag=True, hidden=True, allow_from_autoenv=False)
+@click.option("--corrupt", is_flag=True, hidden=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.pass_context
 def cmd_ledger(ctx, do_verify, corrupt, as_json):
     """The recorded dodecahedral decompositions."""
     entries = list(inflation.dodecahedron_ledger())
     if corrupt:
-        first = entries[0]
-        bad = dataclasses.replace(first.parts[0], count=first.parts[0].count + 1)
-        entries[0] = dataclasses.replace(first, parts=(bad,) + first.parts[1:])
+        entries[0] = entries[0].mutant()
     results = [(d, inflation.verify_decomposition(d)) for d in entries]
     all_ok = all(rep.ok for _, rep in results)
     if as_json:

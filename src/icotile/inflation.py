@@ -37,7 +37,7 @@ entry they show.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, reduce
 from math import lcm
 from typing import NamedTuple
@@ -375,6 +375,11 @@ class Decomposition:
 
     def describe(self) -> str:
         return f"{self.name} = " + " + ".join(p.label() for p in self.parts)
+
+    def mutant(self) -> "Decomposition":
+        """This entry with its first part's count raised by one."""
+        first = self.parts[0]
+        return replace(self, parts=(replace(first, count=first.count + 1),) + self.parts[1:])
 
 
 @dataclass(frozen=True)

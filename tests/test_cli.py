@@ -12,6 +12,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -165,7 +166,7 @@ def test_ledger_corrupt_flag(runner):
 
 
 def test_ledger_corrupt_flag_not_from_environment(runner):
-    # every other option is settable as ICOTILE_*; the hidden mutant flag is not
+    # only --max-order and --output-path read the environment; the hidden mutant flag does not
     res = runner.invoke(main, ["ledger", "--verify"], env={"ICOTILE_LEDGER_CORRUPT": "1"})
     assert res.exit_code == 0
     lines = res.output.splitlines()
@@ -350,6 +351,62 @@ def test_global_flag_validation(runner):
     assert runner.invoke(main, ["--max-order", "-5", "catalog"]).exit_code == 2
     assert runner.invoke(main, ["--max-order", "abc", "catalog"]).exit_code == 2
     assert runner.invoke(main, ["catalog"], env={"ICOTILE_MAX_ORDER": "-5"}).exit_code == 2
+
+
+# what each subcommand option would read as ICOTILE_<COMMAND>_<PARAM> under
+# click's automatic environment prefix (the hidden --corrupt was exempt even
+# then), set to a value that changes the run
+_HOSTILE_ENV = {
+    "ICOTILE_CATALOG_AS_JSON": "1",
+    "ICOTILE_INFLATE_TILE": "T1",
+    "ICOTILE_INFLATE_ORDER": "3",
+    "ICOTILE_INFLATE_AS_JSON": "1",
+    "ICOTILE_EIGEN_AS_JSON": "1",
+    "ICOTILE_LEDGER_DO_VERIFY": "1",
+    "ICOTILE_LEDGER_CORRUPT": "1",
+    "ICOTILE_LEDGER_AS_JSON": "1",
+    "ICOTILE_BUILD_SHAPE": "T2",
+    "ICOTILE_BUILD_OUT": "env.obj",
+    "ICOTILE_BUILD_AS_JSON": "1",
+    "ICOTILE_VERIFY_NAMES": "ledger",
+    "ICOTILE_VERIFY_AS_JSON": "1",
+    "ICOTILE_REPORT_OUT": "envdir",
+    "ICOTILE_REPORT_AS_JSON": "1",
+}
+
+
+def _run_in_empty_dir(runner, args, env):
+    """Exit code, output and {path: bytes} of the files one run writes."""
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, args, env=env)
+        files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+    return res.exit_code, res.output, files
+
+
+def test_subcommand_options_ignore_environment(runner):
+    derived = {f"ICOTILE_{name.upper()}_{param.name.upper()}"
+               for name, cmd in main.commands.items()
+               for param in cmd.params if isinstance(param, click.Option)}
+    assert derived == set(_HOSTILE_ENV)
+    clean = dict.fromkeys(_HOSTILE_ENV)  # None unsets, should the caller have them set
+    runs = (["catalog"], ["inflate"], ["inflate", "--tile", "T2", "--order", "2"],
+            ["eigen"], ["ledger"], ["build"], ["build", "--shape", "E"],
+            ["report"], ["verify"])
+    for args in runs:
+        hostile = _run_in_empty_dir(runner, args, _HOSTILE_ENV)
+        assert hostile == _run_in_empty_dir(runner, args, clean), args
+    code, output, _ = hostile  # the full verify battery, projection failing
+    assert code == 1
+    assert len(output.splitlines()) == 10
+
+
+def test_output_path_from_environment(runner):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["build", "--shape", "T2"],
+                            env={"ICOTILE_OUTPUT_PATH": "t2.obj"})
+        assert res.exit_code == 0
+        assert res.output.endswith("wrote t2.obj\n")
+        assert Path("t2.obj").read_text(encoding="utf-8").startswith("# T2: 2 tetrahedra\n")
 
 
 def test_deterministic_stdout(runner):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +19,7 @@ from icotile.golden import (
     GoldenRational,
     conj,
     embed,
+    embed_decimal,
     exact_sqrt,
     fibonacci,
     tau_pow,
@@ -190,6 +191,44 @@ def test_embed_precision_and_large_coefficients():
     with pytest.raises(OverflowError):
         embed(tau_pow(2000))
     assert float(TAU) == embed(TAU)
+
+
+def _embed_decimal_reference(x: GoldenRational) -> Decimal:
+    """The magnitude-scaled evaluation embed_decimal once used: 2*digits + 40
+    working digits, wide enough for any cancellation, and a fresh sqrt(5)."""
+    def ndigits(v: int) -> int:
+        return abs(v).bit_length() * 31 // 100 + 1
+
+    a, b, den = x.a, x.b, x.den
+    ctx = Context(prec=2 * max(ndigits(a), ndigits(b)) + ndigits(den) + 40)
+    root5 = ctx.sqrt(Decimal(5))
+    return ctx.divide(ctx.add(Decimal(2 * a + b), ctx.multiply(Decimal(b), root5)),
+                      Decimal(2 * den))
+
+
+def _embedding_families() -> list[GoldenRational]:
+    values = [tau_pow(n) for n in range(-300, 301)]
+    values += [tau_pow(n) for n in (1000, -1000, 10000, -10000, 30000)]
+    # near cancellations: (F(n+1) + d) - F(n)*tau is (-1)^n tau^(-n) + d
+    for n in range(2, 400, 9):
+        for d in (-2, -1, 0, 1, 2):
+            for den in (1, 12, 999):
+                values.append(GoldenRational(fibonacci(n + 1) + d, -fibonacci(n), den))
+                values.append(GoldenRational(-fibonacci(n + 1) + d, fibonacci(n), den))
+    rng = random.Random(29)
+    for _ in range(400):
+        span = 10 ** rng.randint(1, 1000)
+        values.append(GoldenRational(rng.randint(-span, span), rng.randint(-span, span),
+                                     rng.randint(1, 10**6)))
+    return values
+
+
+def test_embed_decimal_matches_magnitude_scaled_reference():
+    for x in _embedding_families():
+        got, want = embed_decimal(x), _embed_decimal_reference(x)
+        assert float(got) == float(want), x
+        assert format(got, ".16e") == format(want, ".16e"), x
+        assert format(got, ".7e") == format(want, ".7e"), x
 
 
 def test_exact_sqrt():
