@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 
 from .golden import ONE, TAU, GoldenRational
 
@@ -332,11 +333,11 @@ def expand_to_fundamental(inv) -> dict[TileKind, int]:
 
 
 def total_volume(inv) -> GoldenRational:
-    """Exact sum of count * volume over a tile multiset."""
-    total = GoldenRational(0)
-    for kind, n in _as_counts(inv).items():
-        total = total + record(kind).volume * n
-    return total
+    """Exact sum of count * volume over a tile multiset, normalised once."""
+    terms = [(record(kind).volume, n) for kind, n in _as_counts(inv).items()]
+    den = lcm(*(v.den for v, _ in terms))
+    return GoldenRational(sum(v.a * (den // v.den) * n for v, n in terms),
+                          sum(v.b * (den // v.den) * n for v, n in terms), den)
 
 
 _INVENTORIES = {

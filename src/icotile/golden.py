@@ -228,39 +228,43 @@ def conj(x: GoldenRational) -> GoldenRational:
     return _as_golden(x).conj()
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) by fast doubling, n >= 0."""
-    if n == 0:
-        return 0, 1
-    fa, fb = _fib_pair(n >> 1)
-    c = fa * (2 * fb - fa)
-    d = fa * fa + fb * fb
-    if n & 1:
-        return d, c + d
-    return c, d
+def _lucas_pair(n: int) -> tuple[int, int]:
+    """(F(n), L(n)), n >= 0, doubling from the top bit of n: F(2k) = F(k)*L(k)
+    and L(2k) = L(k)^2 - 2(-1)^k cost one product and one square, and a set
+    bit steps to F(k+1) = (F + L)/2, L(k+1) = (5F + L)/2."""
+    f, l, sign = 0, 2, 1  # F(k), L(k), (-1)^k
+    for bit in bin(n)[2:]:
+        f, l, sign = f * l, l * l - 2 * sign, 1
+        if bit == "1":
+            f, l, sign = (f + l) >> 1, (5 * f + l) >> 1, -1
+    return f, l
 
 
 def fibonacci(n: int) -> int:
     """F(n) with F(1) = F(2) = 1, extended to negative n by F(-n) = (-1)^(n+1) F(n)."""
-    if n >= 0:
-        return _fib_pair(n)[0]
-    f = _fib_pair(-n)[0]
-    return f if (-n) % 2 == 1 else -f
+    f = _lucas_pair(abs(n))[0]
+    return -f if n < 0 and n % 2 == 0 else f
 
 
 def tau_pow(n: int) -> GoldenRational:
     """tau^n = F(n)*tau + F(n-1), valid for any integer n (tau is a unit),
-    from one fast doubling."""
-    f, g = _fib_pair(abs(n))  # F(|n|), F(|n|+1)
+    from one Lucas-pair doubling: F(k -+ 1) = (L(k) -+ F(k))/2."""
+    f, l = _lucas_pair(abs(n))  # F(|n|), L(|n|)
     if n >= 0:
-        return GoldenRational(g - f, f)
+        return GoldenRational((l - f) >> 1, f)
     # tau*sigma = -1, so tau^(-k) = (-1)^k conj(tau^k) = (-1)^k (F(k+1) - F(k)*tau)
     s = -1 if n & 1 else 1
-    return GoldenRational(s * g, -s * f)
+    return GoldenRational(s * ((f + l) >> 1), -s * f)
 
 
 _CTX = decimal.Context(prec=60)
 _ROOT5 = _CTX.sqrt(5)
+
+
+def _cut(x: int, y: int = 0) -> tuple[int, int, int]:
+    """x >> s, y >> s and s, for the least s >= 0 that leaves both within 256 bits."""
+    s = max(x.bit_length(), y.bit_length(), 256) - 256
+    return x >> s, y >> s, s
 
 
 def embed_decimal(x) -> decimal.Decimal:
@@ -269,18 +273,26 @@ def embed_decimal(x) -> decimal.Decimal:
     With p = 2a+b and q = b the value is (p + q*sqrt5)/(2*den).  If p and q
     share a sign the sum is evaluated as written; if not, it would cancel,
     so the exact integer norm p^2 - 5q^2 is divided by the conjugate
-    p - q*sqrt5, whose terms share a sign.  With no cancellation, the at
-    most four roundings (sqrt5, fused q*sqrt5 + p, product by 2*den,
-    quotient) of 5e-60 each leave a relative error below 3e-59, 10^42
-    times finer than a double's 2^-53 at any size of a and b.  The
+    p - q*sqrt5, whose terms share a sign.  Only then are the integers cut
+    to 256 bits and the shifts put back as one power of two: each cut is
+    within 2^-255, a cut same-sign sum within 2^-253, below 2e-76 in all.
+    With no cancellation, the at most six roundings (sqrt5, fused
+    q*sqrt5 + p, product by 2*den, quotient, the power of two, the
+    product by it) of 5e-60 each leave a relative error below 4e-59,
+    10^42 times finer than a double's 2^-53 at any size of a and b.  The
     exponent range is the default context's, +-999999.
     """
     x = _as_golden(x)
-    p, q, den = 2 * x.a + x.b, x.b, 2 * x.den
+    p, q = 2 * x.a + x.b, x.b
+    den, _, t = _cut(2 * x.den)
     if p == 0 or q == 0 or (p > 0) == (q > 0):
-        return _CTX.divide(_CTX.fma(q, _ROOT5, p), den)
-    conjugate = _CTX.fma(-q, _ROOT5, p)
-    return _CTX.divide(p * p - 5 * q * q, _CTX.multiply(conjugate, den))
+        p, q, s = _cut(p, q)
+        value = _CTX.divide(_CTX.fma(q, _ROOT5, p), den)
+    else:
+        (norm, _, s), (p, q, r) = _cut(p * p - 5 * q * q), _cut(p, q)
+        value = _CTX.divide(norm, _CTX.multiply(_CTX.fma(-q, _ROOT5, p), den))
+        s -= r
+    return _CTX.multiply(value, _CTX.power(2, s - t)) if s != t else value
 
 
 def embed(x) -> float:

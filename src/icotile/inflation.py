@@ -24,8 +24,9 @@ char_poly()) and bars for Galois conjugates,
 
     M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
 
-so each entry is a sum of two Galois traces, and one Fibonacci fast
-doubling per eigenvalue gives tau^(3n) and tau^n.
+so each entry is a sum of two Galois traces, and one Lucas-pair doubling
+per eigenvalue gives tau^(3n) and tau^n.  A count vector c is folded into
+the spectral parts first, so c * M^n costs one row of four entries.
 
 The module also carries a ledger: specific inflations of single tiles
 whose count vectors regroup into whole unit dodecahedra d(1) and
@@ -42,7 +43,7 @@ from functools import cache, reduce
 from math import lcm
 from typing import NamedTuple
 
-from .catalog import TileKind, inventory, record
+from .catalog import TileKind, inventory, record, total_volume
 from .golden import TAU, GoldenRational, conj, embed, tau_pow
 
 __all__ = [
@@ -98,8 +99,7 @@ class CountVector:
         return CountVector(tuple(n * a for a in self.c))
 
     def total_volume(self) -> GoldenRational:
-        vols = composite_volumes()
-        return sum((vols[i] * self.c[i] for i in range(4)), GoldenRational(0))
+        return total_volume(dict(zip(COMPOSITE_ORDER, self.c)))
 
     def __iter__(self):
         return iter(self.c)
@@ -141,29 +141,8 @@ class InflationMatrix:
         return self.rows[i][j]
 
     def power(self, n: int):
-        """M^n in closed form from the spectral parts of M (see the module
-        docstring); entries grow like tau^(3n).
-
-        With tau^m = q + p*tau and D*E = a + b*tau in integers, the trace
-        of (q + p*tau)(a + b*tau) is q*(2a + b) + p*(a + 3b).  Entry (i, j)
-        is that trace for E3 at m = 3n plus the one for E1 at m = n, divided
-        by D; the division is checked to be exact.
-        """
-        if n < 0:
-            raise ValueError("negative inflation order")
-        parts = _spectral_parts(self.rows)
-        t3, t1 = tau_pow(3 * n), tau_pow(n)
-
-        def entry(e3, e1):
-            (a3, b3), (a1, b1) = e3, e1
-            num = (t3.a * (2 * a3 + b3) + t3.b * (a3 + 3 * b3)
-                   + t1.a * (2 * a1 + b1) + t1.b * (a1 + 3 * b1))
-            x, r = divmod(num, parts.den)
-            if r:
-                raise ArithmeticError(f"entry of M^{n} is not an integer")
-            return x
-
-        return tuple(tuple(entry(e3, e1) for e3, e1 in row) for row in parts.scaled)
+        """M^n: the four unit rows of inflate_counts; entries grow like tau^(3n)."""
+        return _inflate(_IDENT, n)
 
     @property
     def det(self) -> int:
@@ -180,8 +159,29 @@ M = InflationMatrix()
 
 def inflate_counts(c: CountVector, n: int) -> CountVector:
     """Row convention: a patch with counts c inflates to c * M^n."""
-    p = M.power(n)
-    return CountVector(tuple(sum(c[i] * p[i][j] for i in range(4)) for j in range(4)))
+    return CountVector(_inflate((c,), n)[0])
+
+
+def _inflate(vectors, n: int) -> tuple[tuple[int, ...], ...]:
+    """c * M^n for each count vector c in closed form (module docstring),
+    taking tau^(3n) and tau^n once.  With tau^m = q + p*tau, the trace of
+    tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so c folds
+    into the small weights u, v first; entry j is then four products by
+    the tau powers' coefficients over D, a division checked to be exact."""
+    if n < 0:
+        raise ValueError("negative inflation order")
+    parts = _spectral_parts(_M_ROWS)
+    t3, t1 = tau_pow(3 * n), tau_pow(n)
+
+    def entry(c, column):
+        num = sum(t * sum(x * w for x, w in zip(c, weights))
+                  for t, weights in zip((t3.a, t3.b, t1.a, t1.b), column))
+        x, r = divmod(num, parts.den)
+        if r:
+            raise ArithmeticError(f"entry of c * M^{n} is not an integer")
+        return x
+
+    return tuple(tuple(entry(c, column) for column in parts.columns) for c in vectors)
 
 
 def _char_poly(rows) -> tuple[int, int, int, int, int]:
@@ -224,8 +224,10 @@ def format_poly(coeffs) -> str:
 class _SpectralParts(NamedTuple):
     projector: tuple[tuple[GoldenRational, ...], ...]  # E3
     den: int  # D, the lcm of the denominators of E3 and E1
-    # scaled[i][j] = ((a3, b3), (a1, b1)) with D*E3[i][j] = a3 + b3*tau, D*E1[i][j] = a1 + b1*tau
-    scaled: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
+    # columns[j] = (u3, v3, u1, v1), each over the rows i: with D*E[i][j] =
+    # a + b*tau, u[i] = 2a + b and v[i] = a + 3b, as the trace of
+    # (q + p*tau)(a + b*tau) is q*(2a + b) + p*(a + 3b)
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @cache
@@ -253,12 +255,12 @@ def _spectral_parts(rows) -> _SpectralParts:
     e3, e1 = projector(_SPECTRUM[0]), projector(_SPECTRUM[1])
     den = lcm(*(x.den for e in (e3, e1) for row in e for x in row))
 
-    def ints(x):
-        k = den // x.den
-        return x.a * k, x.b * k
+    def weights(column):
+        ab = [(x.a * (den // x.den), x.b * (den // x.den)) for x in column]
+        return tuple(2 * a + b for a, b in ab), tuple(a + 3 * b for a, b in ab)
 
-    scaled = tuple(tuple((ints(x3), ints(x1)) for x3, x1 in zip(r3, r1)) for r3, r1 in zip(e3, e1))
-    return _SpectralParts(e3, den, scaled)
+    columns = tuple(weights(c3) + weights(c1) for c3, c1 in zip(zip(*e3), zip(*e1)))
+    return _SpectralParts(e3, den, columns)
 
 
 def composite_volumes() -> tuple[GoldenRational, ...]:

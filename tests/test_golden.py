@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from icotile import golden
 from icotile.golden import (
     ONE,
     SIGMA,
@@ -147,6 +148,35 @@ def test_fibonacci():
         assert tau_pow(n) == GoldenRational(fibonacci(n - 1), fibonacci(n))
 
 
+def _fib_pair_reference(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) by the Fibonacci fast doubling tau_pow once used:
+    one product and two squares per bit."""
+    if n == 0:
+        return 0, 1
+    fa, fb = _fib_pair_reference(n >> 1)
+    c = fa * (2 * fb - fa)
+    d = fa * fa + fb * fb
+    return (d, c + d) if n & 1 else (c, d)
+
+
+def test_lucas_pair_matches_recurrence_and_fast_doubling():
+    f, l = [0, 1], [2, 1]
+    while len(f) <= 2000:
+        f.append(f[-1] + f[-2])
+        l.append(l[-1] + l[-2])
+    for n in range(2001):
+        assert golden._lucas_pair(n) == (f[n], l[n]), n
+        assert fibonacci(n) == f[n], n
+        assert fibonacci(-n) == (-1) ** (n + 1) * f[n], n
+    for n in (10**5, 3 * 10**5):
+        fn, fn1 = _fib_pair_reference(n)
+        assert golden._lucas_pair(n) == (fn, 2 * fn1 - fn), n
+        assert fibonacci(n) == fn
+        assert tau_pow(n) == GoldenRational(fn1 - fn, fn)
+        sign = -1 if n & 1 else 1
+        assert tau_pow(-n) == GoldenRational(sign * fn1, -sign * fn)
+
+
 def test_field_inverses():
     rng = random.Random(97)
     for _ in range(2000):
@@ -229,6 +259,17 @@ def test_embed_decimal_matches_magnitude_scaled_reference():
         assert float(got) == float(want), x
         assert format(got, ".16e") == format(want, ".16e"), x
         assert format(got, ".7e") == format(want, ".7e"), x
+
+
+def test_embed_decimal_cuts_large_denominators():
+    rng = random.Random(31)
+    for _ in range(300):
+        span = 10 ** rng.randint(1, 1000)
+        x = GoldenRational(rng.randint(-span, span), rng.randint(-span, span),
+                           rng.randint(1, 10 ** rng.randint(78, 1000)))
+        got, want = embed_decimal(x), _embed_decimal_reference(x)
+        assert float(got) == float(want), x
+        assert format(got, ".16e") == format(want, ".16e"), x
 
 
 def test_exact_sqrt():

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from icotile import checks, inflation
+from icotile import catalog, checks, inflation
 from icotile.golden import GoldenRational, embed, tau_pow
 
 TAU3 = tau_pow(3)
@@ -74,6 +74,34 @@ def test_inflate_counts_matches_squaring():
         for c in bases:
             want = tuple(sum(c[i] * p[i][j] for i in range(4)) for j in range(4))
             assert inflation.inflate_counts(c, n).c == want, (c, n)
+
+
+def test_inflate_counts_composes_on_large_counts():
+    rng = random.Random(41)
+    c = inflation.CountVector(tuple(rng.randrange(10**200) for _ in range(4)))
+    for a, b in ((50, 977), (1000, 2000)):
+        twice = inflation.inflate_counts(inflation.inflate_counts(c, a), b)
+        assert twice == inflation.inflate_counts(c, a + b), (a, b)
+
+
+def test_inflate_counts_rejects_negative_order():
+    with pytest.raises(ValueError):
+        inflation.inflate_counts(inflation.D1_COUNTS, -1)
+
+
+def test_total_volume_matches_sum_of_products():
+    """One common-denominator sum against the GoldenRational products it
+    replaced, on 1000-digit counts."""
+    rng = random.Random(43)
+    vols = inflation.composite_volumes()
+    kinds = list(catalog.TileKind)
+    for _ in range(20):
+        c = inflation.CountVector(tuple(rng.randrange(10**1000) for _ in range(4)))
+        want = sum((vols[i] * c[i] for i in range(4)), ZERO)
+        assert c.total_volume() == want
+        inv = {k: rng.randrange(10**1000) for k in rng.sample(kinds, rng.randint(0, len(kinds)))}
+        want = sum((catalog.record(k).volume * n for k, n in inv.items()), ZERO)
+        assert catalog.total_volume(inv) == want
 
 
 def test_spectral_parts():
