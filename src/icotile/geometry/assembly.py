@@ -6,11 +6,13 @@ tetrahedron face as internal wall or outer boundary, and fuses the
 boundary triangles of each plane into one polygonal face of the outer hull
 by cancelling the edges they share.
 
-Boundary detection is a coverage test, not face matching: a face is on
-the boundary iff its centroid pushed an infinitesimal distance outward
-along its normal lies in no tetrahedron of the cluster.  Matching faces
-pairwise would misread the quadrilateral contact walls whose two sides are
-triangulated along different diagonals.
+A face whose three points are also a face of another tile is a wall by
+index: once no two tiles overlap, they lie on its two sides.  Every other
+face takes a coverage test: it is on the boundary iff its centroid pushed
+an infinitesimal distance outward along its normal lies in no tetrahedron
+of the cluster.  Matching alone would misread the quadrilateral contact
+walls whose two sides are triangulated along different diagonals (20 of
+d1's 116 walls).
 
 Wiring points lie in the half-integer icosahedral frame, so each point has
 one representation, doubled Z[tau] integer pairs, and every decision
@@ -24,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import compress, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -73,10 +75,13 @@ class PlacedTile:
         object.__setattr__(self, "kind", TileKind(self.kind))
         if not self.kind.is_fundamental:
             raise ValueError(f"{self.kind.value} is not a fundamental tile (t1..t6)")
-        exact = _bounded(self.exact, _TILE_BOUND)
+        exact = np.asarray(self.exact, dtype=np.int64)
         if exact.shape != (4, 3, 2):
             raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
-        parity = GoldenRational(*_scalar_triple(exact.tolist())).sign()
+        v = exact.tolist()  # bounded on its Python ints: no numpy reduction per tile
+        if max(map(abs, chain.from_iterable(chain.from_iterable(v)))) > _TILE_BOUND:
+            _bounded(exact, _TILE_BOUND)  # raises
+        parity = GoldenRational(*_scalar_triple(v)).sign()
         if not parity:
             raise ValueError("the tile is flat: its triple product is zero")
         exact.setflags(write=False)
@@ -328,12 +333,6 @@ def _scalar_triple(v) -> tuple[int, int]:
     return a, b
 
 
-def _triple(v: np.ndarray) -> np.ndarray:
-    """_scalar_triple of (..., 4, 3, 2) tetrahedra as (..., 2) int64 pairs."""
-    out = [_scalar_triple(t) for t in v.reshape(-1, 4, 3, 2).tolist()]
-    return np.array(out, dtype=np.int64).reshape(*v.shape[:-3], 2)
-
-
 @cache
 def _embed_half(a: int, b: int) -> float:
     return embed(GoldenRational(a, b, 2))
@@ -386,17 +385,12 @@ def _overlaps(tets: np.ndarray, ids: np.ndarray, signs: np.ndarray) -> list[tupl
     separates it.  A zero plane (collinear corners) separates nothing."""
     apart = ((signs[:, :, ids] >= 0).all(axis=3) & signs.any(axis=2)[:, :, None]).any(axis=1)
     a, b = np.nonzero(np.triu(~(apart | apart.T), 1))
+    if not len(a):
+        return []
     edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
     mixed = _gcross(edges[a][:, :, None], edges[b][:, None, :]).reshape(-1, 36, 3, 2)
     left = ~_separated(mixed, tets[a], tets[b])
     return list(zip(a[left].tolist(), b[left].tolist()))
-
-
-def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
-    """_overlaps of (T, 4, 3, 2) tetrahedra, wound by their triple products' signs."""
-    ids = np.arange(4 * len(tets)).reshape(-1, 4)
-    wound = np.where(_gsign(_triple(tets))[:, None, None] < 0, _WOUND[-1], _WOUND[1])
-    return _overlaps(tets, ids, _face_planes(tets.reshape(-1, 3, 2), ids[:, :1, None] + wound)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +501,25 @@ def _build(target: str) -> Assembly:
         a, b = overlaps[0]
         raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
 
-    # A face is a wall iff its centroid pushed outward by an infinitesimal eps
-    # lies in some closed tetrahedron: per face plane of that tetrahedron the
-    # centroid's side decides (the table summed at the face's corners, exactly
-    # where they straddle the plane), and on the plane the face normal's side.
-    corner_signs = signs[:, :, faces]
-    hi, lo = corner_signs.max(axis=4), corner_signs.min(axis=4)
-    side = np.where(lo < 0, lo, hi)
-    across = np.nonzero((hi > 0) & (lo < 0))
-    side[across] = _gsign(planes[(*across[:2], faces[across[2:]].T)].sum(axis=0))
-    on = np.nonzero(side == 0)
-    side[on] = _gsign(_gdot(normals[on[:2]], normals[on[2:]]))
-    is_wall = (side <= 0).all(axis=1).any(axis=0)
+    # Faces shared whole are walls by index (module docstring).  The rest are
+    # walls iff the pushed centroid lies in some closed tetrahedron: per face
+    # plane of that tetrahedron its side decides (the table summed at the
+    # face's corners, exactly where they straddle the plane), and on the
+    # plane the face normal's side.
+    keys = [frozenset(f) for f in faces.reshape(-1, 3).tolist()]
+    shared = Counter(keys)
+    is_wall = np.array([shared[k] > 1 for k in keys]).reshape(-1, 4)
+    rest = ~is_wall
+    if rest.any():  # none left in i1 and the composites
+        left = faces[rest]  # (R, 3)
+        corner_signs = signs[:, :, left]
+        hi, lo = corner_signs.max(axis=3), corner_signs.min(axis=3)
+        side = np.where(lo < 0, lo, hi)
+        across = np.nonzero((hi > 0) & (lo < 0))
+        side[across] = _gsign(planes[(*across[:2], left[across[2]].T)].sum(axis=0))
+        on = np.nonzero(side == 0)
+        side[on] = _gsign(_gdot(normals[on[:2]], normals[rest][on[2]]))
+        is_wall[rest] = (side <= 0).all(axis=1).any(axis=0)
 
     corners = exact[faces]
     corners.setflags(write=False)  # TriangleFace.corners are views into it
@@ -578,18 +579,17 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
 # exports
 
 
-def _tile_vertices(assembly: Assembly) -> list:
-    """Float vertices of every tile, nested (T, 4, 3) lists, in one embed."""
-    return _embed_doubled(np.stack([t.exact for t in assembly.tiles])).tolist()
-
-
 def export_obj(assembly: Assembly) -> str:
     """Wavefront OBJ text: one named object per tile, faces wound outward."""
     lines = [f"# {assembly.target}: {len(assembly.tiles)} tetrahedra"]
-    for k, (t, verts) in enumerate(zip(assembly.tiles, _tile_vertices(assembly))):
+    v_lines: dict[tuple[int, ...], str] = {}  # each distinct point's "v x y z", once
+    for k, t in enumerate(assembly.tiles):
         lines.append(f"o {t.name}")
-        for v in verts:
-            lines.append("v " + " ".join(f"{x:.17g}" for x in v))
+        for p in map(tuple, t.exact.reshape(4, 6).tolist()):
+            if p not in v_lines:
+                xyz = (_embed_half(a, b) for a, b in zip(p[::2], p[1::2]))
+                v_lines[p] = "v " + " ".join(f"{x:.17g}" for x in xyz)
+            lines.append(v_lines[p])
         for f in t.faces:
             lines.append("f " + " ".join(str(i + 1 + 4 * k) for i in f))
     return "\n".join(lines) + "\n"
@@ -597,6 +597,7 @@ def export_obj(assembly: Assembly) -> str:
 
 def export_patch(assembly: Assembly) -> dict:
     """JSON-ready description: tiles with parities plus the merged hull."""
+    tile_vertices = _embed_doubled(np.stack([t.exact for t in assembly.tiles])).tolist()
     return {
         "frame": "icosa-half-integer",
         "target": assembly.target,
@@ -607,7 +608,7 @@ def export_patch(assembly: Assembly) -> dict:
                 "parity": t.parity,
                 "vertices": verts,
             }
-            for t, verts in zip(assembly.tiles, _tile_vertices(assembly))
+            for t, verts in zip(assembly.tiles, tile_vertices)
         ],
         "hull": {
             "vertices": [[float(x) for x in v] for v in assembly.mesh.vertices],

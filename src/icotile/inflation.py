@@ -25,7 +25,7 @@ char_poly()) and bars for Galois conjugates,
     M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
 
 so each entry is a sum of two Galois traces, and one Lucas-pair doubling
-per eigenvalue gives tau^(3n) and tau^n.  A count vector c is folded into
+gives tau^n, and its tripling tau^(3n).  A count vector c is folded into
 the spectral parts first, so c * M^n costs one row of four entries.
 
 The module also carries a ledger: specific inflations of single tiles
@@ -44,7 +44,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .catalog import TileKind, inventory, record, total_volume
-from .golden import TAU, GoldenRational, conj, embed, tau_pow
+from .golden import TAU, GoldenRational, _lucas_pair, conj, embed, tau_pow
 
 __all__ = [
     "CountVector",
@@ -164,24 +164,33 @@ def inflate_counts(c: CountVector, n: int) -> CountVector:
 
 def _inflate(vectors, n: int) -> tuple[tuple[int, ...], ...]:
     """c * M^n for each count vector c in closed form (module docstring),
-    taking tau^(3n) and tau^n once.  With tau^m = q + p*tau, the trace of
-    tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so c folds
-    into the small weights u, v first; entry j is then four products by
-    the tau powers' coefficients over D, a division checked to be exact."""
+    with tau^(3n) and tau^n from _tau_powers.  With tau^m = q + p*tau, the
+    trace of tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so c
+    folds into the small weights u, v first; entry j is then four products
+    by the tau powers' coefficients over D, a division checked to be exact."""
     if n < 0:
         raise ValueError("negative inflation order")
     parts = _spectral_parts(_M_ROWS)
-    t3, t1 = tau_pow(3 * n), tau_pow(n)
+    powers = _tau_powers(n)
 
     def entry(c, column):
         num = sum(t * sum(x * w for x, w in zip(c, weights))
-                  for t, weights in zip((t3.a, t3.b, t1.a, t1.b), column))
+                  for t, weights in zip(powers, column))
         x, r = divmod(num, parts.den)
         if r:
             raise ArithmeticError(f"entry of c * M^{n} is not an integer")
         return x
 
     return tuple(tuple(entry(c, column) for column in parts.columns) for c in vectors)
+
+
+def _tau_powers(n: int) -> tuple[int, int, int, int]:
+    """(q, p) of tau^(3n) = q + p*tau, then of tau^n, n >= 0, from one Lucas
+    pair: F(3n) = F(n)(L(n)^2 - (-1)^n), L(3n) = L(n)(L(n)^2 - 3(-1)^n)."""
+    f, l = _lucas_pair(n)  # tau^m = (L(m) - F(m))/2 + F(m)*tau
+    s, l2 = (-1 if n & 1 else 1), l * l  # (-1)^n, L(n)^2
+    f3, l3 = f * (l2 - s), l * (l2 - 3 * s)
+    return (l3 - f3) >> 1, f3, (l - f) >> 1, f
 
 
 def _char_poly(rows) -> tuple[int, int, int, int, int]:

@@ -157,12 +157,34 @@ def _rational(points):
     return np.array([[(x, 0) for x in q] for q in points])
 
 
+def _triple(v: np.ndarray) -> np.ndarray:
+    """assembly._scalar_triple of (..., 4, 3, 2) tetrahedra as (..., 2) int64 pairs."""
+    out = [assembly._scalar_triple(t) for t in v.reshape(-1, 4, 3, 2).tolist()]
+    return np.array(out, dtype=np.int64).reshape(*v.shape[:-3], 2)
+
+
+def _free_planes(tets: np.ndarray) -> tuple:
+    """Outward-wound faces (T, 4, 3) and assembly._face_planes of free
+    (T, 4, 3, 2) tetrahedra, each vertex its own point."""
+    ids = np.arange(4 * len(tets)).reshape(-1, 4)
+    wound = np.where(assembly._gsign(_triple(tets))[:, None, None] < 0,
+                     assembly._WOUND[-1], assembly._WOUND[1])
+    faces = ids[:, :1, None] + wound
+    return faces, *assembly._face_planes(tets.reshape(-1, 3, 2), faces)
+
+
+def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
+    """assembly._overlaps of free (T, 4, 3, 2) tetrahedra."""
+    signs = _free_planes(tets)[-1]
+    return assembly._overlaps(tets, np.arange(4 * len(tets)).reshape(-1, 4), signs)
+
+
 def test_realize_matches_scheme():
     for kind in FUNDAMENTALS:
         t = realize(kind)
         assert _squares(t) == list(edge_scheme(kind).as_tuple())
         assert t.parity == 1
-        assert assembly._gsign(assembly._triple(t.exact)) == 1
+        assert assembly._gsign(_triple(t.exact)) == 1
         assert t.kind.value == kind
         # the kind's first tetrahedron in the dodecahedron wiring
         labels = next(labs for name, labs in _wiring.D1_TETS if name == kind)
@@ -190,7 +212,7 @@ def test_parity_derived_from_exact():
     assert swapped.volume() == t2.volume()
     # the swapped copy takes t4 on its unit face like the original does
     placed = glue(swapped, swapped.find_face((1, 1, 1)), "t4", realize("t4").find_face((1, 1, 1)))
-    assert assembly._overlapping_pairs(np.stack([swapped.exact, placed.exact])) == []
+    assert _overlapping_pairs(np.stack([swapped.exact, placed.exact])) == []
 
 
 def test_flat_tile_rejected(monkeypatch):
@@ -252,7 +274,7 @@ def test_glue_is_isometric():
     assert _squares(placed) == _squares(t4)
     # the two faces coincide as point sets, and the tiles only touch
     assert _point_set(_face(t2, f2)) == _point_set(_face(placed, f4))
-    assert assembly._overlapping_pairs(np.stack([t2.exact, placed.exact])) == []
+    assert _overlapping_pairs(np.stack([t2.exact, placed.exact])) == []
 
 
 def test_glue_t2_t4_unambiguous():
@@ -296,7 +318,7 @@ def test_glue_ambiguity_and_handedness():
         try:
             t = glue(t5, f5, "t6", tau_faces[0], flip=True, correspondence=p)
             assert t.parity == -1
-            assert assembly._gsign(assembly._triple(t.exact)) == -1
+            assert assembly._gsign(_triple(t.exact)) == -1
             flipped += 1
         except GlueError:
             pass
@@ -352,7 +374,7 @@ def test_three_tile_pentagon_census():
         shared = _point_set(_face(t5, f5))
         (other,) = [i for i in _tau_faces(b) if _point_set(_face(b, i)) != shared]
         for c in _proper_glues(b, other, "t5", f5):
-            assert assembly._overlapping_pairs(np.stack([t5.exact, b.exact, c.exact])) == []
+            assert _overlapping_pairs(np.stack([t5.exact, b.exact, c.exact])) == []
             keys.append(shape_key(set().union(*(_point_set(t.exact) for t in (t5, b, c)))))
 
     assert len(keys) == 9
@@ -579,7 +601,7 @@ def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
     """True if the interiors intersect: separating axis test on the 4 + 4
     face normals and the 36 edge-edge cross products at once.
 
-    The float reference for the exact assembly._overlapping_pairs."""
+    The float reference for the exact assembly._overlaps."""
     e1, e2 = (v[[1, 2, 3, 2, 3, 3]] - v[[0, 0, 0, 1, 1, 2]] for v in (v1, v2))
     axes = np.concatenate([np.cross(e1[[0, 0, 1, 3]], e1[[1, 2, 2, 4]]),
                            np.cross(e2[[0, 0, 1, 3]], e2[[1, 2, 2, 4]]),
@@ -618,7 +640,7 @@ def test_exact_overlap_matches_float_reference(monkeypatch, wiring, moved, move,
     labels = list(coords)
     exact = np.array([coords[lab] for lab in labels])
     ids = np.array([[labels.index(lab) for lab in labs] for _, labs in tets])
-    got = assembly._overlapping_pairs(exact[ids])
+    got = _overlapping_pairs(exact[ids])
     assert got == sorted(got)
     assert got == _float_overlaps(exact[ids])
     assert len(got) == n_pairs
@@ -639,14 +661,14 @@ def test_exact_overlap_contacts_and_zero_normals():
                [(0, -2, 0), (0, 2, 0), (2, 0, 2), (-2, 0, 2)])
     for pair in [(t0, m) for m in mirrors] + [crossed]:
         tets = np.stack([_rational(t) for t in pair])
-        assert assembly._overlapping_pairs(tets) == _float_overlaps(tets) == []
+        assert _overlapping_pairs(tets) == _float_overlaps(tets) == []
     # a flat tetrahedron with three collinear vertices has a zero face
     # normal, which separates nothing: inside T0 it overlaps, beside it not
     big = [(0, 0, 0), (8, 0, 0), (0, 8, 0), (0, 0, 8)]
     flat = [(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1)]
     beside = [(x + 20, y, z) for x, y, z in flat]
     tets = np.stack([_rational(t) for t in (big, flat, beside)])
-    assert assembly._overlapping_pairs(tets) == _float_overlaps(tets) == [(0, 1)]
+    assert _overlapping_pairs(tets) == _float_overlaps(tets) == [(0, 1)]
 
 
 def _triple_reference(v: np.ndarray) -> np.ndarray:
@@ -675,7 +697,7 @@ def test_scalar_parity_matches_kernel_reference():
             exact[k, axis] += move
             v = exact[ids]
             ref = _triple_reference(v)
-            assert assembly._triple(v).tolist() == ref.tolist()
+            assert _triple(v).tolist() == ref.tolist()
             touched = (ids == k).any(axis=1)  # the tetrahedra the move changes
             for tet, sign in zip(v[touched], assembly._gsign(ref[touched]).tolist()):
                 if sign:
@@ -996,6 +1018,45 @@ def test_walls_and_boundary_pinned(target):
                                .encode("utf-8")).hexdigest()
                 for faces in (a.walls, a.boundary_triangles))
     assert got == FACES_SHA256[target]
+
+
+def _walls_reference(a) -> np.ndarray:
+    """Whether each face (T, 4) of the assembly's tiles is a wall, by the
+    all-faces coverage test: its centroid pushed outward by an infinitesimal
+    eps lies in some closed tile, decided per face plane of that tile at the
+    face's corners (their table entries summed where they straddle it, and
+    on the plane by the face normal's side).  The reference for the build,
+    which decides faces shared whole by index and tests only the rest."""
+    faces, normals, planes, signs = _free_planes(np.stack([t.exact for t in a.tiles]))
+    corner_signs = signs[:, :, faces]
+    hi, lo = corner_signs.max(axis=4), corner_signs.min(axis=4)
+    side = np.where(lo < 0, lo, hi)
+    across = np.nonzero((hi > 0) & (lo < 0))
+    side[across] = assembly._gsign(planes[(*across[:2], faces[across[2:]].T)].sum(axis=0))
+    on = np.nonzero(side == 0)
+    side[on] = assembly._gsign(assembly._gdot(normals[on[:2]], normals[on[2:]]))
+    return (side <= 0).all(axis=1).any(axis=0)
+
+
+# walls whose three corners are a face of another tile, of all walls: the
+# other 20 walls of d1 are covered by parts of faces triangulated differently
+WALLS_BY_INDEX = {"d1": (96, 116), "i1": (44, 44), "E": (4, 4), "C": (4, 4), "T1": (12, 12),
+                  "T2": (2, 2), "T3": (4, 4), "T3bar": (4, 4), "T4": (4, 4)}
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_walls_match_all_faces_reference(target):
+    a = assemble(target)
+    split = ([], [])
+    for (u, g), wall in np.ndenumerate(_walls_reference(a)):
+        tile = a.tiles[u]
+        split[not wall].append((tile.name, tile.exact[list(tile.faces[g])].tolist()))
+    assert split == tuple([(f.owner, f.corners.tolist()) for f in faces]
+                          for faces in (a.walls, a.boundary_triangles))
+    faces = Counter(_point_set(c) for _, c in split[0] + split[1])
+    assert all(faces[_point_set(c)] == 1 for _, c in split[1])
+    by_index = sum(faces[_point_set(c)] == 2 for _, c in split[0])
+    assert (by_index, len(split[0])) == WALLS_BY_INDEX[target]
 
 
 def test_assemble_rejects_unknown():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from icotile import catalog, checks, inflation
-from icotile.golden import GoldenRational, embed, tau_pow
+from icotile.golden import GoldenRational, _lucas_pair, embed, tau_pow
 
 TAU3 = tau_pow(3)
 ZERO = GoldenRational(0)
@@ -82,6 +82,14 @@ def test_inflate_counts_composes_on_large_counts():
     for a, b in ((50, 977), (1000, 2000)):
         twice = inflation.inflate_counts(inflation.inflate_counts(c, a), b)
         assert twice == inflation.inflate_counts(c, a + b), (a, b)
+
+
+def test_tau_powers_triple_the_lucas_pair():
+    # F(3n) = F(n)(L(n)^2 - (-1)^n) and L(3n) = L(n)(L(n)^2 - 3(-1)^n)
+    for n in [*range(301), 30001, 30000]:
+        f3, l3 = _lucas_pair(3 * n)
+        f, l = _lucas_pair(n)
+        assert inflation._tau_powers(n) == ((l3 - f3) >> 1, f3, (l - f) >> 1, f), n
 
 
 def test_inflate_counts_rejects_negative_order():
