@@ -7,12 +7,13 @@ standard polyhedron inventories (unit icosahedron and dodecahedron, their
 tau-scaled versions) expressed in both fundamental and composite tiles.
 
 A fundamental tile is given by its six edge lengths, and its face census
-is derived from them.  Volumes are exact GoldenRationals; every composite
-volume is summed over its composition, and every composite satisfies
-Euler's relation N0 - N1 + N2 = 2.  Composite face censuses are stored
-post-merge: coplanar glued triangles are fused, e.g. the four trapezoids
-of T1 or the base pentagon of T3.  The raw triangle census before merging
-is kept as auxiliary data.
+and volume are derived from them: the volume is the exact square root of
+the Gram determinant over 36 (gram_determinant).  Volumes are exact
+GoldenRationals; every composite volume is summed over its composition,
+and every composite satisfies Euler's relation N0 - N1 + N2 = 2.
+Composite face censuses are stored post-merge: coplanar glued triangles
+are fused, e.g. the four trapezoids of T1 or the base pentagon of T3.
+The raw triangle census before merging is kept as auxiliary data.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 from enum import Enum
 from math import lcm
 
-from .golden import ONE, TAU, GoldenRational
+from .golden import ONE, TAU, GoldenRational, exact_sqrt
 
 __all__ = [
     "TileKind",
     "FaceSpec",
     "triangle_family",
+    "gram_determinant",
     "TileRecord",
     "Inventory",
     "record",
@@ -222,17 +224,19 @@ def _tet_faces(lengths) -> tuple[FaceSpec, ...]:
                  for edges in sorted(census, key=lambda e: (e[0] != e[2], e)))
 
 
+def gram_determinant(squares) -> GoldenRational:
+    """det G = 36 V^2 for a tetrahedron ABCD with squared edges AB, AC, AD,
+    BC, BD, CD: G is the Gram matrix of u = AB, v = AC, w = AD, with
+    G_uu = |AB|^2 and G_uv = (|AB|^2 + |AC|^2 - |BC|^2)/2 and so on."""
+    ab, ac, ad, bc, bd, cd = squares
+    uv, uw, vw = (ab + ac - bc) / 2, (ab + ad - bd) / 2, (ac + ad - cd) / 2
+    return ab * ac * ad + 2 * uv * uw * vw - ab * vw * vw - ac * uw * uw - ad * uv * uv
+
+
 def _records() -> dict[TileKind, TileRecord]:
-    twelfth = GoldenRational(1, 0, 12)
-    vols = {
-        TileKind.t1: twelfth,
-        TileKind.t2: TAU * twelfth,
-        TileKind.t3: TAU * twelfth,
-        TileKind.t4: _TAU2 * twelfth,
-        TileKind.t5: _TAU2 * twelfth,
-        TileKind.t6: TAU * _TAU2 * twelfth,
-    }
-    recs = {kind: TileRecord(kind, _tet_faces(lengths), vols[kind], edge_lengths=lengths)
+    recs = {kind: TileRecord(kind, _tet_faces(lengths),
+                             exact_sqrt(gram_determinant([e * e for e in lengths]) / 36),
+                             edge_lengths=lengths)
             for kind, lengths in _EDGE_LENGTHS.items()}
 
     def vol_of(comp):

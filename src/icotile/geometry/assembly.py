@@ -523,11 +523,13 @@ def _build(target: str) -> Assembly:
 
     corners = exact[faces]
     corners.setflags(write=False)  # TriangleFace.corners are views into it
-    walls, boundary, hull = [], [], []  # hull: (point indices, plane key) of boundary
-    for (u, g), wall in np.ndenumerate(is_wall):
-        (walls if wall else boundary).append(TriangleFace(tiles[u].name, corners[u, g]))
-        if not wall:  # equal sign rows: one oriented plane through three corners
-            hull.append((tuple(faces[u, g].tolist()), signs[u, g].tobytes()))
+    walls, boundary = [], []
+    owners = (t.name for t in tiles for _ in range(4))
+    for owner, c, wall in zip(owners, corners.reshape(-1, 3, 3, 2), is_wall.ravel().tolist()):
+        (walls if wall else boundary).append(TriangleFace(owner, c))
+    # (point indices, plane key) of each boundary face: equal sign rows, one oriented plane
+    keys, n = signs[~is_wall].tobytes(), signs.shape[-1]
+    hull = [(tuple(f), keys[i * n:i * n + n]) for i, f in enumerate(faces[~is_wall].tolist())]
 
     fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], exact)
 

@@ -1,4 +1,4 @@
-"""Edge data of the fundamental tetrahedra and exact Cayley-Menger volumes.
+"""Edge schemes of the fundamental tetrahedra and exact Cayley-Menger volumes.
 
 A tetrahedron is pinned down metrically by its six squared edge lengths.
 The Gram matrix of its edge vectors u = AB, v = AC, w = AD is written in
@@ -7,9 +7,11 @@ its determinant is the Cayley-Menger determinant over 8:
 
     det G = 36 V^2,
 
-so with squared lengths in Q(tau) the volume check is exact and needs no
-coordinates.  Each tile's edge lengths are catalog data
-(TileRecord.edge_lengths).
+so with squared lengths in Q(tau) the volume is exact and needs no
+coordinates.  The determinant is catalog.gram_determinant, from which the
+catalog also derives its tile volumes; cm_volume adds the guard against a
+degenerate scheme and a float root where V^2 is not a square.  Each
+tile's edge lengths are catalog data (TileRecord.edge_lengths).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..catalog import TileKind, record
+from ..catalog import TileKind, gram_determinant, record
 from ..golden import GoldenRational, embed, exact_sqrt
 
 __all__ = ["EdgeScheme", "CMVolume", "edge_scheme", "cm_volume"]
@@ -77,9 +79,7 @@ class CMVolume:
 
 def cm_volume(e: EdgeScheme) -> CMVolume:
     """Volume of the tetrahedron with squared edges e, exact where possible."""
-    uu, vv, ww = e.ab, e.ac, e.ad
-    uv, uw, vw = (e.ab + e.ac - e.bc) / 2, (e.ab + e.ad - e.bd) / 2, (e.ac + e.ad - e.cd) / 2
-    det = uu * vv * ww + 2 * uv * uw * vw - uu * vw * vw - vv * uw * uw - ww * uv * uv
+    det = gram_determinant(e.as_tuple())
     if det.sign() <= 0:
         raise ValueError("degenerate edge scheme (Cayley-Menger determinant not positive)")
     squared = det / 36

@@ -19,6 +19,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 __all__ = [
     "GoldenRational",
@@ -51,7 +52,8 @@ class GoldenRational:
     __slots__ = ("a", "b", "den")
 
     def __init__(self, a, b=0, den=1):
-        a, b, den = int(a), int(b), int(den)
+        # index, not int: a float, str or Fraction raises instead of truncating
+        a, b, den = index(a), index(b), index(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -66,14 +68,6 @@ class GoldenRational:
         self.a, self.b, self.den = a, b, den
 
     # ---- constructors ----
-
-    @classmethod
-    def from_fractions(cls, fa: Fraction, fb: Fraction = Fraction(0)) -> "GoldenRational":
-        """Build fa + fb*tau from two rationals."""
-        fa, fb = Fraction(fa), Fraction(fb)
-        den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
-        return cls(fa.numerator * (den // fa.denominator),
-                   fb.numerator * (den // fb.denominator), den)
 
     @classmethod
     def from_json(cls, obj: dict) -> "GoldenRational":
@@ -312,47 +306,33 @@ def embed(x) -> float:
     return f
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def exact_sqrt(x: GoldenRational) -> GoldenRational | None:
     """The nonnegative y in Q(tau) with y*y == x, or None if x is not a square.
 
-    Uses trace and norm: y + conj(y) and y*conj(y) are rational, and both are
-    forced (up to signs) by trace(x) and sqrt(norm(x)); the candidate is then
-    reconstructed and checked by squaring.
+    Over the integers alone: x = (P + Q*sqrt5)/(2*den)^2 with P = 2*den*(2a+b)
+    and Q = 2*den*b, and a square root of P + Q*sqrt5 is (m + n*sqrt5)/2
+    with m^2 + 5n^2 = 4P and mn = 2Q.  So (m^2 - 5n^2)^2 = 16(P^2 - 5Q^2),
+    the integer norm P^2 - 5Q^2 must be a square k^2, and {m^2, 5n^2} is
+    {2(P+k), 2(P-k)}.  The candidate is checked by squaring it.
     """
     x = _as_golden(x)
-    if x.sign() < 0:
+    sign = x.sign()
+    if sign <= 0:
+        return ZERO if sign == 0 else None
+    P, Q = 2 * x.den * (2 * x.a + x.b), 2 * x.den * x.b
+    norm = P * P - 5 * Q * Q
+    k = isqrt(max(norm, 0))
+    if k * k != norm:
         return None
-    if x.sign() == 0:
-        return ZERO
-    A, B = x.as_fraction_pair()
-    trace = 2 * A + B
-    norm = A * A + A * B - B * B
-    n = _rational_sqrt(norm)
-    if n is None:
-        return None
-    for p in {n, -n}:
-        s2 = trace + 2 * p
-        s = _rational_sqrt(s2)
-        if s is None:
+    # P >= k now (x and its conjugate are nonnegative), so no root is of a negative
+    for mm, nn5 in ((2 * (P + k), 2 * (P - k)), (2 * (P - k), 2 * (P + k))):
+        m, n = isqrt(mm), isqrt(nn5 // 5)
+        if m * m != mm or 5 * n * n != nn5:
             continue
-        v2 = Fraction(s2 - 4 * p, 5)
-        v = _rational_sqrt(v2)
-        if v is None:
-            continue
-        for ssgn in {s, -s}:
-            for vsgn in {v, -v}:
-                y = GoldenRational.from_fractions((ssgn - vsgn) / 2, vsgn)
-                if y.sign() >= 0 and y * y == x:
-                    return y
+        if Q < 0:
+            n = -n
+        # +-(m + n*sqrt5)/2 over 2*den, with sqrt5 = 2*tau - 1
+        y = abs(GoldenRational(m - n, 2 * n, 4 * x.den))
+        if y * y == x:
+            return y
     return None

@@ -348,6 +348,42 @@ def test_tile_volumes_check_reads_catalog_edge_lengths(monkeypatch):
     assert checks._check_tile_volumes() == (False, "t2: got 1/12, want tau/12")
 
 
+def test_composite_volumes_check_reads_catalog(monkeypatch):
+    t2 = catalog.record("T2")
+    monkeypatch.setitem(catalog._RECORDS, TileKind.T2,
+                        dataclasses.replace(t2, volume=t2.volume * 2))
+    assert checks._check_composite_volumes() == (
+        False, "T2: (1+2tau)/6 vs (1+2tau)/12")
+
+
+def test_inflation_rules_check_fails_on_rows_and_volumes(monkeypatch):
+    counts = inflation.inflate_counts
+    # T3 inflated twice: row 3 of M^2
+    monkeypatch.setattr(inflation, "inflate_counts", lambda c, n: counts(c, n + (c.c[2] == 1)))
+    assert checks._check_inflation_rules() == (False, "row 3: (3, 9, 6, 4)")
+    monkeypatch.setattr(inflation, "inflate_counts", counts)
+    vols = inflation.composite_volumes()  # V_T4 replaced by V_T3
+    monkeypatch.setattr(inflation, "composite_volumes", lambda: vols[:3] + (vols[2],))
+    assert checks._check_inflation_rules() == (False, "volume balance fails for T1")
+
+
+def test_ledger_check_failure_details(monkeypatch):
+    entries = inflation.dodecahedron_ledger()
+    monkeypatch.setattr(inflation, "dodecahedron_ledger", lambda: entries[:-1])
+    assert checks._check_ledger() == (False, "6 entries")
+    monkeypatch.setattr(inflation, "dodecahedron_ledger", lambda: entries)
+    verify = inflation.verify_decomposition
+    # the third entry with one count wrong
+    monkeypatch.setattr(inflation, "verify_decomposition",
+                        lambda d: verify(d.mutant() if d is entries[2] else d))
+    assert checks._check_ledger() == (False, f"{entries[2].name} fails")
+    # a verifier that passes everything misses the first mutation
+    monkeypatch.setattr(inflation, "verify_decomposition",
+                        lambda d: inflation.VerifyReport(True, True))
+    assert checks._check_ledger() == (
+        False, f"mutation of {entries[0].name} went undetected")
+
+
 def test_inventories_check_fails_on_changed_inventory(monkeypatch):
     fund = catalog.inventory("d1-fundamental")
     counts = ((TileKind.t1, 4),) + fund.counts[1:]

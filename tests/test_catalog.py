@@ -36,6 +36,18 @@ def test_fundamental_volumes():
         assert sum(f.multiplicity for f in rec.faces) == 4
 
 
+def test_volumes_derive_from_edge_lengths(monkeypatch):
+    # the regular unit tetrahedron: 36 V^2 = 36 * 2/144
+    assert catalog.gram_determinant([GoldenRational(1)] * 6) == GoldenRational(1, 0, 2)
+    # t2 given the edges of t1: its volume and that of T2 = t2 + t4 follow
+    monkeypatch.setitem(catalog._EDGE_LENGTHS, TileKind.t2,
+                        catalog._EDGE_LENGTHS[TileKind.t1])
+    recs = catalog._records()
+    assert recs[TileKind.t2].volume == GoldenRational(1, 0, 12)
+    assert recs[TileKind.T2].volume == (1 + tau_pow(2)) / 12
+    assert recs[TileKind.t1].volume == catalog.record("t1").volume
+
+
 def test_fundamental_face_censuses():
     def census(name):
         rec = catalog.record(name)

@@ -222,6 +222,11 @@ def test_build_obj_example(runner):
         text = Path("d1.obj").read_text(encoding="utf-8")
         assert len([l for l in text.splitlines() if l.startswith("v ")]) == 152
         assert len([l for l in text.splitlines() if l.startswith("o ")]) == 38
+    # a hull with faces of two sizes lists each
+    res = runner.invoke(main, ["build", "--shape", "T4"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == (
+        "hull: 6 vertices, 11 edges, 7 faces (6 triangular, 1 quadrilateral)")
 
 
 def test_build_json_patch(runner):

@@ -6,8 +6,9 @@ import json
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from icotile import golden
@@ -40,6 +41,15 @@ def test_defining_relation():
     assert SQRT5 == 2 * TAU - 1
     assert SQRT5 * SQRT5 == 5
     assert ONE - ONE == ZERO
+
+
+def test_constructor_takes_integers_only():
+    assert GoldenRational(True, False, np.int64(3)) == GoldenRational(1, 0, 3)
+    assert repr(GoldenRational(np.int32(2), np.uint8(4), 6)) == "GoldenRational(1, 2, 3)"
+    assert type(GoldenRational(True).a) is int
+    for args in ((0.5,), (1, 2.9, 3), ("7",), (Fraction(1, 2),), (1, 0, 2.0)):
+        with pytest.raises(TypeError):
+            GoldenRational(*args)
 
 
 def test_canonical_form():
@@ -220,6 +230,8 @@ def test_embed_precision_and_large_coefficients():
         assert embed(tiny) == pytest.approx(float(ref_tiny), rel=1e-12)
     with pytest.raises(OverflowError):
         embed(tau_pow(2000))
+    with pytest.raises(OverflowError, match="^value out of float range$"):
+        embed(GoldenRational(10**400, 0, 3))  # rational: int / int overflows
     assert float(TAU) == embed(TAU)
 
 
@@ -288,6 +300,59 @@ def test_exact_sqrt():
     assert exact_sqrt(-ONE) is None
     assert exact_sqrt(GoldenRational(1, 1)) == TAU  # tau^2 = 1 + tau
     assert exact_sqrt(GoldenRational(5)) == SQRT5
+
+
+def _exact_sqrt_reference(x: GoldenRational) -> GoldenRational | None:
+    """exact_sqrt as it once was: trace and norm as Fractions, up to eight
+    sign candidates, each rebuilt from two rationals and squared."""
+    def rational_sqrt(q: Fraction) -> Fraction | None:
+        if q < 0:
+            return None
+        rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+        return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+    if x.sign() < 0:
+        return None
+    if x.sign() == 0:
+        return ZERO
+    A, B = x.as_fraction_pair()
+    trace = 2 * A + B
+    n = rational_sqrt(A * A + A * B - B * B)
+    if n is None:
+        return None
+    for p in {n, -n}:
+        s2 = trace + 2 * p
+        s, v = rational_sqrt(s2), rational_sqrt(Fraction(s2 - 4 * p, 5))
+        if s is None or v is None:
+            continue
+        for ssgn in {s, -s}:
+            for vsgn in {v, -v}:
+                fa, fb = (ssgn - vsgn) / 2, vsgn
+                den = fa.denominator * fb.denominator // gcd(fa.denominator, fb.denominator)
+                y = GoldenRational(fa.numerator * (den // fa.denominator),
+                                   fb.numerator * (den // fb.denominator), den)
+                if y.sign() >= 0 and y * y == x:
+                    return y
+    return None
+
+
+def test_exact_sqrt_matches_fraction_reference():
+    rng = random.Random(17)
+    values = [ZERO, ONE, -ONE, TAU, SIGMA, SQRT5, GoldenRational(0, 0, 7)]
+    for span, max_den, n in ((40, 12, 300), (10**6, 10**4, 100), (10**1000, 10**6, 20)):
+        for _ in range(n):
+            y = _random_gr(rng, span=span, max_den=max_den)
+            # squares, tau times squares (never a square: its norm is
+            # negative), 5 times squares, non-squares and negatives
+            values += [y * y, TAU * y * y, 5 * y * y, y, -(y * y), y * y + 1]
+    roots = 0
+    for x in values:
+        got, want = exact_sqrt(x), _exact_sqrt_reference(x)
+        assert (got is None) == (want is None), x
+        if got is not None:
+            assert (got.a, got.b, got.den) == (want.a, want.b, want.den), x
+            roots += 1
+    assert roots > len(values) // 3
 
 
 def test_json_round_trip():
