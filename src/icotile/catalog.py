@@ -6,10 +6,14 @@ T3bar variant (one t5 of T3 re-seated by a 120 degree turn), and the
 standard polyhedron inventories (unit icosahedron and dodecahedron, their
 tau-scaled versions) expressed in both fundamental and composite tiles.
 
-A fundamental tile is given by its six edge lengths, and its face census
-and volume are derived from them: the volume is the exact square root of
-the Gram determinant over 36 (gram_determinant).  Volumes are exact
-GoldenRationals; every composite volume is summed over its composition,
+A fundamental tile is given by its six edge lengths; its face census and
+volume are derived from them.  The six squared lengths (an EdgeScheme)
+pin a tetrahedron down metrically: the Gram matrix G of its edge vectors
+u = AB, v = AC, w = AD is written in them alone, G_uu = q_ab and
+G_uv = (q_ab + q_ac - q_bc)/2 and so on, and det G, the Cayley-Menger
+determinant over 8, is 36 V^2.  So with squared lengths in Q(tau) the
+volume is exact and needs no coordinates (cm_volume).  Volumes are exact
+GoldenRationals; a composite's volume is summed over its composition,
 and every composite satisfies Euler's relation N0 - N1 + N2 = 2.
 Composite face censuses are stored post-merge: coplanar glued triangles
 are fused, e.g. the four trapezoids of T1 or the base pentagon of T3.
@@ -21,15 +25,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from math import lcm, sqrt
+from operator import index
 
-from .golden import ONE, TAU, GoldenRational, exact_sqrt
+from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt
 
 __all__ = [
     "TileKind",
     "FaceSpec",
     "triangle_family",
     "gram_determinant",
+    "EdgeScheme",
+    "CMVolume",
+    "edge_scheme",
+    "cm_volume",
     "TileRecord",
     "Inventory",
     "record",
@@ -184,7 +193,7 @@ class Inventory:
 
     def __post_init__(self):
         for kind, n in self.counts:
-            if n <= 0:
+            if index(n) <= 0:
                 raise ValueError(f"{self.target}: count for {kind} must be positive")
 
     def counts_dict(self) -> dict[TileKind, int]:
@@ -226,16 +235,84 @@ def _tet_faces(lengths) -> tuple[FaceSpec, ...]:
 
 def gram_determinant(squares) -> GoldenRational:
     """det G = 36 V^2 for a tetrahedron ABCD with squared edges AB, AC, AD,
-    BC, BD, CD: G is the Gram matrix of u = AB, v = AC, w = AD, with
-    G_uu = |AB|^2 and G_uv = (|AB|^2 + |AC|^2 - |BC|^2)/2 and so on."""
+    BC, BD, CD, G the Gram matrix of AB, AC, AD (see the module docstring)."""
     ab, ac, ad, bc, bd, cd = squares
     uv, uw, vw = (ab + ac - bc) / 2, (ab + ad - bd) / 2, (ac + ad - cd) / 2
     return ab * ac * ad + 2 * uv * uw * vw - ab * vw * vw - ac * uw * uw - ad * uv * uv
 
 
+_PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")  # the order of _EDGE_LENGTHS
+
+
+@dataclass(frozen=True)
+class EdgeScheme:
+    """Six squared edge lengths, indexed by vertex pairs of (A, B, C, D)."""
+
+    ab: GoldenRational
+    ac: GoldenRational
+    ad: GoldenRational
+    bc: GoldenRational
+    bd: GoldenRational
+    cd: GoldenRational
+
+    def __post_init__(self):
+        for name in _PAIRS:
+            if getattr(self, name).sign() <= 0:
+                raise ValueError(f"squared edge {name} must be positive")
+
+    def squared(self, i: int, j: int) -> GoldenRational:
+        return getattr(self, "abcd"[min(i, j)] + "abcd"[max(i, j)])
+
+    def as_tuple(self) -> tuple[GoldenRational, ...]:
+        return tuple(getattr(self, p) for p in _PAIRS)
+
+
+def edge_scheme(kind: TileKind | str) -> EdgeScheme:
+    """The edge scheme of a fundamental tile: its catalog edge lengths, squared."""
+    kind = TileKind(kind)
+    if not kind.is_fundamental:
+        raise ValueError(f"{kind} has no single edge scheme (composite)")
+    return EdgeScheme(*(e * e for e in record(kind).edge_lengths))
+
+
+@dataclass(frozen=True)
+class CMVolume:
+    """Exact V^2 and its real root; exact_root is None (inexact) unless V^2
+    is a square in Q(tau), as it is for all six tiles."""
+
+    squared: GoldenRational
+    root: float
+    exact_root: GoldenRational | None
+
+    @property
+    def is_exact(self) -> bool:
+        return self.exact_root is not None
+
+
+def cm_volume(e: EdgeScheme) -> CMVolume:
+    """Volume of the tetrahedron with squared edges e, with no coordinates:
+    det G = 36 V^2 (gram_determinant), V exact where V^2 is a square in Q(tau)."""
+    det = gram_determinant(e.as_tuple())
+    if det.sign() <= 0:
+        raise ValueError("degenerate edge scheme (Cayley-Menger determinant not positive)")
+    squared = det / 36
+    exact = exact_sqrt(squared)
+    root = embed(exact) if exact is not None else sqrt(embed(squared))
+    return CMVolume(squared=squared, root=root, exact_root=exact)
+
+
+def _tile_volume(kind: TileKind, lengths) -> GoldenRational:
+    try:
+        cm = cm_volume(EdgeScheme(*(e * e for e in lengths)))
+        if not cm.is_exact:
+            raise ValueError(f"volume is not in Q(tau) (V^2 = {cm.squared})")
+    except ValueError as exc:
+        raise ValueError(f"{kind}: {exc}") from None
+    return cm.exact_root
+
+
 def _records() -> dict[TileKind, TileRecord]:
-    recs = {kind: TileRecord(kind, _tet_faces(lengths),
-                             exact_sqrt(gram_determinant([e * e for e in lengths]) / 36),
+    recs = {kind: TileRecord(kind, _tet_faces(lengths), _tile_volume(kind, lengths),
                              edge_lengths=lengths)
             for kind, lengths in _EDGE_LENGTHS.items()}
 
@@ -304,8 +381,7 @@ _RECORDS = _records()
 
 def record(kind: TileKind | str) -> TileRecord:
     """The full static record for one tile kind."""
-    kind = TileKind(kind)
-    return _RECORDS[kind]
+    return _RECORDS[TileKind(kind)]
 
 
 def all_records() -> list[TileRecord]:
@@ -316,7 +392,11 @@ def all_records() -> list[TileRecord]:
 def _as_counts(inv) -> dict[TileKind, int]:
     if isinstance(inv, Inventory):
         return inv.counts_dict()
-    return {TileKind(k): int(n) for k, n in inv.items()}
+    # index, not int: a float or str count raises instead of truncating
+    counts = {TileKind(k): index(n) for k, n in inv.items()}
+    if any(n < 0 for n in counts.values()):
+        raise ValueError("tile counts must be nonnegative")
+    return counts
 
 
 def expand_to_fundamental(inv) -> dict[TileKind, int]:

@@ -53,10 +53,8 @@ class CheckResult:
 
 
 def _check_tile_volumes() -> tuple[bool, str]:
-    from .geometry import cm_volume, edge_scheme
-
     for kind, expect in zip(("t1", "t2", "t3", "t4", "t5", "t6"), _TILE_VOLUMES):
-        cm = cm_volume(edge_scheme(kind))
+        cm = catalog.cm_volume(catalog.edge_scheme(kind))
         if not cm.is_exact or cm.exact_root != expect:
             return False, f"{kind}: got {cm.exact_root}, want {expect}"
         if catalog.record(kind).volume != expect:
@@ -271,7 +269,10 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def run_checks(names: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run the named checks (default: all ten) and collect results."""
+    """Run the named checks (default: all ten); an unknown name raises ValueError."""
+    unknown = [name for name in names or () if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}; choose from {CHECK_NAMES}")
     wanted = set(names) if names else None
     out = []
     for name, fn in _CHECKS:

@@ -1,5 +1,6 @@
 """Exact Z[tau] geometry: tile placement and gluing, symmetry axes, assemblies."""
 
+from ..catalog import CMVolume, EdgeScheme, cm_volume, edge_scheme
 from .assembly import (
     ASSEMBLY_TARGETS,
     Assembly,
@@ -25,7 +26,6 @@ from .placement import (
     glue,
     realize,
 )
-from .schemes import CMVolume, EdgeScheme, cm_volume, edge_scheme
 
 __all__ = [
     "ASSEMBLY_TARGETS",

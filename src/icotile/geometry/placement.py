@@ -15,11 +15,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ..catalog import TileKind
+from ..catalog import TileKind, edge_scheme
 from ..golden import ZERO, GoldenRational
 from . import _wiring
 from .assembly import PlacedTile, _gcross, _gdot
-from .schemes import edge_scheme
 
 __all__ = [
     "PlacedTile",

@@ -71,7 +71,8 @@ class GoldenRational:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GoldenRational":
-        return cls(int(obj["a"]), int(obj["b"]), int(obj["den"]))
+        # to_json's int strings are parsed; a float meets index() and raises
+        return cls(*(int(obj[k]) if isinstance(obj[k], str) else obj[k] for k in ("a", "b", "den")))
 
     def to_json(self) -> dict:
         """Canonical serialized form with int-strings (safe beyond 2^53)."""

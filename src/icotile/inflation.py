@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from math import lcm
+from operator import index
 from typing import NamedTuple
 
 from .catalog import TileKind, inventory, record, total_volume
@@ -83,9 +84,10 @@ class CountVector:
     c: tuple[int, int, int, int]
 
     def __post_init__(self):
-        if len(self.c) != 4 or any(x < 0 for x in self.c):
+        c = tuple(index(x) for x in self.c)  # index, not int: a float raises
+        if len(c) != 4 or any(x < 0 for x in c):
             raise ValueError("CountVector needs 4 nonnegative entries")
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        object.__setattr__(self, "c", c)
 
     @classmethod
     def unit(cls, i: int) -> "CountVector":
@@ -343,6 +345,8 @@ class Part:
     def __post_init__(self):
         if self.block not in BASES:
             raise ValueError(f"unknown block {self.block!r}")
+        object.__setattr__(self, "order", index(self.order))
+        object.__setattr__(self, "count", index(self.count))
         if self.count < 0:
             raise ValueError("negative count")
         if self.order < 0:

@@ -399,6 +399,64 @@ def test_spectrum_check_reads_m_rows(monkeypatch):
     assert checks._check_spectrum() == (False, "characteristic polynomial coefficients")
 
 
+def test_inventories_check_failure_details(monkeypatch):
+    total = catalog.total_volume
+    for target, name, vol in (("d1-fundamental", "d1", GR(24, 42, 12)),
+                              ("i1", "i1", GR(10, 10, 12))):
+        # the catalog sums this inventory twice over
+        monkeypatch.setattr(catalog, "total_volume", lambda inv, target=target:
+                            total(inv) * (2 if inv.target == target else 1))
+        assert checks._check_inventories() == (False, f"{name} volume {vol * 2}")
+        # a typed value that agrees with the wrong sum is caught by the classical formula
+        monkeypatch.setattr(checks, f"_{name.upper()}_VOLUME", vol * 2)
+        assert checks._check_inventories() == (
+            False, f"{name} volume does not match the classical formula")
+        monkeypatch.setattr(checks, f"_{name.upper()}_VOLUME", vol)
+        monkeypatch.setattr(catalog, "total_volume", total)
+    assert checks._check_inventories()[0]
+
+
+def test_spectrum_check_failure_details(monkeypatch):
+    sd = inflation.pf_vectors()
+
+    def serve(**changes):
+        monkeypatch.setattr(inflation, "pf_vectors", lambda: dataclasses.replace(sd, **changes))
+
+    lam = sd.eigenvalues[1] + 1e-6
+    serve(eigenvalues=(sd.eigenvalues[0], lam) + sd.eigenvalues[2:])
+    assert checks._check_spectrum() == (False, f"eigenvalue {lam}")
+    right, left = sd.exact_right_pf, sd.exact_left_pf
+    serve(exact_right_pf=right[:1] + (right[1] * 2,) + right[2:])
+    assert checks._check_spectrum() == (False, "right eigenvector residual row 0")
+    serve(exact_left_pf=left[:1] + (left[1] * 2,) + left[2:])
+    assert checks._check_spectrum() == (False, "left eigenvector residual column 1")
+    # the printed components have four digits; 1e-4 off is outside the 5e-5 band
+    serve(right_pf=(0.3819,) + sd.right_pf[1:])
+    assert checks._check_spectrum() == (False, "PF component 0.3819 vs printed 0.382")
+    serve(left_pf=sd.left_pf[:3] + (0.1655,))
+    assert checks._check_spectrum() == (False, "PF component 0.1655 vs printed 0.1654")
+    serve()
+    assert checks._check_spectrum()[0]
+
+
+def test_run_checks_turns_a_crash_into_a_failure(monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(inflation, "char_poly", crash)
+    assert checks.run_checks(("spectrum", "composite-volumes")) == [
+        checks.CheckResult("composite-volumes", True,
+                           "T1..T4 volumes equal (2tau^4, tau^3, 4tau+3, 2tau^3)/12"),
+        checks.CheckResult("spectrum", False, "exception: RuntimeError('boom')"),
+    ]
+
+
+def test_run_checks_rejects_unknown_names():
+    with pytest.raises(ValueError, match=r"^unknown checks: nonexistent, spectra; choose from"):
+        checks.run_checks(("nonexistent", "ledger", "spectra"))
+    assert len(checks.run_checks(("composite-volumes",))) == 1
+
+
 def test_axis_classes_check_fails_on_wall_off_axis(monkeypatch):
     wall = assemble("d1").walls[0]
     monkeypatch.setattr(geometry, "axis_classes", lambda faces: [

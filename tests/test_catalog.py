@@ -176,6 +176,35 @@ def test_unknown_names_rejected():
         catalog.inventory("nonsense")
 
 
+@pytest.mark.parametrize("kind, lengths, detail", [
+    # six unit edges: the regular tetrahedron, V^2 = 1/72 is not a square in Q(tau)
+    ("t2", (1,) * 6, r"t2: volume is not in Q\(tau\) \(V\^2 = 1/72\)"),
+    # four collinear points at 0, 1, 2 and 3
+    ("t5", (1, 2, 3, 1, 2, 1), r"t5: degenerate edge scheme"),
+    ("t1", (0, 1, 1, 1, 1, 1), r"t1: squared edge ab must be positive"),
+], ids=["not-in-q-tau", "flat", "zero-edge"])
+def test_records_name_a_tile_without_a_volume(monkeypatch, kind, lengths, detail):
+    monkeypatch.setitem(catalog._EDGE_LENGTHS, TileKind(kind),
+                        tuple(GoldenRational(n) for n in lengths))
+    with pytest.raises(ValueError, match=f"^{detail}"):
+        catalog._records()
+
+
+def test_counts_are_nonnegative_integers():
+    for count in (1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            catalog.total_volume({"T1": count})
+        with pytest.raises(TypeError):
+            catalog.expand_to_fundamental({"T1": count})
+    for fn in (catalog.total_volume, catalog.expand_to_fundamental):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn({"T1": -1})
+    with pytest.raises(TypeError):
+        catalog.Inventory("x", ((TileKind.T1, 1.5),))
+    assert catalog.total_volume({"T1": 0, "t1": 1}) == GoldenRational(1, 0, 12)
+    assert catalog.expand_to_fundamental({"T2": 0}) == {TileKind.t2: 0, TileKind.t4: 0}
+
+
 def test_record_json_shape():
     blob = catalog.record("T4").to_json()
     assert blob["kind"] == "T4"

@@ -497,3 +497,25 @@ print(json.dumps({"codes": codes, "messages": messages,
     ]
     assert facts["numpy"] is False
     assert facts["checks"] is False
+
+
+def test_checks_without_assembly_skip_numpy():
+    facts = _fresh_process("""
+import json, sys
+from icotile import checks
+names = ("tile-volumes", "composite-volumes", "inventories", "inflation-rules",
+         "spectrum", "ledger")
+print(json.dumps({"passed": [r.name for r in checks.run_checks(names) if r.ok],
+                  "loaded": [m for m in ("numpy", "icotile.geometry") if m in sys.modules]}))
+""")
+    assert facts == {"passed": ["tile-volumes", "composite-volumes", "inventories",
+                                "inflation-rules", "spectrum", "ledger"],
+                     "loaded": []}
+
+
+def test_canonical_json_edge_values():
+    assert canonical_json(None) == "null"
+    assert canonical_json([]) == "[]"
+    assert canonical_json({"a": [], "b": None}) == '{\n  "a": [],\n  "b": null\n}'
+    with pytest.raises(TypeError, match="not JSON-serializable: set"):
+        canonical_json({"a": [{1}]})

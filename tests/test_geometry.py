@@ -77,7 +77,7 @@ def test_cm_volumes_exact():
 
 
 def test_cm_degenerate_rejected():
-    from icotile.geometry.schemes import EdgeScheme
+    from icotile.catalog import EdgeScheme
     one = GoldenRational(1)
     two = GoldenRational(2)
     # a unit square with its diagonals is flat
@@ -88,11 +88,20 @@ def test_cm_degenerate_rejected():
         EdgeScheme(ab=-one, ac=one, ad=one, bc=one, bd=one, cd=one)
 
 
+def test_scheme_names_are_the_catalogs():
+    import importlib.util
+
+    from icotile import geometry
+    for name in ("EdgeScheme", "CMVolume", "edge_scheme", "cm_volume"):
+        assert getattr(geometry, name) is getattr(catalog, name)
+    assert importlib.util.find_spec("icotile.geometry.schemes") is None
+
+
 def test_cm_volume_matches_sympy_cayley_menger():
     sp = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    from icotile.geometry.schemes import EdgeScheme
+    from icotile.catalog import EdgeScheme
     t = sp.Symbol("t")  # tau, reduced by t^2 = t + 1
     values = [GoldenRational(1), GoldenRational(2), GoldenRational(3), tau_pow(1), TAU2]
     rng = random.Random(11)

@@ -378,6 +378,14 @@ def test_string_forms():
     assert "GoldenRational" in repr(TAU)
 
 
+def test_from_json_takes_integers_only():
+    with pytest.raises(TypeError):
+        GoldenRational.from_json({"a": 0.5, "b": 2.9, "den": 3})
+    with pytest.raises(ValueError):
+        GoldenRational.from_json({"a": "0.5", "b": "2", "den": "3"})
+    assert GoldenRational.from_json({"a": 1, "b": "2", "den": 3}) == GoldenRational(1, 2, 3)
+
+
 def test_comparisons_total_order():
     rng = random.Random(23)
     values = sorted(_random_gr(rng, span=50, max_den=9) for _ in range(200))

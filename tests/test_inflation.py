@@ -378,6 +378,18 @@ def test_part_validation():
     assert inflation.Part(block="d1", order=0, count=1).counts().c == (3, 4, 0, 4)
 
 
+def test_counts_and_orders_are_integers():
+    with pytest.raises(TypeError):
+        inflation.CountVector((1.5, 0, 0, 0))
+    with pytest.raises(TypeError):
+        inflation.Part("T2", 1, 1.5)
+    with pytest.raises(TypeError):
+        inflation.Part("T2", 1.0, 1)
+    with pytest.raises(ValueError):
+        inflation.CountVector((0, -1, 0, 0))
+    assert inflation.Part("T2", 1, 2).counts().c == (0, 4, 2, 0)
+
+
 def test_decomposition_describe():
     first = inflation.dodecahedron_ledger()[0]
     text = first.describe()
