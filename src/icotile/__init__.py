@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # geometry pulls in numpy, which only build, verify and report need;
+    # geometry loads on first use: only build, verify and report need it;
     # `from . import geometry` here would re-enter this hook without end
     if name == "geometry":
         return importlib.import_module(f"{__name__}.geometry")

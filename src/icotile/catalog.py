@@ -438,8 +438,8 @@ _INVENTORIES = {
 
 INVENTORY_TARGETS = tuple(_INVENTORIES)
 
-# the clusters geometry.assemble() builds; kept here, away from numpy, so
-# the CLI can list them without loading the geometry layer
+# the clusters geometry.assemble() builds; kept here so the CLI can list
+# them without loading the geometry layer
 ASSEMBLY_TARGETS = ("d1", "i1", "E", "C", "T1", "T2", "T3", "T3bar", "T4")
 
 def inventory(target: str) -> Inventory:

@@ -183,15 +183,16 @@ def _check_ledger() -> tuple[bool, str]:
 
 def _check_assemblies() -> tuple[bool, str]:
     from .geometry import assemble, dihedrals, expected_face_census, squared_edges
-    from .geometry.assembly import _gdot
+    from .geometry.assembly import _dot, _sub
 
     d1 = assemble("d1")
     if d1.mesh.counts() != _D1_HULL:
         return False, f"d1 hull counts {d1.mesh.counts()}"
     for i, (face, normal) in enumerate(zip(d1.mesh.faces, d1.mesh.normals)):
-        corners = d1.mesh.exact[list(face)]
+        corners = [d1.mesh.exact[j] for j in face]
         # exact: the Newell normal is nonzero and normal to every edge from corner 0
-        if len(face) != 5 or not normal.any() or _gdot(corners - corners[0], normal).any():
+        if len(face) != 5 or normal == ((0, 0),) * 3 or any(
+                _dot(_sub(c, corners[0]), normal) != (0, 0) for c in corners):
             return False, f"d1 face {i} not a planar pentagon"
         if any(sq != 1 for sq in squared_edges(corners)):
             return False, f"d1 face {i} edges not unit"
@@ -206,7 +207,7 @@ def _check_assemblies() -> tuple[bool, str]:
     if i1.mesh.counts() != _I1_HULL:
         return False, f"i1 hull counts {i1.mesh.counts()}"
     for i, face in enumerate(i1.mesh.faces):
-        if any(sq != 1 for sq in squared_edges(i1.mesh.exact[list(face)])):
+        if any(sq != 1 for sq in squared_edges([i1.mesh.exact[j] for j in face])):
             return False, f"i1 face {i} not unit equilateral"
     if i1.volume_exact() != _I1_VOLUME:
         return False, "i1 exact volume"

@@ -36,32 +36,32 @@ def canonical_json(obj) -> str:
     """Deterministic JSON text: 2-space indent, floats at 17 significant
     digits, keys in construction order.  Parsing then re-emitting the
     result reproduces it byte for byte."""
-    def emit(x, pad: str) -> str:
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        if isinstance(x, int):
-            return str(x)
-        if isinstance(x, float):
-            return f"{x:.17g}"
-        if isinstance(x, str):
-            return json.dumps(x)
-        if x is None:
-            return "null"
-        if isinstance(x, dict):
-            if not x:
-                return "{}"
-            inner = ",\n".join(
-                f"{pad}  {json.dumps(str(k))}: {emit(v, pad + '  ')}"
-                for k, v in x.items())
-            return "{\n" + inner + "\n" + pad + "}"
-        if isinstance(x, (list, tuple)):
-            if not x:
-                return "[]"
-            inner = ",\n".join(f"{pad}  {emit(v, pad + '  ')}" for v in x)
-            return "[\n" + inner + "\n" + pad + "]"
-        raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+    out: list[str] = []
+    put = out.append
 
-    return emit(obj, "")
+    def emit(x, pad: str) -> None:
+        if isinstance(x, float):
+            put(f"{x:.17g}")
+        elif isinstance(x, int) and not isinstance(x, bool):
+            put(str(x))
+        elif x is None or isinstance(x, (bool, str)):
+            put(json.dumps(x))
+        elif isinstance(x, (dict, list, tuple)):
+            inner, is_dict = pad + "  ", isinstance(x, dict)
+            put("{" if is_dict else "[")
+            for i, v in enumerate(x.items() if is_dict else x):
+                put(",\n" if i else "\n")
+                put(inner)
+                if is_dict:
+                    k, v = v
+                    put(f"{json.dumps(str(k))}: ")
+                emit(v, inner)
+            put(("\n" + pad if x else "") + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+
+    emit(obj, "")
+    return "".join(out)
 
 
 def _echo_json(obj) -> None:

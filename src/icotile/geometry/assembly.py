@@ -14,21 +14,32 @@ of the cluster.  Matching alone would misread the quadrilateral contact
 walls whose two sides are triangulated along different diagonals (20 of
 d1's 116 walls).
 
-Wiring points lie in the half-integer icosahedral frame, so each point has
-one representation, doubled Z[tau] integer pairs, and every decision
-(overlap, wall or boundary, coplanarity, collinearity, parity, face census)
-is exact integer arithmetic.  Floats (mesh vertices, tile vertices,
-exports) are derived from the pairs by embed.
+Points are doubled Z[tau] pairs in the half-integer icosahedral frame, and
+every decision is exact arithmetic on Python ints at any magnitude; floats
+(mesh vertices, tile vertices, exports) are derived from the pairs by embed.
+Signs need no floats (the Fibonacci sign lemma): if |A|, |B| < F(k), k >= 2,
+then A + B*tau and A*F(k) + B*F(k+1) have one sign.  They differ by
+B*sigma^k, less than F(k)*tau^-k < 1/tau in size, while a nonzero A + B*tau
+is more than 1/(F(k)*tau): its norm A^2 + AB - B^2 is a nonzero integer and
+its conjugate below F(k)*tau.  With M the largest coordinate (at least 1), a
+face normal is at most 24 M^2 per entry, its plane at a point 432 M^3, as is
+a separating-axis projection difference, at a face's corner sum 1296 M^3,
+and the dot of two normals 5184 M^4: a build takes the least k with F(k) >
+5184 M^4 and packs the points' six coordinates into six ints, one slot per
+point, of W bits, one more than the bit length of 5184 M^4 (F(k) + F(k+1)).
+One multiply-add per face plane gives its form at every point, and the top
+bits of the slots, biased by 2^(W-1), give the points below and above it as
+two bitmasks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import chain, compress, islice
-
-import numpy as np
+from itertools import chain
+from operator import index
 
 from .. import catalog
 from ..catalog import TileKind
@@ -59,15 +70,14 @@ class AssemblyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PlacedTile:
-    """A fundamental tile: four vertices as doubled Z[tau] pairs, shape
-    (4, 3, 2).  parity is the exact sign of their triple product
-    (b-a).((c-a)x(d-a)), and faces are wound outward for it; a flat tile,
-    or a kind outside t1..t6, is a ValueError.  vertices is the float image
-    of exact, derived at read.
-    """
+    """A fundamental tile: four vertices as doubled Z[tau] pairs, nested
+    (4, 3, 2) ints, read from any nested integer sequence.  parity is the
+    exact sign of (b-a).((c-a)x(d-a)), and faces are wound outward for it;
+    a flat tile, or a kind outside t1..t6, is a ValueError.  vertices is
+    the float image of exact, derived at read."""
 
     kind: TileKind
-    exact: np.ndarray
+    exact: tuple
     name: str = field(default="", compare=False)
     parity: int = field(init=False)
 
@@ -75,21 +85,17 @@ class PlacedTile:
         object.__setattr__(self, "kind", TileKind(self.kind))
         if not self.kind.is_fundamental:
             raise ValueError(f"{self.kind.value} is not a fundamental tile (t1..t6)")
-        exact = np.asarray(self.exact, dtype=np.int64)
-        if exact.shape != (4, 3, 2):
-            raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {exact.shape}")
-        v = exact.tolist()  # bounded on its Python ints: no numpy reduction per tile
-        if max(map(abs, chain.from_iterable(chain.from_iterable(v)))) > _TILE_BOUND:
-            _bounded(exact, _TILE_BOUND)  # raises
-        parity = GoldenRational(*_scalar_triple(v)).sign()
+        exact = _points(self.exact)
+        if len(exact) != 4:
+            raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
+        parity = GoldenRational(*_scalar_triple(exact)).sign()
         if not parity:
             raise ValueError("the tile is flat: its triple product is zero")
-        exact.setflags(write=False)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "parity", parity)
 
     @property
-    def vertices(self) -> np.ndarray:
+    def vertices(self) -> tuple:
         return _embed_doubled(self.exact)
 
     @property
@@ -98,7 +104,7 @@ class PlacedTile:
 
     def face_edge_squares(self, face_index: int) -> tuple[GoldenRational, ...]:
         """Exact squared edge lengths of a face, in cyclic order."""
-        return squared_edges(self.exact[list(self.faces[face_index])])
+        return squared_edges([self.exact[i] for i in self.faces[face_index]])
 
     def find_face(self, edge_squares) -> int:
         """Index of the unique face whose exact squared-edge multiset matches."""
@@ -109,51 +115,43 @@ class PlacedTile:
 
     def volume(self) -> GoldenRational:
         """Exact volume: |triple product| / 6, or / 48 in doubled coordinates."""
-        return abs(GoldenRational(*_scalar_triple(self.exact.tolist()), 48))
+        return abs(GoldenRational(*_scalar_triple(self.exact), 48))
 
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Polygonal outer surface: shared vertices, outward-wound faces.
 
-    exact holds the vertices as doubled Z[tau] pairs, shape (V, 3, 2), each
-    entry at most 2**3 in magnitude and each face of at most 16 corners
-    (OverflowError beyond), and vertices is their float image, derived at
-    read.  provenance[i] lists the names of the tile instances whose
-    triangles were fused into face i.  Derived once and read-only: edge_faces
-    pairs each edge (i, j), i < j, in sorted order, with the faces that hold
-    it, and normals[i] is the exact Newell normal of face i, shape (F, 3, 2).
-    """
+    exact holds the vertices as doubled Z[tau] pairs, nested (V, 3, 2)
+    ints, and vertices their float image, derived at read.  provenance[i]
+    names the tiles whose triangles were fused into face i.  Derived once:
+    edge_faces pairs each edge (i, j), i < j, in sorted order, with the
+    faces that hold it, and normals[i] is face i's exact Newell normal."""
 
-    exact: np.ndarray
+    exact: tuple
     faces: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, ...], ...]
     edge_faces: tuple[tuple[tuple[int, int], tuple[int, ...]], ...] = field(
         init=False, repr=False)
-    normals: np.ndarray = field(init=False, repr=False)
+    normals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        exact = _bounded(self.exact, _MESH_BOUND)
-        if max(map(len, self.faces), default=0) > _MESH_CORNERS:
-            raise OverflowError(f"a face beyond {_MESH_CORNERS} corners: "
-                                "the exact int64 kernel would wrap")
-        # one walk over the directed edges (tail, head, face): normals[face] += tail x head
-        walk = [(f[i - 1], v, fi) for fi, f in enumerate(self.faces) for i, v in enumerate(f)]
+        exact = _points(self.exact)
+        # one walk over the directed edges (tail, head) of each face: normal += tail x head
         incident: dict[tuple[int, int], list[int]] = {}
-        for t, h, fi in walk:
-            incident.setdefault((min(t, h), max(t, h)), []).append(fi)
-        tail, head, face = np.array(walk, dtype=np.intp).reshape(-1, 3).T
-        normals = np.zeros((len(self.faces), 3, 2), dtype=np.int64)
-        np.add.at(normals, face, _gcross(exact[tail], exact[head]))
-        exact.setflags(write=False)
-        normals.setflags(write=False)
+        normals = []
+        for fi, f in enumerate(self.faces):
+            walk = list(zip(f[-1:] + f[:-1], f))
+            for t, h in walk:
+                incident.setdefault((min(t, h), max(t, h)), []).append(fi)
+            normals.append(_vsum(_normal(_ZERO, exact[t], exact[h]) for t, h in walk))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "edge_faces",
                            tuple((e, tuple(incident[e])) for e in sorted(incident)))
-        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "normals", tuple(normals))
 
     @property
-    def vertices(self) -> np.ndarray:
+    def vertices(self) -> tuple:
         return _embed_doubled(self.exact)
 
     def counts(self) -> tuple[int, int, int]:
@@ -163,8 +161,8 @@ class Mesh:
     def volume_exact(self) -> GoldenRational:
         """Enclosed volume by the divergence theorem (faces wound outward):
         the sum of normals[i] . (a corner of face i) / 6, or / 48 doubled."""
-        total = _gdot(self.normals, self.exact[[f[0] for f in self.faces]]).sum(axis=0)
-        return GoldenRational(*total.tolist(), 48)
+        corners = [self.exact[f[0]] for f in self.faces]
+        return GoldenRational(*map(sum, zip((0, 0), *map(_dot, self.normals, corners))), 48)
 
     def volume(self) -> float:
         """Float image of volume_exact()."""
@@ -172,17 +170,17 @@ class Mesh:
 
     def face_census(self) -> Counter:
         """Counter of (side count, sorted exact squared edge lengths)."""
-        return Counter((len(f), tuple(sorted(squared_edges(self.exact[list(f)]))))
+        return Counter((len(f), tuple(sorted(squared_edges([self.exact[i] for i in f]))))
                        for f in self.faces)
 
 
 @dataclass(frozen=True, eq=False)
 class TriangleFace:
     """One tetrahedron face inside an assembly, with its owner's name;
-    corners are doubled Z[tau] pairs, shape (3, 3, 2)."""
+    corners are doubled Z[tau] pairs, nested (3, 3, 2)."""
 
     owner: str
-    corners: np.ndarray
+    corners: tuple
 
 
 @dataclass(frozen=True)
@@ -196,17 +194,22 @@ class Dihedral:
     angle_class: str | None
 
 
-def squared_edges(corners: np.ndarray) -> tuple[GoldenRational, ...] | list[tuple]:
+def squared_edges(corners) -> tuple[GoldenRational, ...] | list[tuple]:
     """Exact squared lengths of a polygon's edges in cyclic order; corners
-    are doubled Z[tau] pairs, shape (k, 3, 2), each entry at most 2**28 in
-    magnitude (OverflowError beyond).  A stack (..., k, 3, 2) gives a list
-    of those tuples, one per polygon in row-major order, in one kernel call."""
-    corners = _bounded(corners, _EDGE_BOUND)
-    d = np.roll(corners, -1, axis=-3) - corners
-    q = _gdot(d, d)
-    polygons = q.reshape(-1, *q.shape[-2:]).tolist()
-    out = [tuple(GoldenRational(a, b, 4) for a, b in p) for p in polygons]
-    return out if q.ndim > 2 else out[0]
+    are doubled Z[tau] pairs, nested (k, 3, 2).  A stack (..., k, 3, 2)
+    gives a list of those tuples, one per polygon in row-major order."""
+    corners = corners.tolist() if hasattr(corners, "tolist") else corners
+    if isinstance(corners, str):  # it would nest without end
+        raise ValueError("corners must nest as (..., k, 3, 2) integers")
+    try:
+        p = _points(corners)
+    except ValueError:  # a stack
+        out = []
+        for sub in corners:
+            got = squared_edges(sub)
+            out += got if isinstance(got, list) else [got]
+        return out
+    return tuple(GoldenRational(*_dot(d, d), 4) for d in map(_sub, p[1:] + p[:1], p))
 
 
 def _census(specs) -> Counter:
@@ -252,85 +255,117 @@ _WOUND[-1] = tuple((a, c, b) for a, b, c in _WOUND[1])
 
 
 # ---------------------------------------------------------------------------
-# exact Z[tau] kernel: arrays whose last axis holds (a, b) for a + b*tau.
-# Wiring coordinates are doubled pairs with |a|, |b| <= 1 (and so are mesh
-# points, which dihedrals() takes to degree 8), far inside int64.  Caller
-# coordinates are bounded first so that no product wraps.  With entries at
-# most M, a difference is at most 2M, and per component _gmul(x, y) is at
-# most 3|x||y|, _gcross 6|x||y|, _gdot 9|x||y|; _gsign squares 2a+b <= 3|x|.
-#   squared_edges: _gdot(d, d) <= 9 (2M)^2 = 36 M^2 < 2^63 for M <= 2^28.
-#   axis_classes: normal <= 6 (2M)^2 = 24 M^2; crossed with an axis
-#     (entries <= 3): 6 * 3 * 24 M^2 = 432 M^2 < 2^63 for M <= 2^27.
-#   PlacedTile: its parity is the sign of a Python-int triple product, exact
-#     at any size.  Face normals are at most 6 (2M)^2 = 24 M^2, so each term
-#     n.x of the plane table n.x - n.c0 (integer matmuls) is at most
-#     9 * 24 M^2 * M = 216 M^3 and an entry at most 432 M^3, as is a
-#     separating-axis projection difference; _gsign: (3 * 432 M^3)^2 < 2^63
-#     for M <= 2^7.  A build's wall test sums three entries (1296 M^3:
-#     M <= 2^6), its tie-break dots two normals (9 (24 M^2)^2 = 5184 M^4:
-#     M <= 2^4), so _build bounds points by 2^3.
-#   Mesh: the Newell normal of a face of k corners sums k cross products of
-#     its points, so it is at most 6 k M^2; dihedrals() takes the dot products
-#     of two normals, at most D = 9 (6 k M^2)^2 = 324 k^2 M^4, to degree 8 in
-#     _gmul(5 * dot, dot), at most 15 D^2 (and _gsign of a dot at most 9 D^2):
-#     15 * 324^2 k^4 M^8 < 2^63 for k <= 2^4 and M <= 2^3.  Each face adds
-#     its normal dotted with a corner, 9 * 6 k M^2 * M = 54 k M^3 < 2^19, to
-#     the sum in volume_exact().
-
-_EDGE_BOUND = 2**28
-_AXIS_BOUND = 2**27
-_TILE_BOUND = 2**7
-_MESH_BOUND = 2**3
-_MESH_CORNERS = 2**4
+# exact Z[tau] kernel on Python ints: a pair (a, b) is a + b*tau, a vector
+# is three pairs, and a point is a vector of doubled pairs.
 
 
-def _bounded(x, bound: int) -> np.ndarray:
-    """x as int64 pairs; OverflowError if an entry exceeds bound in magnitude."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.size and (x.max() > bound or x.min() < -bound):
-        raise OverflowError(f"coordinate beyond +-{bound}: the exact int64 kernel would wrap")
-    return x
+_ZERO = ((0, 0),) * 3
+_EDGES = ((1, 0), (2, 0), (3, 0), (2, 1), (3, 1), (3, 2))
 
 
-def _gmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    return np.stack([a * c + b * d, a * d + b * c + b * d], axis=-1)
+def _points(x) -> tuple:
+    """Points as nested tuples (k, 3, 2) of ints, from any nested sequence
+    of integers (an array too); ValueError for anything else."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    try:
+        return tuple(((index(a), index(b)), (index(c), index(d)), (index(e), index(f)))
+                     for (a, b), (c, d), (e, f) in x)
+    except (TypeError, ValueError):
+        raise ValueError("points must nest as (k, 3, 2) integers") from None
 
 
-def _gsign(x: np.ndarray) -> np.ndarray:
-    """Exact sign of a + b*tau: the sign of (2a+b) + b*sqrt(5)."""
-    p = 2 * x[..., 0] + x[..., 1]
-    q = x[..., 1]
-    sp, sq = np.sign(p), np.sign(q)
-    mixed = sp * np.sign(p * p - 5 * q * q)
-    return np.where(sp * sq >= 0, np.where(sp != 0, sp, sq), mixed)
+def _mul(x, y) -> tuple[int, int]:
+    (a, b), (c, d) = x, y
+    return a * c + b * d, a * d + b * c + b * d
 
 
-def _gcross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product over axis -2 of (..., 3, 2) vectors."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return _gmul(u[..., i, :], v[..., j, :]) - _gmul(u[..., j, :], v[..., i, :])
+def _sub(u, v) -> tuple:
+    (a, b), (c, d), (e, f) = u
+    (g, h), (i, j), (k, l) = v
+    return (a - g, b - h), (c - i, d - j), (e - k, f - l)
 
 
-def _gdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot product over axis -2 of (..., 3, 2) vectors."""
-    return _gmul(u, v).sum(axis=-2)
+def _vsum(vectors) -> tuple:
+    a = b = c = d = e = f = 0
+    for (g, h), (i, j), (k, l) in vectors:
+        a, b, c, d, e, f = a + g, b + h, c + i, d + j, e + k, f + l
+    return (a, b), (c, d), (e, f)
+
+
+def _normal(p, q, r) -> tuple:
+    """(q - p) x (r - p), component by component (q-p)_y (r-p)_z - (q-p)_z
+    (r-p)_y and its turns, tau^2 = tau + 1; u x v is _normal(_ZERO, u, v)."""
+    (a, b), (c, d), (e, f) = p
+    (g, h), (i, j), (k, l) = q
+    (m, n), (o, t), (w, x) = r
+    g, h, i, j, k, l = g - a, h - b, i - c, j - d, k - e, l - f
+    m, n, o, t, w, x = m - a, n - b, o - c, t - d, w - e, x - f
+    return ((i * w + j * x - k * o - l * t, i * x + j * w + j * x - k * t - l * o - l * t),
+            (k * m + l * n - g * w - h * x, k * n + l * m + l * n - g * x - h * w - h * x),
+            (g * o + h * t - i * m - j * n, g * t + h * o + h * t - i * n - j * m - j * n))
+
+
+def _dot(u, v) -> tuple[int, int]:
+    (a, b), (c, d), (e, f) = u
+    (g, h), (i, j), (k, l) = v
+    return (a * g + b * h + c * i + d * j + e * k + f * l,
+            a * h + b * g + b * h + c * j + d * i + d * j + e * l + f * k + f * l)
 
 
 def _scalar_triple(v) -> tuple[int, int]:
-    """Triple product (b-a).((c-a)x(d-a)) of one tetrahedron, nested (4, 3, 2)
-    Python ints, as a Z[tau] pair: exact at any magnitude."""
-    o, *rest = v
-    d = [(pa - oa, pb - ob) for p in rest for (pa, pb), (oa, ob) in zip(p, o)]
-    a = b = 0
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # x_i (y_j z_k - y_k z_j)
-        (xa, xb), (ya, yb), (za, zb) = d[i], d[3 + j], d[6 + k]
-        (wa, wb), (va, vb) = d[3 + k], d[6 + j]  # y_k, z_j
-        sa = ya * za + yb * zb - wa * va - wb * vb
-        sb = ya * zb + yb * za + yb * zb - wa * vb - wb * va - wb * vb
-        a += xa * sa + xb * sb
-        b += xa * sb + xb * sa + xb * sb
-    return a, b
+    """Triple product (b-a).((c-a)x(d-a)) of one tetrahedron, nested (4, 3, 2)."""
+    a, b, c, d = v
+    return _dot(_sub(b, a), _normal(a, c, d))
+
+
+class _Slots:
+    """The sign form of the values decided on some points (module
+    docstring), bounded by 5184 M^4, M the points' largest coordinate and
+    at least 1, and n of them packed in one int, slot i in bits [width*i,
+    width*(i+1)); fib is (F(k), F(k+1))."""
+
+    def __init__(self, points, n: int):
+        m = max(map(abs, chain.from_iterable(chain.from_iterable(points))), default=0)
+        bound, f, g = 5184 * max(m, 1) ** 4, 1, 2
+        while f <= bound:
+            f, g = g, f + g
+        self.fib = f, g
+        self.width = (bound * (f + g)).bit_length() + 1
+        self.ones = sum(1 << self.width * i for i in range(n))
+        self.high = self.ones << (self.width - 1)
+
+    def scaled(self, x) -> tuple:
+        """x with each pair (a, b) sent to (a*F(k) + b*F(k+1), a*F(k+1) +
+        b*F(k+2)), so that _at(n, scaled(x)) is A*F(k) + B*F(k+1) for
+        n.x = A + B*tau."""
+        f, g = self.fib
+        (a, b), (c, d), (e, h) = x
+        return ((a * f + b * g, a * g + b * (f + g)), (c * f + d * g, c * g + d * (f + g)),
+                (e * f + h * g, e * g + h * (f + g)))
+
+    def pack(self, points) -> tuple:
+        """The points as one point of packed ints, point i in slot i."""
+        w, xa, xb, ya, yb, za, zb = self.width, 0, 0, 0, 0, 0, 0
+        for (a, b), (c, d), (e, f) in reversed(points):
+            xa, xb, ya, yb = (xa << w) + a, (xb << w) + b, (ya << w) + c, (yb << w) + d
+            za, zb = (za << w) + e, (zb << w) + f
+        return (xa, xb), (ya, yb), (za, zb)
+
+    def signs(self, total: int) -> tuple[int, int]:
+        """(below, above): the top bits of the slots of total, a sum of
+        signed values v_i << width*i, where v_i < 0 and v_i > 0."""
+        s = total + self.high  # biased: slot i holds v_i + 2^(width-1) >= 1
+        return self.high & ~s, self.high & (s - self.ones)
+
+    def bit(self, i: int) -> int:
+        return 1 << self.width * i + self.width - 1
+
+
+def _at(n, x) -> int:
+    """The integer dot product of two vectors of pairs."""
+    (a, b), (c, d), (e, f) = n
+    (g, h), (i, j), (k, l) = x
+    return a * g + b * h + c * i + d * j + e * k + f * l
 
 
 @cache
@@ -338,82 +373,89 @@ def _embed_half(a: int, b: int) -> float:
     return embed(GoldenRational(a, b, 2))
 
 
-def _embed_doubled(pairs: np.ndarray) -> np.ndarray:
-    """Read-only float image of doubled pairs (..., 2): (a + b*tau)/2 by
-    embed, each distinct pair embedded once per process (the magnitude
-    guards keep the pairs few)."""
-    out = np.array([_embed_half(a, b) for a, b in np.reshape(pairs, (-1, 2)).tolist()],
-                   dtype=float).reshape(np.shape(pairs)[:-1])
-    out.setflags(write=False)
-    return out
+def _embed_doubled(points) -> tuple:
+    """Float image (a + b*tau)/2 of doubled points (k, 3, 2), cached per pair."""
+    return tuple(((_embed_half(*x), _embed_half(*y), _embed_half(*z)) for x, y, z in points))
 
 
 # ---------------------------------------------------------------------------
 # geometric predicates
 
 
-def _face_planes(points: np.ndarray, faces: np.ndarray) -> tuple:
-    """Normals n = (c1 - c0) x (c2 - c0), (T, 4, 3, 2), of the faces
-    points[faces], (T, 4, 3) indices wound outward, the plane table
-    n.points[p] - n.c0, (T, 4, P, 2), and its int8 signs."""
-    c = points[faces]
-    n = _gcross(c[:, :, 1] - c[:, :, 0], c[:, :, 2] - c[:, :, 0])
-    (na, nb), (pa, pb) = np.moveaxis(n, -1, 0), points.T
-    at = np.stack([na @ pa + nb @ pb, na @ pb + nb @ (pa + pb)], axis=-1)  # n.points
-    planes = at - _gdot(n, c[:, :, 0])[:, :, None]
-    return n, planes, _gsign(planes).astype(np.int8)
+# per face (three point indices wound outward) of a build: its normal n =
+# (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points, and its
+# sign row at every point as (below, above) slot masks
+_Planes = namedtuple("_Planes", "slots scaled normals offsets rows")
 
 
-def _separated(axes: np.ndarray, ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    """Whether some nonzero axis of (P, K, 3, 2) separates the tetrahedra
-    ta[p] and tb[p], each (P, 4, 3, 2): all 16 projection differences on it
-    have one sign, so touching separates."""
-    pa = _gdot(axes[:, :, None], ta[:, None])
-    pb = _gdot(axes[:, :, None], tb[:, None])
-    s = _gsign(pa[:, :, :, None] - pb[:, :, None, :])
-    apart = (s <= 0).all(axis=(2, 3)) | (s >= 0).all(axis=(2, 3))
-    return (apart & axes.any(axis=(2, 3))).any(axis=1)
+def _planes(points, faces) -> _Planes:
+    slots = _Slots(points, len(points))
+    scaled = [slots.scaled(p) for p in points]
+    packed = slots.pack(scaled)
+    normals = [_normal(points[i], points[j], points[k]) for i, j, k in faces]
+    offsets = [_at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
+    rows = [slots.signs(_at(n, packed) - c * slots.ones) for n, c in zip(normals, offsets)]
+    return _Planes(slots, scaled, normals, offsets, rows)
 
 
-def _overlaps(tets: np.ndarray, ids: np.ndarray, signs: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs a < b of the (T, 4, 3, 2) tetrahedra whose interiors meet,
-    in lexicographic order, given the signs of their face planes at the
-    points their vertex ids (T, 4) index.  Exact separating-axis test on the
-    facets of a pair's Minkowski difference: it is apart if all four vertices
-    of one lie on or outside a face plane of the other (702 of d1's 703
-    pairs, all 120 of i1's), else if one of its 36 edge-edge cross products
-    separates it.  A zero plane (collinear corners) separates nothing."""
-    apart = ((signs[:, :, ids] >= 0).all(axis=3) & signs.any(axis=2)[:, :, None]).any(axis=1)
-    a, b = np.nonzero(np.triu(~(apart | apart.T), 1))
-    if not len(a):
-        return []
-    edges = tets[:, [1, 2, 3, 2, 3, 3]] - tets[:, [0, 0, 0, 1, 1, 2]]
-    mixed = _gcross(edges[a][:, :, None], edges[b][:, None, :]).reshape(-1, 36, 3, 2)
-    left = ~_separated(mixed, tets[a], tets[b])
-    return list(zip(a[left].tolist(), b[left].tolist()))
+def _candidates(rows, vertex_masks) -> list[tuple[int, int]]:
+    """Index pairs a < b, in order, of tetrahedra no face plane of either
+    puts wholly on or outside the other: rows[4a:4a+4] are the sign rows of
+    a's face planes, vertex_masks[b] the top bits of b's vertices.  A zero
+    plane (no point off it) separates nothing."""
+    below = [lo if lo or hi else -1 for lo, hi in rows]
+    out = []
+    for a, va in enumerate(vertex_masks):
+        p, q, r, s = below[4 * a:4 * a + 4]
+        out += [(a, b) for b, vb in enumerate(vertex_masks[a + 1:], a + 1)
+                if p & vb and q & vb and r & vb and s & vb
+                and all(x & va for x in below[4 * b:4 * b + 4])]
+    return out
+
+
+def _overlaps(points, vert_ids, planes: _Planes) -> list[tuple[int, int]]:
+    """Index pairs a < b of the tetrahedra points[vert_ids[a]] whose
+    interiors meet, in lexicographic order, given the planes of their
+    outward faces, four per tetrahedron in order.  Exact separating-axis
+    test on the facets of a pair's Minkowski difference: it is apart if all
+    four vertices of one lie on or outside a face plane of the other (702 of
+    d1's 703 pairs, all 120 of i1's), else if one of its 36 edge-edge cross
+    products n separates it: all 16 differences n.x - n.y, x in one and y
+    in the other, have one sign (so touching separates)."""
+    masks = [sum(map(planes.slots.bit, set(ids))) for ids in vert_ids]
+    out = []
+    for a, b in _candidates(planes.rows, masks):
+        ea, eb = ([_sub(points[v[i]], points[v[j]]) for i, j in _EDGES]
+                  for v in (vert_ids[a], vert_ids[b]))
+        sa, sb = ([planes.scaled[i] for i in vert_ids[t]] for t in (a, b))
+        for n in (_normal(_ZERO, u, v) for u in ea for v in eb):
+            pa, pb = [_at(n, x) for x in sa], [_at(n, x) for x in sb]
+            if n != _ZERO and (max(pa) <= min(pb) or max(pb) <= min(pa)):
+                break
+        else:
+            out.append((a, b))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # coplanar fusion of boundary triangles
 
 
-def _drop_collinear(cycles: list[tuple[int, ...]], points: np.ndarray) -> list[tuple[int, ...]]:
+def _drop_collinear(cycles: list[tuple[int, ...]], points) -> list[tuple[int, ...]]:
     """Each cycle of distinct point indices without its corners collinear
-    with their neighbours, tested in one step over all cycles and dropped at
-    once: dropping one leaves the others' collinearity unchanged.
-    AssemblyError if fewer than 3 corners of a cycle remain."""
-    walk = [(c[k - 1], v, c[k + 1 - len(c)]) for c in cycles for k, v in enumerate(c)]
-    prev, at, after = points[np.array(walk, dtype=np.intp).reshape(-1, 3).T]
-    keep = iter(_gcross(at - prev, after - at).any(axis=(1, 2)).tolist())
-    out = [tuple(compress(c, islice(keep, len(c)))) for c in cycles]
+    with their neighbours, all tested before any is dropped: dropping one
+    leaves the others' collinearity unchanged.  AssemblyError if fewer than
+    3 corners of a cycle remain."""
+    out = [tuple(v for u, v, w in zip(c[-1:] + c[:-1], c, c[1:] + c[:1])
+                 if _normal(points[u], points[v], points[w]) != _ZERO) for c in cycles]
     if min(map(len, out), default=3) < 3:
         raise AssemblyError("a fused face has fewer than 3 corners not collinear "
                             "with their neighbours")
     return out
 
 
-def _fuse_coplanar(faces: list[tuple[tuple[int, ...], bytes]], owners: list[str],
-                   points: np.ndarray) -> tuple[list, list]:
+def _fuse_coplanar(faces: list[tuple[tuple[int, ...], object]], owners: list[str],
+                   points) -> tuple[list, list]:
     """Fuse the triangles of each oriented plane, given as (cycle, plane key)
     with their owners' names, into one face: the cycle of their directed
     edges whose reverse is not among them, walked from the first of the
@@ -470,74 +512,93 @@ class Assembly:
         return {k: out[k] for k in sorted(out, key=lambda s: s.value)}
 
 
+def _walls(points, faces, planes: _Planes) -> list[bool]:
+    """Whether each outward face (three point indices, four per tile) is a
+    wall: shared whole, or its pushed centroid in some closed tile (module
+    docstring), decided per face plane of that tile by the sign form at the
+    face's corner sum, and on the plane by the dot of the two normals.  The
+    corner sums and normals are packed: one multiply-add per plane, and
+    one more when a corner sum is on it, decides all faces."""
+    keys = [frozenset(f) for f in faces]
+    shared = Counter(keys)
+    is_wall = [shared[k] > 1 for k in keys]
+    rest = [i for i, wall in enumerate(is_wall) if not wall]
+    if not rest:  # none left in i1 and the composites
+        return is_wall
+    # slot r: the corner sum and the normal of face rest[r], scaled, and a
+    # tile's own faces left out, whose pushed centroids it never holds
+    slots = _Slots(points, len(rest))
+    sc = planes.scaled
+    sums = slots.pack([_vsum((sc[i], sc[j], sc[k])) for i, j, k in map(faces.__getitem__, rest)])
+    normals = slots.pack([slots.scaled(planes.normals[r]) for r in rest])
+    own = [0] * (len(faces) // 4)
+    for slot, r in enumerate(rest):
+        own[r // 4] |= slots.bit(slot)
+    covered, ones, high, lows = 0, slots.ones, slots.high, slots.high - slots.ones
+    for u, mine in enumerate(own):
+        inside = high ^ mine
+        for n, offset in zip(planes.normals[4 * u:4 * u + 4], planes.offsets[4 * u:4 * u + 4]):
+            s = _at(n, sums) + high - 3 * offset * ones  # biased, as in _Slots.signs
+            ahead = inside & s  # on the plane or above it
+            if ahead:
+                on = ahead & ~(s - ones)
+                inside ^= ahead
+                if on:  # the side of the face's normal decides
+                    inside |= on & ~(_at(n, normals) + lows)
+                if not inside:
+                    break
+        covered |= inside
+    for slot, r in enumerate(rest):
+        is_wall[r] = bool(covered & slots.bit(slot))
+    return is_wall
+
+
 def _build(target: str) -> Assembly:
     coords, tets, subset = _SOURCES[target]
     if subset is not None:
         tets = [tets[i] for i in subset]
 
     index = {lab: k for k, lab in enumerate(coords)}
-    exact = _bounded(list(coords.values()), _MESH_BOUND)
-    vert_ids = np.array([[index[lab] for lab in labs] for _, labs in tets])
-    verts = exact[vert_ids]
+    points = _points(coords.values())
+    vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
     tiles = []
     count: Counter = Counter()
-    for (kind_name, _), v in zip(tets, verts):
+    for (kind_name, _), ids in zip(tets, vert_ids):
         name = f"{kind_name}-{count[kind_name]}"
         try:
-            tiles.append(PlacedTile(kind=kind_name, exact=v, name=name))
+            tiles.append(PlacedTile(kind=kind_name, exact=[points[i] for i in ids], name=name))
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
 
     # overlap, walls and hull planes read one table: outward-wound face planes at points
-    wound = np.where(np.array([t.parity for t in tiles])[:, None, None] < 0, _WOUND[-1], _WOUND[1])
-    faces = np.take_along_axis(vert_ids[:, None], wound, axis=2)
-    normals, planes, signs = _face_planes(exact, faces)
+    faces = [(ids[i], ids[j], ids[k]) for ids, t in zip(vert_ids, tiles) for i, j, k in t.faces]
+    planes = _planes(points, faces)
 
     # no two tetrahedra may share interior volume
-    overlaps = _overlaps(verts, vert_ids, signs)
+    overlaps = _overlaps(points, vert_ids, planes)
     if overlaps:
         a, b = overlaps[0]
         raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
 
-    # Faces shared whole are walls by index (module docstring).  The rest are
-    # walls iff the pushed centroid lies in some closed tetrahedron: per face
-    # plane of that tetrahedron its side decides (the table summed at the
-    # face's corners, exactly where they straddle the plane), and on the
-    # plane the face normal's side.
-    keys = [frozenset(f) for f in faces.reshape(-1, 3).tolist()]
-    shared = Counter(keys)
-    is_wall = np.array([shared[k] > 1 for k in keys]).reshape(-1, 4)
-    rest = ~is_wall
-    if rest.any():  # none left in i1 and the composites
-        left = faces[rest]  # (R, 3)
-        corner_signs = signs[:, :, left]
-        hi, lo = corner_signs.max(axis=3), corner_signs.min(axis=3)
-        side = np.where(lo < 0, lo, hi)
-        across = np.nonzero((hi > 0) & (lo < 0))
-        side[across] = _gsign(planes[(*across[:2], left[across[2]].T)].sum(axis=0))
-        on = np.nonzero(side == 0)
-        side[on] = _gsign(_gdot(normals[on[:2]], normals[rest][on[2]]))
-        is_wall[rest] = (side <= 0).all(axis=1).any(axis=0)
+    is_wall = _walls(points, faces, planes)
+    walls, boundary, hull = [], [], []
+    for k, (f, wall) in enumerate(zip(faces, is_wall)):
+        face = TriangleFace(tiles[k // 4].name, (points[f[0]], points[f[1]], points[f[2]]))
+        if wall:
+            walls.append(face)
+        else:  # (point indices, plane key): equal sign rows, one oriented plane
+            boundary.append(face)
+            hull.append((f, planes.rows[k]))
 
-    corners = exact[faces]
-    corners.setflags(write=False)  # TriangleFace.corners are views into it
-    walls, boundary = [], []
-    owners = (t.name for t in tiles for _ in range(4))
-    for owner, c, wall in zip(owners, corners.reshape(-1, 3, 3, 2), is_wall.ravel().tolist()):
-        (walls if wall else boundary).append(TriangleFace(owner, c))
-    # (point indices, plane key) of each boundary face: equal sign rows, one oriented plane
-    keys, n = signs[~is_wall].tobytes(), signs.shape[-1]
-    hull = [(tuple(f), keys[i * n:i * n + n]) for i, f in enumerate(faces[~is_wall].tolist())]
-
-    fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], exact)
+    fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], points)
 
     # compact the vertex array to the ones the hull actually uses
     used = sorted({i for f in fused for i in f})
     remap = {old: new for new, old in enumerate(used)}
     mesh = Mesh(
-        exact=exact[used],
+        exact=tuple(points[i] for i in used),
         faces=tuple(tuple(remap[i] for i in f) for f in fused),
         provenance=tuple(tuple(sorted(o)) for o in owner_sets))
 
@@ -556,25 +617,25 @@ def assemble(target: str) -> Assembly:
 
 
 def dihedrals(mesh: Mesh) -> list[Dihedral]:
-    """Interior dihedral angle along every mesh edge.
-
-    The angle between two faces is pi minus the angle of their outward
-    normals n1, n2 (the exact Newell normals, mesh.normals); it is atan 2 or
-    pi - atan 2 exactly when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or
-    > 0.  Edges with one incident face are reported with angle None rather
-    than treated as an error.
-    """
-    shared = [(e, fs) for e, fs in mesh.edge_faces if len(fs) == 2]
-    n1, n2 = (mesh.normals[[fs[k] for _, fs in shared]] for k in (0, 1))
-    dot, q1, q2 = _gdot(n1, n2), _gdot(n1, n1), _gdot(n2, n2)
-    hit = (_gmul(5 * dot, dot) == _gmul(q1, q2)).all(axis=-1)
-    classes = np.where(hit, np.where(_gsign(dot) > 0, "pi-atan2", "atan2"), "neither")
-    image = (1.0, embed(TAU))
-    cos = (dot @ image) / np.sqrt((q1 @ image) * (q2 @ image))
-    angles = dict(zip((e for e, _ in shared),
-                      zip((np.pi - np.arccos(np.clip(cos, -1, 1))).tolist(), classes.tolist())))
-    return [Dihedral(edge, fs, *angles.get(edge, (None, None)))
-            for edge, fs in mesh.edge_faces]
+    """Interior dihedral angle along every mesh edge: pi minus the angle of
+    the faces' exact Newell normals n1, n2, and exactly atan 2 or pi - atan 2
+    when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or > 0.  An edge with one
+    incident face gets angle None rather than an error."""
+    tau = embed(TAU)
+    out = []
+    for edge, fs in mesh.edge_faces:
+        if len(fs) != 2:
+            out.append(Dihedral(edge, fs, None, None))
+            continue
+        n1, n2 = (mesh.normals[f] for f in fs)
+        (da, db), (pa, pb), (qa, qb) = dot, q1, q2 = _dot(n1, n2), _dot(n1, n1), _dot(n2, n2)
+        angle_class = "neither"
+        if _mul((5 * da, 5 * db), dot) == _mul(q1, q2):
+            angle_class = "pi-atan2" if GoldenRational(da, db).sign() > 0 else "atan2"
+        cos = (da + db * tau) / math.sqrt((pa + pb * tau) * (qa + qb * tau))
+        out.append(Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
+                            angle_class))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +645,12 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
 def export_obj(assembly: Assembly) -> str:
     """Wavefront OBJ text: one named object per tile, faces wound outward."""
     lines = [f"# {assembly.target}: {len(assembly.tiles)} tetrahedra"]
-    v_lines: dict[tuple[int, ...], str] = {}  # each distinct point's "v x y z", once
+    v_lines: dict[tuple, str] = {}  # each distinct point's "v x y z", once
     for k, t in enumerate(assembly.tiles):
         lines.append(f"o {t.name}")
-        for p in map(tuple, t.exact.reshape(4, 6).tolist()):
+        for p in t.exact:
             if p not in v_lines:
-                xyz = (_embed_half(a, b) for a, b in zip(p[::2], p[1::2]))
-                v_lines[p] = "v " + " ".join(f"{x:.17g}" for x in xyz)
+                v_lines[p] = "v " + " ".join(f"{_embed_half(a, b):.17g}" for a, b in p)
             lines.append(v_lines[p])
         for f in t.faces:
             lines.append("f " + " ".join(str(i + 1 + 4 * k) for i in f))
@@ -599,21 +659,13 @@ def export_obj(assembly: Assembly) -> str:
 
 def export_patch(assembly: Assembly) -> dict:
     """JSON-ready description: tiles with parities plus the merged hull."""
-    tile_vertices = _embed_doubled(np.stack([t.exact for t in assembly.tiles])).tolist()
     return {
         "frame": "icosa-half-integer",
         "target": assembly.target,
-        "tiles": [
-            {
-                "kind": t.kind.value,
-                "name": t.name,
-                "parity": t.parity,
-                "vertices": verts,
-            }
-            for t, verts in zip(assembly.tiles, tile_vertices)
-        ],
+        "tiles": [{"kind": t.kind.value, "name": t.name, "parity": t.parity,
+                   "vertices": [list(v) for v in t.vertices]} for t in assembly.tiles],
         "hull": {
-            "vertices": [[float(x) for x in v] for v in assembly.mesh.vertices],
+            "vertices": [list(v) for v in assembly.mesh.vertices],
             "faces": [list(f) for f in assembly.mesh.faces],
             "provenance": [list(p) for p in assembly.mesh.provenance],
         },

@@ -8,8 +8,9 @@ opposite edge midpoints).  The axes are built exactly from the
 vertices, as doubled Z[tau] pairs: two vertices are adjacent when their
 doubled squared distance is 4, a face centre direction is the sum of
 three mutually adjacent vertices and an edge midpoint direction the sum
-of two.  A face's class is decided by an exact zero cross product on the
-kernel in assembly.py, for a whole stack of faces in one call.
+of two.  A face's class is found by the line of its normal, keyed
+exactly as the normal over its first nonzero entry in Q(tau), among the
+lines of the 31 axes.
 """
 
 from __future__ import annotations
@@ -17,41 +18,49 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
+from ..golden import GoldenRational
 from . import _wiring
-from .assembly import _AXIS_BOUND, _bounded, _embed_doubled, _gcross, _gdot
+from .assembly import _dot, _embed_doubled, _normal, _points, _sub, _vsum
 
 __all__ = ["icosahedron_vertices", "axis_classes", "face_axis_class"]
 
 
-def _doubled_vertices() -> np.ndarray:
-    """The twelve vertices as doubled Z[tau] pairs, shape (12, 3, 2): the
+def _doubled_vertices() -> tuple:
+    """The twelve vertices as doubled Z[tau] pairs, nested (12, 3, 2): the
     points of the i1 wiring."""
-    return np.array(list(_wiring.I1_COORDS.values()), dtype=np.int64)
+    return tuple(_wiring.I1_COORDS.values())
 
 
-def icosahedron_vertices() -> np.ndarray:
-    """The twelve vertices, edge length 1, centered at the origin."""
+def icosahedron_vertices() -> tuple:
+    """The twelve vertices, edge length 1, centered at the origin, nested (12, 3)."""
     return _embed_doubled(_doubled_vertices())
 
 
-def _one_per_pair(dirs: list[np.ndarray]) -> np.ndarray:
+def _one_per_pair(dirs) -> tuple:
     """The directions whose opposite does not come before them."""
-    d = np.array(dirs)
-    return d[~np.tril((d[:, None] == -d[None]).all(axis=(2, 3)), -1).any(axis=1)]
+    dirs = _points(dirs)
+    return tuple(d for i, d in enumerate(dirs) if tuple((-a, -b) for a, b in d) not in dirs[:i])
+
+
+def _line(n) -> tuple | None:
+    """The line through a nonzero vector of Z[tau] pairs as a key, exact and
+    the same for every nonzero multiple: n over its first nonzero entry."""
+    for i, x in enumerate(n):
+        if any(x):
+            return i, *(GoldenRational(*y) / GoldenRational(*x) for y in n[i + 1:])
+    return None
 
 
 @lru_cache(maxsize=None)
-def _axes() -> dict[str, np.ndarray]:
-    """Axis class name -> one doubled direction per +- pair, shape (k, 3, 2)."""
+def _axes() -> dict[str, tuple]:
+    """Axis class name -> one doubled direction per +- pair, nested (k, 3, 2)."""
     verts = _doubled_vertices()
-    d = verts[:, None] - verts[None]
-    adjacent = (_gdot(d, d) == (4, 0)).all(axis=-1)
-    pairs = [verts[i] + verts[j] for i, j in combinations(range(12), 2) if adjacent[i, j]]
-    triples = [verts[i] + verts[j] + verts[k] for i, j, k in combinations(range(12), 3)
-               if adjacent[i, j] and adjacent[j, k] and adjacent[i, k]]
-    axes = {"five-fold": _one_per_pair(list(verts)), "three-fold": _one_per_pair(triples),
+    adjacent = {(i, j) for i, j in combinations(range(12), 2)
+                if _dot(d := _sub(verts[i], verts[j]), d) == (4, 0)}
+    pairs = [_vsum((verts[i], verts[j])) for i, j in sorted(adjacent)]
+    triples = [_vsum((verts[i], verts[j], verts[k])) for i, j, k in combinations(range(12), 3)
+               if {(i, j), (j, k), (i, k)} <= adjacent]
+    axes = {"five-fold": _one_per_pair(verts), "three-fold": _one_per_pair(triples),
             "two-fold": _one_per_pair(pairs)}
     sizes = [len(a) for a in axes.values()]
     if sizes != [6, 10, 15]:
@@ -59,22 +68,22 @@ def _axes() -> dict[str, np.ndarray]:
     return axes
 
 
+@lru_cache(maxsize=None)
+def _axis_lines() -> dict[tuple, str]:
+    """The line of every axis, keyed as _line, to its class."""
+    return {_line(d): label for label, dirs in _axes().items() for d in dirs}
+
+
 def axis_classes(faces) -> list[str]:
     """'five-fold', 'three-fold', 'two-fold' or 'none' for each face of a
-    stack of doubled Z[tau] corners, shape (F, k, 3, 2), each entry at most
-    2**27 in magnitude (OverflowError beyond, see assembly._bounded).  All
-    normals (c1 - c0) x (c2 - c0) are crossed with all 31 axes at once, in
-    class order: a face gets the first class with an exact zero cross
-    product, and 'none' (the last class) for a zero normal or no such axis.
+    stack of doubled Z[tau] corners, nested (F, k, 3, 2): the class of the
+    axis on the line of the face's normal (c1 - c0) x (c2 - c0), found
+    exactly by its key, and 'none' for a zero normal or no such axis.
     """
-    c = _bounded(faces, _AXIS_BOUND)
-    n = _gcross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-    labels = [label for label, axes in _axes().items() for _ in axes] + ["none"]
-    hit = ~_gcross(np.concatenate(list(_axes().values()))[None], n[:, None]).any(axis=(2, 3))
-    hit = np.c_[hit & n.any(axis=(1, 2))[:, None], np.ones(len(n), dtype=bool)]
-    return [labels[j] for j in hit.argmax(axis=1).tolist()]
+    lines = _axis_lines()
+    return [lines.get(_line(_normal(*_points(face)[:3])), "none") for face in faces]
 
 
-def face_axis_class(corners: np.ndarray) -> str:
-    """axis_classes of the one face with these corners, shape (k, 3, 2)."""
+def face_axis_class(corners) -> str:
+    """axis_classes of the one face with these corners, nested (k, 3, 2)."""
     return axis_classes([corners])[0]

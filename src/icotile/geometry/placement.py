@@ -13,12 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-import numpy as np
-
 from ..catalog import TileKind, edge_scheme
 from ..golden import ZERO, GoldenRational
 from . import _wiring
-from .assembly import PlacedTile, _gcross, _gdot
+from .assembly import PlacedTile, _dot, _normal, _sub
 
 __all__ = [
     "PlacedTile",
@@ -43,16 +41,15 @@ class AmbiguityError(GlueError):
     """Several distinct attachments are legal; pass correspondence=."""
 
 
-def _pair_squares(points: np.ndarray) -> list:
+def _pair_squares(points) -> list:
     """Exact squared distances between all pairs of points, as Z[tau] pairs."""
-    d = points[:, None] - points[None]
-    return _gdot(d, d).tolist()
+    return [[_dot(d, d) for d in (_sub(p, q) for q in points)] for p in points]
 
 
-def _corners(tile: PlacedTile, face: int) -> np.ndarray:
+def _corners(tile: PlacedTile, face: int) -> tuple:
     if face not in range(4):
         raise ValueError(f"face index must be 0..3, not {face!r}")
-    return tile.exact[list(tile.faces[face])]
+    return tuple(tile.exact[i] for i in tile.faces[face])
 
 
 @lru_cache(maxsize=None)
@@ -62,12 +59,12 @@ def realize(kind: TileKind | str) -> PlacedTile:
     with a positive triple product (parity +1)."""
     scheme = edge_scheme(kind)
     labels = next(labs for name, labs in _wiring.D1_TETS if name == kind)
-    points = np.array([_wiring.D1_COORDS[lab] for lab in labels])
+    points = [_wiring.D1_COORDS[lab] for lab in labels]
     squares = _pair_squares(points)
     for perm in permutations(range(4)):
         if all(GoldenRational(*squares[perm[i]][perm[j]], 4) == scheme.squared(i, j)
                for i, j in combinations(range(4), 2)):
-            tile = PlacedTile(kind=kind, exact=points[list(perm)])
+            tile = PlacedTile(kind=kind, exact=[points[i] for i in perm])
             if tile.parity > 0:
                 return tile
     raise RuntimeError(f"no positive ordering of {kind} matches its edge scheme")
@@ -84,8 +81,7 @@ def face_correspondences(fixed: PlacedTile, fixed_face: int,
             if all(ms[i][j] == fs[p[i]][p[j]] for i, j in combinations(range(3), 2))]
 
 
-def _apex(face: np.ndarray, apex: np.ndarray,
-          target: np.ndarray, normal: np.ndarray) -> np.ndarray:
+def _apex(face, apex, target, normal) -> tuple:
     """Where apex lands when face is laid on target, on the side normal points to.
 
     apex - face[0] = s u + t v + h (u x v), u and v the face edges from
@@ -94,20 +90,19 @@ def _apex(face: np.ndarray, apex: np.ndarray,
     s and t times target's edges plus |h| normal (as long as u x v), as
     doubled pairs; GlueError if it leaves the half-integer frame.
     """
-    u, v = face[1] - face[0], face[2] - face[0]
-    e, n = apex - face[0], _gcross(u, v)
-    uu, uv, vv, eu, ev, en, nn = (GoldenRational(*x) for x in _gdot(
-        np.stack([u, u, v, e, e, e, n]), np.stack([u, v, v, u, v, n, n])).tolist())
+    u, v = _sub(face[1], face[0]), _sub(face[2], face[0])
+    e, n = _sub(apex, face[0]), _normal(*face)
+    uu, uv, vv, eu, ev, en, nn = (GoldenRational(*_dot(x, y)) for x, y in (
+        (u, u), (u, v), (v, v), (e, u), (e, v), (e, n), (n, n)))
     det = uu * vv - uv * uv
     weights = (1, (eu * vv - ev * uv) / det, (ev * uu - eu * uv) / det, abs(en / nn))
     out = []
-    for xs in zip(*(a.tolist() for a in (target[0], target[1] - target[0],
-                                          target[2] - target[0], normal))):
+    for xs in zip(target[0], _sub(target[1], target[0]), _sub(target[2], target[0]), normal):
         c = sum((w * GoldenRational(*x) for w, x in zip(weights, xs)), ZERO)
         if c.den != 1:
             raise GlueError(f"the attachment leaves the half-integer frame ({c} doubled)")
         out.append((c.a, c.b))
-    return np.array(out)
+    return tuple(out)
 
 
 def glue(fixed: PlacedTile, fixed_face: int,
@@ -147,18 +142,20 @@ def glue(fixed: PlacedTile, fixed_face: int,
         matchings = [p]
 
     corners = _corners(fixed, fixed_face)
-    normal = _gcross(corners[1] - corners[0], corners[2] - corners[0])  # outward
-    face = list(moving.faces[moving_face])
+    normal = _normal(*corners)  # outward
+    face = moving.faces[moving_face]
     apex = 6 - sum(face)
 
     results: dict[frozenset, tuple] = {}  # by vertex set: (p, tile)
     for p in matchings:
-        placed = np.empty((4, 3, 2), dtype=np.int64)
-        placed[face] = corners[list(p)]
-        placed[apex] = _apex(moving.exact[face], moving.exact[apex], placed[face], normal)
+        placed = [None] * 4
+        for i, q in zip(face, p):
+            placed[i] = corners[q]
+        placed[apex] = _apex([moving.exact[i] for i in face], moving.exact[apex],
+                             [placed[i] for i in face], normal)
         tile = PlacedTile(kind=moving.kind, exact=placed, name=moving.name)
         if (tile.parity != moving.parity) == flip:
-            results.setdefault(frozenset(map(tuple, placed.reshape(4, 6).tolist())), (p, tile))
+            results.setdefault(frozenset(tile.exact), (p, tile))
 
     if not results:
         raise GlueError("no attachment with the requested handedness (flip"

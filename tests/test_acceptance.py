@@ -253,10 +253,11 @@ def test_criterion_08_assemblies():
     assert d1.mesh.counts() == (20, 30, 12)
     for i in range(12):
         assert len(d1.mesh.faces[i]) == 5
-        corners = d1.mesh.exact[list(d1.mesh.faces[i])]
-        e = corners[1:] - corners[0]
-        normal = assembly._gcross(e[0], e[1])
-        assert normal.any() and not assembly._gdot(e[2:], normal).any()
+        corners = [d1.mesh.exact[j] for j in d1.mesh.faces[i]]
+        normal = assembly._normal(*corners[:3])
+        assert normal != ((0, 0),) * 3
+        assert all(assembly._dot(assembly._sub(c, corners[0]), normal) == (0, 0)
+                   for c in corners[3:])
         assert squared_edges(corners) == (1,) * 5
     assert abs(d1.mesh.volume() - d1.tile_volume_sum()) <= 1e-9
     assert d1.mesh.volume_exact() == GR(24, 42, 12)
@@ -268,7 +269,7 @@ def test_criterion_08_assemblies():
     assert i1.mesh.counts() == (12, 30, 20)
     for i in range(20):
         assert len(i1.mesh.faces[i]) == 3
-        assert squared_edges(i1.mesh.exact[list(i1.mesh.faces[i])]) == (1,) * 3
+        assert squared_edges(np.asarray(i1.mesh.exact)[list(i1.mesh.faces[i])]) == (1,) * 3
     assert i1.volume_exact() == GR(10, 10, 12)
     assert abs(i1.mesh.volume() - embed(GR(10, 10, 12))) <= 1e-9
     assert i1.mesh.volume_exact() == GR(10, 10, 12)
@@ -296,7 +297,7 @@ def test_criterion_08_assemblies():
 def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail):
     # hull vertex 0 moved by +1 in one doubled rational coordinate (+1/2)
     built = assemble(target)
-    exact = built.mesh.exact.copy()
+    exact = np.asarray(built.mesh.exact).copy()
     exact[0, axis, 0] += 1
     mesh = assembly.Mesh(exact, built.mesh.faces, built.mesh.provenance)
     moved = dataclasses.replace(built, mesh=mesh)

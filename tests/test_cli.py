@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from icotile import checks, inflation
+from icotile.catalog import ASSEMBLY_TARGETS
 from icotile.cli import canonical_json, main
 from icotile.golden import TAU, embed, tau_pow
 
@@ -519,3 +521,51 @@ def test_canonical_json_edge_values():
     assert canonical_json({"a": [], "b": None}) == '{\n  "a": [],\n  "b": null\n}'
     with pytest.raises(TypeError, match="not JSON-serializable: set"):
         canonical_json({"a": [{1}]})
+
+
+_ALL_SUBCOMMANDS = r"""
+import contextlib, io, json, os, sys
+{block}
+import click
+from icotile.cli import main
+from icotile.catalog import ASSEMBLY_TARGETS
+runs = [["verify"], ["verify", "--json"], ["report", "--json"], ["report", "--out", "bundle"]]
+for t in ASSEMBLY_TARGETS:
+    runs += [["build", "--shape", t], ["build", "--shape", t, "--json"],
+             ["build", "--shape", t, "--out", t + ".obj"],
+             ["build", "--shape", t, "--out", t + ".json"]]
+out = []
+for args in runs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args, standalone_mode=False)
+    out.append([args, code, buf.getvalue()])
+files = {{os.path.join(d, f): open(os.path.join(d, f), encoding="utf-8").read()
+         for d, _, names in os.walk(".") for f in names}}
+print(json.dumps({{"runs": out, "files": files, "numpy": "numpy" in sys.modules
+                  and sys.modules["numpy"] is not None}}))
+"""
+
+
+def test_subcommands_run_without_numpy(tmp_path):
+    # build, verify and report in an interpreter where importing numpy fails,
+    # byte for byte as in one where it is importable
+    import icotile
+    path = os.pathsep.join([str(Path(icotile.__file__).resolve().parents[1]), *sys.path])
+    facts = {}
+    for name, block in (("blocked", 'sys.modules["numpy"] = None'), ("normal", "")):
+        (tmp_path / name).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _ALL_SUBCOMMANDS.format(block=block)],
+                              capture_output=True, text=True, timeout=300, cwd=tmp_path / name,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        facts[name] = json.loads(proc.stdout)
+    blocked, normal = facts["blocked"], facts["normal"]
+    assert blocked["numpy"] is False
+    assert blocked["runs"] == normal["runs"] and blocked["files"] == normal["files"]
+    assert len(blocked["files"]) == 5 + 2 * len(ASSEMBLY_TARGETS)
+    (_, code, text), (_, json_code, json_text) = blocked["runs"][:2]
+    assert (code, json_code) == (1, 1)
+    assert [line.split(":")[0] for line in text.splitlines() if not line.startswith("OK ")] == [
+        "FAIL projection"]
+    assert [c["name"] for c in json.loads(json_text)["checks"] if not c["ok"]] == ["projection"]
