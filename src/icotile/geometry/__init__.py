@@ -1,5 +1,7 @@
 """Exact Z[tau] geometry: tile placement and gluing, symmetry axes, assemblies."""
 
+import importlib
+
 from ..catalog import CMVolume, EdgeScheme, cm_volume, edge_scheme
 from .assembly import (
     ASSEMBLY_TARGETS,
@@ -7,6 +9,7 @@ from .assembly import (
     AssemblyError,
     Dihedral,
     Mesh,
+    PlacedTile,
     TriangleFace,
     assemble,
     dihedrals,
@@ -16,16 +19,19 @@ from .assembly import (
     export_patch,
     squared_edges,
 )
-from .axes import axis_classes, face_axis_class, icosahedron_vertices
-from .placement import (
-    AmbiguityError,
-    CongruenceError,
-    GlueError,
-    PlacedTile,
-    face_correspondences,
-    glue,
-    realize,
-)
+
+# axes and placement load on first use: only the axis-classes check and the
+# tests read them, so build and report need not pay to compile and run them
+_LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"), "axes"),
+         **dict.fromkeys(("AmbiguityError", "CongruenceError", "GlueError",
+                          "face_correspondences", "glue", "realize"), "placement")}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ASSEMBLY_TARGETS",

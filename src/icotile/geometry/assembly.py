@@ -6,13 +6,15 @@ tetrahedron face as internal wall or outer boundary, and fuses the
 boundary triangles of each plane into one polygonal face of the outer hull
 by cancelling the edges they share.
 
-A face whose three points are also a face of another tile is a wall by
-index: once no two tiles overlap, they lie on its two sides.  Every other
-face takes a coverage test: it is on the boundary iff its centroid pushed
-an infinitesimal distance outward along its normal lies in no tetrahedron
-of the cluster.  Matching alone would misread the quadrilateral contact
-walls whose two sides are triangulated along different diagonals (20 of
-d1's 116 walls).
+A build packs its tiles' points alone and decides a face one of three
+ways.  A face whose three points are also a face of another tile is a wall
+by index: once no two tiles overlap, they lie on its two sides.  A face
+with no point above its plane is boundary: every tile lies below it.  Any
+other face takes a coverage test: it is on the boundary iff its centroid
+pushed an infinitesimal distance outward along its normal lies in no
+tetrahedron.  Matching alone would misread the quadrilateral contact walls
+whose two sides are triangulated along different diagonals (20 of d1's 116
+walls, its only faces so tested).
 
 Points are doubled Z[tau] pairs in the half-integer icosahedral frame, and
 every decision is exact arithmetic on Python ints at any magnitude; floats
@@ -137,14 +139,15 @@ class Mesh:
 
     def __post_init__(self):
         exact = _points(self.exact)
-        # one walk over the directed edges (tail, head) of each face: normal += tail x head
+        # one walk over the directed edges of each face; its Newell normal, the sum of
+        # tail x head, is its fan's sum of (f[i] - f[0]) x (f[i+1] - f[0]), k - 2 terms
         incident: dict[tuple[int, int], list[int]] = {}
         normals = []
         for fi, f in enumerate(self.faces):
-            walk = list(zip(f[-1:] + f[:-1], f))
-            for t, h in walk:
+            for t, h in zip(f[-1:] + f[:-1], f):
                 incident.setdefault((min(t, h), max(t, h)), []).append(fi)
-            normals.append(_vsum(_normal(_ZERO, exact[t], exact[h]) for t, h in walk))
+            normals.append(_vsum(_normal(exact[f[0]], exact[u], exact[v])
+                                 for u, v in zip(f[1:-1], f[2:])))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "edge_faces",
                            tuple((e, tuple(incident[e])) for e in sorted(incident)))
@@ -441,31 +444,30 @@ def _overlaps(points, vert_ids, planes: _Planes) -> list[tuple[int, int]]:
 # coplanar fusion of boundary triangles
 
 
-def _drop_collinear(cycles: list[tuple[int, ...]], points) -> list[tuple[int, ...]]:
-    """Each cycle of distinct point indices without its corners collinear
-    with their neighbours, all tested before any is dropped: dropping one
-    leaves the others' collinearity unchanged.  AssemblyError if fewer than
-    3 corners of a cycle remain."""
-    out = [tuple(v for u, v, w in zip(c[-1:] + c[:-1], c, c[1:] + c[:1])
-                 if _normal(points[u], points[v], points[w]) != _ZERO) for c in cycles]
-    if min(map(len, out), default=3) < 3:
+def _drop_collinear(cycle: tuple[int, ...], points) -> tuple[int, ...]:
+    """A cycle of distinct point indices without its corners collinear with
+    their neighbours, all tested before any is dropped: dropping one leaves
+    the others' collinearity unchanged.  AssemblyError if fewer than 3
+    corners remain."""
+    out = tuple(v for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1])
+                if _normal(points[u], points[v], points[w]) != _ZERO)
+    if len(out) < 3:
         raise AssemblyError("a fused face has fewer than 3 corners not collinear "
                             "with their neighbours")
     return out
 
 
-def _fuse_coplanar(faces: list[tuple[tuple[int, ...], object]], owners: list[str],
-                   points) -> tuple[list, list]:
+def _fuse(faces: list[tuple[tuple[int, ...], object]], owners: list[str]) -> list[tuple]:
     """Fuse the triangles of each oriented plane, given as (cycle, plane key)
-    with their owners' names, into one face: the cycle of their directed
+    with their owners' names, into one rim: the cycle of their directed
     edges whose reverse is not among them, walked from the first of the
-    plane's corners on it (in triangle order) and kept in the slot of the
-    plane's first triangle, owned by all of them.  AssemblyError if those
-    edges are not one simple cycle."""
+    plane's corners on it (in triangle order), paired with the triangles'
+    slots and kept in the slot of the plane's first triangle.  AssemblyError
+    if those edges are not one simple cycle."""
     planes: dict[tuple, list[int]] = {}
     for slot, (_, key) in enumerate(faces):
         planes.setdefault(key, []).append(slot)
-    rims, owner_sets = [], []
+    out = []
     for slots in planes.values():
         cycles = [faces[s][0] for s in slots]
         edges = {(f[i - 1], f[i]) for f in cycles for i in range(len(f))}
@@ -479,9 +481,15 @@ def _fuse_coplanar(faces: list[tuple[tuple[int, ...], object]], owners: list[str
         if start is None or v != start or len(set(cycle)) != len(rim):
             raise AssemblyError(f"the boundary triangles in the plane of a face of "
                                 f"{owners[slots[0]]} do not fuse into one simple polygon")
-        rims.append(tuple(cycle))
-        owner_sets.append({owners[s] for s in slots})
-    return _drop_collinear(rims, points), owner_sets
+        out.append((tuple(cycle), slots))
+    return out
+
+
+def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
+    """The rims of _fuse without their collinear corners, and their owners."""
+    fused = _fuse(faces, owners)
+    return ([_drop_collinear(rim, points) for rim, _ in fused],
+            [{owners[s] for s in slots} for _, slots in fused])
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +521,18 @@ class Assembly:
 
 
 def _walls(points, faces, planes: _Planes) -> list[bool]:
-    """Whether each outward face (three point indices, four per tile) is a
-    wall: shared whole, or its pushed centroid in some closed tile (module
-    docstring), decided per face plane of that tile by the sign form at the
-    face's corner sum, and on the plane by the dot of the two normals.  The
-    corner sums and normals are packed: one multiply-add per plane, and
-    one more when a corner sum is on it, decides all faces."""
+    """Whether each outward face (three indices of the tiles' points, four
+    per tile) is a wall, decided one of three ways (module docstring): shared
+    whole, a wall; no point above it in its sign row, boundary; else a wall
+    iff its pushed centroid is in some closed tile, by the sign form at its
+    corner sum per face plane of that tile, and on the plane by the dot of
+    the two normals.  Corner sums and normals are packed: one multiply-add
+    per plane, and one more when a corner sum is on it, decides all faces."""
     keys = [frozenset(f) for f in faces]
     shared = Counter(keys)
     is_wall = [shared[k] > 1 for k in keys]
-    rest = [i for i, wall in enumerate(is_wall) if not wall]
-    if not rest:  # none left in i1 and the composites
+    rest = [i for i, wall in enumerate(is_wall) if not wall and planes.rows[i][1]]
+    if not rest:  # none left but in d1 and E
         return is_wall
     # slot r: the corner sum and the normal of face rest[r], scaled, and a
     # tile's own faces left out, whose pushed centroids it never holds
@@ -558,8 +567,10 @@ def _build(target: str) -> Assembly:
     if subset is not None:
         tets = [tets[i] for i in subset]
 
-    index = {lab: k for k, lab in enumerate(coords)}
-    points = _points(coords.values())
+    # only the tiles' points, in the wiring's order
+    labels = {lab for _, labs in tets for lab in labs}
+    index = {lab: k for k, lab in enumerate(lab for lab in coords if lab in labels)}
+    points = _points([coords[lab] for lab in index])
     vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
     tiles = []
@@ -592,15 +603,18 @@ def _build(target: str) -> Assembly:
             boundary.append(face)
             hull.append((f, planes.rows[k]))
 
-    fused, owner_sets = _fuse_coplanar(hull, [b.owner for b in boundary], points)
+    # a lone triangle is a face of a tile whose triple product is not 0: no corner is collinear
+    owners = [b.owner for b in boundary]
+    fused = [(_drop_collinear(rim, points) if len(slots) > 1 else rim, slots)
+             for rim, slots in _fuse(hull, owners)]
 
     # compact the vertex array to the ones the hull actually uses
-    used = sorted({i for f in fused for i in f})
+    used = sorted({i for f, _ in fused for i in f})
     remap = {old: new for new, old in enumerate(used)}
     mesh = Mesh(
         exact=tuple(points[i] for i in used),
-        faces=tuple(tuple(remap[i] for i in f) for f in fused),
-        provenance=tuple(tuple(sorted(o)) for o in owner_sets))
+        faces=tuple(tuple(remap[i] for i in f) for f, _ in fused),
+        provenance=tuple(tuple(sorted({owners[s] for s in slots})) for _, slots in fused))
 
     groups = tuple(_wiring.D1_GROUPS) if target == "d1" else ()
     return Assembly(

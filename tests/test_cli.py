@@ -454,19 +454,36 @@ def _fresh_process(code: str) -> dict:
 @pytest.mark.parametrize("reach", ["geometry = icotile.geometry",
                                    "from icotile import geometry"])
 def test_geometry_loads_on_demand(reach):
+    # geometry loads on first use, and a build loads neither axes nor
+    # placement, whose names geometry resolves on first use in turn
     facts = _fresh_process(f"""
-import json, sys
+import contextlib, io, json, sys
 import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
 loaded = [m for m in ("numpy", "icotile.geometry") if m in sys.modules]
 {reach}
+with contextlib.redirect_stdout(io.StringIO()):
+    icotile.cli.main(["build", "--shape", "i1"], standalone_mode=False)
+lazy = ("icotile.geometry.axes", "icotile.geometry.placement")
+built = [m for m in lazy if m in sys.modules]
+from icotile.geometry import glue, realize, axis_classes, PlacedTile
 print(json.dumps({{
     "loaded": loaded,
     "module": geometry is sys.modules["icotile.geometry"],
     "targets": geometry.ASSEMBLY_TARGETS is icotile.catalog.ASSEMBLY_TARGETS,
     "unknown": hasattr(icotile, "nonexistent"),
+    "built": built,
+    "lazy": [m for m in lazy if m in sys.modules],
+    "names": [glue.__module__, realize.__module__, axis_classes.__module__,
+              PlacedTile.__module__],
+    "glue": glue is sys.modules["icotile.geometry.placement"].glue,
+    "unknown_in_geometry": hasattr(geometry, "nonexistent"),
 }}))
 """)
-    assert facts == {"loaded": [], "module": True, "targets": True, "unknown": False}
+    assert facts == {"loaded": [], "module": True, "targets": True, "unknown": False,
+                     "built": [], "lazy": ["icotile.geometry.axes", "icotile.geometry.placement"],
+                     "names": ["icotile.geometry.placement", "icotile.geometry.placement",
+                               "icotile.geometry.axes", "icotile.geometry.assembly"],
+                     "glue": True, "unknown_in_geometry": False}
 
 
 def test_light_subcommands_skip_numpy():

@@ -658,6 +658,19 @@ def test_mesh_edge_walk_matches_per_face_reference(target):
     assert (got == normals).all()
 
 
+def test_mesh_fan_normals_match_edge_walk():
+    # Newell's edge walk is the reference for the fan the Mesh sums: on the
+    # fused square of test_fuse_coplanar_collinear_corners, with and without
+    # its collinear corners, a non-convex pentagon and a skew quadrilateral
+    square = _rational([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (1, 0, 0), (2, 0, 0)])
+    other = _rational([(0, 0, 0), (4, 0, 0), (4, 4, 0), (2, 1, 0), (0, 4, 0), (2, 2, 6)])
+    for points, face in ((square, (3, 0, 1, 2)), (square, (3, 0, 4, 5, 1, 2)),
+                         (other, (0, 1, 2, 3, 4)), (other, (0, 1, 5, 4))):
+        mesh = assembly.Mesh(exact=points, faces=(face,), provenance=((),))
+        assert (np.asarray(mesh.normals) == _per_face_mesh_reference(mesh)[1]).all()
+        assert any(map(any, mesh.normals[0]))
+
+
 def test_pentagon_face_of_t3():
     a = assemble("T3")
     pent = [i for i, f in enumerate(a.mesh.faces) if len(f) == 5]
@@ -935,8 +948,8 @@ def test_mesh_magnitude_guard():
 
 
 def test_build_magnitude_guard(monkeypatch):
-    # a build's plane table spans every wiring point, used by a tile or not,
-    # and its slot width follows the largest of them
+    # a build's slot width follows the largest coordinate of its tiles'
+    # points; a point no tile uses is not packed
     coords, tets, subset = assembly._SOURCES["T2"]
     scaled = {lab: tuple((8 * a, 8 * b) for a, b in q) for lab, q in coords.items()}
     monkeypatch.setitem(assembly._SOURCES, "T2", (scaled, tets, subset))
@@ -1142,6 +1155,76 @@ def test_walls_match_all_faces_reference(target):
     assert all(faces[_point_set(c)] == 1 for _, c in split[1])
     by_index = sum(faces[_point_set(c)] == 2 for _, c in split[0])
     assert (by_index, len(split[0])) == WALLS_BY_INDEX[target]
+
+
+# how the build decides each face: (shared whole, a wall by index; no tile
+# vertex above its plane, boundary; the rest, by the coverage test), and how
+# many points it packs, its tiles' vertices alone
+FACES_DECIDED = {"d1": ((96, 36, 20), 23), "i1": ((44, 20, 0), 12), "E": ((4, 6, 2), 6),
+                 "C": ((4, 8, 0), 6), "T1": ((12, 12, 0), 8), "T2": ((2, 6, 0), 5),
+                 "T3": ((4, 8, 0), 6), "T3bar": ((4, 8, 0), 6), "T4": ((4, 8, 0), 6)}
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
+    # the slot count of each _Slots the build makes: its points, then the
+    # faces left for the coverage test, if any
+    packed, init = [], assembly._Slots.__init__
+
+    def counted(self, points, n):
+        packed.append(n)
+        init(self, points, n)
+
+    monkeypatch.setattr(assembly._Slots, "__init__", counted)
+    a = assembly._build(target)
+    signs = _free_planes(np.stack([t.exact for t in a.tiles]))[-1]
+    corners = [_point_set(_face(t, g)) for t in a.tiles for g in range(4)]
+    shared = Counter(corners)
+    by_index = [shared[c] == 2 for c in corners]
+    supporting = [not i and s for i, s in zip(by_index, (signs <= 0).all(axis=2).ravel())]
+    counts = (sum(by_index), sum(supporting), len(corners) - sum(by_index) - sum(supporting))
+    assert (counts, packed[0]) == FACES_DECIDED[target]
+    assert packed[0] == len({p for t in a.tiles for p in t.exact})
+    assert packed[1:] == ([counts[2]] if counts[2] else [])
+    # a face with no vertex above it is boundary
+    boundary = Counter(_point_set(f.corners) for f in a.boundary_triangles)
+    assert all(boundary[c] for c, s in zip(corners, supporting) if s)
+
+
+def _beyond(face: assembly.TriangleFace, opposite) -> tuple:
+    """A point just beyond a face of a tile: its first corner plus sigma^6 =
+    13 - 8 tau, about 0.056, times the step from the tile's opposite vertex
+    to its second corner."""
+    step = assembly._sub(face.corners[1], opposite)
+    return tuple((a + x, b + y) for (a, b), (x, y) in
+                 zip(face.corners[0], (assembly._mul((13, -8), d) for d in step)))
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_unused_points_change_nothing(monkeypatch, target):
+    # a far point and one just beyond a boundary face of T2, in no tile:
+    # the build packs neither, and nothing it gives changes
+    t2 = assemble("T2")
+    face = t2.boundary_triangles[0]
+    (tile,) = [t for t in t2.tiles if t.name == face.owner]
+    (opposite,) = set(tile.exact) - set(face.corners)
+    near = _beyond(face, opposite)
+    normal = assembly._normal(*face.corners)
+    height, tile_height = (GoldenRational(*assembly._dot(normal, assembly._sub(p, q)))
+                           for p, q in ((near, face.corners[0]), (face.corners[1], opposite)))
+    assert 0 < height < tile_height / 10
+    far = ((2 * 10**6, 0), (-(10**6), 10**6), (3, -(10**6)))
+    coords, tets, subset = assembly._SOURCES[target]
+    monkeypatch.setitem(assembly._SOURCES, target,
+                        ({"far": far, **coords, "near": near}, tets, subset))
+    got, want = assembly._build(target), assemble(target)
+    for faces in ("walls", "boundary_triangles"):
+        assert ([(f.owner, f.corners) for f in getattr(got, faces)]
+                == [(f.owner, f.corners) for f in getattr(want, faces)])
+    for field in ("exact", "faces", "provenance", "edge_faces", "normals"):
+        assert getattr(got.mesh, field) == getattr(want.mesh, field)
+    assert export_obj(got) == export_obj(want)
+    assert canonical_json(export_patch(got)) == canonical_json(export_patch(want))
 
 
 def test_assemble_rejects_unknown():
