@@ -32,36 +32,46 @@ class RunConfig:
     output_path: str | None = None
 
 
+_MEMO_TYPES, _INT = {float, str}, {int}
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON text: 2-space indent, floats at 17 significant
     digits, keys in construction order.  Parsing then re-emitting the
     result reproduces it byte for byte."""
-    out: list[str] = []
-    put = out.append
+    memo: dict = {}  # the text of each str and nonzero float: 0.0 == -0.0
+    get = memo.get
 
-    def emit(x, pad: str) -> None:
+    def scalar(x) -> str:
         if isinstance(x, float):
-            put(f"{x:.17g}")
+            s = f"{x:.17g}"
         elif isinstance(x, int) and not isinstance(x, bool):
-            put(str(x))
+            return str(x)
         elif x is None or isinstance(x, (bool, str)):
-            put(json.dumps(x))
-        elif isinstance(x, (dict, list, tuple)):
-            inner, is_dict = pad + "  ", isinstance(x, dict)
-            put("{" if is_dict else "[")
-            for i, v in enumerate(x.items() if is_dict else x):
-                put(",\n" if i else "\n")
-                put(inner)
-                if is_dict:
-                    k, v = v
-                    put(f"{json.dumps(str(k))}: ")
-                emit(v, inner)
-            put(("\n" + pad if x else "") + ("}" if is_dict else "]"))
+            s = json.dumps(x)
         else:
             raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+        if type(x) in _MEMO_TYPES and (x or type(x) is str):
+            memo[x] = s
+        return s
 
-    emit(obj, "")
-    return "".join(out)
+    def value(x, pad: str) -> str:
+        if not isinstance(x, (dict, list, tuple)):
+            return get(x) or scalar(x) if type(x) in _MEMO_TYPES else scalar(x)
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(x, dict):
+            return "{\n" + inner + f",\n{inner}".join([
+                f"{get(k) or scalar(k) if type(k) is str else json.dumps(str(k))}: "
+                f"{get(v) or scalar(v) if type(v) in _MEMO_TYPES else value(v, inner)}"
+                for k, v in x.items()]) + "\n" + pad + "}"
+        types = set(map(type, x))  # a list of floats and strs, or of ints, in one join
+        texts = ([get(v) or scalar(v) for v in x] if types <= _MEMO_TYPES else
+                 map(str, x) if types == _INT else [value(v, inner) for v in x])
+        return "[\n" + inner + f",\n{inner}".join(texts) + "\n" + pad + "]"
+
+    return value(obj, "")
 
 
 def _echo_json(obj) -> None:

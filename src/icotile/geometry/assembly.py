@@ -31,7 +31,8 @@ and the dot of two normals 5184 M^4: a build takes the least k with F(k) >
 point, of W bits, one more than the bit length of 5184 M^4 (F(k) + F(k+1)).
 One multiply-add per face plane gives its form at every point, and the top
 bits of the slots, biased by 2^(W-1), give the points below and above it as
-two bitmasks.
+two bitmasks.  A face shared whole by two tiles is one plane per pair: the
+second face takes the first's negated, its masks swapped.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from operator import index
 
 from .. import catalog
 from ..catalog import TileKind
-from ..golden import TAU, GoldenRational, embed
+from ..golden import TAU, GoldenRational, embed, pair_sign
 from . import _wiring
 
 __all__ = [
@@ -90,7 +91,7 @@ class PlacedTile:
         exact = _points(self.exact)
         if len(exact) != 4:
             raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
-        parity = GoldenRational(*_scalar_triple(exact)).sign()
+        parity = pair_sign(*_scalar_triple(exact))
         if not parity:
             raise ValueError("the tile is flat: its triple product is zero")
         object.__setattr__(self, "exact", exact)
@@ -145,8 +146,9 @@ class Mesh:
         normals = []
         for fi, f in enumerate(self.faces):
             for t, h in zip(f[-1:] + f[:-1], f):
-                incident.setdefault((min(t, h), max(t, h)), []).append(fi)
-            normals.append(_vsum(_normal(exact[f[0]], exact[u], exact[v])
+                incident.setdefault((t, h) if t < h else (h, t), []).append(fi)
+            normals.append(_normal(*map(exact.__getitem__, f)) if len(f) == 3 else
+                           _vsum(_normal(exact[f[0]], exact[u], exact[v])
                                  for u, v in zip(f[1:-1], f[2:])))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "edge_faces",
@@ -271,8 +273,8 @@ def _points(x) -> tuple:
     of integers (an array too); ValueError for anything else."""
     x = x.tolist() if hasattr(x, "tolist") else x
     try:
-        return tuple(((index(a), index(b)), (index(c), index(d)), (index(e), index(f)))
-                     for (a, b), (c, d), (e, f) in x)
+        return tuple([((index(a), index(b)), (index(c), index(d)), (index(e), index(f)))
+                      for (a, b), (c, d), (e, f) in x])
     except (TypeError, ValueError):
         raise ValueError("points must nest as (k, 3, 2) integers") from None
 
@@ -386,19 +388,34 @@ def _embed_doubled(points) -> tuple:
 
 
 # per face (three point indices wound outward) of a build: its normal n =
-# (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points, and its
-# sign row at every point as (below, above) slot masks
-_Planes = namedtuple("_Planes", "slots scaled normals offsets rows")
+# (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points, its sign
+# row at every point as (below, above) slot masks, and the first face on its points
+_Planes = namedtuple("_Planes", "slots scaled normals offsets rows first")
 
 
 def _planes(points, faces) -> _Planes:
+    """Face planes, computed once per point set: a later face on an earlier
+    one's points takes its plane, negated unless wound the same way round."""
     slots = _Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
-    packed = slots.pack(scaled)
-    normals = [_normal(points[i], points[j], points[k]) for i, j, k in faces]
-    offsets = [_at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
-    rows = [slots.signs(_at(n, packed) - c * slots.ones) for n, c in zip(normals, offsets)]
-    return _Planes(slots, scaled, normals, offsets, rows)
+    packed, ones, signs = slots.pack(scaled), slots.ones, slots.signs
+    seen: dict[frozenset, int] = {}
+    first = [seen.setdefault(frozenset(f), k) for k, f in enumerate(faces)]
+    normals, offsets, rows = [], [], []
+    for k, (f, j) in enumerate(zip(faces, first)):
+        if j == k:
+            n = _normal(points[f[0]], points[f[1]], points[f[2]])
+            c = _at(n, scaled[f[0]])
+            row = signs(_at(n, packed) - c * ones)
+        else:
+            g, n, c, row = faces[j], normals[j], offsets[j], rows[j]
+            if g[g.index(f[0]) - 2] != f[1]:  # f[1] does not follow f[0] in g
+                (p, q), (r, s), (t, u) = n
+                n, c, row = ((-p, -q), (-r, -s), (-t, -u)), -c, (row[1], row[0])
+        normals.append(n)
+        offsets.append(c)
+        rows.append(row)
+    return _Planes(slots, scaled, normals, offsets, rows, first)
 
 
 def _candidates(rows, vertex_masks) -> list[tuple[int, int]]:
@@ -425,7 +442,8 @@ def _overlaps(points, vert_ids, planes: _Planes) -> list[tuple[int, int]]:
     d1's 703 pairs, all 120 of i1's), else if one of its 36 edge-edge cross
     products n separates it: all 16 differences n.x - n.y, x in one and y
     in the other, have one sign (so touching separates)."""
-    masks = [sum(map(planes.slots.bit, set(ids))) for ids in vert_ids]
+    bits = list(map(planes.slots.bit, range(len(points))))
+    masks = [bits[p] | bits[q] | bits[r] | bits[s] for p, q, r, s in vert_ids]
     out = []
     for a, b in _candidates(planes.rows, masks):
         ea, eb = ([_sub(points[v[i]], points[v[j]]) for i, j in _EDGES]
@@ -462,13 +480,17 @@ def _fuse(faces: list[tuple[tuple[int, ...], object]], owners: list[str]) -> lis
     with their owners' names, into one rim: the cycle of their directed
     edges whose reverse is not among them, walked from the first of the
     plane's corners on it (in triangle order), paired with the triangles'
-    slots and kept in the slot of the plane's first triangle.  AssemblyError
-    if those edges are not one simple cycle."""
+    slots and kept in the slot of the plane's first triangle; a lone
+    triangle is its own rim.  AssemblyError if those edges are not one
+    simple cycle."""
     planes: dict[tuple, list[int]] = {}
     for slot, (_, key) in enumerate(faces):
         planes.setdefault(key, []).append(slot)
     out = []
     for slots in planes.values():
+        if len(slots) == 1:  # a lone triangle is its own rim
+            out.append((tuple(faces[slots[0]][0]), slots))
+            continue
         cycles = [faces[s][0] for s in slots]
         edges = {(f[i - 1], f[i]) for f in cycles for i in range(len(f))}
         rim = [e for e in edges if e[::-1] not in edges]
@@ -528,9 +550,8 @@ def _walls(points, faces, planes: _Planes) -> list[bool]:
     corner sum per face plane of that tile, and on the plane by the dot of
     the two normals.  Corner sums and normals are packed: one multiply-add
     per plane, and one more when a corner sum is on it, decides all faces."""
-    keys = [frozenset(f) for f in faces]
-    shared = Counter(keys)
-    is_wall = [shared[k] > 1 for k in keys]
+    shared = Counter(planes.first)
+    is_wall = [shared[j] > 1 for j in planes.first]
     rest = [i for i, wall in enumerate(is_wall) if not wall and planes.rows[i][1]]
     if not rest:  # none left but in d1 and E
         return is_wall
@@ -636,17 +657,19 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or > 0.  An edge with one
     incident face gets angle None rather than an error."""
     tau = embed(TAU)
+    norms = [_dot(n, n) for n in mesh.normals]  # each face's exact |n|^2, and its float
+    floats = [a + b * tau for a, b in norms]
     out = []
     for edge, fs in mesh.edge_faces:
         if len(fs) != 2:
             out.append(Dihedral(edge, fs, None, None))
             continue
-        n1, n2 = (mesh.normals[f] for f in fs)
-        (da, db), (pa, pb), (qa, qb) = dot, q1, q2 = _dot(n1, n2), _dot(n1, n1), _dot(n2, n2)
+        f1, f2 = fs
+        da, db = dot = _dot(mesh.normals[f1], mesh.normals[f2])
         angle_class = "neither"
-        if _mul((5 * da, 5 * db), dot) == _mul(q1, q2):
-            angle_class = "pi-atan2" if GoldenRational(da, db).sign() > 0 else "atan2"
-        cos = (da + db * tau) / math.sqrt((pa + pb * tau) * (qa + qb * tau))
+        if _mul((5 * da, 5 * db), dot) == _mul(norms[f1], norms[f2]):
+            angle_class = "pi-atan2" if pair_sign(da, db) > 0 else "atan2"
+        cos = (da + db * tau) / math.sqrt(floats[f1] * floats[f2])
         out.append(Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
                             angle_class))
     return out
@@ -666,8 +689,7 @@ def export_obj(assembly: Assembly) -> str:
             if p not in v_lines:
                 v_lines[p] = "v " + " ".join(f"{_embed_half(a, b):.17g}" for a, b in p)
             lines.append(v_lines[p])
-        for f in t.faces:
-            lines.append("f " + " ".join(str(i + 1 + 4 * k) for i in f))
+        lines += [f"f {i + 1 + 4 * k} {j + 1 + 4 * k} {m + 1 + 4 * k}" for i, j, m in t.faces]
     return "\n".join(lines) + "\n"
 
 

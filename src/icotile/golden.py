@@ -24,6 +24,7 @@ from operator import index
 __all__ = [
     "GoldenRational",
     "conj",
+    "pair_sign",
     "tau_pow",
     "embed",
     "embed_decimal",
@@ -133,20 +134,8 @@ class GoldenRational:
     # ---- exact ordering ----
 
     def sign(self) -> int:
-        """Exact sign, decided by integer squaring on (2a+b) + b*sqrt(5)."""
-        p = 2 * self.a + self.b
-        q = self.b
-        if p == 0 and q == 0:
-            return 0
-        if p >= 0 and q >= 0:
-            return 1
-        if p <= 0 and q <= 0:
-            return -1
-        # mixed signs: compare p^2 with 5 q^2
-        d = p * p - 5 * q * q
-        if p > 0:
-            return 1 if d > 0 else (-1 if d < 0 else 0)
-        return -1 if d > 0 else (1 if d < 0 else 0)
+        """Exact sign, decided by pair_sign on the numerator."""
+        return pair_sign(self.a, self.b)
 
     def __eq__(self, other):
         try:
@@ -216,6 +205,21 @@ ONE = GoldenRational(1)
 TAU = GoldenRational(0, 1)
 SIGMA = GoldenRational(1, -1)
 SQRT5 = GoldenRational(-1, 2)
+
+
+def pair_sign(a: int, b: int) -> int:
+    """Exact sign of a + b*tau for ints a, b, decided by integer squaring
+    on (2a+b) + b*sqrt(5)."""
+    p = 2 * a + b
+    if p >= 0 and b >= 0:
+        return 1 if p or b else 0
+    if p <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare p^2 with 5 b^2
+    d = p * p - 5 * b * b
+    if p > 0:
+        return 1 if d > 0 else (-1 if d < 0 else 0)
+    return -1 if d > 0 else (1 if d < 0 else 0)
 
 
 def conj(x: GoldenRational) -> GoldenRational:

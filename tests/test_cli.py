@@ -540,6 +540,102 @@ def test_canonical_json_edge_values():
         canonical_json({"a": [{1}]})
 
 
+def _canonical_json_reference(obj) -> str:
+    """canonical_json as it emitted element by element, formatting every
+    scalar anew, kept verbatim as the reference."""
+    out: list[str] = []
+    put = out.append
+
+    def emit(x, pad: str) -> None:
+        if isinstance(x, float):
+            put(f"{x:.17g}")
+        elif isinstance(x, int) and not isinstance(x, bool):
+            put(str(x))
+        elif x is None or isinstance(x, (bool, str)):
+            put(json.dumps(x))
+        elif isinstance(x, (dict, list, tuple)):
+            inner, is_dict = pad + "  ", isinstance(x, dict)
+            put("{" if is_dict else "[")
+            for i, v in enumerate(x.items() if is_dict else x):
+                put(",\n" if i else "\n")
+                put(inner)
+                if is_dict:
+                    k, v = v
+                    put(f"{json.dumps(str(k))}: ")
+                emit(v, inner)
+            put(("\n" + pad if x else "") + ("}" if is_dict else "]"))
+        else:
+            raise TypeError(f"not JSON-serializable: {type(x).__name__}")
+
+    emit(obj, "")
+    return "".join(out)
+
+
+class _Int(int):
+    def __str__(self):
+        return "int-subclass"
+
+
+class _Float(float):
+    def __format__(self, spec):
+        return "float-subclass"
+
+
+class _Str(str):
+    pass
+
+
+def test_canonical_json_matches_reference_on_scalars():
+    # a memo keyed on value alone would give -0.0 the text of 0.0, True that
+    # of 1 or 1.0, and a subclass that of its base value
+    nan = float("nan")
+    scalars = [0.0, -0.0, 1, 1.0, True, False, None, 0.1, 1e300, nan, "a", "\u00e9",
+               _Int(1), _Float(1.0), _Str("a"), -0.0, 0.0, 1.0, True, 1, nan, "a", "", ""]
+    cases = [scalars, scalars[::-1], *([x, x, y] for x in scalars for y in scalars),
+             tuple(scalars), [[1.0, 0.0], [-0.0, 1], ["a", 0.5, "a"], [], {}, [[]], 2.5],
+             {"x": scalars, "y": {"z": -0.0, "w": 0.0}, "": "", "a": "a"},
+             [{1: 1.0}, {1.0: True}, {True: "a"}, {-0.0: 0.0}, {0.0: -0.0}, {None: None},
+              {"k": 1, _Str("j"): _Float(2.0)}, {_Int(3): _Int(3)}],
+             *scalars]
+    for obj in cases:
+        assert canonical_json(obj) == _canonical_json_reference(obj), obj
+    for bad in ({1}, [1.0, {1}], {"a": {1.0}}, ["a", frozenset()], {"a": [0.5, {"b": {2}}]}):
+        with pytest.raises(TypeError, match="not JSON-serializable: (set|frozenset)"):
+            canonical_json(bad)
+
+
+def test_canonical_json_matches_reference_on_patches():
+    from icotile.geometry import assemble, export_patch
+    for target in ASSEMBLY_TARGETS:
+        patch = export_patch(assemble(target))
+        assert canonical_json(patch) == _canonical_json_reference(patch), target
+
+
+def test_canonical_json_matches_reference_on_every_json_output(runner, monkeypatch, tmp_path):
+    from icotile import cli
+    seen = []
+
+    def checked(obj):
+        text = canonical_json(obj)
+        assert text == _canonical_json_reference(obj)
+        seen.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", checked)
+    runs = [["catalog", "--json"], ["catalog", "dump"], ["eigen", "--json"],
+            ["ledger", "--json"], ["ledger", "--verify", "--json"],
+            ["verify", "--json"], ["report", "--json"]]
+    runs += [["inflate", "--tile", t, "--order", n, "--json"]
+             for t in ("T1", "T2", "T3", "T4", "d1", "dtau") for n in ("0", "7", "50")]
+    runs += [["build", "--shape", t, "--json"] for t in ASSEMBLY_TARGETS]
+    runs += [["build", "--shape", t, "--out", str(tmp_path / f"{t}.json")]
+             for t in ASSEMBLY_TARGETS]
+    for args in runs:
+        res = runner.invoke(main, args)
+        assert res.exit_code == (1 if args[0] == "verify" else 0), (args, res.output)
+    assert len(seen) == len(runs)
+
+
 _ALL_SUBCOMMANDS = r"""
 import contextlib, io, json, os, sys
 {block}

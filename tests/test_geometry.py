@@ -636,6 +636,43 @@ def test_dihedral_class_neither():
     assert {(d.angle, d.angle_class) for d in dihedrals(tri)} == {(None, None)}
 
 
+def _dihedrals_reference(mesh):
+    """dihedrals as it ran edge by edge, each face's |n|^2 and its float
+    computed anew on every edge it holds: the reference."""
+    tau = embed(assembly.TAU)
+    out = []
+    for edge, fs in mesh.edge_faces:
+        if len(fs) != 2:
+            out.append(assembly.Dihedral(edge, fs, None, None))
+            continue
+        n1, n2 = (mesh.normals[f] for f in fs)
+        dot, q1, q2 = assembly._dot(n1, n2), assembly._dot(n1, n1), assembly._dot(n2, n2)
+        (da, db), (pa, pb), (qa, qb) = dot, q1, q2
+        angle_class = "neither"
+        if assembly._mul((5 * da, 5 * db), dot) == assembly._mul(q1, q2):
+            angle_class = "pi-atan2" if GoldenRational(da, db).sign() > 0 else "atan2"
+        cos = (da + db * tau) / math.sqrt((pa + pb * tau) * (qa + qb * tau))
+        out.append(assembly.Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
+                                     angle_class))
+    return out
+
+
+def test_dihedrals_match_per_edge_reference():
+    # float for float: each face's norm is computed once, the arithmetic unchanged
+    meshes = [assemble(t).mesh for t in catalog.ASSEMBLY_TARGETS]
+    # an open mesh: two triangles hinged on one edge, and a lone square
+    hinge = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 3), (4, 4, 0), (6, 4, 0),
+                       (6, 6, 0), (4, 6, 0)])
+    meshes.append(assembly.Mesh(exact=hinge, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6, 7)),
+                                provenance=((),) * 3))
+    for mesh in meshes:
+        got, want = dihedrals(mesh), _dihedrals_reference(mesh)
+        assert [(d.edge, d.faces, d.angle_class) for d in got] == [
+            (d.edge, d.faces, d.angle_class) for d in want]
+        assert [d.angle for d in got] == [d.angle for d in want]
+    assert sum(d.angle is None for d in dihedrals(meshes[-1])) == 8
+
+
 def _per_face_mesh_reference(mesh):
     """edge_faces and normals as a Mesh derived them face by face: an
     incidence double loop, and per face the Newell sum of p x roll(p, -1)."""
@@ -1349,6 +1386,69 @@ def test_kernel_overlaps_contacts_and_zero_normals():
     beside = [(x + 20, y, z) for x, y, z in flat]
     tets = np.stack([_rational(t) for t in (big, flat, beside)])
     assert _kernel_pairs(tets)[0] == _overlapping_pairs(tets) == [(0, 1)]
+
+
+def _planes_per_face(points, faces):
+    """Each face's normal, offset and sign row computed on its own, as
+    _planes did before faces on one point set shared a plane: the reference."""
+    slots = assembly._Slots(points, len(points))
+    scaled = [slots.scaled(p) for p in points]
+    packed = slots.pack(scaled)
+    normals = [assembly._normal(points[i], points[j], points[k]) for i, j, k in faces]
+    offsets = [assembly._at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
+    rows = [slots.signs(assembly._at(n, packed) - c * slots.ones)
+            for n, c in zip(normals, offsets)]
+    return normals, offsets, rows
+
+
+def _build_faces(coords, tets):
+    """The points a build packs and its outward faces, read as _build reads
+    a wiring."""
+    labels = {lab for _, labs in tets for lab in labs}
+    index = {lab: k for k, lab in enumerate(lab for lab in coords if lab in labels)}
+    points = assembly._points([coords[lab] for lab in index])
+    faces = []
+    for kind, labs in tets:
+        ids = [index[lab] for lab in labs]
+        faces += [tuple(ids[i] for i in f)
+                  for f in PlacedTile(kind=kind, exact=[points[i] for i in ids]).faces]
+    return points, faces
+
+
+# per wiring: (faces on the points of an earlier face wound the same way
+# round, the other way round); the moved wirings of
+# test_exact_overlap_matches_float_reference follow the nine targets
+_PARTNERS = [(t, None, (0, 0), n) for t, n in (
+    ("d1", (0, 48)), ("i1", (0, 22)), ("E", (0, 2)), ("C", (0, 2)), ("T1", (0, 6)),
+    ("T2", (0, 1)), ("T3", (0, 2)), ("T3bar", (0, 2)), ("T4", (0, 2)))] + [
+    ("d1", "B", (1, 0), (0, 48)), ("d1", "v0", (1, 0), (0, 48)),
+    ("i1", "i0", (1, 0), (0, 22)), ("i1", "i3", (-2, 0), (2, 20)),
+    ("d1", "B", (0, 1), (0, 48)), ("i1", "i3", (0, 1), (2, 20)),
+    ("i1", "i3", (0, -1), (2, 20))]
+
+
+@pytest.mark.parametrize("wiring, moved, move, partners", _PARTNERS, ids=[
+    f"{w}-{m}-{a},{b}" if m else w for w, m, (a, b), _ in _PARTNERS])
+def test_partner_planes_match_per_face(wiring, moved, move, partners):
+    coords, tets, subset = assembly._SOURCES[wiring]
+    if subset is not None:
+        tets = [tets[i] for i in subset]
+    coords = dict(coords)
+    if moved:
+        coords[moved] = _moved_in_x(coords[moved], move)
+    points, faces = _build_faces(coords, tets)
+    planes = assembly._planes(points, faces)
+    normals, offsets, rows = _planes_per_face(points, faces)
+    assert planes.first == [[set(g) for g in faces].index(set(f)) for f in faces]
+    for k in range(len(faces)):
+        assert (planes.normals[k], planes.offsets[k], planes.rows[k]) == (
+            normals[k], offsets[k], rows[k]), k
+    # the same plane exactly when the windings are one rotation apart
+    turns = [{g[i:] + g[:i] for i in range(3)} for g in faces]
+    same = [k for k, j in enumerate(planes.first) if j != k and faces[k] in turns[j]]
+    derived = sum(j != k for k, j in enumerate(planes.first))
+    assert (len(same), derived - len(same)) == partners
+    assert all(normals[k] == normals[planes.first[k]] for k in same)
 
 
 def test_fibonacci_sign_lemma():

@@ -24,6 +24,7 @@ from icotile.golden import (
     embed_decimal,
     exact_sqrt,
     fibonacci,
+    pair_sign,
     tau_pow,
 )
 
@@ -135,6 +136,40 @@ def test_sign_on_near_cancellations():
     # F(79)tau - F(80) = tau^(-79) * (-1)^78 > 0
     assert big.sign() == 1
     assert big == tau_pow(-79)
+
+
+def _sign_reference(a: int, b: int) -> int:
+    """GoldenRational(a, b).sign() as it decided the sign before pair_sign
+    took over, kept verbatim as the reference."""
+    p = 2 * a + b
+    q = b
+    if p == 0 and q == 0:
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    # mixed signs: compare p^2 with 5 q^2
+    d = p * p - 5 * q * q
+    if p > 0:
+        return 1 if d > 0 else (-1 if d < 0 else 0)
+    return -1 if d > 0 else (1 if d < 0 else 0)
+
+
+def test_pair_sign_matches_reference():
+    # a grid holding every mixed-sign case and 2a + b == 0, such as (1, -2)
+    # = 1 - 2 tau < 0 and (-1, 2) > 0; then sigma^j = (F(j+1), -F(j)) and
+    # its negative, which come as close to 0 as pairs of their size can,
+    # and the same pairs scaled far past 64 bits
+    pairs = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]
+    pairs += [(s * fibonacci(j + 1), -s * fibonacci(j)) for j in range(1, 90) for s in (1, -1)]
+    pairs += [(a * 3**50 + d, b * 3**50) for a, b in pairs[:400] for d in (-1, 0, 1)]
+    assert any(2 * a + b == 0 and a for a, b in pairs)
+    for a, b in pairs:
+        want = _sign_reference(a, b)
+        assert pair_sign(a, b) == want, (a, b)
+        assert GoldenRational(a, b).sign() == GoldenRational(a, b, 7).sign() == want, (a, b)
+    assert (pair_sign(1, -2), pair_sign(-1, 2), pair_sign(2, -1), pair_sign(0, 0)) == (-1, 1, 1, 0)
 
 
 def test_tau_powers():
