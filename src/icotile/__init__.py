@@ -7,21 +7,26 @@ is computed exactly in Q(tau); floating point appears only at the
 presentation boundary.
 """
 
-import importlib
+import sys
 
-from . import catalog, golden, inflation
+from . import catalog, golden
 from .catalog import TileKind, record
 from .golden import GoldenRational, SIGMA, SQRT5, TAU, embed, tau_pow
-from .inflation import CountVector, M, inflate_counts
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # geometry loads on first use: only build, verify and report need it;
-    # `from . import geometry` here would re-enter this hook without end
-    if name == "geometry":
-        return importlib.import_module(f"{__name__}.geometry")
+    # geometry, inflation, and inflation's CountVector, M and inflate_counts
+    # resolve on first use, so a subcommand loads only the layers it reads.
+    # __import__ takes an import statement's path, which -X importtime
+    # reports (importlib.import_module's is not); `from . import geometry`
+    # here would re-enter this hook without end
+    if name in ("geometry", "inflation"):
+        __import__(f"{__name__}.{name}")
+        return sys.modules[f"{__name__}.{name}"]
+    if name in ("CountVector", "M", "inflate_counts"):
+        return getattr(__getattr__("inflation"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -28,7 +28,7 @@ from enum import Enum
 from math import lcm, sqrt
 from operator import index
 
-from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt
+from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt, tau_pow
 
 __all__ = [
     "TileKind",
@@ -45,6 +45,7 @@ __all__ = [
     "expand_to_fundamental",
     "total_volume",
     "all_records",
+    "format_volume",
     "inventory",
     "INVENTORY_TARGETS",
     "ASSEMBLY_TARGETS",
@@ -182,6 +183,10 @@ class TileRecord:
         if self.N0 is not None:
             out["N0"], out["N1"], out["N2"] = self.N0, self.N1, self.N2
         return out
+
+    def faces_text(self) -> str:
+        """The face census as one table cell, e.g. '1x(1,1,1);3x(1,tau,tau)'."""
+        return ";".join(f"{f.multiplicity}x{f.edge_names()}" for f in self.faces)
 
 
 @dataclass(frozen=True)
@@ -387,6 +392,23 @@ def record(kind: TileKind | str) -> TileRecord:
 def all_records() -> list[TileRecord]:
     """All thirteen records in stable catalog order."""
     return [_RECORDS[k] for k in CATALOG_ORDER]
+
+
+def format_volume(v: GoldenRational) -> str:
+    """Render a volume as 'tau^k/12' when v*12 is a tau power, else exactly."""
+    twelve = v * 12
+    for k in range(0, 12):
+        p = tau_pow(k)
+        for mult, prefix in ((1, ""), (2, "2")):
+            if twelve == p * mult:
+                if k == 0:
+                    return f"{prefix or '1'}/12"
+                base = "tau" if k == 1 else f"tau^{k}"
+                return f"{prefix}{base}/12"
+    s = str(twelve)
+    if "+" in s[1:] or "-" in s[1:]:
+        s = f"({s})"
+    return f"{s}/12"
 
 
 def _as_counts(inv) -> dict[TileKind, int]:

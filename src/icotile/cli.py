@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import catalog, inflation, report
+from . import catalog
 from .catalog import ASSEMBLY_TARGETS
 from .golden import embed, embed_decimal
 
@@ -88,17 +88,28 @@ def _write(path: Path, text: str) -> None:
         raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-class _CheckName(click.Choice):
-    """click.Choice over checks.CHECK_NAMES that imports checks only when it
-    is read (a --check value or the verify help), not for other commands."""
+class _LazyChoice(click.Choice):
+    """click.Choice over read(), which imports its module only when the
+    choices are read (a value, the help, a usage message), not for other
+    commands."""
 
-    def __init__(self):
+    def __init__(self, read):
         self.case_sensitive = True
+        self._read = read
 
     @property
     def choices(self):
-        from . import checks
-        return checks.CHECK_NAMES
+        return self._read()
+
+
+def _check_names():
+    from . import checks
+    return checks.CHECK_NAMES
+
+
+def _tile_names():
+    from . import inflation
+    return tuple(sorted(inflation.BASES))
 
 
 def _non_negative(ctx, param, value):
@@ -139,13 +150,13 @@ def cmd_catalog(mode, as_json):
     header = f"{'tile':6} {'volume':14} {'volume_float':14} faces"
     click.echo(header)
     for rec in records:
-        click.echo(f"{rec.kind.value:6} {report.format_volume(rec.volume):14} "
-                   f"{embed(rec.volume):<14.7f} {report._faces_cell(rec)}")
+        click.echo(f"{rec.kind.value:6} {catalog.format_volume(rec.volume):14} "
+                   f"{embed(rec.volume):<14.7f} {rec.faces_text()}")
 
 
 @main.command("inflate")
 @click.option("--tile", required=True,
-              type=click.Choice(sorted(inflation.BASES)),
+              type=_LazyChoice(_tile_names),
               help="Starting patch: one composite tile or a dodecahedron.")
 @click.option("--order", required=True, type=int, callback=_non_negative,
               help="Inflation power n.")
@@ -156,6 +167,8 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     if order > cfg.max_order:
         raise click.UsageError(
             f"--order {order} exceeds --max-order {cfg.max_order}")
+    from . import inflation
+
     counts = inflation.inflate_counts(inflation.BASES[tile], order)
     volume = counts.total_volume()
     big = embed_decimal(volume)
@@ -180,6 +193,8 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def cmd_eigen(as_json):
     """Spectral data of the inflation matrix."""
+    from . import inflation
+
     sd = inflation.pf_vectors()
     if as_json:
         _echo_json(sd.to_json())
@@ -198,6 +213,8 @@ def cmd_eigen(as_json):
 @click.pass_context
 def cmd_ledger(ctx, do_verify, corrupt, as_json):
     """The recorded dodecahedral decompositions."""
+    from . import inflation
+
     entries = list(inflation.dodecahedron_ledger())
     if corrupt:
         entries[0] = entries[0].mutant()
@@ -278,7 +295,7 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
 
 @main.command("verify")
 @click.option("--check", "names", multiple=True,
-              type=_CheckName(),
+              type=_LazyChoice(_check_names),
               help="Run only the named checks (repeatable).")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 @click.pass_context
@@ -311,6 +328,8 @@ def cmd_verify(ctx, names, as_json):
 @click.pass_obj
 def cmd_report(cfg: RunConfig, out, as_json):
     """Write the markdown + CSV report bundle."""
+    from . import report
+
     bundle = report.build_bundle()
     if as_json:
         _echo_json({"files": bundle})

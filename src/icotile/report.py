@@ -13,33 +13,13 @@ import csv
 import io
 
 from . import catalog, inflation
-from .golden import GoldenRational, embed, tau_pow
+from .catalog import format_volume
+from .golden import embed
 
 __all__ = ["build_bundle", "format_volume"]
 
 _FUNDAMENTALS = [k for k in catalog.CATALOG_ORDER if k.is_fundamental]
 _COMPOSITES = [k for k in catalog.CATALOG_ORDER if not k.is_fundamental]
-
-
-def format_volume(v: GoldenRational) -> str:
-    """Render a volume as 'tau^k/12' when v*12 is a tau power, else exactly."""
-    twelve = v * 12
-    for k in range(0, 12):
-        p = tau_pow(k)
-        for mult, prefix in ((1, ""), (2, "2")):
-            if twelve == p * mult:
-                if k == 0:
-                    return f"{prefix or '1'}/12"
-                base = "tau" if k == 1 else f"tau^{k}"
-                return f"{prefix}{base}/12"
-    s = str(twelve)
-    if "+" in s[1:] or "-" in s[1:]:
-        s = f"({s})"
-    return f"{s}/12"
-
-
-def _faces_cell(record: catalog.TileRecord) -> str:
-    return ";".join(f"{f.multiplicity}x{f.edge_names()}" for f in record.faces)
 
 
 def _csv(rows: list[list]) -> str:
@@ -53,7 +33,7 @@ def _table1() -> str:
     rows = [["tile", "faces", "volume", "volume_float"]]
     for kind in _FUNDAMENTALS:
         rec = catalog.record(kind)
-        rows.append([kind.value, _faces_cell(rec), format_volume(rec.volume),
+        rows.append([kind.value, rec.faces_text(), format_volume(rec.volume),
                      f"{embed(rec.volume):.17g}"])
     return _csv(rows)
 
@@ -62,7 +42,7 @@ def _table2() -> str:
     rows = [["tile", "N0", "N1", "N2", "faces", "volume", "volume_float"]]
     for kind in _COMPOSITES:
         rec = catalog.record(kind)
-        rows.append([kind.value, rec.N0, rec.N1, rec.N2, _faces_cell(rec),
+        rows.append([kind.value, rec.N0, rec.N1, rec.N2, rec.faces_text(),
                      format_volume(rec.volume), f"{embed(rec.volume):.17g}"])
     return _csv(rows)
 

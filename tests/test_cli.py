@@ -134,8 +134,13 @@ def test_inflate_order_validation(runner):
     via_env = runner.invoke(main, ["inflate", "--tile", "T2", "--order", "51"],
                             env={"ICOTILE_MAX_ORDER": "60"})
     assert via_env.exit_code == 0
-    assert runner.invoke(main, ["inflate", "--tile", "T9",
-                                "--order", "1"]).exit_code == 2
+    # --tile reads its choices from inflation on demand; message and help are pinned
+    bad_tile = runner.invoke(main, ["inflate", "--tile", "T9", "--order", "1"],
+                             terminal_width=80)
+    assert bad_tile.exit_code == 2
+    assert bad_tile.output == _golden("inflate_tile_t9.txt")
+    helped = runner.invoke(main, ["inflate", "--help"], terminal_width=80)
+    assert helped.output == _golden("inflate_help.txt")
 
 
 def test_eigen(runner):
@@ -282,7 +287,9 @@ def test_verify_passing_subset(runner):
 
 def test_verify_check_names_choice(runner):
     names = "|".join(checks.CHECK_NAMES)
-    assert f"--check [{names}]" in runner.invoke(main, ["verify", "--help"]).output
+    helped = runner.invoke(main, ["verify", "--help"], terminal_width=80).output
+    assert f"--check [{names}]" in helped
+    assert helped == _golden("verify_help.txt")
     res = runner.invoke(main, ["verify", "--check", "nope"])
     assert res.exit_code == 2
     quoted = ", ".join(f"'{n}'" for n in checks.CHECK_NAMES)
@@ -484,6 +491,66 @@ print(json.dumps({{
                      "names": ["icotile.geometry.placement", "icotile.geometry.placement",
                                "icotile.geometry.axes", "icotile.geometry.assembly"],
                      "glue": True, "unknown_in_geometry": False}
+
+
+def test_package_surface_loads_on_demand():
+    # inflation and its three top-level names resolve on first use, to the
+    # very objects of icotile.inflation; a bare import loads neither layer
+    facts = _fresh_process("""
+import json, sys
+import icotile
+bare = sorted(m for m in sys.modules if m.startswith("icotile."))
+from icotile import inflation, CountVector, M, inflate_counts
+named = [CountVector is inflation.CountVector, M is inflation.M,
+         inflate_counts is inflation.inflate_counts,
+         inflation is sys.modules["icotile.inflation"]]
+star = {}
+exec("from icotile import *", star)
+print(json.dumps({
+    "bare": bare,
+    "named": named,
+    "star": all(star[n] is getattr(icotile, n) for n in icotile.__all__),
+    "star_inflation": [star[n] is getattr(inflation, n)
+                       for n in ("CountVector", "M", "inflate_counts")]
+                      + [star["inflation"] is inflation],
+    "unknown": hasattr(icotile, "nonexistent"),
+}))
+""")
+    assert facts == {"bare": ["icotile.catalog", "icotile.golden"],
+                     "named": [True] * 4, "star": True,
+                     "star_inflation": [True] * 4, "unknown": False}
+
+
+# the icotile modules one subcommand loads in a fresh interpreter, and its exit code
+_CORE = ["icotile", "icotile.catalog", "icotile.cli", "icotile.golden"]
+_GEOMETRY = ["icotile.geometry", "icotile.geometry._wiring", "icotile.geometry.assembly"]
+_SUBCOMMAND_LOADS = [
+    (["catalog"], 0, _CORE),
+    (["build", "--shape", "d2"], 2, _CORE),
+    (["eigen", "--frobnicate"], 2, _CORE),
+    (["build", "--shape", "i1"], 0, sorted(_CORE + _GEOMETRY)),
+    (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_CORE + ["icotile.inflation"])),
+    (["eigen"], 0, sorted(_CORE + ["icotile.inflation"])),
+    (["ledger", "--verify"], 0, sorted(_CORE + ["icotile.inflation"])),
+]
+
+
+@pytest.mark.parametrize("args, code, loaded", _SUBCOMMAND_LOADS,
+                         ids=[" ".join(a) for a, _, _ in _SUBCOMMAND_LOADS])
+def test_subcommand_loads_only_its_layers(args, code, loaded):
+    facts = _fresh_process(f"""
+import contextlib, io, json, sys
+from icotile.cli import main
+code = 0
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main({args!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({{"code": code, "loaded": sorted(
+    m for m in sys.modules if m == "icotile" or m.startswith("icotile."))}}))
+""")
+    assert facts == {"code": code, "loaded": loaded}
 
 
 def test_light_subcommands_skip_numpy():
