@@ -1,6 +1,6 @@
 """Exact Z[tau] geometry: tile placement and gluing, symmetry axes, assemblies."""
 
-import importlib
+import sys
 
 from ..catalog import CMVolume, EdgeScheme, cm_volume, edge_scheme
 from .assembly import (
@@ -21,7 +21,8 @@ from .assembly import (
 )
 
 # axes and placement load on first use: only the axis-classes check and the
-# tests read them, so build and report need not pay to compile and run them
+# tests read them, so build and report need not pay to compile and run them;
+# __import__, as in icotile.__getattr__, so that -X importtime lists them
 _LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"), "axes"),
          **dict.fromkeys(("AmbiguityError", "CongruenceError", "GlueError",
                           "face_correspondences", "glue", "realize"), "placement")}
@@ -29,7 +30,9 @@ _LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertic
 
 def __getattr__(name):
     if name in _LAZY:
-        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+        module = f"{__name__}.{_LAZY[name]}"
+        __import__(module)
+        return getattr(sys.modules[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,6 +16,14 @@ tetrahedron.  Matching alone would misread the quadrilateral contact walls
 whose two sides are triangulated along different diagonals (20 of d1's 116
 walls, its only faces so tested).
 
+A build hands on the facts it has decided rather than deriving them again.
+Its tiles take the points it has read, each kind checked once, and their
+parities; its mesh takes each face's Newell normal from the face planes (a
+lone triangle's, or the sum of a fused face's triangles': dropping collinear
+corners leaves that area vector unchanged).  Its walls and boundary triangles
+are built from its face table when first read.  The public PlacedTile and
+Mesh constructors still read and derive everything from their inputs.
+
 Points are doubled Z[tau] pairs in the half-integer icosahedral frame, and
 every decision is exact arithmetic on Python ints at any magnitude; floats
 (mesh vertices, tile vertices, exports) are derived from the pairs by embed.
@@ -40,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import chain
 from operator import index
 
@@ -71,13 +79,40 @@ class AssemblyError(RuntimeError):
     """The tile set is not a packing (overlap or inconsistent wiring)."""
 
 
+def _record(cls, *values):
+    """A frozen record of cls with its fields set, in order, to values its
+    constructor would derive: for facts a build has already decided."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _fundamental(kind) -> TileKind:
+    kind = TileKind(kind)
+    if not kind.is_fundamental:
+        raise ValueError(f"{kind.value} is not a fundamental tile (t1..t6)")
+    return kind
+
+
+def _parity(exact: tuple) -> int:
+    """The sign of a tetrahedron's triple product; ValueError if it is flat."""
+    if len(exact) != 4:
+        raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
+    parity = pair_sign(*_scalar_triple(exact))
+    if not parity:
+        raise ValueError("the tile is flat: its triple product is zero")
+    return parity
+
+
 @dataclass(frozen=True, eq=False)
 class PlacedTile:
     """A fundamental tile: four vertices as doubled Z[tau] pairs, nested
     (4, 3, 2) ints, read from any nested integer sequence.  parity is the
     exact sign of (b-a).((c-a)x(d-a)), and faces are wound outward for it;
     a flat tile, or a kind outside t1..t6, is a ValueError.  vertices is
-    the float image of exact, derived at read."""
+    the float image of exact, derived at read.  A build checks its tiles'
+    kinds and parities itself, on points already read."""
 
     kind: TileKind
     exact: tuple
@@ -85,17 +120,11 @@ class PlacedTile:
     parity: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", TileKind(self.kind))
-        if not self.kind.is_fundamental:
-            raise ValueError(f"{self.kind.value} is not a fundamental tile (t1..t6)")
+        kind = _fundamental(self.kind)
         exact = _points(self.exact)
-        if len(exact) != 4:
-            raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
-        parity = pair_sign(*_scalar_triple(exact))
-        if not parity:
-            raise ValueError("the tile is flat: its triple product is zero")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "parity", _parity(exact))
 
     @property
     def vertices(self) -> tuple:
@@ -127,9 +156,11 @@ class Mesh:
 
     exact holds the vertices as doubled Z[tau] pairs, nested (V, 3, 2)
     ints, and vertices their float image, derived at read.  provenance[i]
-    names the tiles whose triangles were fused into face i.  Derived once:
-    edge_faces pairs each edge (i, j), i < j, in sorted order, with the
-    faces that hold it, and normals[i] is face i's exact Newell normal."""
+    names the tiles whose triangles were fused into face i.  Derived once,
+    at construction: edge_faces pairs each edge (i, j), i < j, in sorted
+    order, with the faces that hold it, and normals[i] is face i's exact
+    Newell normal.  A build's mesh takes its normals from its face planes
+    instead: a lone triangle's, or the sum of a fused face's triangles'."""
 
     exact: tuple
     faces: tuple[tuple[int, ...], ...]
@@ -140,20 +171,14 @@ class Mesh:
 
     def __post_init__(self):
         exact = _points(self.exact)
-        # one walk over the directed edges of each face; its Newell normal, the sum of
-        # tail x head, is its fan's sum of (f[i] - f[0]) x (f[i+1] - f[0]), k - 2 terms
-        incident: dict[tuple[int, int], list[int]] = {}
-        normals = []
-        for fi, f in enumerate(self.faces):
-            for t, h in zip(f[-1:] + f[:-1], f):
-                incident.setdefault((t, h) if t < h else (h, t), []).append(fi)
-            normals.append(_normal(*map(exact.__getitem__, f)) if len(f) == 3 else
-                           _vsum(_normal(exact[f[0]], exact[u], exact[v])
-                                 for u, v in zip(f[1:-1], f[2:])))
+        # a face's Newell normal, the sum of tail x head over its edges, is its
+        # fan's sum of (f[i] - f[0]) x (f[i+1] - f[0]), k - 2 terms
+        normals = tuple(_normal(*map(exact.__getitem__, f)) if len(f) == 3 else
+                        _vsum(_normal(exact[f[0]], exact[u], exact[v])
+                              for u, v in zip(f[1:-1], f[2:])) for f in self.faces)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "edge_faces",
-                           tuple((e, tuple(incident[e])) for e in sorted(incident)))
-        object.__setattr__(self, "normals", tuple(normals))
+        object.__setattr__(self, "edge_faces", _edge_faces(self.faces))
+        object.__setattr__(self, "normals", normals)
 
     @property
     def vertices(self) -> tuple:
@@ -177,6 +202,15 @@ class Mesh:
         """Counter of (side count, sorted exact squared edge lengths)."""
         return Counter((len(f), tuple(sorted(squared_edges([self.exact[i] for i in f]))))
                        for f in self.faces)
+
+
+def _edge_faces(faces) -> tuple:
+    """Mesh.edge_faces, from one walk over the directed edges of each face."""
+    incident: dict[tuple[int, int], list[int]] = {}
+    for fi, f in enumerate(faces):
+        for t, h in zip(f[-1:] + f[:-1], f):
+            incident.setdefault((t, h) if t < h else (h, t), []).append(fi)
+    return tuple((e, tuple(incident[e])) for e in sorted(incident))
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,12 +458,12 @@ def _candidates(rows, vertex_masks) -> list[tuple[int, int]]:
     a's face planes, vertex_masks[b] the top bits of b's vertices.  A zero
     plane (no point off it) separates nothing."""
     below = [lo if lo or hi else -1 for lo, hi in rows]
+    quads = [below[i:i + 4] for i in range(0, len(below), 4)]
     out = []
-    for a, va in enumerate(vertex_masks):
-        p, q, r, s = below[4 * a:4 * a + 4]
+    for a, (va, (p, q, r, s)) in enumerate(zip(vertex_masks, quads)):
         out += [(a, b) for b, vb in enumerate(vertex_masks[a + 1:], a + 1)
                 if p & vb and q & vb and r & vb and s & vb
-                and all(x & va for x in below[4 * b:4 * b + 4])]
+                and all(x & va for x in quads[b])]
     return out
 
 
@@ -518,16 +552,38 @@ def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
 # the assembly itself
 
 
+# a build's face table: its tiles' points, their outward faces (three point
+# indices, four per tile in tile order), whether each is a wall, tile names
+_FaceTable = namedtuple("_FaceTable", "points faces is_wall names")
+
+
 @dataclass(frozen=True, eq=False)
 class Assembly:
-    """A verified packing of fundamental tetrahedra with its outer hull."""
+    """A verified packing of fundamental tetrahedra with its outer hull.
+
+    walls and boundary_triangles hold each tile face, in tile and face
+    order, as a TriangleFace owned by its tile.  They are derived from the
+    build's face table on first read and then kept; dataclasses.replace
+    carries the table over, so they stay the build's whatever it replaces."""
 
     target: str
     tiles: tuple[PlacedTile, ...]
     mesh: Mesh
-    walls: tuple[TriangleFace, ...]
-    boundary_triangles: tuple[TriangleFace, ...]
     groups: tuple[tuple[str, tuple[int, ...], str], ...]
+    _faces: _FaceTable = field(repr=False)
+
+    @cached_property
+    def walls(self) -> tuple[TriangleFace, ...]:
+        return self._triangles(True)
+
+    @cached_property
+    def boundary_triangles(self) -> tuple[TriangleFace, ...]:
+        return self._triangles(False)
+
+    def _triangles(self, wall: bool) -> tuple[TriangleFace, ...]:
+        points, faces, is_wall, names = self._faces
+        return tuple(TriangleFace(names[k // 4], (points[i], points[j], points[m]))
+                     for k, ((i, j, m), w) in enumerate(zip(faces, is_wall)) if w == wall)
 
     def volume_exact(self) -> GoldenRational:
         """Sum of the cataloged volumes of the constituent tetrahedra."""
@@ -594,12 +650,15 @@ def _build(target: str) -> Assembly:
     points = _points([coords[lab] for lab in index])
     vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
-    tiles = []
+    # tiles on the points just read, each kind checked once
+    tiles, kinds = [], {}
     count: Counter = Counter()
     for (kind_name, _), ids in zip(tets, vert_ids):
         name = f"{kind_name}-{count[kind_name]}"
+        exact = tuple([points[i] for i in ids])
         try:
-            tiles.append(PlacedTile(kind=kind_name, exact=[points[i] for i in ids], name=name))
+            kind = kinds.get(kind_name) or kinds.setdefault(kind_name, _fundamental(kind_name))
+            tiles.append(_record(PlacedTile, kind, exact, name, _parity(exact)))
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
@@ -615,32 +674,32 @@ def _build(target: str) -> Assembly:
         raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
 
     is_wall = _walls(points, faces, planes)
-    walls, boundary, hull = [], [], []
-    for k, (f, wall) in enumerate(zip(faces, is_wall)):
-        face = TriangleFace(tiles[k // 4].name, (points[f[0]], points[f[1]], points[f[2]]))
-        if wall:
-            walls.append(face)
-        else:  # (point indices, plane key): equal sign rows, one oriented plane
-            boundary.append(face)
-            hull.append((f, planes.rows[k]))
-
-    # a lone triangle is a face of a tile whose triple product is not 0: no corner is collinear
-    owners = [b.owner for b in boundary]
+    names = [t.name for t in tiles]
+    hull = [k for k, wall in enumerate(is_wall) if not wall]
+    owners = [names[k // 4] for k in hull]
+    # the boundary faces as (point indices, plane key): equal sign rows, one oriented
+    # plane; a lone triangle is a face of a tile whose triple product is not 0, so no
+    # corner of it is collinear
     fused = [(_drop_collinear(rim, points) if len(slots) > 1 else rim, slots)
-             for rim, slots in _fuse(hull, owners)]
+             for rim, slots in _fuse([(faces[k], planes.rows[k]) for k in hull], owners)]
 
-    # compact the vertex array to the ones the hull actually uses
+    # compact the vertex array to the ones the hull actually uses; a boundary face is
+    # not shared, so its plane's normal is its own, and a fused face's Newell normal
+    # is the sum of its triangles' (dropping collinear corners leaves it unchanged)
     used = sorted({i for f, _ in fused for i in f})
     remap = {old: new for new, old in enumerate(used)}
-    mesh = Mesh(
-        exact=tuple(points[i] for i in used),
-        faces=tuple(tuple(remap[i] for i in f) for f, _ in fused),
-        provenance=tuple(tuple(sorted({owners[s] for s in slots})) for _, slots in fused))
+    mesh_faces = tuple(tuple(remap[i] for i in f) for f, _ in fused)
+    normals = planes.normals
+    mesh = _record(
+        Mesh, tuple(points[i] for i in used), mesh_faces,
+        tuple(tuple(sorted({owners[s] for s in slots})) for _, slots in fused),
+        _edge_faces(mesh_faces),
+        tuple(normals[hull[slots[0]]] if len(slots) == 1 else
+              _vsum(normals[hull[s]] for s in slots) for _, slots in fused))
 
     groups = tuple(_wiring.D1_GROUPS) if target == "d1" else ()
-    return Assembly(
-        target=target, tiles=tuple(tiles), mesh=mesh, walls=tuple(walls),
-        boundary_triangles=tuple(boundary), groups=groups)
+    return Assembly(target, tuple(tiles), mesh, groups,
+                    _FaceTable(points, faces, is_wall, names))
 
 
 @lru_cache(maxsize=None)
@@ -657,21 +716,27 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     when 5 (n1.n2)^2 = |n1|^2 |n2|^2, with n1.n2 < 0 or > 0.  An edge with one
     incident face gets angle None rather than an error."""
     tau = embed(TAU)
-    norms = [_dot(n, n) for n in mesh.normals]  # each face's exact |n|^2, and its float
+    normals = mesh.normals
+    norms = [_dot(n, n) for n in normals]  # each face's exact |n|^2, and its float
     floats = [a + b * tau for a, b in norms]
+    known: dict[tuple, tuple] = {}  # (angle, class) per exact (n1.n2, |n1|^2, |n2|^2)
     out = []
     for edge, fs in mesh.edge_faces:
         if len(fs) != 2:
             out.append(Dihedral(edge, fs, None, None))
             continue
         f1, f2 = fs
-        da, db = dot = _dot(mesh.normals[f1], mesh.normals[f2])
-        angle_class = "neither"
-        if _mul((5 * da, 5 * db), dot) == _mul(norms[f1], norms[f2]):
-            angle_class = "pi-atan2" if pair_sign(da, db) > 0 else "atan2"
-        cos = (da + db * tau) / math.sqrt(floats[f1] * floats[f2])
-        out.append(Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
-                            angle_class))
+        dot = _dot(normals[f1], normals[f2])
+        key = dot, norms[f1], norms[f2]
+        got = known.get(key)
+        if got is None:
+            da, db = dot
+            angle_class = "neither"
+            if _mul((5 * da, 5 * db), dot) == _mul(norms[f1], norms[f2]):
+                angle_class = "pi-atan2" if pair_sign(da, db) > 0 else "atan2"
+            cos = (da + db * tau) / math.sqrt(floats[f1] * floats[f2])
+            got = known[key] = (math.pi - math.acos(min(max(cos, -1.0), 1.0)), angle_class)
+        out.append(Dihedral(edge, fs, *got))
     return out
 
 
@@ -695,13 +760,19 @@ def export_obj(assembly: Assembly) -> str:
 
 def export_patch(assembly: Assembly) -> dict:
     """JSON-ready description: tiles with parities plus the merged hull."""
+    floats: dict[tuple, tuple] = {}  # each distinct point's float image, once
+
+    def vertices(points) -> list:
+        return [list(floats.get(p) or floats.setdefault(p, _embed_doubled((p,))[0]))
+                for p in points]
+
     return {
         "frame": "icosa-half-integer",
         "target": assembly.target,
         "tiles": [{"kind": t.kind.value, "name": t.name, "parity": t.parity,
-                   "vertices": [list(v) for v in t.vertices]} for t in assembly.tiles],
+                   "vertices": vertices(t.exact)} for t in assembly.tiles],
         "hull": {
-            "vertices": [list(v) for v in assembly.mesh.vertices],
+            "vertices": vertices(assembly.mesh.exact),
             "faces": [list(f) for f in assembly.mesh.faces],
             "provenance": [list(p) for p in assembly.mesh.provenance],
         },

@@ -333,6 +333,17 @@ def test_report_bundle(runner):
         assert 'T3,6,10,6,"5x(1,tau,tau);1x(1,1,1,1,1)",(3+4tau)/12' in table2
 
 
+@pytest.mark.parametrize("env", [{}, {"ICOTILE_OUTPUT_PATH": "elsewhere"}])
+def test_report_empty_out_is_usage_error(runner, env):
+    # an empty --out is not read as absent: it would fall back to the
+    # environment or ./report without a word
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, ["report", "--out", ""], env=env)
+        assert res.exit_code == 2
+        assert "Error: --out must name a directory, not ''" in res.output
+        assert list(Path().iterdir()) == []
+
+
 def test_report_deterministic(runner):
     with runner.isolated_filesystem():
         assert runner.invoke(main, ["report", "--out", "a"]).exit_code == 0
@@ -491,6 +502,17 @@ print(json.dumps({{
                      "names": ["icotile.geometry.placement", "icotile.geometry.placement",
                                "icotile.geometry.axes", "icotile.geometry.assembly"],
                      "glue": True, "unknown_in_geometry": False}
+
+
+def test_lazy_geometry_modules_show_in_importtime():
+    # the lazy names load their module by an import statement's path, which
+    # -X importtime lists with its self time
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "from icotile.geometry import axis_classes"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "icotile.geometry.axes" in listed
 
 
 def test_package_surface_loads_on_demand():

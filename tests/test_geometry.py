@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -665,12 +666,23 @@ def test_dihedrals_match_per_edge_reference():
                        (6, 6, 0), (4, 6, 0)])
     meshes.append(assembly.Mesh(exact=hinge, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6, 7)),
                                 provenance=((),) * 3))
+    # two hinges whose normals have one dot product, -8, but squared norms 16
+    # and 40 against 4 and 20: their angles differ, so a key on n1.n2 alone
+    # would give the second hinge the first one's angle
+    hinges = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 3),
+                        (10, 0, 0), (11, 0, 0), (10, 2, 0), (11, 4, 2)])
+    meshes.append(assembly.Mesh(exact=hinges, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6), (5, 4, 7)),
+                                provenance=((),) * 4))
     for mesh in meshes:
         got, want = dihedrals(mesh), _dihedrals_reference(mesh)
         assert [(d.edge, d.faces, d.angle_class) for d in got] == [
             (d.edge, d.faces, d.angle_class) for d in want]
         assert [d.angle for d in got] == [d.angle for d in want]
-    assert sum(d.angle is None for d in dihedrals(meshes[-1])) == 8
+    assert sum(d.angle is None for d in dihedrals(meshes[-2])) == 8
+    normals = meshes[-1].normals
+    assert assembly._dot(*normals[:2]) == assembly._dot(*normals[2:]) == (-8, 0)
+    closed = [d.angle for d in dihedrals(meshes[-1]) if d.angle is not None]
+    assert len(closed) == 2 and closed[0] != closed[1]
 
 
 def _per_face_mesh_reference(mesh):
@@ -1153,6 +1165,27 @@ def test_walls_and_boundary_pinned(target):
                                .encode("utf-8")).hexdigest()
                 for faces in (a.walls, a.boundary_triangles))
     assert got == FACES_SHA256[target]
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_build_records_match_public_constructors(target):
+    # a build sets its records from facts it has decided; the public
+    # constructors derive the same from the same inputs
+    a = assembly._build(target)
+    for t in a.tiles:  # kind, exact, name and parity
+        assert vars(t) == vars(PlacedTile(t.kind, t.exact, t.name))
+    mesh = a.mesh
+    public = assembly.Mesh(mesh.exact, mesh.faces, mesh.provenance)
+    assert vars(mesh) == vars(public)  # normals and edge_faces too
+    # walls are built on first read, from the build's face table, and kept
+    export_obj(a)
+    canonical_json(export_patch(a))
+    dihedrals(mesh)
+    assert "walls" not in vars(a) and "boundary_triangles" not in vars(a)
+    assert a.walls is a.walls and a.boundary_triangles is a.boundary_triangles
+    walls = [(f.owner, f.corners) for f in a.walls]
+    moved = dataclasses.replace(a, tiles=a.tiles[::-1], mesh=public)
+    assert [(f.owner, f.corners) for f in moved.walls] == walls
 
 
 def _walls_reference(a) -> np.ndarray:
