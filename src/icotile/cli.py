@@ -55,28 +55,23 @@ def canonical_json(obj) -> str:
             memo[x] = s
         return s
 
-    layout: list[tuple[str, ...]] = []  # per depth: how a list and a dict open, part, close
-
-    def value(x, depth: int) -> str:
+    def value(x, pad: str) -> str:
         if not isinstance(x, (dict, list, tuple)):
             return get(x) or scalar(x) if type(x) in _MEMO_TYPES else scalar(x)
         if not x:
             return "{}" if isinstance(x, dict) else "[]"
-        if depth == len(layout):
-            inner, pad = "  " * (depth + 1), "\n" + "  " * depth
-            layout.append(("[\n" + inner, "{\n" + inner, ",\n" + inner, pad + "]", pad + "}"))
-        list_open, dict_open, sep, list_close, dict_close = layout[depth]
+        inner = pad + "  "
         if isinstance(x, dict):
-            return dict_open + sep.join([
+            return "{\n" + inner + f",\n{inner}".join([
                 f"{get(k) or scalar(k) if type(k) is str else json.dumps(str(k))}: "
-                f"{get(v) or scalar(v) if type(v) in _MEMO_TYPES else value(v, depth + 1)}"
-                for k, v in x.items()]) + dict_close
+                f"{get(v) or scalar(v) if type(v) in _MEMO_TYPES else value(v, inner)}"
+                for k, v in x.items()]) + "\n" + pad + "}"
         types = set(map(type, x))  # a list of floats and strs, or of ints, in one join
         texts = ([get(v) or scalar(v) for v in x] if types <= _MEMO_TYPES else
-                 map(str, x) if types == _INT else [value(v, depth + 1) for v in x])
-        return list_open + sep.join(texts) + list_close
+                 map(str, x) if types == _INT else [value(v, inner) for v in x])
+        return "[\n" + inner + f",\n{inner}".join(texts) + "\n" + pad + "]"
 
-    return value(obj, 0)
+    return value(obj, "")
 
 
 def _echo_json(obj) -> None:

@@ -17,12 +17,13 @@ whose two sides are triangulated along different diagonals (20 of d1's 116
 walls, its only faces so tested).
 
 A build hands on the facts it has decided rather than deriving them again.
-Its tiles take the points it has read, each kind checked once, and their
-parities; its mesh takes each face's Newell normal from the face planes (a
-lone triangle's, or the sum of a fused face's triangles': dropping collinear
-corners leaves that area vector unchanged).  Its walls and boundary triangles
-are built from its face table when first read.  The public PlacedTile and
-Mesh constructors still read and derive everything from their inputs.
+Its tiles take the points it has read, with their kinds and parities
+checked as PlacedTile checks them; its mesh takes each face's Newell normal
+from the face planes (a lone triangle's, or the sum of a fused face's
+triangles': dropping collinear corners leaves that area vector unchanged).
+Its walls and boundary triangles are built from its face table when first
+read.  The public PlacedTile and Mesh constructors still read and derive
+everything from their inputs.
 
 Points are doubled Z[tau] pairs in the half-integer icosahedral frame, and
 every decision is exact arithmetic on Python ints at any magnitude; floats
@@ -112,7 +113,7 @@ class PlacedTile:
     exact sign of (b-a).((c-a)x(d-a)), and faces are wound outward for it;
     a flat tile, or a kind outside t1..t6, is a ValueError.  vertices is
     the float image of exact, derived at read.  A build checks its tiles'
-    kinds and parities itself, on points already read."""
+    kinds and parities with the same two helpers, on points already read."""
 
     kind: TileKind
     exact: tuple
@@ -458,12 +459,12 @@ def _candidates(rows, vertex_masks) -> list[tuple[int, int]]:
     a's face planes, vertex_masks[b] the top bits of b's vertices.  A zero
     plane (no point off it) separates nothing."""
     below = [lo if lo or hi else -1 for lo, hi in rows]
-    quads = [below[i:i + 4] for i in range(0, len(below), 4)]
     out = []
-    for a, (va, (p, q, r, s)) in enumerate(zip(vertex_masks, quads)):
+    for a, va in enumerate(vertex_masks):
+        p, q, r, s = below[4 * a:4 * a + 4]
         out += [(a, b) for b, vb in enumerate(vertex_masks[a + 1:], a + 1)
                 if p & vb and q & vb and r & vb and s & vb
-                and all(x & va for x in quads[b])]
+                and all(x & va for x in below[4 * b:4 * b + 4])]
     return out
 
 
@@ -650,15 +651,14 @@ def _build(target: str) -> Assembly:
     points = _points([coords[lab] for lab in index])
     vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
-    # tiles on the points just read, each kind checked once
-    tiles, kinds = [], {}
+    # tiles on the points just read, checked as PlacedTile checks them
+    tiles = []
     count: Counter = Counter()
     for (kind_name, _), ids in zip(tets, vert_ids):
         name = f"{kind_name}-{count[kind_name]}"
         exact = tuple([points[i] for i in ids])
         try:
-            kind = kinds.get(kind_name) or kinds.setdefault(kind_name, _fundamental(kind_name))
-            tiles.append(_record(PlacedTile, kind, exact, name, _parity(exact)))
+            tiles.append(_record(PlacedTile, _fundamental(kind_name), exact, name, _parity(exact)))
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         count[kind_name] += 1
@@ -760,19 +760,13 @@ def export_obj(assembly: Assembly) -> str:
 
 def export_patch(assembly: Assembly) -> dict:
     """JSON-ready description: tiles with parities plus the merged hull."""
-    floats: dict[tuple, tuple] = {}  # each distinct point's float image, once
-
-    def vertices(points) -> list:
-        return [list(floats.get(p) or floats.setdefault(p, _embed_doubled((p,))[0]))
-                for p in points]
-
     return {
         "frame": "icosa-half-integer",
         "target": assembly.target,
         "tiles": [{"kind": t.kind.value, "name": t.name, "parity": t.parity,
-                   "vertices": vertices(t.exact)} for t in assembly.tiles],
+                   "vertices": [list(v) for v in t.vertices]} for t in assembly.tiles],
         "hull": {
-            "vertices": vertices(assembly.mesh.exact),
+            "vertices": [list(v) for v in assembly.mesh.vertices],
             "faces": [list(f) for f in assembly.mesh.faces],
             "provenance": [list(p) for p in assembly.mesh.provenance],
         },
