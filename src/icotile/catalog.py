@@ -26,12 +26,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm, sqrt
-from operator import index
+from operator import index, mul
 
 from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt, tau_pow
 
 __all__ = [
     "TileKind",
+    "tile_kind",
     "FaceSpec",
     "triangle_family",
     "gram_determinant",
@@ -74,6 +75,20 @@ class TileKind(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# a str-valued member equals and hashes as its value, so one key serves both
+_KINDS = {k.value: k for k in TileKind}
+
+
+def tile_kind(x) -> TileKind:
+    """TileKind(x) from one dict lookup instead of an Enum call; anything
+    the dict misses (unhashable input too) goes to TileKind(x), which
+    raises its ValueError for a name that is no kind."""
+    try:
+        return _KINDS[x]
+    except (KeyError, TypeError):
+        return TileKind(x)
 
 
 CATALOG_ORDER = [
@@ -274,7 +289,7 @@ class EdgeScheme:
 
 def edge_scheme(kind: TileKind | str) -> EdgeScheme:
     """The edge scheme of a fundamental tile: its catalog edge lengths, squared."""
-    kind = TileKind(kind)
+    kind = tile_kind(kind)
     if not kind.is_fundamental:
         raise ValueError(f"{kind} has no single edge scheme (composite)")
     return EdgeScheme(*(e * e for e in record(kind).edge_lengths))
@@ -383,10 +398,16 @@ def _records() -> dict[TileKind, TileRecord]:
 
 _RECORDS = _records()
 
+# every record's volume over one common denominator:
+# volume(k) = (_VOLUME_A[k] + _VOLUME_B[k]*tau) / _VOLUME_DEN
+_VOLUME_DEN = lcm(*(r.volume.den for r in _RECORDS.values()))
+_VOLUME_A = {k: r.volume.a * (_VOLUME_DEN // r.volume.den) for k, r in _RECORDS.items()}
+_VOLUME_B = {k: r.volume.b * (_VOLUME_DEN // r.volume.den) for k, r in _RECORDS.items()}
+
 
 def record(kind: TileKind | str) -> TileRecord:
     """The full static record for one tile kind."""
-    return _RECORDS[TileKind(kind)]
+    return _RECORDS[tile_kind(kind)]
 
 
 def all_records() -> list[TileRecord]:
@@ -415,7 +436,7 @@ def _as_counts(inv) -> dict[TileKind, int]:
     if isinstance(inv, Inventory):
         return inv.counts_dict()
     # index, not int: a float or str count raises instead of truncating
-    counts = {TileKind(k): index(n) for k, n in inv.items()}
+    counts = {tile_kind(k): index(n) for k, n in inv.items()}
     if any(n < 0 for n in counts.values()):
         raise ValueError("tile counts must be nonnegative")
     return counts
@@ -440,10 +461,16 @@ def expand_to_fundamental(inv) -> dict[TileKind, int]:
 
 def total_volume(inv) -> GoldenRational:
     """Exact sum of count * volume over a tile multiset, normalised once."""
-    terms = [(record(kind).volume, n) for kind, n in _as_counts(inv).items()]
-    den = lcm(*(v.den for v, _ in terms))
-    return GoldenRational(sum(v.a * (den // v.den) * n for v, n in terms),
-                          sum(v.b * (den // v.den) * n for v, n in terms), den)
+    counts = _as_counts(inv)
+    return _volume_dot(counts, counts.values())
+
+
+def _volume_dot(kinds, counts) -> GoldenRational:
+    """total_volume of parallel sequences of TileKind members and counts
+    already checked: one dot product with the common-denominator table."""
+    return GoldenRational(sum(map(mul, counts, map(_VOLUME_A.__getitem__, kinds))),
+                          sum(map(mul, counts, map(_VOLUME_B.__getitem__, kinds))),
+                          _VOLUME_DEN)
 
 
 _INVENTORIES = {

@@ -33,17 +33,21 @@ class RunConfig:
 
 
 _MEMO_TYPES, _INT = {float, str}, {int}
+# 0.0 == -0.0 is one dict key, so the memo keeps the two zeros' texts by sign
+_ZERO_TEXT = {1.0: f"{0.0:.17g}", -1.0: f"{-0.0:.17g}"}
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: 2-space indent, floats at 17 significant
     digits, keys in construction order.  Parsing then re-emitting the
     result reproduces it byte for byte."""
-    memo: dict = {}  # the text of each str and nonzero float: 0.0 == -0.0
+    memo: dict = {}  # the text of each str and nonzero float; zeros in _ZERO_TEXT
     get = memo.get
 
     def scalar(x) -> str:
         if isinstance(x, float):
+            if not x and type(x) is float:
+                return _ZERO_TEXT[math.copysign(1.0, x)]
             s = f"{x:.17g}"
         elif isinstance(x, int) and not isinstance(x, bool):
             return str(x)

@@ -54,7 +54,7 @@ from itertools import chain
 from operator import index
 
 from .. import catalog
-from ..catalog import TileKind
+from ..catalog import TileKind, tile_kind
 from ..golden import TAU, GoldenRational, embed, pair_sign
 from . import _wiring
 
@@ -90,7 +90,7 @@ def _record(cls, *values):
 
 
 def _fundamental(kind) -> TileKind:
-    kind = TileKind(kind)
+    kind = tile_kind(kind)
     if not kind.is_fundamental:
         raise ValueError(f"{kind.value} is not a fundamental tile (t1..t6)")
     return kind

@@ -25,15 +25,21 @@ char_poly()) and bars for Galois conjugates,
     M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
 
 so each entry is a sum of two Galois traces, and one Lucas-pair doubling
-gives tau^n, and its tripling tau^(3n).  A count vector c is folded into
-the spectral parts first, so c * M^n costs one row of four entries.
+gives tau^n, and its tripling tau^(3n).  Entry j of c * M^n is the four
+coefficients of tau^(3n) and tau^n times the four dot products of c with
+column j's integer weights (each a sum(map(mul, ...)) over four small
+ints), divided exactly by one common denominator: per count vector,
+sixteen big-integer products, their sums and four exact divisions.
+A count vector's volume is one dot product with the catalog's table of
+tile volumes over a common denominator.
 
 The module also carries a ledger: specific inflations of single tiles
 whose count vectors regroup into whole unit dodecahedra d(1) and
 tau-scaled dodecahedra d(tau) plus leftover composite tiles.
 verify_decomposition checks an entry for exact count and volume
-consistency; the ledger and verify commands and the report run it on every
-entry they show.
+consistency, summing the parts of each inflation order before it
+inflates them or scales their volume; the ledger and verify commands and
+the report run it on every entry they show.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from math import lcm
-from operator import index
+from operator import add, index, mul
 from typing import NamedTuple
 
-from .catalog import TileKind, inventory, record, total_volume
+from .catalog import TileKind, _volume_dot, inventory, record
 from .golden import TAU, GoldenRational, _lucas_pair, conj, embed, tau_pow
 
 __all__ = [
@@ -84,8 +90,8 @@ class CountVector:
     c: tuple[int, int, int, int]
 
     def __post_init__(self):
-        c = tuple(index(x) for x in self.c)  # index, not int: a float raises
-        if len(c) != 4 or any(x < 0 for x in c):
+        c = tuple(map(index, self.c))  # index, not int: a float raises
+        if len(c) != 4 or min(c) < 0:
             raise ValueError("CountVector needs 4 nonnegative entries")
         object.__setattr__(self, "c", c)
 
@@ -101,7 +107,8 @@ class CountVector:
         return CountVector(tuple(n * a for a in self.c))
 
     def total_volume(self) -> GoldenRational:
-        return total_volume(dict(zip(COMPOSITE_ORDER, self.c)))
+        """catalog.total_volume of these counts, read as (T1, T2, T3, T4)."""
+        return _volume_dot(COMPOSITE_ORDER, self.c)
 
     def __iter__(self):
         return iter(self.c)
@@ -167,23 +174,24 @@ def inflate_counts(c: CountVector, n: int) -> CountVector:
 def _inflate(vectors, n: int) -> tuple[tuple[int, ...], ...]:
     """c * M^n for each count vector c in closed form (module docstring),
     with tau^(3n) and tau^n from _tau_powers.  With tau^m = q + p*tau, the
-    trace of tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so c
-    folds into the small weights u, v first; entry j is then four products
-    by the tau powers' coefficients over D, a division checked to be exact."""
+    trace of tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so
+    entry j is the four tau-power coefficients times the four dot products
+    of c with the column's weights, over D, a division checked to be exact."""
     if n < 0:
         raise ValueError("negative inflation order")
     parts = _spectral_parts(_M_ROWS)
-    powers = _tau_powers(n)
-
-    def entry(c, column):
-        num = sum(t * sum(x * w for x, w in zip(c, weights))
-                  for t, weights in zip(powers, column))
-        x, r = divmod(num, parts.den)
-        if r:
-            raise ArithmeticError(f"entry of c * M^{n} is not an integer")
-        return x
-
-    return tuple(tuple(entry(c, column) for column in parts.columns) for c in vectors)
+    q3, p3, q1, p1 = _tau_powers(n)
+    den, rows = parts.den, []
+    for c in map(tuple, vectors):
+        row = []
+        for u3, v3, u1, v1 in parts.columns:
+            x, r = divmod(q3 * sum(map(mul, c, u3)) + p3 * sum(map(mul, c, v3))
+                          + q1 * sum(map(mul, c, u1)) + p1 * sum(map(mul, c, v1)), den)
+            if r:
+                raise ArithmeticError(f"entry of c * M^{n} is not an integer")
+            row.append(x)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _tau_powers(n: int) -> tuple[int, int, int, int]:
@@ -358,13 +366,8 @@ class Part:
         return inflate_counts(BASES[self.block], self.order).scaled(self.count)
 
     def volume(self) -> GoldenRational:
-        if self.block == "d1":
-            v = D1_COUNTS.total_volume()
-        elif self.block == "dtau":
-            v = tau_pow(3) * D1_COUNTS.total_volume()
-        else:
-            v = tau_pow(3 * self.order) * record(TileKind(self.block)).volume
-        return v * self.count
+        m, base = _volume_base(self)
+        return tau_pow(3 * m) * base.scaled(self.count).total_volume()
 
     def label(self) -> str:
         if self.block in ("d1", "dtau"):
@@ -374,6 +377,23 @@ class Part:
         else:
             name = self.block
         return name if self.count == 1 else f"{self.count} {name}"
+
+
+def _volume_base(p: Part) -> tuple[int, CountVector]:
+    """(m, c) with the volume of one block of p equal to tau^(3m) *
+    c.total_volume(): d(tau) is d(1) scaled by tau."""
+    return (1, D1_COUNTS) if p.block == "dtau" else (p.order, BASES[p.block])
+
+
+_ZERO_COUNTS = (0, 0, 0, 0)
+
+
+def _by_order(terms) -> dict[int, tuple[int, ...]]:
+    """{m: the sum of count * c} over (m, c, count) terms."""
+    out = {}
+    for m, c, count in terms:
+        out[m] = tuple(map(add, out.get(m, _ZERO_COUNTS), [count * x for x in c]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -408,14 +428,18 @@ class VerifyReport:
 
 
 def verify_decomposition(d: Decomposition) -> VerifyReport:
-    """Check a decomposition for exact count and volume consistency."""
-    target = d.target_counts()
-    total = CountVector((0, 0, 0, 0))
-    for p in d.parts:
-        total = total + p.counts()
+    """Check a decomposition for exact count and volume consistency.
+
+    c * M^m and tau^(3m) * volume(c) are linear in c, so the parts are
+    summed by order first: one inflation and one tau power per order."""
+    counts = _by_order((p.order, BASES[p.block], p.count) for p in d.parts)
+    volumes = _by_order((*_volume_base(p), p.count) for p in d.parts)
+    rows = (_inflate((c,), m)[0] for m, c in counts.items())
+    total = tuple(map(sum, zip(_ZERO_COUNTS, *rows)))
+    vol_parts = sum((tau_pow(3 * m) * _volume_dot(COMPOSITE_ORDER, c)
+                     for m, c in volumes.items()), GoldenRational(0))
     vol_target = tau_pow(3 * d.order) * d.target_base.total_volume()
-    vol_parts = sum((p.volume() for p in d.parts), GoldenRational(0))
-    return VerifyReport(total.c == target.c, vol_parts == vol_target)
+    return VerifyReport(total == d.target_counts().c, vol_parts == vol_target)
 
 
 @cache

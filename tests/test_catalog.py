@@ -176,6 +176,42 @@ def test_unknown_names_rejected():
         catalog.inventory("nonsense")
 
 
+class _Name(str):
+    pass
+
+
+class _Pairs:
+    """A mapping reduced to items(), so an unhashable kind reaches total_volume."""
+
+    def __init__(self, *pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+def _outcome(fn, x):
+    try:
+        return fn(x)
+    except Exception as exc:  # the type is what must match
+        return type(exc)
+
+
+@pytest.mark.parametrize("x", [*TileKind, *(k.value for k in TileKind),
+                               "t7", "", 1, None, ["t1"], _Name("t3"), _Name("T3bar"),
+                               _Name("t7")], ids=repr)
+def test_kind_lookup_matches_the_enum_call(x):
+    from icotile.geometry.assembly import _fundamental
+    want = _outcome(TileKind, x)
+    assert _outcome(catalog.tile_kind, x) is want
+    for fn in (catalog.record, catalog.edge_scheme, _fundamental,
+               lambda k: catalog.total_volume(_Pairs((k, 2)))):
+        assert _outcome(fn, x) == (want if isinstance(want, type) else _outcome(fn, want)), fn
+    if not isinstance(want, type) and not want.is_fundamental:
+        with pytest.raises(ValueError, match=rf"^{want.value} is not a fundamental tile \(t1..t6\)$"):
+            _fundamental(x)
+
+
 @pytest.mark.parametrize("kind, lengths, detail", [
     # six unit edges: the regular tetrahedron, V^2 = 1/72 is not a square in Q(tau)
     ("t2", (1,) * 6, r"t2: volume is not in Q\(tau\) \(V\^2 = 1/72\)"),

@@ -98,8 +98,12 @@ def test_inflate_counts_rejects_negative_order():
 
 
 def test_total_volume_matches_sum_of_products():
-    """One common-denominator sum against the GoldenRational products it
-    replaced, on 1000-digit counts."""
+    """One dot product with the common-denominator table against the
+    GoldenRational products it replaced: an Inventory, str- and
+    member-keyed mappings, zero counts and 1000-digit counts."""
+    def products(pairs):
+        return sum((catalog.record(k).volume * n for k, n in pairs), ZERO)
+
     rng = random.Random(43)
     vols = inflation.composite_volumes()
     kinds = list(catalog.TileKind)
@@ -108,8 +112,31 @@ def test_total_volume_matches_sum_of_products():
         want = sum((vols[i] * c[i] for i in range(4)), ZERO)
         assert c.total_volume() == want
         inv = {k: rng.randrange(10**1000) for k in rng.sample(kinds, rng.randint(0, len(kinds)))}
-        want = sum((catalog.record(k).volume * n for k, n in inv.items()), ZERO)
+        want = products(inv.items())
         assert catalog.total_volume(inv) == want
+        assert catalog.total_volume({k.value: n for k, n in inv.items()}) == want
+    for name in catalog.INVENTORY_TARGETS:
+        inv = catalog.inventory(name)
+        want = products(inv.counts)
+        assert catalog.total_volume(inv) == want
+        assert catalog.total_volume({k.value: n for k, n in inv.counts}) == want
+        assert catalog.total_volume(dict(inv.counts)) == want
+    for zeros in ({}, {k: 0 for k in kinds}, {k.value: 0 for k in kinds}):
+        assert catalog.total_volume(zeros) == ZERO
+    assert inflation.CountVector((0, 0, 0, 0)).total_volume() == ZERO
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_inexact_division_raises(monkeypatch, off):
+    parts = inflation._spectral_parts(inflation.M.rows)
+    monkeypatch.setattr(inflation, "_spectral_parts",
+                        lambda rows: parts._replace(den=parts.den + off))
+    for base in inflation.BASES.values():
+        for n in (0, 1, 5, 1000):
+            with pytest.raises(ArithmeticError, match="not an integer"):
+                inflation.inflate_counts(base, n)
+    with pytest.raises(ArithmeticError):
+        inflation.verify_decomposition(inflation.dodecahedron_ledger()[0])
 
 
 def test_spectral_parts():
