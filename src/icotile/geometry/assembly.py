@@ -6,15 +6,35 @@ tetrahedron face as internal wall or outer boundary, and fuses the
 boundary triangles of each plane into one polygonal face of the outer hull
 by cancelling the edges they share.
 
-A build packs its tiles' points alone and decides a face one of three
-ways.  A face whose three points are also a face of another tile is a wall
-by index: once no two tiles overlap, they lie on its two sides.  A face
-with no point above its plane is boundary: every tile lies below it.  Any
+A build packs its tiles' points P alone and first tries two exact
+certificates that its tiles fill conv P, running the pairwise tests only
+where neither holds.  Faces are grouped by their three points; a face is
+supporting when no point of P lies above its plane.
+
+Face to face (i1, the composites but E): each group is one face or two
+wound opposite ways, each lone face is supporting, and the first lone
+face's centroid lies in no other closed lone face of its plane.  Opposite
+faces cancel, so the boundary of the sum of the tiles is the sum S of the
+lone faces, an outward 2-cycle on the boundary of conv P: m times it.  The
+number of tiles holding a point off all faces is the winding number of S
+about it, m inside conv P and 0 outside, and at the centroid S is one face:
+m = 1.  So pairs are walls and lone faces boundary, with no pair tested.
+
+Convex (d1), once the pairwise tests find the tiles apart: the supporting
+faces' directed edges each appear once, each with its reverse, and their
+n.c (n = (q - p) x (r - p), c a corner) sum to the tiles' |triple|s.  They
+are then a 2-cycle on the boundary of conv P, m times it, enclosing m
+vol(conv P) = the tiles' volume <= vol(conv P): m = 1, the union is conv P,
+and any other face, with points on both sides, has its centroid inside: a
+wall.
+
+Else (E, any other list): a face whose three points are also a face of
+another tile is a wall by index, a supporting face is boundary, and any
 other face takes a coverage test: it is on the boundary iff its centroid
 pushed an infinitesimal distance outward along its normal lies in no
 tetrahedron.  Matching alone would misread the quadrilateral contact walls
 whose two sides are triangulated along different diagonals (20 of d1's 116
-walls, its only faces so tested).
+walls).
 
 A build hands on the facts it has decided rather than deriving them again.
 Its tiles take the points it has read, with their kinds and parities
@@ -84,8 +104,7 @@ def _record(cls, *values):
     """A frozen record of cls with its fields set, in order, to values its
     constructor would derive: for facts a build has already decided."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
@@ -96,14 +115,15 @@ def _fundamental(kind) -> TileKind:
     return kind
 
 
-def _parity(exact: tuple) -> int:
-    """The sign of a tetrahedron's triple product; ValueError if it is flat."""
+def _parity(exact: tuple) -> tuple[int, tuple[int, int]]:
+    """The sign of a tetrahedron's triple product, and the product; ValueError if flat."""
     if len(exact) != 4:
         raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
-    parity = pair_sign(*_scalar_triple(exact))
+    triple = _scalar_triple(exact)
+    parity = pair_sign(*triple)
     if not parity:
         raise ValueError("the tile is flat: its triple product is zero")
-    return parity
+    return parity, triple
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +145,7 @@ class PlacedTile:
         exact = _points(self.exact)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "parity", _parity(exact))
+        object.__setattr__(self, "parity", _parity(exact)[0])
 
     @property
     def vertices(self) -> tuple:
@@ -422,22 +442,31 @@ def _embed_doubled(points) -> tuple:
 # geometric predicates
 
 
-# per face (three point indices wound outward) of a build: its normal n =
-# (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points, its sign
-# row at every point as (below, above) slot masks, and the first face on its points
-_Planes = namedtuple("_Planes", "slots scaled normals offsets rows first")
+# per face (three point indices wound outward) of a build, None until set: its normal
+# n = (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points (packed: all in
+# one), its sign row at every point as (below, above) slot masks; the first face on its points
+_Planes = namedtuple("_Planes", "slots scaled packed normals offsets rows first")
 
 
-def _planes(points, faces) -> _Planes:
+def _planes(points, faces, ks=None) -> _Planes:
     """Face planes, computed once per point set: a later face on an earlier
-    one's points takes its plane, negated unless wound the same way round."""
+    one's points takes its plane, negated unless wound the same way round.
+    Given ks, only those faces take theirs here (see _fill)."""
     slots = _Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
-    packed, ones, signs = slots.pack(scaled), slots.ones, slots.signs
     seen: dict[frozenset, int] = {}
     first = [seen.setdefault(frozenset(f), k) for k, f in enumerate(faces)]
-    normals, offsets, rows = [], [], []
-    for k, (f, j) in enumerate(zip(faces, first)):
+    unset = [None] * len(faces)
+    planes = _Planes(slots, scaled, slots.pack(scaled), unset, unset[:], unset[:], first)
+    return _fill(points, faces, planes, range(len(faces)) if ks is None else ks)
+
+
+def _fill(points, faces, planes: _Planes, ks) -> _Planes:
+    """Set the planes of faces ks, in order, each after the first face on its points."""
+    scaled, packed, normals, offsets, rows, first = planes[1:]
+    ones, signs = planes.slots.ones, planes.slots.signs
+    for k in ks:
+        f, j = faces[k], first[k]
         if j == k:
             n = _normal(points[f[0]], points[f[1]], points[f[2]])
             c = _at(n, scaled[f[0]])
@@ -447,10 +476,8 @@ def _planes(points, faces) -> _Planes:
             if g[g.index(f[0]) - 2] != f[1]:  # f[1] does not follow f[0] in g
                 (p, q), (r, s), (t, u) = n
                 n, c, row = ((-p, -q), (-r, -s), (-t, -u)), -c, (row[1], row[0])
-        normals.append(n)
-        offsets.append(c)
-        rows.append(row)
-    return _Planes(slots, scaled, normals, offsets, rows, first)
+        normals[k], offsets[k], rows[k] = n, c, row
+    return planes
 
 
 def _candidates(rows, vertex_masks) -> list[tuple[int, int]]:
@@ -610,7 +637,7 @@ def _walls(points, faces, planes: _Planes) -> list[bool]:
     shared = Counter(planes.first)
     is_wall = [shared[j] > 1 for j in planes.first]
     rest = [i for i, wall in enumerate(is_wall) if not wall and planes.rows[i][1]]
-    if not rest:  # none left but in d1 and E
+    if not rest:  # every face shared whole or supporting
         return is_wall
     # slot r: the corner sum and the normal of face rest[r], scaled, and a
     # tile's own faces left out, whose pushed centroids it never holds
@@ -640,6 +667,42 @@ def _walls(points, faces, planes: _Planes) -> list[bool]:
     return is_wall
 
 
+def _face_to_face(points, faces, planes: _Planes) -> list[bool] | None:
+    """Whether each face is a wall, if the face-to-face certificate holds
+    (module docstring), else None.  It sets the planes of the faces whose
+    points no other face shares, and only those."""
+    first = planes.first
+    size = Counter(first)
+    lone = [j for j, n in size.items() if n == 1]  # in order, each its group's first
+    rows = _fill(points, faces, planes, lone).rows
+    if any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
+           for k, j in enumerate(first) if j != k) or any(rows[k][1] for k in lone):
+        return None
+    # the first lone face's corner sum s, 3x its centroid, against each other
+    # lone face of its plane with corners tripled: s is on the inner side of
+    # an edge u -> v iff n.((v - u) x (s - u)) >= 0
+    for k in lone[1:]:
+        if rows[k] == rows[lone[0]]:
+            s = _vsum(points[i] for i in faces[lone[0]])
+            p, q, r = (_vsum((points[i],) * 3) for i in faces[k])
+            if all(pair_sign(*_dot(planes.normals[k], _normal(u, v, s))) >= 0
+                   for u, v in ((p, q), (q, r), (r, p))):
+                return None
+    return [size[j] > 1 for j in first]
+
+
+def _convex(points, faces, planes: _Planes, volume) -> list[bool] | None:
+    """Whether each face is a wall, if the convex certificate holds (module
+    docstring) of tiles found apart, else None; volume is the sum of their
+    |triple product|s."""
+    hull = [k for k, (_, above) in enumerate(planes.rows) if not above]
+    edges = {(f[i - 1], f[i]) for f in map(faces.__getitem__, hull) for i in range(3)}
+    if len(edges) < 3 * len(hull) or any((v, u) not in edges for u, v in edges):
+        return None
+    nc = map(sum, zip((0, 0), *(_dot(planes.normals[k], points[faces[k][0]]) for k in hull)))
+    return [bool(above) for _, above in planes.rows] if tuple(nc) == volume else None
+
+
 def _build(target: str) -> Assembly:
     coords, tets, subset = _SOURCES[target]
     if subset is not None:
@@ -651,29 +714,33 @@ def _build(target: str) -> Assembly:
     points = _points([coords[lab] for lab in index])
     vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
-    # tiles on the points just read, checked as PlacedTile checks them
-    tiles = []
+    # tiles on the points just read, checked as PlacedTile checks them, and their |triple|s
+    tiles, volume = [], (0, 0)
     count: Counter = Counter()
     for (kind_name, _), ids in zip(tets, vert_ids):
         name = f"{kind_name}-{count[kind_name]}"
         exact = tuple([points[i] for i in ids])
         try:
-            tiles.append(_record(PlacedTile, _fundamental(kind_name), exact, name, _parity(exact)))
+            kind, (parity, (a, b)) = _fundamental(kind_name), _parity(exact)
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
+        tiles.append(_record(PlacedTile, kind, exact, name, parity))
+        volume = volume[0] + parity * a, volume[1] + parity * b
         count[kind_name] += 1
 
-    # overlap, walls and hull planes read one table: outward-wound face planes at points
+    # overlap, walls and hull planes read one table: outward-wound face planes at
+    # points, set as the certificates and the pairwise tests need them
     faces = [(ids[i], ids[j], ids[k]) for ids, t in zip(vert_ids, tiles) for i, j, k in t.faces]
-    planes = _planes(points, faces)
-
-    # no two tetrahedra may share interior volume
-    overlaps = _overlaps(points, vert_ids, planes)
-    if overlaps:
-        a, b = overlaps[0]
-        raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
-
-    is_wall = _walls(points, faces, planes)
+    planes = _planes(points, faces, ())
+    is_wall = _face_to_face(points, faces, planes)
+    if is_wall is None:
+        _fill(points, faces, planes, [k for k, n in enumerate(planes.normals) if n is None])
+        # no two tetrahedra may share interior volume
+        overlaps = _overlaps(points, vert_ids, planes)
+        if overlaps:
+            a, b = overlaps[0]
+            raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
+        is_wall = _convex(points, faces, planes, volume) or _walls(points, faces, planes)
     names = [t.name for t in tiles]
     hull = [k for k, wall in enumerate(is_wall) if not wall]
     owners = [names[k // 4] for k in hull]
@@ -723,7 +790,7 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     out = []
     for edge, fs in mesh.edge_faces:
         if len(fs) != 2:
-            out.append(Dihedral(edge, fs, None, None))
+            out.append(_record(Dihedral, edge, fs, None, None))
             continue
         f1, f2 = fs
         dot = _dot(normals[f1], normals[f2])
@@ -736,7 +803,7 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
                 angle_class = "pi-atan2" if pair_sign(da, db) > 0 else "atan2"
             cos = (da + db * tau) / math.sqrt(floats[f1] * floats[f2])
             got = known[key] = (math.pi - math.acos(min(max(cos, -1.0), 1.0)), angle_class)
-        out.append(Dihedral(edge, fs, *got))
+        out.append(_record(Dihedral, edge, fs, *got))
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import dataclasses
 import numpy as np
@@ -487,3 +488,15 @@ def test_criterion_10_report_determinism():
     assert set(first) == set(second)
     for name in first:
         assert first[name].encode("utf-8") == second[name].encode("utf-8")
+
+
+def test_readme_library_example(capsys):
+    # the fenced python block under "## Library example" runs and prints
+    # what the comment on each print line says
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines()
+            if line.startswith("print(")]
+    assert len(want) == 4
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want

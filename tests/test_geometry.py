@@ -678,6 +678,12 @@ def test_dihedrals_match_per_edge_reference():
         assert [(d.edge, d.faces, d.angle_class) for d in got] == [
             (d.edge, d.faces, d.angle_class) for d in want]
         assert [d.angle for d in got] == [d.angle for d in want]
+        # dihedrals sets its records as a build does: field for field what
+        # the constructor gives
+        for d in got:
+            public = assembly.Dihedral(d.edge, d.faces, d.angle, d.angle_class)
+            assert type(d) is assembly.Dihedral and vars(d) == vars(public)
+            assert d == public and hash(d) == hash(public)
     assert sum(d.angle is None for d in dihedrals(meshes[-2])) == 8
     normals = meshes[-1].normals
     assert assembly._dot(*normals[:2]) == assembly._dot(*normals[2:]) == (-8, 0)
@@ -1228,17 +1234,38 @@ def test_walls_match_all_faces_reference(target):
 
 
 # how the build decides each face: (shared whole, a wall by index; no tile
-# vertex above its plane, boundary; the rest, by the coverage test), and how
-# many points it packs, its tiles' vertices alone
-FACES_DECIDED = {"d1": ((96, 36, 20), 23), "i1": ((44, 20, 0), 12), "E": ((4, 6, 2), 6),
-                 "C": ((4, 8, 0), 6), "T1": ((12, 12, 0), 8), "T2": ((2, 6, 0), 5),
-                 "T3": ((4, 8, 0), 6), "T3bar": ((4, 8, 0), 6), "T4": ((4, 8, 0), 6)}
+# vertex above its plane, boundary; the rest, by the coverage test), how
+# many points it packs, its tiles' vertices alone, and the rule that decided
+# it (assembly's module docstring): the face-to-face certificate, the convex
+# certificate after the pairwise tests, or the pairwise and coverage tests
+FACES_DECIDED = {"d1": ((96, 36, 20), 23, "convex"), "i1": ((44, 20, 0), 12, "face-to-face"),
+                 "E": ((4, 6, 2), 6, "coverage"), "C": ((4, 8, 0), 6, "face-to-face"),
+                 "T1": ((12, 12, 0), 8, "face-to-face"), "T2": ((2, 6, 0), 5, "face-to-face"),
+                 "T3": ((4, 8, 0), 6, "face-to-face"), "T3bar": ((4, 8, 0), 6, "face-to-face"),
+                 "T4": ((4, 8, 0), 6, "face-to-face")}
+# the pairwise stages each rule runs
+_RULE_CALLS = {"face-to-face": [], "convex": ["_overlaps"], "coverage": ["_overlaps", "_walls"]}
+
+
+def _decided(target):
+    """The rule that decided assembly._build(target), read from the pairwise
+    stages it ran, and the build, or the AssemblyError it raised."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_overlaps", "_walls"):
+            stage = getattr(assembly, name)
+            m.setattr(assembly, name, lambda *a, _f=stage, _n=name: calls.append(_n) or _f(*a))
+        try:
+            got = assembly._build(target)
+        except AssemblyError as exc:
+            return calls, exc
+    return next(rule for rule, want in _RULE_CALLS.items() if calls == want), got
 
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
     # the slot count of each _Slots the build makes: its points, then the
-    # faces left for the coverage test, if any
+    # faces left for the coverage test, if it runs
     packed, init = [], assembly._Slots.__init__
 
     def counted(self, points, n):
@@ -1246,19 +1273,158 @@ def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
         init(self, points, n)
 
     monkeypatch.setattr(assembly._Slots, "__init__", counted)
-    a = assembly._build(target)
+    rule, a = _decided(target)
     signs = _free_planes(np.stack([t.exact for t in a.tiles]))[-1]
     corners = [_point_set(_face(t, g)) for t in a.tiles for g in range(4)]
     shared = Counter(corners)
     by_index = [shared[c] == 2 for c in corners]
     supporting = [not i and s for i, s in zip(by_index, (signs <= 0).all(axis=2).ravel())]
     counts = (sum(by_index), sum(supporting), len(corners) - sum(by_index) - sum(supporting))
-    assert (counts, packed[0]) == FACES_DECIDED[target]
+    assert (counts, packed[0], rule) == FACES_DECIDED[target]
     assert packed[0] == len({p for t in a.tiles for p in t.exact})
-    assert packed[1:] == ([counts[2]] if counts[2] else [])
+    assert packed[1:] == ([counts[2]] if rule == "coverage" else [])
     # a face with no vertex above it is boundary
     boundary = Counter(_point_set(f.corners) for f in a.boundary_triangles)
     assert all(boundary[c] for c, s in zip(corners, supporting) if s)
+
+
+def _general_path(a):
+    """The pairwise tests on a build's face table: the overlapping pairs and
+    each face's wall flag, as the build decides them when no certificate holds."""
+    points, faces, _, _ = a._faces
+    planes = assembly._planes(points, faces)
+    vert_ids = [[points.index(p) for p in t.exact] for t in a.tiles]
+    return assembly._overlaps(points, vert_ids, planes), assembly._walls(points, faces, planes)
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_certified_builds_agree_with_the_pairwise_tests(target):
+    # where a certificate decided, the pairwise tests find no overlap and the
+    # same walls (test_walls_match_all_faces_reference runs the coverage test
+    # on every face)
+    a = assembly._build(target)
+    assert _general_path(a) == ([], list(a._faces.is_wall))
+
+
+def _pt(x, y, z):
+    return (x, 0), (y, 0), (z, 0)
+
+
+# the cube [0, 4]^3 and its two five-tile triangulations: a regular tile on
+# one set of alternate corners, and one corner tile at each other corner;
+# their boundaries split every square along opposite diagonals
+_CUBE = {f"c{i}{j}{k}": _pt(4 * i, 4 * j, 4 * k) for i in (0, 1) for j in (0, 1) for k in (0, 1)}
+
+
+def _cube_half(parity):
+    inner = [c for c in _CUBE if sum(map(int, c[1:])) % 2 == parity]
+    corners = [c for c in _CUBE if c not in inner]
+    return [("t1", tuple(inner))] + [
+        ("t1", (c, *[v for v in inner if sum(a != b for a, b in zip(c, v)) == 1]))
+        for c in corners]
+
+
+def test_certificates_fall_back(monkeypatch):
+    # lists no certificate proves end as the pairwise tests end: a duplicated
+    # tile (four faces on the same points wound the same way round), a tile
+    # and a two-tile split of it, and the cube covered twice, where the first
+    # lone face's centroid lies on the other cover's diagonal
+    coords, tets, subset = assembly._SOURCES["T2"]
+    t2 = tets[subset[0]]
+    split = {"o": _pt(0, 0, 0), "x": _pt(4, 0, 0), "y": _pt(0, 4, 0), "z": _pt(0, 0, 4),
+             "m": _pt(2, 0, 0)}
+    cases = [(coords, [t2, t2], ("t2-0", "t2-1")),
+             (split, [("t1", tuple("oxyz")), ("t1", tuple("omyz")), ("t1", tuple("mxyz"))],
+              ("t1-0", "t1-1")),
+             (_CUBE, _cube_half(0) + _cube_half(1), ("t1-0", "t1-5"))]
+    for points, wiring, (a, b) in cases:
+        monkeypatch.setitem(assembly._SOURCES, "T2", (points, wiring, None))
+        rule, got = _decided("T2")
+        assert rule == ["_overlaps"]
+        assert str(got) == f"T2: tiles {a} and {b} overlap"
+    # each cover alone is face to face, its squares fused from two triangles
+    for parity in (0, 1):
+        monkeypatch.setitem(assembly._SOURCES, "T2", (_CUBE, _cube_half(parity), None))
+        rule, got = _decided("T2")
+        assert rule == "face-to-face" and _general_path(got) == ([], list(got._faces.is_wall))
+        assert sorted(map(len, got.mesh.faces)) == [4] * 6
+    # the double cover's lone faces close up, each edge of the cube twice
+    # each way, and enclose the tiles' volume: only the once-per-edge check
+    # refuses it
+    a = [assembly.PlacedTile("t1", [_CUBE[c] for c in labs]) for _, labs in
+         _cube_half(0) + _cube_half(1)]
+    points = list(_CUBE.values())
+    faces = [tuple(points.index(t.exact[i]) for i in f) for t in a for f in t.faces]
+    signed = [assembly._parity(t.exact) for t in a]
+    volume = tuple(sum(parity * triple[i] for parity, triple in signed) for i in (0, 1))
+    assert assembly._convex(points, faces, assembly._planes(points, faces), volume) is None
+
+
+def test_convex_certificate_needs_the_volume(monkeypatch):
+    # d1 without one of its tiles that touch no hull face: the hull closes up
+    # but encloses more than the tiles, so the coverage test decides, and the
+    # faces around the hole are boundary
+    coords, tets, _ = assembly._SOURCES["d1"]
+    d1 = assemble("d1")
+    owners = {f.owner for f in d1.boundary_triangles}
+    inner = [k for k, t in enumerate(d1.tiles) if t.name not in owners]
+    assert len(inner) == 16
+    monkeypatch.setitem(assembly._SOURCES, "d1", (coords, tets[:inner[0]] + tets[inner[0] + 1:],
+                                                  None))
+    rule, got = _decided("d1")
+    assert rule == "coverage" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert len(got.boundary_triangles) == len(d1.boundary_triangles) + 4
+
+
+def _translated(p, shift):
+    return tuple((a + x, b + y) for (a, b), (x, y) in zip(p, shift))
+
+
+# a translation far beyond the wiring's coordinates: doubled pairs, every entry even
+_FAR = ((2 * 10**20 + 6, -(4 * 10**19)), (-(2 * 10**20), 2), (8, 2 * 10**20 + 2))
+
+
+@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
+def test_translation_commutes_with_the_build(monkeypatch, target):
+    want = _decided(target)
+    coords, tets, subset = assembly._SOURCES[target]
+    monkeypatch.setitem(assembly._SOURCES, target, (
+        {lab: _translated(p, _FAR) for lab, p in coords.items()}, tets, subset))
+    got = _decided(target)
+    assert got[0] == want[0]
+    got, want = got[1], want[1]
+    assert [t.exact for t in got.tiles] == [tuple(_translated(p, _FAR) for p in t.exact)
+                                            for t in want.tiles]
+    for faces in ("walls", "boundary_triangles"):
+        assert ([(f.owner, f.corners) for f in getattr(got, faces)] ==
+                [(f.owner, tuple(_translated(p, _FAR) for p in f.corners))
+                 for f in getattr(want, faces)])
+    assert got.mesh.exact == tuple(_translated(p, _FAR) for p in want.mesh.exact)
+    for field in ("faces", "provenance", "edge_faces", "normals"):
+        assert getattr(got.mesh, field) == getattr(want.mesh, field)
+
+
+def test_far_apart_copies_build_as_each_alone(monkeypatch):
+    # i1 and a far copy of it: neither certificate holds, so the pairwise
+    # tests run, and each copy's faces and hull come out as they do alone
+    want = assemble("i1")
+    coords, tets, _ = assembly._SOURCES["i1"]
+    far = {lab + "'": _translated(p, _FAR) for lab, p in coords.items()}
+    monkeypatch.setitem(assembly._SOURCES, "i1", (
+        {**coords, **far}, tets + [(kind, tuple(lab + "'" for lab in labs)) for kind, labs in tets],
+        None))
+    rule, got = _decided("i1")
+    assert rule == "coverage"
+    assert got._faces.is_wall == want._faces.is_wall * 2
+    for faces in ("walls", "boundary_triangles"):
+        corners = [f.corners for f in getattr(want, faces)]
+        assert [f.corners for f in getattr(got, faces)] == corners + [
+            tuple(_translated(p, _FAR) for p in c) for c in corners]
+    n = len(want.mesh.exact)
+    assert got.mesh.exact == want.mesh.exact + tuple(_translated(p, _FAR) for p in want.mesh.exact)
+    assert got.mesh.faces == want.mesh.faces + tuple(tuple(i + n for i in f)
+                                                     for f in want.mesh.faces)
+    assert got.mesh.normals == want.mesh.normals * 2
 
 
 def _beyond(face: assembly.TriangleFace, opposite) -> tuple:
