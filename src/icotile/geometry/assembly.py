@@ -9,32 +9,39 @@ by cancelling the edges they share.
 A build packs its tiles' points P alone and first tries two exact
 certificates that its tiles fill conv P, running the pairwise tests only
 where neither holds.  Faces are grouped by their three points; a face is
-supporting when no point of P lies above its plane.
+lone when no other face has its points, and supporting when no point of P
+lies above its plane.
 
-Face to face (i1, the composites but E): each group is one face or two
-wound opposite ways, each lone face is supporting, and the first lone
-face's centroid lies in no other closed lone face of its plane.  Opposite
-faces cancel, so the boundary of the sum of the tiles is the sum S of the
-lone faces, an outward 2-cycle on the boundary of conv P: m times it.  The
-number of tiles holding a point off all faces is the winding number of S
-about it, m inside conv P and 0 outside, and at the centroid S is one face:
-m = 1.  So pairs are walls and lone faces boundary, with no pair tested.
+Face to face (d1, i1, the composites but E): each group is one face or two
+wound opposite ways; on each plane of the lone faces with points above it,
+each directed edge of theirs appears as often as its reverse; and the first
+supporting lone face's centroid lies in no other closed supporting lone
+face of its plane.  Opposite faces cancel, so the boundary of the sum of
+the tiles is the sum of the lone faces.  On a plane with points above, the
+signed number of its faces over a point changes across an edge by the
+edge's net multiplicity, 0, and is 0 far off: they sum to 0.  So it is
+the sum S of the supporting lone faces, an outward 2-cycle on the boundary
+of conv P: m times it.  The number of tiles holding a point off all faces
+is the winding number of S about it, m inside conv P and 0 outside, and at
+the centroid S is one face: m = 1.  So pairs are walls, supporting lone
+faces boundary, and other lone faces, points of P on both sides and their
+relative interiors inside conv P, walls (d1's 20: 5 quadrilaterals split
+along different diagonals on their two sides), with no pair tested.
 
-Convex (d1), once the pairwise tests find the tiles apart: the supporting
-faces' directed edges each appear once, each with its reverse, and their
-n.c (n = (q - p) x (r - p), c a corner) sum to the tiles' |triple|s.  They
-are then a 2-cycle on the boundary of conv P, m times it, enclosing m
-vol(conv P) = the tiles' volume <= vol(conv P): m = 1, the union is conv P,
-and any other face, with points on both sides, has its centroid inside: a
-wall.
+Convex (no target; say, contact planes with T-junctions), once the pairwise
+tests find the tiles apart: the supporting faces' directed edges each
+appear once, each with its reverse, and their n.c (n = (q - p) x (r - p), c
+a corner) sum to the tiles' |triple|s.  They are then a 2-cycle on the
+boundary of conv P, m times it, enclosing m vol(conv P) = the tiles' volume
+<= vol(conv P): m = 1, the union is conv P, and any other face, with points
+on both sides, has its centroid inside: a wall.
 
 Else (E, any other list): a face whose three points are also a face of
 another tile is a wall by index, a supporting face is boundary, and any
 other face takes a coverage test: it is on the boundary iff its centroid
 pushed an infinitesimal distance outward along its normal lies in no
-tetrahedron.  Matching alone would misread the quadrilateral contact walls
-whose two sides are triangulated along different diagonals (20 of d1's 116
-walls).
+tetrahedron.  Matching alone would misread a contact wall whose two sides
+are triangulated differently.
 
 A build hands on the facts it has decided rather than deriving them again.
 Its tiles take the points it has read, with their kinds and parities
@@ -676,19 +683,27 @@ def _face_to_face(points, faces, planes: _Planes) -> list[bool] | None:
     lone = [j for j, n in size.items() if n == 1]  # in order, each its group's first
     rows = _fill(points, faces, planes, lone).rows
     if any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
-           for k, j in enumerate(first) if j != k) or any(rows[k][1] for k in lone):
+           for k, j in enumerate(first) if j != k):
         return None
-    # the first lone face's corner sum s, 3x its centroid, against each other
-    # lone face of its plane with corners tripled: s is on the inner side of
+    # the lone faces with points above, keyed by the points off their plane (one key
+    # per unoriented plane): on each, every directed edge as often as its reverse
+    cut = [(sum(rows[k]), faces[k]) for k in lone if rows[k][1]]
+    if cut:
+        edges = Counter([(key, f[i - 1], f[i]) for key, f in cut for i in range(3)])
+        if any(edges[key, v, u] != n for (key, u, v), n in edges.items()):
+            return None
+    # the first supporting face's corner sum s, 3x its centroid, against each other
+    # supporting face of its plane with corners tripled: s is on the inner side of
     # an edge u -> v iff n.((v - u) x (s - u)) >= 0
-    for k in lone[1:]:
-        if rows[k] == rows[lone[0]]:
-            s = _vsum(points[i] for i in faces[lone[0]])
+    hull = [k for k in lone if not rows[k][1]]
+    for k in hull[1:]:
+        if rows[k] == rows[hull[0]]:
+            s = _vsum(points[i] for i in faces[hull[0]])
             p, q, r = (_vsum((points[i],) * 3) for i in faces[k])
             if all(pair_sign(*_dot(planes.normals[k], _normal(u, v, s))) >= 0
                    for u, v in ((p, q), (q, r), (r, p))):
                 return None
-    return [size[j] > 1 for j in first]
+    return [size[j] > 1 or rows[k][1] != 0 for k, j in enumerate(first)]
 
 
 def _convex(points, faces, planes: _Planes, volume) -> list[bool] | None:

@@ -273,6 +273,7 @@ def test_output_path_under_a_file_is_usage_error(runner, tmp_path, monkeypatch, 
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert "Error: cannot write afile/" in res.output
+    assert ": afile is not a directory\n" in res.output
     assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
 
 

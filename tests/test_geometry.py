@@ -1234,11 +1234,12 @@ def test_walls_match_all_faces_reference(target):
 
 
 # how the build decides each face: (shared whole, a wall by index; no tile
-# vertex above its plane, boundary; the rest, by the coverage test), how
-# many points it packs, its tiles' vertices alone, and the rule that decided
-# it (assembly's module docstring): the face-to-face certificate, the convex
-# certificate after the pairwise tests, or the pairwise and coverage tests
-FACES_DECIDED = {"d1": ((96, 36, 20), 23, "convex"), "i1": ((44, 20, 0), 12, "face-to-face"),
+# vertex above its plane, boundary; the rest, walls where their planes'
+# edges cancel, else by the coverage test), how many points it packs, its
+# tiles' vertices alone, and the rule that decided it (assembly's module
+# docstring): the face-to-face certificate, the convex certificate after the
+# pairwise tests, or the pairwise and coverage tests
+FACES_DECIDED = {"d1": ((96, 36, 20), 23, "face-to-face"), "i1": ((44, 20, 0), 12, "face-to-face"),
                  "E": ((4, 6, 2), 6, "coverage"), "C": ((4, 8, 0), 6, "face-to-face"),
                  "T1": ((12, 12, 0), 8, "face-to-face"), "T2": ((2, 6, 0), 5, "face-to-face"),
                  "T3": ((4, 8, 0), 6, "face-to-face"), "T3bar": ((4, 8, 0), 6, "face-to-face"),
@@ -1361,8 +1362,10 @@ def test_certificates_fall_back(monkeypatch):
 
 
 def test_convex_certificate_needs_the_volume(monkeypatch):
-    # d1 without one of its tiles that touch no hull face: the hull closes up
-    # but encloses more than the tiles, so the coverage test decides, and the
+    # d1 without one of its tiles that touch no hull face: the faces around
+    # the hole have points above them and their planes' edges do not cancel,
+    # so the face-to-face certificate refuses it; the hull closes up but
+    # encloses more than the tiles, so the coverage test decides, and the
     # faces around the hole are boundary
     coords, tets, _ = assembly._SOURCES["d1"]
     d1 = assemble("d1")
@@ -1374,6 +1377,72 @@ def test_convex_certificate_needs_the_volume(monkeypatch):
     rule, got = _decided("d1")
     assert rule == "coverage" and _general_path(got) == ([], list(got._faces.is_wall))
     assert len(got.boundary_triangles) == len(d1.boundary_triangles) + 4
+
+
+def _kuhn(origin, steps):
+    """The six tiles of a box around its diagonal from origin, one per order
+    of the three edge steps, as (kind, labels) over _grid's labels."""
+    out = []
+    for order in itertools.permutations(steps):
+        corners = [origin]
+        for step in order:
+            corners.append(tuple(map(sum, zip(corners[-1], step))))
+        out.append(("t1", tuple(map(_grid, corners))))
+    return out
+
+
+def _grid(p):
+    return "g" + ",".join(map(str, p))
+
+
+# the cube [0, 4]^3 cut at x = 2, each half Kuhn-triangulated: the left half
+# splits the cut square along (2, 0, 0)-(2, 4, 4), the right half along
+# (2, 4, 0)-(2, 0, 4)
+_CUT_CUBE = ({_grid((x, y, z)): _pt(x, y, z) for x in (0, 2, 4) for y in (0, 4) for z in (0, 4)},
+             _kuhn((0, 0, 0), ((2, 0, 0), (0, 4, 0), (0, 0, 4)))
+             + _kuhn((2, 4, 0), ((2, 0, 0), (0, -4, 0), (0, 0, 4))))
+
+
+def test_contact_walls_cancelling_on_their_plane_are_face_to_face(monkeypatch):
+    # the cut square's four faces are lone and have points above them, and
+    # their directed edges cancel on its plane: the face-to-face certificate
+    # decides the cube with no pair tested, as the pairwise tests would
+    monkeypatch.setitem(assembly._SOURCES, "T2", (*_CUT_CUBE, None))
+    rule, got = _decided("T2")
+    assert rule == "face-to-face" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert (len(got.walls), len(got.boundary_triangles)) == (28, 20)
+    cut = [f.corners for f in got.walls if {p[0] for p in f.corners} == {(2, 0)}]
+    assert len(cut) == 4
+    assert sorted(map(len, got.mesh.faces)) == [4] * 6
+
+
+def test_t_junction_falls_back_to_the_convex_certificate(monkeypatch):
+    # a bipyramid over abc whose tile NSab is split at W on its axis NS: the
+    # planes NSa and NSb hold a T-junction, NS against NW and WS, so their
+    # edges do not cancel by index and the convex certificate decides
+    points = {"N": _pt(0, 0, 4), "S": _pt(0, 0, -4), "a": _pt(4, 0, 0), "b": _pt(-2, 4, 0),
+              "c": _pt(-2, -4, 0), "W": _pt(0, 0, 0)}
+    wiring = [("t1", tuple(labs)) for labs in ("NSbc", "NSca", "NWab", "WSab")]
+    monkeypatch.setitem(assembly._SOURCES, "T2", (points, wiring, None))
+    rule, got = _decided("T2")
+    assert rule == "convex" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert (len(got.walls), len(got.boundary_triangles)) == (10, 6)
+
+
+def test_edges_must_cancel_by_direction(monkeypatch):
+    # the cube [0, 8]^3 in five tiles and, inside it, the cube [2, 6]^3 in
+    # both of its five-tile covers: on each face plane of the inner cube the
+    # covers' faces meet every edge twice, both times the same way round, and
+    # all the directed edges cancel only across planes; the certificate
+    # refuses it and the pairwise tests find the overlap
+    outer = {"o" + lab[1:]: tuple((2 * a, 2 * b) for a, b in p) for lab, p in _CUBE.items()}
+    inner = {lab: _translated(p, _pt(2, 2, 2)) for lab, p in _CUBE.items()}
+    wiring = ([(kind, tuple("o" + lab[1:] for lab in labs)) for kind, labs in _cube_half(0)]
+              + _cube_half(0) + _cube_half(1))
+    monkeypatch.setitem(assembly._SOURCES, "T2", ({**outer, **inner}, wiring, None))
+    rule, got = _decided("T2")
+    assert rule == ["_overlaps"]
+    assert str(got) == "T2: tiles t1-0 and t1-5 overlap"
 
 
 def _translated(p, shift):
