@@ -462,14 +462,8 @@ def expand_to_fundamental(inv) -> dict[TileKind, int]:
 def total_volume(inv) -> GoldenRational:
     """Exact sum of count * volume over a tile multiset, normalised once."""
     counts = _as_counts(inv)
-    return _volume_dot(counts, counts.values())
-
-
-def _volume_dot(kinds, counts) -> GoldenRational:
-    """total_volume of parallel sequences of TileKind members and counts
-    already checked: one dot product with the common-denominator table."""
-    return GoldenRational(sum(map(mul, counts, map(_VOLUME_A.__getitem__, kinds))),
-                          sum(map(mul, counts, map(_VOLUME_B.__getitem__, kinds))),
+    return GoldenRational(sum(map(mul, counts.values(), map(_VOLUME_A.__getitem__, counts))),
+                          sum(map(mul, counts.values(), map(_VOLUME_B.__getitem__, counts))),
                           _VOLUME_DEN)
 
 

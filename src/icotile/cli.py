@@ -89,8 +89,8 @@ def _write(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
-        # a parent that is a file reads "File exists" or "Not a directory": name it
-        file = next((p for p in reversed(path.parents) if p.is_file()), None)
+        # a parent that is not a directory reads "File exists" or "Not a directory": name it
+        file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
         reason = f"{file} is not a directory" if file else exc.strerror or exc
         raise click.UsageError(f"cannot write {path}: {reason}")
 

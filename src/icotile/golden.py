@@ -231,11 +231,11 @@ def _lucas_pair(n: int) -> tuple[int, int]:
     """(F(n), L(n)), n >= 0, doubling from the top bit of n: F(2k) = F(k)*L(k)
     and L(2k) = L(k)^2 - 2(-1)^k cost one product and one square, and a set
     bit steps to F(k+1) = (F + L)/2, L(k+1) = (5F + L)/2."""
-    f, l, sign = 0, 2, 1  # F(k), L(k), (-1)^k
+    f, l, s = 0, 2, 2  # F(k), L(k), 2(-1)^k
     for bit in bin(n)[2:]:
-        f, l, sign = f * l, l * l - 2 * sign, 1
+        f, l, s = f * l, l * l - s, 2
         if bit == "1":
-            f, l, sign = (f + l) >> 1, (5 * f + l) >> 1, -1
+            f, l, s = (f + l) >> 1, (5 * f + l) >> 1, -2
     return f, l
 
 

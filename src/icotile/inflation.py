@@ -25,13 +25,14 @@ char_poly()) and bars for Galois conjugates,
     M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
 
 so each entry is a sum of two Galois traces, and one Lucas-pair doubling
-gives tau^n, and its tripling tau^(3n).  Entry j of c * M^n is the four
-coefficients of tau^(3n) and tau^n times the four dot products of c with
-column j's integer weights (each a sum(map(mul, ...)) over four small
-ints), divided exactly by one common denominator: per count vector,
-sixteen big-integer products, their sums and four exact divisions.
-A count vector's volume is one dot product with the catalog's table of
-tile volumes over a common denominator.
+gives tau^n, and its tripling tau^(3n).  A count vector c is checked once,
+on entry; its sixteen dot products with a flat table of integer weights
+are taken in one pass over small ints, and with d0..d3 the four of column
+j, entry j is q3*d0 + p3*d1 + q1*d2 + p1*d3 over one common denominator,
+one checked division, where q3 + p3*tau = tau^(3n) and q1 + p1*tau =
+tau^n.  The result, nonnegative as c and M are, is not checked again.  A
+count vector's volume is one dot product with the (T1..T4) row of the
+catalog's common-denominator volume table.
 
 The module also carries a ledger: specific inflations of single tiles
 whose count vectors regroup into whole unit dodecahedra d(1) and
@@ -47,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from math import lcm
-from operator import add, index, mul
+from operator import add, index
 from typing import NamedTuple
 
-from .catalog import TileKind, _volume_dot, inventory, record
+from .catalog import _VOLUME_A, _VOLUME_B, _VOLUME_DEN, TileKind, inventory, record
 from .golden import TAU, GoldenRational, _lucas_pair, conj, embed, tau_pow
 
 __all__ = [
@@ -82,6 +83,9 @@ _M_ROWS = ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 1))
 # the eigenvalues of M in decreasing absolute value: tau^3, tau, sigma, sigma^3
 _SPECTRUM = (tau_pow(3), TAU, conj(TAU), conj(tau_pow(3)))
 
+# the catalog's volumes of (T1, T2, T3, T4): V_Ti = (a[i] + b[i]*tau) / _VOLUME_DEN
+_VOLUME_ROW = tuple(tuple(v[k] for k in COMPOSITE_ORDER) for v in (_VOLUME_A, _VOLUME_B))
+
 
 @dataclass(frozen=True)
 class CountVector:
@@ -108,7 +112,10 @@ class CountVector:
 
     def total_volume(self) -> GoldenRational:
         """catalog.total_volume of these counts, read as (T1, T2, T3, T4)."""
-        return _volume_dot(COMPOSITE_ORDER, self.c)
+        c0, c1, c2, c3 = self.c
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = _VOLUME_ROW
+        return GoldenRational(c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3,
+                              c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3, _VOLUME_DEN)
 
     def __iter__(self):
         return iter(self.c)
@@ -151,7 +158,7 @@ class InflationMatrix:
 
     def power(self, n: int):
         """M^n: the four unit rows of inflate_counts; entries grow like tau^(3n)."""
-        return _inflate(_IDENT, n)
+        return tuple(_inflate(_IDENT, n))
 
     @property
     def det(self) -> int:
@@ -167,31 +174,32 @@ M = InflationMatrix()
 
 
 def inflate_counts(c: CountVector, n: int) -> CountVector:
-    """Row convention: a patch with counts c inflates to c * M^n."""
-    return CountVector(_inflate((c,), n)[0])
+    """Row convention: counts c inflate to c * M^n; c is checked once (module docstring)."""
+    if not isinstance(c, CountVector):
+        c = CountVector(c)
+    out = object.__new__(CountVector)
+    out.__dict__["c"] = _inflate((c.c,), n)[0]
+    return out
 
 
-def _inflate(vectors, n: int) -> tuple[tuple[int, ...], ...]:
-    """c * M^n for each count vector c in closed form (module docstring),
-    with tau^(3n) and tau^n from _tau_powers.  With tau^m = q + p*tau, the
-    trace of tau^m * D*E[i][j] is q*u + p*v (_SpectralParts.columns), so
-    entry j is the four tau-power coefficients times the four dot products
-    of c with the column's weights, over D, a division checked to be exact."""
+def _inflate(vectors, n: int) -> list[tuple[int, int, int, int]]:
+    """c * M^n for each 4-tuple of counts c (module docstring): the trace of
+    tau^m * D*E[i][j], tau^m = q + p*tau, is q*u + p*v (_SpectralParts.weights)."""
     if n < 0:
         raise ValueError("negative inflation order")
     parts = _spectral_parts(_M_ROWS)
     q3, p3, q1, p1 = _tau_powers(n)
-    den, rows = parts.den, []
-    for c in map(tuple, vectors):
-        row = []
-        for u3, v3, u1, v1 in parts.columns:
-            x, r = divmod(q3 * sum(map(mul, c, u3)) + p3 * sum(map(mul, c, v3))
-                          + q1 * sum(map(mul, c, u1)) + p1 * sum(map(mul, c, v1)), den)
-            if r:
-                raise ArithmeticError(f"entry of c * M^{n} is not an integer")
-            row.append(x)
-        rows.append(tuple(row))
-    return tuple(rows)
+    den, weights, rows = parts.den, parts.weights, []
+    for c0, c1, c2, c3 in vectors:
+        d = [c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3 for w0, w1, w2, w3 in weights]
+        x0, r0 = divmod(q3 * d[0] + p3 * d[1] + q1 * d[2] + p1 * d[3], den)
+        x1, r1 = divmod(q3 * d[4] + p3 * d[5] + q1 * d[6] + p1 * d[7], den)
+        x2, r2 = divmod(q3 * d[8] + p3 * d[9] + q1 * d[10] + p1 * d[11], den)
+        x3, r3 = divmod(q3 * d[12] + p3 * d[13] + q1 * d[14] + p1 * d[15], den)
+        if r0 or r1 or r2 or r3:
+            raise ArithmeticError(f"entry of c * M^{n} is not an integer")
+        rows.append((x0, x1, x2, x3))
+    return rows
 
 
 def _tau_powers(n: int) -> tuple[int, int, int, int]:
@@ -233,20 +241,18 @@ def format_poly(coeffs) -> str:
         deg = len(coeffs) - 1 - k
         power = "" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
         mag = str(abs(c)) if abs(c) != 1 or deg == 0 else ""
-        if terms:
-            terms.append(f"{'-' if c < 0 else '+'} {mag}{power}")
-        else:
-            terms.append(f"{'-' if c < 0 else ''}{mag}{power}")
+        sign = ("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")
+        terms.append(f"{sign}{mag}{power}")
     return " ".join(terms) if terms else "0"
 
 
 class _SpectralParts(NamedTuple):
     projector: tuple[tuple[GoldenRational, ...], ...]  # E3
     den: int  # D, the lcm of the denominators of E3 and E1
-    # columns[j] = (u3, v3, u1, v1), each over the rows i: with D*E[i][j] =
-    # a + b*tau, u[i] = 2a + b and v[i] = a + 3b, as the trace of
-    # (q + p*tau)(a + b*tau) is q*(2a + b) + p*(a + 3b)
-    columns: tuple[tuple[tuple[int, ...], ...], ...]
+    # weights[4j:4j + 4] = (u3, v3, u1, v1) of column j, each over the rows
+    # i: with D*E[i][j] = a + b*tau, u[i] = 2a + b and v[i] = a + 3b, as the
+    # trace of (q + p*tau)(a + b*tau) is q*(2a + b) + p*(a + 3b)
+    weights: tuple[tuple[int, int, int, int], ...]
 
 
 @cache
@@ -278,8 +284,8 @@ def _spectral_parts(rows) -> _SpectralParts:
         ab = [(x.a * (den // x.den), x.b * (den // x.den)) for x in column]
         return tuple(2 * a + b for a, b in ab), tuple(a + 3 * b for a, b in ab)
 
-    columns = tuple(weights(c3) + weights(c1) for c3, c1 in zip(zip(*e3), zip(*e1)))
-    return _SpectralParts(e3, den, columns)
+    flat = tuple(w for c3, c1 in zip(zip(*e3), zip(*e1)) for w in weights(c3) + weights(c1))
+    return _SpectralParts(e3, den, flat)
 
 
 def composite_volumes() -> tuple[GoldenRational, ...]:
@@ -436,7 +442,7 @@ def verify_decomposition(d: Decomposition) -> VerifyReport:
     volumes = _by_order((*_volume_base(p), p.count) for p in d.parts)
     rows = (_inflate((c,), m)[0] for m, c in counts.items())
     total = tuple(map(sum, zip(_ZERO_COUNTS, *rows)))
-    vol_parts = sum((tau_pow(3 * m) * _volume_dot(COMPOSITE_ORDER, c)
+    vol_parts = sum((tau_pow(3 * m) * CountVector(c).total_volume()
                      for m, c in volumes.items()), GoldenRational(0))
     vol_target = tau_pow(3 * d.order) * d.target_base.total_volume()
     return VerifyReport(total == d.target_counts().c, vol_parts == vol_target)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from decimal import Decimal
@@ -275,6 +276,14 @@ def test_output_path_under_a_file_is_usage_error(runner, tmp_path, monkeypatch, 
     assert "Error: cannot write afile/" in res.output
     assert ": afile is not a directory\n" in res.output
     assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+    # a FIFO parent, which mkdir meets as "File exists", is named as well
+    (tmp_path / "afile").unlink()
+    os.mkfifo(tmp_path / "afile")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert "Error: cannot write afile/" in res.output
+    assert ": afile is not a directory\n" in res.output
+    assert stat.S_ISFIFO((tmp_path / "afile").stat().st_mode)
 
 
 def test_verify_passing_subset(runner):

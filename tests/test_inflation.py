@@ -97,6 +97,36 @@ def test_inflate_counts_rejects_negative_order():
         inflation.inflate_counts(inflation.D1_COUNTS, -1)
 
 
+@pytest.mark.parametrize("bad", [(1, 0, 0), (-1, 5, 0, 0), (0, -1, 3, 0), (1.0, 0, 0, 0)])
+def test_inflate_counts_rejects_malformed_counts(bad):
+    """A short, negative or float count vector raises what CountVector(bad)
+    raises at every order, also where its product with M^n would be a
+    nonnegative 4-vector (the dot products of (1, 0, 0) stop after three)."""
+    with pytest.raises((TypeError, ValueError)) as want:
+        inflation.CountVector(bad)
+    for n in (0, 1, 3, 1000):
+        with pytest.raises(want.type, match=str(want.value)):
+            inflation.inflate_counts(bad, n)
+    for n in (0, 1, 3, 1000):
+        got = inflation.inflate_counts([0, 1, 0, 0], n)
+        assert got == inflation.inflate_counts(inflation.CountVector.unit(1), n)
+        assert type(got.c) is tuple and all(type(x) is int for x in got.c)
+
+
+def test_inflate_counts_returns_a_plain_record():
+    """The result is set without a second check: it equals, hashes and
+    reprs like the CountVector its entries would make."""
+    for base in inflation.BASES.values():
+        for n in (0, 1, 1000):
+            got = inflation.inflate_counts(base, n)
+            want = inflation.CountVector(got.c)
+            assert type(got) is inflation.CountVector
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert got.total_volume() == want.total_volume()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.c = want.c
+
+
 def test_total_volume_matches_sum_of_products():
     """One dot product with the common-denominator table against the
     GoldenRational products it replaced: an Inventory, str- and
