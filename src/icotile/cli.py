@@ -7,7 +7,6 @@ report.  Every command accepts --json for machine output.  Exit codes:
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +40,8 @@ def canonical_json(obj) -> str:
     """Deterministic JSON text: 2-space indent, floats at 17 significant
     digits, keys in construction order.  Parsing then re-emitting the
     result reproduces it byte for byte."""
+    import json
+
     memo: dict = {}  # the text of each str and nonzero float; zeros in _ZERO_TEXT
     get = memo.get
 
@@ -178,10 +179,11 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
 
     counts = inflation.inflate_counts(inflation.BASES[tile], order)
     volume = counts.total_volume()
-    big = embed_decimal(volume)
-    approx = float(big)
-    if math.isinf(approx):
+    try:
+        approx = embed(volume)
+    except OverflowError:
         # beyond float range: scientific-notation strings instead
+        big = embed_decimal(volume)
         approx, approx_text = format(big, ".16e"), format(big, ".7e")
     else:
         approx_text = f"{approx:.7f}"

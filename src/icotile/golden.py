@@ -10,15 +10,13 @@ a ring homomorphism; sqrt(5) itself is 2*tau - 1.  A GoldenRational is a
 numerator a + b*tau over a positive integer denominator, always reduced to
 canonical form (gcd of the three integers is 1), so equality is structural.
 
-Ordering never goes through floating point: the sign of a + b*tau is the
-sign of (2a+b) + b*sqrt(5), which is decided exactly by integer squaring.
+No value goes through floating point: integer squaring decides signs, and
+embed (embed_decimal) rounds exactly from an integer bracket, see _nearest.
 """
 
 from __future__ import annotations
 
-import decimal
-from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, inf, isqrt, log10
 from operator import index
 
 __all__ = [
@@ -42,7 +40,8 @@ def _as_golden(x) -> "GoldenRational":
         return x
     if isinstance(x, int):
         return GoldenRational(x, 0, 1)
-    if isinstance(x, Fraction):
+    import fractions
+    if isinstance(x, fractions.Fraction):
         return GoldenRational(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot interpret {type(x).__name__} as GoldenRational")
 
@@ -119,13 +118,11 @@ class GoldenRational:
     def __pow__(self, n: int) -> "GoldenRational":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
-        base = self
+        result, base = ONE, self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
-            n >>= 1
+            base, n = base * base, n >> 1
         return result
 
     __radd__ = __add__
@@ -146,9 +143,10 @@ class GoldenRational:
 
     def __hash__(self):
         # a rational value hashes like the int or Fraction it equals
-        if self.b == 0:
-            return hash(self.a) if self.den == 1 else hash(Fraction(self.a, self.den))
-        return hash((self.a, self.b, self.den))
+        if self.b or self.den == 1:
+            return hash((self.a, self.b, self.den) if self.b else self.a)
+        import fractions
+        return hash(fractions.Fraction(self.a, self.den))
 
     def __lt__(self, other):
         return (self - _as_golden(other)).sign() < 0
@@ -176,7 +174,8 @@ class GoldenRational:
 
     def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
         """(A, B) with self = A + B*tau."""
-        return Fraction(self.a, self.den), Fraction(self.b, self.den)
+        import fractions
+        return fractions.Fraction(self.a, self.den), fractions.Fraction(self.b, self.den)
 
     def __float__(self):
         return embed(self)
@@ -186,18 +185,11 @@ class GoldenRational:
 
     def __str__(self):
         a, b, d = self.a, self.b, self.den
-        if b == 0:
-            core = str(a)
-        elif a == 0:
-            core = f"{b}tau" if b not in (1, -1) else ("tau" if b == 1 else "-tau")
-        else:
-            bt = f"{abs(b)}tau" if abs(b) != 1 else "tau"
-            core = f"{a}{'+' if b > 0 else '-'}{bt}"
-        if d == 1:
-            return core
-        if "+" in core[1:] or "-" in core[1:]:
+        bt = {1: "tau", -1: "-tau"}.get(b, f"{b}tau")
+        core = str(a) if b == 0 else bt if a == 0 else f"{a}{'+' if b > 0 else ''}{bt}"
+        if d > 1 and ("+" in core[1:] or "-" in core[1:]):
             core = f"({core})"
-        return f"{core}/{d}"
+        return core if d == 1 else f"{core}/{d}"
 
 
 ZERO = GoldenRational(0)
@@ -215,11 +207,8 @@ def pair_sign(a: int, b: int) -> int:
         return 1 if p or b else 0
     if p <= 0 and b <= 0:
         return -1
-    # mixed signs: compare p^2 with 5 b^2
-    d = p * p - 5 * b * b
-    if p > 0:
-        return 1 if d > 0 else (-1 if d < 0 else 0)
-    return -1 if d > 0 else (1 if d < 0 else 0)
+    # mixed signs, so neither is 0 and p^2 != 5 b^2: the larger of |p|, |b|*sqrt5 wins
+    return 1 if (p * p > 5 * b * b) == (p > 0) else -1
 
 
 def conj(x: GoldenRational) -> GoldenRational:
@@ -256,59 +245,50 @@ def tau_pow(n: int) -> GoldenRational:
     return GoldenRational(s * ((f + l) >> 1), -s * f)
 
 
-_CTX = decimal.Context(prec=60)
-_ROOT5 = _CTX.sqrt(5)
+def _nearest(x: GoldenRational, k: int, rounded):
+    """rounded(n, e, d), once the ends n and n + w of the bracket n <= x*d/2^e
+    <= n + w share a sign and give one result.  With d = 2*den, x*d = p +
+    q*sqrt5 for p = 2a+b and q = b; cutting p and q to about k bits drops
+    under 1 + sqrt5 units, and isqrt(5q^2) under 1.  Else k doubles: an
+    irrational x is neither 0 nor a rounding boundary, so the loop ends."""
+    p, q, d = 2 * x.a + x.b, x.b, 2 * x.den
+    while True:
+        e = max(p.bit_length(), q.bit_length()) - k if q else 0
+        n, s, w = (p >> e, q >> e, 5) if e > 0 else (p << -e, q << -e, 1 if q else 0)
+        n += isqrt(5 * s * s) if s >= 0 else -isqrt(5 * s * s) - 1
+        if (end := rounded(n, e, d)) == rounded(n + w, e, d) and (n < 0) == (n + w < 0):
+            return end
+        k *= 2
 
 
-def _cut(x: int, y: int = 0) -> tuple[int, int, int]:
-    """x >> s, y >> s and s, for the least s >= 0 that leaves both within 256 bits."""
-    s = max(x.bit_length(), y.bit_length(), 256) - 256
-    return x >> s, y >> s, s
+def _float(n: int, e: int, d: int) -> float:
+    """n * 2^e/d, exactly rounded as int / int is, or +-inf."""
+    try:
+        return (n << e) / d if e >= 0 else n / (d << -e)
+    except OverflowError:
+        return inf if n > 0 else -inf
 
 
-def embed_decimal(x) -> decimal.Decimal:
-    """(a + b*(1+sqrt5)/2)/den as a 60-digit Decimal at any magnitude.
-
-    With p = 2a+b and q = b the value is (p + q*sqrt5)/(2*den).  If p and q
-    share a sign the sum is evaluated as written; if not, it would cancel,
-    so the exact integer norm p^2 - 5q^2 is divided by the conjugate
-    p - q*sqrt5, whose terms share a sign.  Only then are the integers cut
-    to 256 bits and the shifts put back as one power of two: each cut is
-    within 2^-255, a cut same-sign sum within 2^-253, below 2e-76 in all.
-    With no cancellation, the at most six roundings (sqrt5, fused
-    q*sqrt5 + p, product by 2*den, quotient, the power of two, the
-    product by it) of 5e-60 each leave a relative error below 4e-59,
-    10^42 times finer than a double's 2^-53 at any size of a and b.  The
-    exponent range is the default context's, +-999999.
-    """
-    x = _as_golden(x)
-    p, q = 2 * x.a + x.b, x.b
-    den, _, t = _cut(2 * x.den)
-    if p == 0 or q == 0 or (p > 0) == (q > 0):
-        p, q, s = _cut(p, q)
-        value = _CTX.divide(_CTX.fma(q, _ROOT5, p), den)
-    else:
-        (norm, _, s), (p, q, r) = _cut(p * p - 5 * q * q), _cut(p, q)
-        value = _CTX.divide(norm, _CTX.multiply(_CTX.fma(-q, _ROOT5, p), den))
-        s -= r
-    return _CTX.multiply(value, _CTX.power(2, s - t)) if s != t else value
+def _decimal(n: int, e: int, d: int) -> tuple[int, int]:
+    """(N, -t): N is the int nearest 10^t n * 2^e/d, and |N| > 5*10^59 or 0."""
+    t = 60 - floor((abs(n).bit_length() + e - d.bit_length()) * log10(2))
+    up, down = 10 ** max(t, 0) << max(e, 0), 10 ** max(-t, 0) * d << max(-e, 0)
+    return (2 * n * up + down) // (2 * down), -t
 
 
 def embed(x) -> float:
-    """Nearest float of (a + b*(1+sqrt5)/2)/den, rounded once from
-    embed_decimal when irrational.  Raises OverflowError outside the float range."""
+    """The float nearest x, exactly rounded; OverflowError outside the float range."""
     x = _as_golden(x)
-    a, b, den = x.a, x.b, x.den
-    if b == 0:
-        # plain rational: int / int is correctly rounded at any size
-        try:
-            return a / den
-        except OverflowError:
-            raise OverflowError("value out of float range")
-    f = float(embed_decimal(x))  # a Decimal beyond the float range gives +-inf
-    if f in (float("inf"), float("-inf")):
+    f = _nearest(x, 128, _float) if x.b else _float(x.a, 0, x.den)  # a rational is a/den
+    if f in (inf, -inf):
         raise OverflowError("value out of float range")
     return f
+
+
+def embed_decimal(x) -> "decimal.Decimal":
+    """x as a Decimal of 60 to 62 significant digits, nearest at its last, at any magnitude."""
+    import decimal
+    return decimal.Decimal("%dE%d" % _nearest(_as_golden(x), 256, _decimal))
 
 
 def exact_sqrt(x: GoldenRational) -> GoldenRational | None:

@@ -553,7 +553,8 @@ print(json.dumps({
                      "star_inflation": [True] * 4, "unknown": False}
 
 
-# the icotile modules one subcommand loads in a fresh interpreter, and its exit code
+# the icotile modules, and which of decimal, fractions and json, one
+# subcommand loads in a fresh interpreter, and its exit code
 _CORE = ["icotile", "icotile.catalog", "icotile.cli", "icotile.golden"]
 _GEOMETRY = ["icotile.geometry", "icotile.geometry._wiring", "icotile.geometry.assembly"]
 _SUBCOMMAND_LOADS = [
@@ -564,6 +565,12 @@ _SUBCOMMAND_LOADS = [
     (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_CORE + ["icotile.inflation"])),
     (["eigen"], 0, sorted(_CORE + ["icotile.inflation"])),
     (["ledger", "--verify"], 0, sorted(_CORE + ["icotile.inflation"])),
+    (["catalog", "--json"], 0, sorted(_CORE + ["json"])),
+    (["inflate", "--tile", "T2", "--order", "3", "--json"], 0,
+     sorted(_CORE + ["icotile.inflation", "json"])),
+    (["build", "--shape", "i1", "--json"], 0, sorted(_CORE + _GEOMETRY + ["json"])),
+    (["--max-order", "5000", "inflate", "--tile", "T2", "--order", "1000"], 0,
+     sorted(_CORE + ["decimal", "icotile.inflation"])),
 ]
 
 
@@ -571,7 +578,7 @@ _SUBCOMMAND_LOADS = [
                          ids=[" ".join(a) for a, _, _ in _SUBCOMMAND_LOADS])
 def test_subcommand_loads_only_its_layers(args, code, loaded):
     facts = _fresh_process(f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 from icotile.cli import main
 code = 0
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -579,8 +586,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         main({args!r})
     except SystemExit as exc:
         code = exc.code
-print(json.dumps({{"code": code, "loaded": sorted(
-    m for m in sys.modules if m == "icotile" or m.startswith("icotile."))}}))
+loaded = sorted(m for m in sys.modules if m == "icotile" or m.startswith("icotile.")
+                or m in ("decimal", "fractions", "json"))
+import json
+print(json.dumps({{"code": code, "loaded": loaded}}))
 """)
     assert facts == {"code": code, "loaded": loaded}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -317,6 +318,119 @@ def test_embed_decimal_cuts_large_denominators():
         got, want = embed_decimal(x), _embed_decimal_reference(x)
         assert float(got) == float(want), x
         assert format(got, ".16e") == format(want, ".16e"), x
+
+
+def _oracle(mpmath, x: GoldenRational):
+    """x as a 150-digit mpf, independent of golden's code: with p = 2a+b and
+    q = b it is (p + q*sqrt5)/(2*den), and when p and q*sqrt5 would cancel,
+    (p^2 - 5q^2)/(p - q*sqrt5), whose integer norm is exact."""
+    p, q = 2 * x.a + x.b, x.b
+    with mpmath.workdps(150):
+        root5 = mpmath.sqrt(5)
+        if (p > 0) == (q > 0) or p == 0 or q == 0:
+            num = mpmath.mpf(p) + mpmath.mpf(q) * root5
+        else:
+            num = mpmath.mpf(p * p - 5 * q * q) / (mpmath.mpf(p) - mpmath.mpf(q) * root5)
+        return num / (2 * x.den)
+
+
+def _oracle_float(mpmath, x: GoldenRational) -> float:
+    """The oracle rounded once to a float; inf beyond the float range.  float()
+    of an mpf rounds to 53 bits and then ldexp rounds a subnormal again, so
+    a subnormal is first rounded to the multiple of 2^-1074 it keeps."""
+    v = _oracle(mpmath, x)
+    with mpmath.workdps(150):
+        if abs(v) < mpmath.ldexp(1, -1022):
+            tiny = math.ldexp(int(mpmath.nint(mpmath.ldexp(v, 1074))), -1074)
+            return math.copysign(tiny, -1 if v < 0 else 1)
+        return float(v)
+
+
+def _oracle_cases() -> list[GoldenRational]:
+    rng = random.Random(41)
+    values = []
+    for _ in range(7000):  # random 4-1020-bit numerators, denominators up to 2^40
+        bits = rng.randint(4, 1020)
+        values.append(GoldenRational(rng.randint(-2**bits, 2**bits),
+                                     rng.randint(-2**bits, 2**bits) or 1,
+                                     rng.randint(1, 2**40)))
+    values += [GoldenRational(fibonacci(n - 1), -fibonacci(n)) for n in range(2, 1461)]
+    # F(n+1) - F(n)*tau = (-tau)^(-n): p and q*sqrt5 cancel in all but ~0.7 n bits;
+    # past n = 1550 the value underflows to a zero of sign (-1)^n
+    values += [GoldenRational(fibonacci(n + 1), -fibonacci(n)) for n in range(2, 1601)]
+    # over a ~1300-bit denominator, brackets that straddle 0 with both ends' floats 0
+    values += [GoldenRational(fibonacci(n + 1), -fibonacci(n), rng.getrandbits(1300) | 1)
+               for n in range(900, 1100)]
+    # straddling the largest float and the overflow threshold half an ulp above it
+    top = 2**1024 - 2**971
+    for center in (top, top + 2**970):
+        for _ in range(800):
+            den, b = rng.randint(1, 2**40), rng.getrandbits(rng.randint(2, 1060)) + 1
+            offset = rng.choice((-1, 1)) * rng.getrandbits(1024 - rng.randint(54, 400))
+            # b*tau = (b + b*sqrt5)/2 has floor (b + isqrt(5b^2)) // 2
+            a = center * den - (b + isqrt(5 * b * b)) // 2 + offset * den
+            sign = rng.choice((1, -1))
+            values.append(GoldenRational(sign * a, sign * b, den))
+    # the subnormal range, and below it
+    for _ in range(1500):
+        bits = rng.randint(4, 64)
+        values.append(GoldenRational(rng.randint(-2**bits, 2**bits),
+                                     rng.randint(-2**bits, 2**bits) or 1,
+                                     rng.getrandbits(rng.randint(1000, 1150)) + 1))
+    return values
+
+
+def test_embed_is_correctly_rounded_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    cases = _oracle_cases()
+    assert len(cases) >= 10**4
+    overflows = subnormals = 0
+    for x in cases:
+        want = _oracle_float(mpmath, x)
+        if math.isinf(want):
+            overflows += 1
+            with pytest.raises(OverflowError):
+                embed(x)
+        else:
+            subnormals += 0 < abs(want) < 2.0**-1022
+            got = embed(x)
+            assert got == want and math.copysign(1, got) == math.copysign(1, want), x
+    # both sides of the threshold and the subnormal range are reached
+    assert overflows > 300
+    assert subnormals > 300
+
+
+def test_nearest_brackets_the_value():
+    # each bracket n <= x*d/2^e <= n + w whose ends _nearest rounds, checked
+    # in integers: u + v*sqrt5 has the sign of pair_sign(u - v, 2v)
+    rng = random.Random(47)
+    values = [GoldenRational(fibonacci(n + 1), -fibonacci(n), 3) for n in range(2, 400, 7)]
+    values += [_random_gr(rng, span=10 ** rng.randint(1, 300), max_den=10**6) for _ in range(300)]
+    for x in (x for x in values if x.b):
+        p, q = 2 * x.a + x.b, x.b
+        for k in (2, 8, 64, 128, 1024):
+            ends = []
+            golden._nearest(x, k, lambda n, e, d: ends.append((n, e)))
+            for i, (n, e) in enumerate(ends):
+                u, v = (p - (n << e), q) if e >= 0 else ((p << -e) - n, q << -e)
+                assert pair_sign(u - v, 2 * v) == (1 if i % 2 == 0 else -1), (x, k, i)
+
+
+def test_embed_decimal_within_4e_59_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(43)
+    values = [tau_pow(n) for n in (1, -1, 200, -200, 5000, -5000, 60000, 191000, -191000)]
+    values += [GoldenRational(fibonacci(n + 1), -fibonacci(n), 12) for n in range(2, 1461, 37)]
+    for _ in range(300):
+        digits = rng.choice((rng.randint(1, 300), rng.randint(1, 40000)))
+        span = 10**digits
+        values.append(GoldenRational(rng.randint(-span, span), rng.randint(-span, span) or 1,
+                                     rng.randint(1, 10 ** rng.randint(1, 40))))
+    assert max(abs(embed_decimal(x)) for x in values) > Decimal("1e39000")
+    for x in values:
+        want = _oracle(mpmath, x)
+        with mpmath.workdps(150):
+            assert abs(mpmath.mpf(str(embed_decimal(x))) / want - 1) < mpmath.mpf("4e-59"), x
 
 
 def test_exact_sqrt():
