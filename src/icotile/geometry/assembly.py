@@ -4,37 +4,33 @@ assemble() instantiates a precomputed dissection (see _wiring) as a list
 of PlacedTiles, verifies that no two tetrahedra overlap, classifies every
 tetrahedron face as internal wall or outer boundary, and fuses the
 boundary triangles of each plane into one polygonal face of the outer hull
-by cancelling the edges they share.
+by cancelling the edges they share, split at T-junctions where they do not.
 
-A build packs its tiles' points P alone and first tries two exact
-certificates that its tiles fill conv P, running the pairwise tests only
-where neither holds.  Faces are grouped by their three points; a face is
-lone when no other face has its points, and supporting when no point of P
-lies above its plane.
+A build packs its tiles' points P alone and first tries an exact
+certificate that its tiles fill conv P, running the pairwise tests only
+where it fails.  Faces are grouped by their three points; a face is lone
+when no other face has its points, and supporting when no point of P lies
+above its plane.
 
 Face to face (d1, i1, the composites but E): each group is one face or two
 wound opposite ways; on each plane of the lone faces with points above it,
-each directed edge of theirs appears as often as its reverse; and the first
-supporting lone face's centroid lies in no other closed supporting lone
-face of its plane.  Opposite faces cancel, so the boundary of the sum of
-the tiles is the sum of the lone faces.  On a plane with points above, the
-signed number of its faces over a point changes across an edge by the
-edge's net multiplicity, 0, and is 0 far off: they sum to 0.  So it is
-the sum S of the supporting lone faces, an outward 2-cycle on the boundary
-of conv P: m times it.  The number of tiles holding a point off all faces
-is the winding number of S about it, m inside conv P and 0 outside, and at
-the centroid S is one face: m = 1.  So pairs are walls, supporting lone
-faces boundary, and other lone faces, points of P on both sides and their
-relative interiors inside conv P, walls (d1's 20: 5 quadrilaterals split
-along different diagonals on their two sides), with no pair tested.
-
-Convex (no target; say, contact planes with T-junctions), once the pairwise
-tests find the tiles apart: the supporting faces' directed edges each
-appear once, each with its reverse, and their n.c (n = (q - p) x (r - p), c
-a corner) sum to the tiles' |triple|s.  They are then a 2-cycle on the
-boundary of conv P, m times it, enclosing m vol(conv P) = the tiles' volume
-<= vol(conv P): m = 1, the union is conv P, and any other face, with points
-on both sides, has its centroid inside: a wall.
+each directed edge of theirs appears as often as its reverse, if need be
+once split at the corners of that plane's lone faces strictly inside it
+(T-junctions); and the first supporting lone face's centroid lies in no
+other closed supporting lone face of its plane.  A split leaves the 1-chain
+unchanged, so it passes no wrong list, and both sides of a true contact
+split at the same corners, so it always cancels.  Opposite faces cancel, so
+the boundary of the sum of the tiles is the sum of the lone faces.  On a
+plane with points above, the signed number of its faces over a point
+changes across an edge by the edge's net multiplicity, 0, and is 0 far
+off: they sum to 0.  So it is the sum S of the supporting lone faces, an
+outward 2-cycle on the boundary of conv P: m times it.  The number of tiles
+holding a point off all faces is the winding number of S about it, m
+inside conv P and 0 outside, and at the centroid S is one face: m = 1.  So
+pairs are walls, supporting lone faces boundary, and other lone faces,
+points of P on both sides and their relative interiors inside conv P,
+walls (d1's 20: 5 quadrilaterals split along different diagonals on their
+two sides), with no pair tested.
 
 Else (E, any other list): a face whose three points are also a face of
 another tile is a wall by index, a supporting face is boundary, and any
@@ -122,15 +118,14 @@ def _fundamental(kind) -> TileKind:
     return kind
 
 
-def _parity(exact: tuple) -> tuple[int, tuple[int, int]]:
-    """The sign of a tetrahedron's triple product, and the product; ValueError if flat."""
+def _parity(exact: tuple) -> int:
+    """The sign of a tetrahedron's triple product; ValueError if flat."""
     if len(exact) != 4:
         raise ValueError(f"a tile has 4 vertices of 3 doubled pairs, not {len(exact)}")
-    triple = _scalar_triple(exact)
-    parity = pair_sign(*triple)
+    parity = pair_sign(*_scalar_triple(exact))
     if not parity:
         raise ValueError("the tile is flat: its triple product is zero")
-    return parity, triple
+    return parity
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +147,7 @@ class PlacedTile:
         exact = _points(self.exact)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "parity", _parity(exact)[0])
+        object.__setattr__(self, "parity", _parity(exact))
 
     @property
     def vertices(self) -> tuple:
@@ -544,41 +539,61 @@ def _drop_collinear(cycle: tuple[int, ...], points) -> tuple[int, ...]:
     return out
 
 
-def _fuse(faces: list[tuple[tuple[int, ...], object]], owners: list[str]) -> list[tuple]:
-    """Fuse the triangles of each oriented plane, given as (cycle, plane key)
-    with their owners' names, into one rim: the cycle of their directed
-    edges whose reverse is not among them, walked from the first of the
-    plane's corners on it (in triangle order), paired with the triangles'
-    slots and kept in the slot of the plane's first triangle; a lone
-    triangle is its own rim.  AssemblyError if those edges are not one
-    simple cycle."""
+def _split(edges, points, scaled) -> list[tuple[int, int]]:
+    """The directed edges u -> v, each cut in order at the tails w inside it: collinear by
+    _normal, with the sign form _at(v - u, scaled[w]) of (v - u).w strictly between u's and v's."""
+    corners, out = {u for u, _ in edges}, []
+    for u, v in edges:
+        d = _sub(points[v], points[u])
+        lo, hi = _at(d, scaled[u]), _at(d, scaled[v])
+        on = sorted((_at(d, scaled[w]), w) for w in corners
+                    if _normal(points[u], points[v], points[w]) == _ZERO)
+        cuts = [u] + [w for key, w in on if lo < key < hi] + [v]
+        out += zip(cuts, cuts[1:])
+    return out
+
+
+def _rim(edges) -> tuple[int, ...] | None:
+    """The cycle of the directed edges whose reverse is not among them,
+    walked from the first tail on it; None if they are not one simple cycle."""
+    has = set(edges)
+    rim = [e for e in has if e[::-1] not in has]
+    after = dict(rim)
+    start = v = next((u for u, _ in edges if u in after), None)
+    cycle = []
+    for _ in rim:
+        cycle.append(v)
+        v = after.get(v)
+    return tuple(cycle) if rim and v == start and len(set(cycle)) == len(rim) else None
+
+
+def _fuse(faces: list, owners: list[str], points, scaled) -> list[tuple]:
+    """Fuse the triangles of each oriented plane, given as (cycle, plane key) with their
+    owners' names, into the _rim of their edges in triangle order (_split at the plane's
+    corners if need be: T-junctions) less collinear corners, paired with their slots and
+    kept in the first one's.  AssemblyError if the edges are not one simple cycle."""
     planes: dict[tuple, list[int]] = {}
     for slot, (_, key) in enumerate(faces):
         planes.setdefault(key, []).append(slot)
     out = []
     for slots in planes.values():
-        if len(slots) == 1:  # a lone triangle is its own rim
+        if len(slots) == 1:  # a lone triangle, of a tile that is not flat, is its own rim
             out.append((tuple(faces[slots[0]][0]), slots))
             continue
         cycles = [faces[s][0] for s in slots]
-        edges = {(f[i - 1], f[i]) for f in cycles for i in range(len(f))}
-        rim = [e for e in edges if e[::-1] not in edges]
-        after = dict(rim)
-        start = v = next((u for f in cycles for u in f if u in after), None)
-        cycle = []
-        for _ in rim:
-            cycle.append(v)
-            v = after.get(v)
-        if start is None or v != start or len(set(cycle)) != len(rim):
+        edges = [e for f in cycles for e in zip(f, f[1:] + f[:1])]
+        rim = _rim(edges) or _rim(_split(edges, points, scaled))
+        if rim is None:
             raise AssemblyError(f"the boundary triangles in the plane of a face of "
                                 f"{owners[slots[0]]} do not fuse into one simple polygon")
-        out.append((tuple(cycle), slots))
+        out.append((_drop_collinear(rim, points), slots))
     return out
 
 
 def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
-    """The rims of _fuse without their collinear corners, and their owners."""
-    fused = _fuse(faces, owners)
+    """The rims of _fuse, lone triangles too, without collinear corners, and their owners."""
+    points = _points(points)
+    fused = _fuse(faces, owners, points, _planes(points, []).scaled)
     return ([_drop_collinear(rim, points) for rim, _ in fused],
             [{owners[s] for s in slots} for _, slots in fused])
 
@@ -685,12 +700,14 @@ def _face_to_face(points, faces, planes: _Planes) -> list[bool] | None:
     if any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
            for k, j in enumerate(first) if j != k):
         return None
-    # the lone faces with points above, keyed by the points off their plane (one key
-    # per unoriented plane): on each, every directed edge as often as its reverse
+    # lone faces with points above, keyed by the points off their unoriented plane: on each,
+    # every directed edge as often as its reverse, else once _split (one triangle: no corner to)
     cut = [(sum(rows[k]), faces[k]) for k in lone if rows[k][1]]
-    if cut:
-        edges = Counter([(key, f[i - 1], f[i]) for key, f in cut for i in range(3)])
-        if any(edges[key, v, u] != n for (key, u, v), n in edges.items()):
+    edges = Counter([(key, f[i - 1], f[i]) for key, f in cut for i in range(3)])
+    for key in {key for (key, u, v), n in edges.items() if edges[key, v, u] != n}:
+        on = [(f[i - 1], f[i]) for k, f in cut if k == key for i in range(3)]
+        split = len(on) > 3 and Counter(_split(on, points, planes.scaled))
+        if not split or any(split[v, u] != n for (u, v), n in split.items()):
             return None
     # the first supporting face's corner sum s, 3x its centroid, against each other
     # supporting face of its plane with corners tripled: s is on the inner side of
@@ -706,18 +723,6 @@ def _face_to_face(points, faces, planes: _Planes) -> list[bool] | None:
     return [size[j] > 1 or rows[k][1] != 0 for k, j in enumerate(first)]
 
 
-def _convex(points, faces, planes: _Planes, volume) -> list[bool] | None:
-    """Whether each face is a wall, if the convex certificate holds (module
-    docstring) of tiles found apart, else None; volume is the sum of their
-    |triple product|s."""
-    hull = [k for k, (_, above) in enumerate(planes.rows) if not above]
-    edges = {(f[i - 1], f[i]) for f in map(faces.__getitem__, hull) for i in range(3)}
-    if len(edges) < 3 * len(hull) or any((v, u) not in edges for u, v in edges):
-        return None
-    nc = map(sum, zip((0, 0), *(_dot(planes.normals[k], points[faces[k][0]]) for k in hull)))
-    return [bool(above) for _, above in planes.rows] if tuple(nc) == volume else None
-
-
 def _build(target: str) -> Assembly:
     coords, tets, subset = _SOURCES[target]
     if subset is not None:
@@ -729,22 +734,20 @@ def _build(target: str) -> Assembly:
     points = _points([coords[lab] for lab in index])
     vert_ids = [[index[lab] for lab in labs] for _, labs in tets]
 
-    # tiles on the points just read, checked as PlacedTile checks them, and their |triple|s
-    tiles, volume = [], (0, 0)
-    count: Counter = Counter()
+    # tiles on the points just read, checked as PlacedTile checks them
+    tiles, count = [], Counter()
     for (kind_name, _), ids in zip(tets, vert_ids):
         name = f"{kind_name}-{count[kind_name]}"
         exact = tuple([points[i] for i in ids])
         try:
-            kind, (parity, (a, b)) = _fundamental(kind_name), _parity(exact)
+            kind, parity = _fundamental(kind_name), _parity(exact)
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
         tiles.append(_record(PlacedTile, kind, exact, name, parity))
-        volume = volume[0] + parity * a, volume[1] + parity * b
         count[kind_name] += 1
 
     # overlap, walls and hull planes read one table: outward-wound face planes at
-    # points, set as the certificates and the pairwise tests need them
+    # points, set as the certificate and the pairwise tests need them
     faces = [(ids[i], ids[j], ids[k]) for ids, t in zip(vert_ids, tiles) for i, j, k in t.faces]
     planes = _planes(points, faces, ())
     is_wall = _face_to_face(points, faces, planes)
@@ -755,15 +758,12 @@ def _build(target: str) -> Assembly:
         if overlaps:
             a, b = overlaps[0]
             raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
-        is_wall = _convex(points, faces, planes, volume) or _walls(points, faces, planes)
+        is_wall = _walls(points, faces, planes)
     names = [t.name for t in tiles]
     hull = [k for k, wall in enumerate(is_wall) if not wall]
     owners = [names[k // 4] for k in hull]
-    # the boundary faces as (point indices, plane key): equal sign rows, one oriented
-    # plane; a lone triangle is a face of a tile whose triple product is not 0, so no
-    # corner of it is collinear
-    fused = [(_drop_collinear(rim, points) if len(slots) > 1 else rim, slots)
-             for rim, slots in _fuse([(faces[k], planes.rows[k]) for k in hull], owners)]
+    # the boundary faces as (point indices, plane key): equal sign rows, one oriented plane
+    fused = _fuse([(faces[k], planes.rows[k]) for k in hull], owners, points, planes.scaled)
 
     # compact the vertex array to the ones the hull actually uses; a boundary face is
     # not shared, so its plane's normal is its own, and a fused face's Newell normal

@@ -16,8 +16,23 @@ embed (embed_decimal) rounds exactly from an integer bracket, see _nearest.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from math import floor, gcd, inf, isqrt, log10
 from operator import index
+from types import ModuleType
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import decimal
+    import fractions
+else:  # stand-ins, imported on the first read of an attribute: get_type_hints resolves them
+    class _OnFirstRead(ModuleType):
+        def __getattr__(self, attr: str):
+            value = getattr(__import__(self.__name__), attr)
+            setattr(self, attr, value)  # later reads of attr skip this hook
+            return value
+
+    decimal, fractions = _OnFirstRead("decimal"), _OnFirstRead("fractions")
 
 __all__ = [
     "GoldenRational",
@@ -40,7 +55,6 @@ def _as_golden(x) -> "GoldenRational":
         return x
     if isinstance(x, int):
         return GoldenRational(x, 0, 1)
-    import fractions
     if isinstance(x, fractions.Fraction):
         return GoldenRational(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot interpret {type(x).__name__} as GoldenRational")
@@ -145,7 +159,6 @@ class GoldenRational:
         # a rational value hashes like the int or Fraction it equals
         if self.b or self.den == 1:
             return hash((self.a, self.b, self.den) if self.b else self.a)
-        import fractions
         return hash(fractions.Fraction(self.a, self.den))
 
     def __lt__(self, other):
@@ -172,9 +185,8 @@ class GoldenRational:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction_pair(self) -> tuple[Fraction, Fraction]:
+    def as_fraction_pair(self) -> tuple[fractions.Fraction, fractions.Fraction]:
         """(A, B) with self = A + B*tau."""
-        import fractions
         return fractions.Fraction(self.a, self.den), fractions.Fraction(self.b, self.den)
 
     def __float__(self):
@@ -197,6 +209,7 @@ ONE = GoldenRational(1)
 TAU = GoldenRational(0, 1)
 SIGMA = GoldenRational(1, -1)
 SQRT5 = GoldenRational(-1, 2)
+_pow5 = lru_cache(maxsize=4)(partial(pow, 5))  # 5^t, once per magnitude, not per bracket end
 
 
 def pair_sign(a: int, b: int) -> int:
@@ -270,10 +283,10 @@ def _float(n: int, e: int, d: int) -> float:
 
 
 def _decimal(n: int, e: int, d: int) -> tuple[int, int]:
-    """(N, -t): N is the int nearest 10^t n * 2^e/d, and |N| > 5*10^59 or 0."""
+    """(N, -t): N is the int nearest 10^t n * 2^e/d = 5^t n * 2^(e+t)/d; |N| > 5*10^59 or 0."""
     t = 60 - floor((abs(n).bit_length() + e - d.bit_length()) * log10(2))
-    up, down = 10 ** max(t, 0) << max(e, 0), 10 ** max(-t, 0) * d << max(-e, 0)
-    return (2 * n * up + down) // (2 * down), -t
+    up, down = n * _pow5(max(t, 0)) << max(e + t, 0), _pow5(max(-t, 0)) * d << max(-e - t, 0)
+    return (2 * up + down) // (2 * down), -t
 
 
 def embed(x) -> float:
@@ -285,9 +298,8 @@ def embed(x) -> float:
     return f
 
 
-def embed_decimal(x) -> "decimal.Decimal":
+def embed_decimal(x) -> decimal.Decimal:
     """x as a Decimal of 60 to 62 significant digits, nearest at its last, at any magnitude."""
-    import decimal
     return decimal.Decimal("%dE%d" % _nearest(_as_golden(x), 256, _decimal))
 
 

@@ -1237,15 +1237,14 @@ def test_walls_match_all_faces_reference(target):
 # vertex above its plane, boundary; the rest, walls where their planes'
 # edges cancel, else by the coverage test), how many points it packs, its
 # tiles' vertices alone, and the rule that decided it (assembly's module
-# docstring): the face-to-face certificate, the convex certificate after the
-# pairwise tests, or the pairwise and coverage tests
+# docstring): the face-to-face certificate, or the pairwise and coverage tests
 FACES_DECIDED = {"d1": ((96, 36, 20), 23, "face-to-face"), "i1": ((44, 20, 0), 12, "face-to-face"),
                  "E": ((4, 6, 2), 6, "coverage"), "C": ((4, 8, 0), 6, "face-to-face"),
                  "T1": ((12, 12, 0), 8, "face-to-face"), "T2": ((2, 6, 0), 5, "face-to-face"),
                  "T3": ((4, 8, 0), 6, "face-to-face"), "T3bar": ((4, 8, 0), 6, "face-to-face"),
                  "T4": ((4, 8, 0), 6, "face-to-face")}
 # the pairwise stages each rule runs
-_RULE_CALLS = {"face-to-face": [], "convex": ["_overlaps"], "coverage": ["_overlaps", "_walls"]}
+_RULE_CALLS = {"face-to-face": [], "coverage": ["_overlaps", "_walls"]}
 
 
 def _decided(target):
@@ -1274,7 +1273,10 @@ def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
         init(self, points, n)
 
     monkeypatch.setattr(assembly._Slots, "__init__", counted)
+    split = []
+    monkeypatch.setattr(assembly, "_split", lambda *a, _f=assembly._split: split.append(a) or _f(*a))
     rule, a = _decided(target)
+    assert split == []  # its planes cancel and fuse by index, with no edge split
     signs = _free_planes(np.stack([t.exact for t in a.tiles]))[-1]
     corners = [_point_set(_face(t, g)) for t in a.tiles for g in range(4)]
     shared = Counter(corners)
@@ -1291,7 +1293,7 @@ def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
 
 def _general_path(a):
     """The pairwise tests on a build's face table: the overlapping pairs and
-    each face's wall flag, as the build decides them when no certificate holds."""
+    each face's wall flag, as the build decides them when the certificate fails."""
     points, faces, _, _ = a._faces
     planes = assembly._planes(points, faces)
     vert_ids = [[points.index(p) for p in t.exact] for t in a.tiles]
@@ -1300,7 +1302,7 @@ def _general_path(a):
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_certified_builds_agree_with_the_pairwise_tests(target):
-    # where a certificate decided, the pairwise tests find no overlap and the
+    # where the certificate decided, the pairwise tests find no overlap and the
     # same walls (test_walls_match_all_faces_reference runs the coverage test
     # on every face)
     a = assembly._build(target)
@@ -1326,7 +1328,7 @@ def _cube_half(parity):
 
 
 def test_certificates_fall_back(monkeypatch):
-    # lists no certificate proves end as the pairwise tests end: a duplicated
+    # lists the certificate does not prove end as the pairwise tests end: a duplicated
     # tile (four faces on the same points wound the same way round), a tile
     # and a two-tile split of it, and the cube covered twice, where the first
     # lone face's centroid lies on the other cover's diagonal
@@ -1349,24 +1351,13 @@ def test_certificates_fall_back(monkeypatch):
         rule, got = _decided("T2")
         assert rule == "face-to-face" and _general_path(got) == ([], list(got._faces.is_wall))
         assert sorted(map(len, got.mesh.faces)) == [4] * 6
-    # the double cover's lone faces close up, each edge of the cube twice
-    # each way, and enclose the tiles' volume: only the once-per-edge check
-    # refuses it
-    a = [assembly.PlacedTile("t1", [_CUBE[c] for c in labs]) for _, labs in
-         _cube_half(0) + _cube_half(1)]
-    points = list(_CUBE.values())
-    faces = [tuple(points.index(t.exact[i]) for i in f) for t in a for f in t.faces]
-    signed = [assembly._parity(t.exact) for t in a]
-    volume = tuple(sum(parity * triple[i] for parity, triple in signed) for i in (0, 1))
-    assert assembly._convex(points, faces, assembly._planes(points, faces), volume) is None
 
 
-def test_convex_certificate_needs_the_volume(monkeypatch):
+def test_a_hole_takes_the_coverage_test(monkeypatch):
     # d1 without one of its tiles that touch no hull face: the faces around
     # the hole have points above them and their planes' edges do not cancel,
-    # so the face-to-face certificate refuses it; the hull closes up but
-    # encloses more than the tiles, so the coverage test decides, and the
-    # faces around the hole are boundary
+    # so the face-to-face certificate refuses it; the coverage test decides,
+    # and the faces around the hole are boundary
     coords, tets, _ = assembly._SOURCES["d1"]
     d1 = assemble("d1")
     owners = {f.owner for f in d1.boundary_triangles}
@@ -1416,17 +1407,34 @@ def test_contact_walls_cancelling_on_their_plane_are_face_to_face(monkeypatch):
     assert sorted(map(len, got.mesh.faces)) == [4] * 6
 
 
-def test_t_junction_falls_back_to_the_convex_certificate(monkeypatch):
+def test_t_junction_contact_is_face_to_face(monkeypatch):
     # a bipyramid over abc whose tile NSab is split at W on its axis NS: the
     # planes NSa and NSb hold a T-junction, NS against NW and WS, so their
-    # edges do not cancel by index and the convex certificate decides
+    # edges cancel only once NS is split at W, and the certificate decides
     points = {"N": _pt(0, 0, 4), "S": _pt(0, 0, -4), "a": _pt(4, 0, 0), "b": _pt(-2, 4, 0),
               "c": _pt(-2, -4, 0), "W": _pt(0, 0, 0)}
     wiring = [("t1", tuple(labs)) for labs in ("NSbc", "NSca", "NWab", "WSab")]
     monkeypatch.setitem(assembly._SOURCES, "T2", (points, wiring, None))
     rule, got = _decided("T2")
-    assert rule == "convex" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert rule == "face-to-face" and _general_path(got) == ([], list(got._faces.is_wall))
     assert (len(got.walls), len(got.boundary_triangles)) == (10, 6)
+
+
+def test_t_junctions_on_hull_and_cut_planes(monkeypatch):
+    # a side-4 Kuhn cube at the origin and eight side-2 ones filling x in
+    # [4, 8]: on the cut x = 4 and on the hull planes y = 0, y = 4, z = 0
+    # and z = 4 the small cubes' corners lie inside the big cube's edges;
+    # the certificate decides the 54 tiles, and the hull fuses into the box
+    small = [cube for x, y, z in itertools.product((4, 6), (0, 2), (0, 2))
+             for cube in _kuhn((x, y, z), ((2, 0, 0), (0, 2, 0), (0, 0, 2)))]
+    wiring = _kuhn((0, 0, 0), ((4, 0, 0), (0, 4, 0), (0, 0, 4))) + small
+    points = {lab: _pt(*map(int, lab[1:].split(","))) for _, labs in wiring for lab in labs}
+    monkeypatch.setitem(assembly._SOURCES, "T2", (points, wiring, None))
+    rule, got = _decided("T2")
+    assert len(got.tiles) == 54
+    assert rule == "face-to-face" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert got.mesh.counts() == (8, 12, 6)
+    assert got.mesh.volume_exact() == sum((t.volume() for t in got.tiles), GoldenRational(0))
 
 
 def test_edges_must_cancel_by_direction(monkeypatch):
@@ -1474,7 +1482,7 @@ def test_translation_commutes_with_the_build(monkeypatch, target):
 
 
 def test_far_apart_copies_build_as_each_alone(monkeypatch):
-    # i1 and a far copy of it: neither certificate holds, so the pairwise
+    # i1 and a far copy of it: the certificate does not hold, so the pairwise
     # tests run, and each copy's faces and hull come out as they do alone
     want = assemble("i1")
     coords, tets, _ = assembly._SOURCES["i1"]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import math
 import random
+import typing
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -545,3 +548,25 @@ def test_comparisons_total_order():
     assert TAU > 1
     assert SIGMA < 0
     assert abs(SIGMA) == TAU - 1
+
+
+_MODULES = ["icotile", "icotile.catalog", "icotile.checks", "icotile.cli", "icotile.golden",
+            "icotile.inflation", "icotile.report", "icotile.geometry", "icotile.geometry.assembly",
+            "icotile.geometry.axes", "icotile.geometry.placement"]
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_public_annotations_resolve(name):
+    # typing.get_type_hints evaluates each annotation string in its module's
+    # namespace: every name a public function, class or method (a command's
+    # callback) annotates with must be bound there, also where its module is
+    # imported on first use
+    module = importlib.import_module(name)
+    for obj in (getattr(module, n) for n in module.__all__):
+        obj = getattr(obj, "callback", obj)
+        members = [getattr(m, "fget", None) or getattr(m, "func", None) or getattr(m, "__func__", m)
+                   for k, m in vars(obj).items() if not k.startswith("_")
+                   ] if isinstance(obj, type) else []
+        for routine in (obj, *members):
+            if inspect.isfunction(routine) or isinstance(routine, type):
+                typing.get_type_hints(routine)
