@@ -6,38 +6,43 @@ tetrahedron face as internal wall or outer boundary, and fuses the
 boundary triangles of each plane into one polygonal face of the outer hull
 by cancelling the edges they share, split at T-junctions where they do not.
 
-A build packs its tiles' points P alone and first tries an exact
-certificate that its tiles fill conv P, running the pairwise tests only
-where it fails.  Faces are grouped by their three points; a face is lone
-when no other face has its points, and supporting when no point of P lies
-above its plane.
+A build packs its tiles' points P alone, decides each face by one wall
+rule, and tries an exact certificate that its tiles fill conv P face to
+face, running the pairwise overlap test only where it fails.  Faces are
+grouped by their three points; a face is lone when no other face has its
+points, and supporting when no point of P lies above its plane.  A face
+shared whole by another tile is a wall, a supporting face boundary.  On
+each plane of lone faces with points above it, the faces are walls if each
+directed edge of theirs appears as often as its reverse, if need be once
+split at the corners of that plane's lone faces strictly inside it
+(T-junctions); else each is a wall iff its centroid lies in a closed lone
+face of that plane wound the other way.  A split leaves the 1-chain
+unchanged, so it passes no wrong list, and both sides of a true contact
+split at the same corners, so it always cancels.  A plane of faces wound one
+way never cancels (their signed number is positive somewhere): no split.
 
 Face to face (d1, i1, the composites but E): each group is one face or two
-wound opposite ways; on each plane of the lone faces with points above it,
-each directed edge of theirs appears as often as its reverse, if need be
-once split at the corners of that plane's lone faces strictly inside it
-(T-junctions); and the first supporting lone face's centroid lies in no
-other closed supporting lone face of its plane.  A split leaves the 1-chain
-unchanged, so it passes no wrong list, and both sides of a true contact
-split at the same corners, so it always cancels.  Opposite faces cancel, so
-the boundary of the sum of the tiles is the sum of the lone faces.  On a
-plane with points above, the signed number of its faces over a point
-changes across an edge by the edge's net multiplicity, 0, and is 0 far
-off: they sum to 0.  So it is the sum S of the supporting lone faces, an
-outward 2-cycle on the boundary of conv P: m times it.  The number of tiles
-holding a point off all faces is the winding number of S about it, m
-inside conv P and 0 outside, and at the centroid S is one face: m = 1.  So
-pairs are walls, supporting lone faces boundary, and other lone faces,
-points of P on both sides and their relative interiors inside conv P,
-walls (d1's 20: 5 quadrilaterals split along different diagonals on their
-two sides), with no pair tested.
+wound opposite ways; every plane of lone faces with points above cancels;
+and the first supporting lone face's centroid lies in no other closed
+supporting lone face of its plane.  Opposite faces cancel, so the boundary
+of the sum of the tiles is the sum of the lone faces.  On a plane with
+points above, the signed number of its faces over a point changes across an
+edge by the edge's net multiplicity, 0, and is 0 far off: they sum to 0.  So
+it is the sum S of the supporting lone faces, an outward 2-cycle on the
+boundary of conv P: m times it.  The number of tiles holding a point off all
+faces is the winding number of S about it, m inside conv P and 0 outside,
+and at the centroid S is one face: m = 1.  So no pair need be tested, and
+each lone face with points of P on both sides is a wall (d1's 20: 5
+quadrilaterals split along different diagonals on their two sides).
 
-Else (E, any other list): a face whose three points are also a face of
-another tile is a wall by index, a supporting face is boundary, and any
-other face takes a coverage test: it is on the boundary iff its centroid
-pushed an infinitesimal distance outward along its normal lies in no
-tetrahedron.  Matching alone would misread a contact wall whose two sides
-are triangulated differently.
+Else (E, any other list) the pairwise test finds no overlap, and the rule
+holds in the packing.  On a plane that cancels, faces wound alike do not
+overlap, so each lies under faces wound the other way.  On any other, take
+a lone face f of tile t, and a tile u that holds the outside of f near f's
+centroid c.  The plane separating t and u passes through c, which lies
+inside t's facet f, so it must be f's plane.  So u meets it in a face wound
+the other way that contains c, and lone: a partner face would belong to a
+tile overlapping t.  This assumes a face wholly covered or wholly exposed.
 
 A build hands on the facts it has decided rather than deriving them again.
 Its tiles take the points it has read, with their kinds and parities
@@ -56,11 +61,11 @@ then A + B*tau and A*F(k) + B*F(k+1) have one sign.  They differ by
 B*sigma^k, less than F(k)*tau^-k < 1/tau in size, while a nonzero A + B*tau
 is more than 1/(F(k)*tau): its norm A^2 + AB - B^2 is a nonzero integer and
 its conjugate below F(k)*tau.  With M the largest coordinate (at least 1), a
-face normal is at most 24 M^2 per entry, its plane at a point 432 M^3, as is
-a separating-axis projection difference, at a face's corner sum 1296 M^3,
-and the dot of two normals 5184 M^4: a build takes the least k with F(k) >
-5184 M^4 and packs the points' six coordinates into six ints, one slot per
-point, of W bits, one more than the bit length of 5184 M^4 (F(k) + F(k+1)).
+face normal is at most 24 M^2 per entry, and its plane at a point 432 M^3,
+as is a separating-axis projection difference: a build takes the least k
+with F(k) > 5184 M^4 and packs the points' six coordinates into six ints,
+one slot per point, of W bits, one more than the bit length of 5184 M^4
+(F(k) + F(k+1)).
 One multiply-add per face plane gives its form at every point, and the top
 bits of the slots, biased by 2^(W-1), give the points below and above it as
 two bitmasks.  A face shared whole by two tiles is one plane per pair: the
@@ -444,10 +449,9 @@ def _embed_doubled(points) -> tuple:
 # geometric predicates
 
 
-# per face (three point indices wound outward) of a build, None until set: its normal
-# n = (c1 - c0) x (c2 - c0), its offset _at(n, c0) on the scaled points (packed: all in
-# one), its sign row at every point as (below, above) slot masks; the first face on its points
-_Planes = namedtuple("_Planes", "slots scaled packed normals offsets rows first")
+# per face of a build (three point indices wound outward), None until set: its normal n =
+# (c1 - c0) x (c2 - c0), its sign row as (below, above) slot masks; the first face on its points
+_Planes = namedtuple("_Planes", "slots scaled packed normals rows first")
 
 
 def _planes(points, faces, ks=None) -> _Planes:
@@ -459,26 +463,25 @@ def _planes(points, faces, ks=None) -> _Planes:
     seen: dict[frozenset, int] = {}
     first = [seen.setdefault(frozenset(f), k) for k, f in enumerate(faces)]
     unset = [None] * len(faces)
-    planes = _Planes(slots, scaled, slots.pack(scaled), unset, unset[:], unset[:], first)
+    planes = _Planes(slots, scaled, slots.pack(scaled), unset, unset[:], first)
     return _fill(points, faces, planes, range(len(faces)) if ks is None else ks)
 
 
 def _fill(points, faces, planes: _Planes, ks) -> _Planes:
     """Set the planes of faces ks, in order, each after the first face on its points."""
-    scaled, packed, normals, offsets, rows, first = planes[1:]
+    scaled, packed, normals, rows, first = planes[1:]
     ones, signs = planes.slots.ones, planes.slots.signs
     for k in ks:
         f, j = faces[k], first[k]
         if j == k:
             n = _normal(points[f[0]], points[f[1]], points[f[2]])
-            c = _at(n, scaled[f[0]])
-            row = signs(_at(n, packed) - c * ones)
+            row = signs(_at(n, packed) - _at(n, scaled[f[0]]) * ones)
         else:
-            g, n, c, row = faces[j], normals[j], offsets[j], rows[j]
+            g, n, row = faces[j], normals[j], rows[j]
             if g[g.index(f[0]) - 2] != f[1]:  # f[1] does not follow f[0] in g
                 (p, q), (r, s), (t, u) = n
-                n, c, row = ((-p, -q), (-r, -s), (-t, -u)), -c, (row[1], row[0])
-        normals[k], offsets[k], rows[k] = n, c, row
+                n, row = ((-p, -q), (-r, -s), (-t, -u)), (row[1], row[0])
+        normals[k], rows[k] = n, row
     return planes
 
 
@@ -648,79 +651,52 @@ class Assembly:
         return {k: out[k] for k in sorted(out, key=lambda s: s.value)}
 
 
-def _walls(points, faces, planes: _Planes) -> list[bool]:
-    """Whether each outward face (three indices of the tiles' points, four
-    per tile) is a wall, decided one of three ways (module docstring): shared
-    whole, a wall; no point above it in its sign row, boundary; else a wall
-    iff its pushed centroid is in some closed tile, by the sign form at its
-    corner sum per face plane of that tile, and on the plane by the dot of
-    the two normals.  Corner sums and normals are packed: one multiply-add
-    per plane, and one more when a corner sum is on it, decides all faces."""
-    shared = Counter(planes.first)
-    is_wall = [shared[j] > 1 for j in planes.first]
-    rest = [i for i, wall in enumerate(is_wall) if not wall and planes.rows[i][1]]
-    if not rest:  # every face shared whole or supporting
-        return is_wall
-    # slot r: the corner sum and the normal of face rest[r], scaled, and a
-    # tile's own faces left out, whose pushed centroids it never holds
-    slots = _Slots(points, len(rest))
-    sc = planes.scaled
-    sums = slots.pack([_vsum((sc[i], sc[j], sc[k])) for i, j, k in map(faces.__getitem__, rest)])
-    normals = slots.pack([slots.scaled(planes.normals[r]) for r in rest])
-    own = [0] * (len(faces) // 4)
-    for slot, r in enumerate(rest):
-        own[r // 4] |= slots.bit(slot)
-    covered, ones, high, lows = 0, slots.ones, slots.high, slots.high - slots.ones
-    for u, mine in enumerate(own):
-        inside = high ^ mine
-        for n, offset in zip(planes.normals[4 * u:4 * u + 4], planes.offsets[4 * u:4 * u + 4]):
-            s = _at(n, sums) + high - 3 * offset * ones  # biased, as in _Slots.signs
-            ahead = inside & s  # on the plane or above it
-            if ahead:
-                on = ahead & ~(s - ones)
-                inside ^= ahead
-                if on:  # the side of the face's normal decides
-                    inside |= on & ~(_at(n, normals) + lows)
-                if not inside:
-                    break
-        covered |= inside
-    for slot, r in enumerate(rest):
-        is_wall[r] = bool(covered & slots.bit(slot))
-    return is_wall
+def _holds(points, faces, normals, g, k) -> bool:
+    """Whether closed face g holds the centroid of face k on its plane: k's corner
+    sum s is on the inner side of an edge u -> v of g, corners tripled, iff
+    n.((v - u) x (s - u)) >= 0 for g's normal n."""
+    s = _vsum(points[i] for i in faces[k])
+    p, q, r = (_vsum((points[i],) * 3) for i in faces[g])
+    return all(pair_sign(*_dot(normals[g], _normal(u, v, s))) >= 0
+               for u, v in ((p, q), (q, r), (r, p)))
 
 
-def _face_to_face(points, faces, planes: _Planes) -> list[bool] | None:
-    """Whether each face is a wall, if the face-to-face certificate holds
-    (module docstring), else None.  It sets the planes of the faces whose
-    points no other face shares, and only those."""
+def _cancels(edges) -> bool:
+    """Whether each directed edge appears as often as its reverse."""
+    return Counter(edges) == Counter((v, u) for u, v in edges)
+
+
+def _decide(points, faces, planes: _Planes) -> tuple[list[bool], bool]:
+    """Each face's wall flag by the one wall rule, and whether the face-to-face
+    certificate holds (module docstring).  It sets the planes of the faces
+    whose points no other face shares, and only those."""
     first = planes.first
     size = Counter(first)
     lone = [j for j, n in size.items() if n == 1]  # in order, each its group's first
-    rows = _fill(points, faces, planes, lone).rows
-    if any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
-           for k, j in enumerate(first) if j != k):
-        return None
-    # lone faces with points above, keyed by the points off their unoriented plane: on each,
-    # every directed edge as often as its reverse, else once _split (one triangle: no corner to)
-    cut = [(sum(rows[k]), faces[k]) for k in lone if rows[k][1]]
-    edges = Counter([(key, f[i - 1], f[i]) for key, f in cut for i in range(3)])
-    for key in {key for (key, u, v), n in edges.items() if edges[key, v, u] != n}:
-        on = [(f[i - 1], f[i]) for k, f in cut if k == key for i in range(3)]
-        split = len(on) > 3 and Counter(_split(on, points, planes.scaled))
-        if not split or any(split[v, u] != n for (u, v), n in split.items()):
-            return None
-    # the first supporting face's corner sum s, 3x its centroid, against each other
-    # supporting face of its plane with corners tripled: s is on the inner side of
-    # an edge u -> v iff n.((v - u) x (s - u)) >= 0
+    rows, normals = _fill(points, faces, planes, lone).rows, planes.normals
+    is_wall = [size[j] > 1 or rows[k][1] != 0 for k, j in enumerate(first)]
+    holds = not any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
+                    for k, j in enumerate(first) if j != k)
+    # lone faces with points above, by the points off their unoriented plane: walls where
+    # their edges cancel (a plane wound one way never does), else by the other way's faces
+    cut: dict[int, list[int]] = {}
+    for k in lone:
+        if rows[k][1]:
+            cut.setdefault(sum(rows[k]), []).append(k)
+    for on in cut.values():
+        edges = [(f[i - 1], f[i]) for f in map(faces.__getitem__, on) for i in range(3)]
+        if len({rows[k] for k in on}) == 2 and (
+                _cancels(edges) or _cancels(_split(edges, points, planes.scaled))):
+            continue
+        holds = False
+        for k in on:
+            is_wall[k] = any(_holds(points, faces, normals, g, k)
+                             for g in on if rows[g] != rows[k])
+    # the first supporting face's centroid in no other supporting face of its plane
     hull = [k for k in lone if not rows[k][1]]
-    for k in hull[1:]:
-        if rows[k] == rows[hull[0]]:
-            s = _vsum(points[i] for i in faces[hull[0]])
-            p, q, r = (_vsum((points[i],) * 3) for i in faces[k])
-            if all(pair_sign(*_dot(planes.normals[k], _normal(u, v, s))) >= 0
-                   for u, v in ((p, q), (q, r), (r, p))):
-                return None
-    return [size[j] > 1 or rows[k][1] != 0 for k, j in enumerate(first)]
+    holds = holds and not any(_holds(points, faces, normals, k, hull[0])
+                              for k in hull[1:] if rows[k] == rows[hull[0]])
+    return is_wall, holds
 
 
 def _build(target: str) -> Assembly:
@@ -750,15 +726,14 @@ def _build(target: str) -> Assembly:
     # points, set as the certificate and the pairwise tests need them
     faces = [(ids[i], ids[j], ids[k]) for ids, t in zip(vert_ids, tiles) for i, j, k in t.faces]
     planes = _planes(points, faces, ())
-    is_wall = _face_to_face(points, faces, planes)
-    if is_wall is None:
+    is_wall, holds = _decide(points, faces, planes)
+    if not holds:
         _fill(points, faces, planes, [k for k, n in enumerate(planes.normals) if n is None])
         # no two tetrahedra may share interior volume
         overlaps = _overlaps(points, vert_ids, planes)
         if overlaps:
             a, b = overlaps[0]
             raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
-        is_wall = _walls(points, faces, planes)
     names = [t.name for t in tiles]
     hull = [k for k, wall in enumerate(is_wall) if not wall]
     owners = [names[k // 4] for k in hull]

@@ -1217,10 +1217,38 @@ def _walls_reference(a) -> np.ndarray:
 WALLS_BY_INDEX = {"d1": (96, 116), "i1": (44, 44), "E": (4, 4), "C": (4, 4), "T1": (12, 12),
                   "T2": (2, 2), "T3": (4, 4), "T3bar": (4, 4), "T4": (4, 4)}
 
+# d1 less each of its 38 tiles, i1 less each of its 16 and d1 less each of
+# its 11 composite groups, as (wiring, indices of the tiles left out)
+SUBLISTS = {**{f"{w}-less-{k}": (w, (k,)) for w, n in (("d1", 38), ("i1", 16)) for k in range(n)},
+            **{f"d1-less-group-{g}": ("d1", ids)
+               for g, (_, ids, _) in enumerate(_wiring.D1_GROUPS)}}
+# the sub-lists whose hull does not fuse, with the tile named in the refusal:
+# a plane's boundary triangles are not one simple polygon (in d1 less tile 0,
+# two triangles that meet at one corner)
+REFUSED = {"d1-less-0": "t3-0", "d1-less-1": "t3-2", "d1-less-2": "t1-0", "d1-less-3": "t3-2",
+           "d1-less-4": "t3-0", "d1-less-6": "t3-0", "d1-less-13": "t1-1", "d1-less-14": "t3-7",
+           "d1-less-17": "t3-3", "d1-less-19": "t3-3", "d1-less-23": "t3-5",
+           "d1-less-25": "t3-5", "d1-less-group-0": "t3-0", "d1-less-group-1": "t1-0",
+           "d1-less-group-4": "t1-1"}
 
-@pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
-def test_walls_match_all_faces_reference(target):
-    a = assemble(target)
+
+@pytest.mark.parametrize("target", [*catalog.ASSEMBLY_TARGETS, *SUBLISTS])
+def test_walls_match_all_faces_reference(monkeypatch, target):
+    # the nine targets, and sub-lists of d1 and i1, most of which take the
+    # pairwise path, with many planes of faces wound both ways
+    wiring = target
+    if target in SUBLISTS:
+        wiring, left_out = SUBLISTS[target]
+        coords, tets, _ = assembly._SOURCES[wiring]
+        monkeypatch.setitem(assembly._SOURCES, wiring, (
+            coords, [t for k, t in enumerate(tets) if k not in left_out], None))
+        if target in REFUSED:
+            with pytest.raises(AssemblyError) as exc:
+                assembly._build(wiring)
+            assert str(exc.value) == (f"the boundary triangles in the plane of a face of "
+                                      f"{REFUSED[target]} do not fuse into one simple polygon")
+            return
+    a = assembly._build(wiring)
     split = ([], [])
     for (u, g), wall in np.ndenumerate(_walls_reference(a)):
         tile = a.tiles[u]
@@ -1230,21 +1258,23 @@ def test_walls_match_all_faces_reference(target):
     faces = Counter(_point_set(c) for _, c in split[0] + split[1])
     assert all(faces[_point_set(c)] == 1 for _, c in split[1])
     by_index = sum(faces[_point_set(c)] == 2 for _, c in split[0])
-    assert (by_index, len(split[0])) == WALLS_BY_INDEX[target]
+    if target in WALLS_BY_INDEX:
+        assert (by_index, len(split[0])) == WALLS_BY_INDEX[target]
 
 
 # how the build decides each face: (shared whole, a wall by index; no tile
 # vertex above its plane, boundary; the rest, walls where their planes'
-# edges cancel, else by the coverage test), how many points it packs, its
-# tiles' vertices alone, and the rule that decided it (assembly's module
-# docstring): the face-to-face certificate, or the pairwise and coverage tests
+# edges cancel, else where a face wound the other way covers their
+# centroids), how many points it packs, its tiles' vertices alone, and the
+# rule that proved the packing (assembly's module docstring): the
+# face-to-face certificate, or the pairwise overlap test
 FACES_DECIDED = {"d1": ((96, 36, 20), 23, "face-to-face"), "i1": ((44, 20, 0), 12, "face-to-face"),
-                 "E": ((4, 6, 2), 6, "coverage"), "C": ((4, 8, 0), 6, "face-to-face"),
+                 "E": ((4, 6, 2), 6, "pairwise"), "C": ((4, 8, 0), 6, "face-to-face"),
                  "T1": ((12, 12, 0), 8, "face-to-face"), "T2": ((2, 6, 0), 5, "face-to-face"),
                  "T3": ((4, 8, 0), 6, "face-to-face"), "T3bar": ((4, 8, 0), 6, "face-to-face"),
                  "T4": ((4, 8, 0), 6, "face-to-face")}
 # the pairwise stages each rule runs
-_RULE_CALLS = {"face-to-face": [], "coverage": ["_overlaps", "_walls"]}
+_RULE_CALLS = {"face-to-face": [], "pairwise": ["_overlaps"]}
 
 
 def _decided(target):
@@ -1252,9 +1282,8 @@ def _decided(target):
     stages it ran, and the build, or the AssemblyError it raised."""
     calls = []
     with pytest.MonkeyPatch.context() as m:
-        for name in ("_overlaps", "_walls"):
-            stage = getattr(assembly, name)
-            m.setattr(assembly, name, lambda *a, _f=stage, _n=name: calls.append(_n) or _f(*a))
+        m.setattr(assembly, "_overlaps",
+                  lambda *a, _f=assembly._overlaps: calls.append("_overlaps") or _f(*a))
         try:
             got = assembly._build(target)
         except AssemblyError as exc:
@@ -1264,8 +1293,7 @@ def _decided(target):
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
-    # the slot count of each _Slots the build makes: its points, then the
-    # faces left for the coverage test, if it runs
+    # the slot count of each _Slots the build makes: its points, and no more
     packed, init = [], assembly._Slots.__init__
 
     def counted(self, points, n):
@@ -1285,26 +1313,25 @@ def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
     counts = (sum(by_index), sum(supporting), len(corners) - sum(by_index) - sum(supporting))
     assert (counts, packed[0], rule) == FACES_DECIDED[target]
     assert packed[0] == len({p for t in a.tiles for p in t.exact})
-    assert packed[1:] == ([counts[2]] if rule == "coverage" else [])
+    assert packed[1:] == []
     # a face with no vertex above it is boundary
     boundary = Counter(_point_set(f.corners) for f in a.boundary_triangles)
     assert all(boundary[c] for c, s in zip(corners, supporting) if s)
 
 
 def _general_path(a):
-    """The pairwise tests on a build's face table: the overlapping pairs and
-    each face's wall flag, as the build decides them when the certificate fails."""
+    """The pairwise overlap test on a build's face table, and each face's
+    wall flag by the numpy all-faces coverage reference."""
     points, faces, _, _ = a._faces
     planes = assembly._planes(points, faces)
     vert_ids = [[points.index(p) for p in t.exact] for t in a.tiles]
-    return assembly._overlaps(points, vert_ids, planes), assembly._walls(points, faces, planes)
+    return assembly._overlaps(points, vert_ids, planes), _walls_reference(a).ravel().tolist()
 
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_certified_builds_agree_with_the_pairwise_tests(target):
-    # where the certificate decided, the pairwise tests find no overlap and the
-    # same walls (test_walls_match_all_faces_reference runs the coverage test
-    # on every face)
+    # where the certificate decided, the pairwise test finds no overlap, and
+    # the coverage reference finds the same walls
     a = assembly._build(target)
     assert _general_path(a) == ([], list(a._faces.is_wall))
 
@@ -1353,11 +1380,11 @@ def test_certificates_fall_back(monkeypatch):
         assert sorted(map(len, got.mesh.faces)) == [4] * 6
 
 
-def test_a_hole_takes_the_coverage_test(monkeypatch):
+def test_a_hole_takes_the_pairwise_test(monkeypatch):
     # d1 without one of its tiles that touch no hull face: the faces around
     # the hole have points above them and their planes' edges do not cancel,
-    # so the face-to-face certificate refuses it; the coverage test decides,
-    # and the faces around the hole are boundary
+    # so the face-to-face certificate refuses it; the pairwise test proves
+    # the packing, and the faces around the hole are boundary
     coords, tets, _ = assembly._SOURCES["d1"]
     d1 = assemble("d1")
     owners = {f.owner for f in d1.boundary_triangles}
@@ -1366,7 +1393,7 @@ def test_a_hole_takes_the_coverage_test(monkeypatch):
     monkeypatch.setitem(assembly._SOURCES, "d1", (coords, tets[:inner[0]] + tets[inner[0] + 1:],
                                                   None))
     rule, got = _decided("d1")
-    assert rule == "coverage" and _general_path(got) == ([], list(got._faces.is_wall))
+    assert rule == "pairwise" and _general_path(got) == ([], list(got._faces.is_wall))
     assert len(got.boundary_triangles) == len(d1.boundary_triangles) + 4
 
 
@@ -1481,17 +1508,22 @@ def test_translation_commutes_with_the_build(monkeypatch, target):
         assert getattr(got.mesh, field) == getattr(want.mesh, field)
 
 
-def test_far_apart_copies_build_as_each_alone(monkeypatch):
-    # i1 and a far copy of it: the certificate does not hold, so the pairwise
-    # tests run, and each copy's faces and hull come out as they do alone
-    want = assemble("i1")
-    coords, tets, _ = assembly._SOURCES["i1"]
+def _with_far_copy(monkeypatch, target):
+    """Point target's wiring at itself and a copy of it moved by _FAR."""
+    coords, tets, _ = assembly._SOURCES[target]
     far = {lab + "'": _translated(p, _FAR) for lab, p in coords.items()}
-    monkeypatch.setitem(assembly._SOURCES, "i1", (
+    monkeypatch.setitem(assembly._SOURCES, target, (
         {**coords, **far}, tets + [(kind, tuple(lab + "'" for lab in labs)) for kind, labs in tets],
         None))
+
+
+def test_far_apart_copies_build_as_each_alone(monkeypatch):
+    # i1 and a far copy of it: the certificate does not hold, so the pairwise
+    # test runs, and each copy's faces and hull come out as they do alone
+    want = assemble("i1")
+    _with_far_copy(monkeypatch, "i1")
     rule, got = _decided("i1")
-    assert rule == "coverage"
+    assert rule == "pairwise"
     assert got._faces.is_wall == want._faces.is_wall * 2
     for faces in ("walls", "boundary_triangles"):
         corners = [f.corners for f in getattr(want, faces)]
@@ -1502,6 +1534,22 @@ def test_far_apart_copies_build_as_each_alone(monkeypatch):
     assert got.mesh.faces == want.mesh.faces + tuple(tuple(i + n for i in f)
                                                      for f in want.mesh.faces)
     assert got.mesh.normals == want.mesh.normals * 2
+
+
+def test_one_way_planes_never_split(monkeypatch):
+    # a plane whose lone faces are all wound one way cannot cancel, so it is
+    # boundary with no split tried: E's two planes of lone faces with points
+    # above hold one triangle each, and beside a far copy every hull plane of
+    # i1 and of d1 has points above it (d1's: a pentagon of three triangles)
+    split = []
+    monkeypatch.setattr(assembly, "_split",
+                        lambda *a, _f=assembly._split: split.append(a) or _f(*a))
+    for target in ("E", "i1", "d1"):
+        if target != "E":
+            _with_far_copy(monkeypatch, target)
+        rule, got = _decided(target)
+        assert rule == "pairwise" and len(got.mesh.faces) == {"E": 8, "i1": 40, "d1": 24}[target]
+    assert split == []
 
 
 def _beyond(face: assembly.TriangleFace, opposite) -> tuple:
@@ -1665,8 +1713,8 @@ def test_kernel_overlaps_contacts_and_zero_normals():
 
 
 def _planes_per_face(points, faces):
-    """Each face's normal, offset and sign row computed on its own, as
-    _planes did before faces on one point set shared a plane: the reference."""
+    """Each face's normal and sign row computed on its own, as _planes did
+    before faces on one point set shared a plane: the reference."""
     slots = assembly._Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
     packed = slots.pack(scaled)
@@ -1674,7 +1722,7 @@ def _planes_per_face(points, faces):
     offsets = [assembly._at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
     rows = [slots.signs(assembly._at(n, packed) - c * slots.ones)
             for n, c in zip(normals, offsets)]
-    return normals, offsets, rows
+    return normals, rows
 
 
 def _build_faces(coords, tets):
@@ -1714,11 +1762,10 @@ def test_partner_planes_match_per_face(wiring, moved, move, partners):
         coords[moved] = _moved_in_x(coords[moved], move)
     points, faces = _build_faces(coords, tets)
     planes = assembly._planes(points, faces)
-    normals, offsets, rows = _planes_per_face(points, faces)
+    normals, rows = _planes_per_face(points, faces)
     assert planes.first == [[set(g) for g in faces].index(set(f)) for f in faces]
     for k in range(len(faces)):
-        assert (planes.normals[k], planes.offsets[k], planes.rows[k]) == (
-            normals[k], offsets[k], rows[k]), k
+        assert (planes.normals[k], planes.rows[k]) == (normals[k], rows[k]), k
     # the same plane exactly when the windings are one rotation apart
     turns = [{g[i:] + g[:i] for i in range(3)} for g in faces]
     same = [k for k, j in enumerate(planes.first) if j != k and faces[k] in turns[j]]
