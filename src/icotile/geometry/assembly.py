@@ -68,8 +68,7 @@ one slot per point, of W bits, one more than the bit length of 5184 M^4
 (F(k) + F(k+1)).
 One multiply-add per face plane gives its form at every point, and the top
 bits of the slots, biased by 2^(W-1), give the points below and above it as
-two bitmasks.  A face shared whole by two tiles is one plane per pair: the
-second face takes the first's negated, its masks swapped.
+two bitmasks.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ class Mesh:
         exact = _points(self.exact)
         # a face's Newell normal, the sum of tail x head over its edges, is its
         # fan's sum of (f[i] - f[0]) x (f[i+1] - f[0]), k - 2 terms
-        normals = tuple(_normal(*map(exact.__getitem__, f)) if len(f) == 3 else
-                        _vsum(_normal(exact[f[0]], exact[u], exact[v])
+        normals = tuple(_vsum(_normal(exact[f[0]], exact[u], exact[v])
                               for u, v in zip(f[1:-1], f[2:])) for f in self.faces)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "edge_faces", _edge_faces(self.faces))
@@ -455,8 +453,7 @@ _Planes = namedtuple("_Planes", "slots scaled packed normals rows first")
 
 
 def _planes(points, faces, ks=None) -> _Planes:
-    """Face planes, computed once per point set: a later face on an earlier
-    one's points takes its plane, negated unless wound the same way round.
+    """Each face's plane at points, and the first face on its points.
     Given ks, only those faces take theirs here (see _fill)."""
     slots = _Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
@@ -468,20 +465,13 @@ def _planes(points, faces, ks=None) -> _Planes:
 
 
 def _fill(points, faces, planes: _Planes, ks) -> _Planes:
-    """Set the planes of faces ks, in order, each after the first face on its points."""
-    scaled, packed, normals, rows, first = planes[1:]
+    """Set the planes of faces ks, each from its own corners."""
+    scaled, packed, normals, rows = planes[1:5]
     ones, signs = planes.slots.ones, planes.slots.signs
     for k in ks:
-        f, j = faces[k], first[k]
-        if j == k:
-            n = _normal(points[f[0]], points[f[1]], points[f[2]])
-            row = signs(_at(n, packed) - _at(n, scaled[f[0]]) * ones)
-        else:
-            g, n, row = faces[j], normals[j], rows[j]
-            if g[g.index(f[0]) - 2] != f[1]:  # f[1] does not follow f[0] in g
-                (p, q), (r, s), (t, u) = n
-                n, row = ((-p, -q), (-r, -s), (-t, -u)), (row[1], row[0])
-        normals[k], rows[k] = n, row
+        f = faces[k]
+        n = _normal(points[f[0]], points[f[1]], points[f[2]])
+        normals[k], rows[k] = n, signs(_at(n, packed) - _at(n, scaled[f[0]]) * ones)
     return planes
 
 
@@ -738,11 +728,13 @@ def _build(target: str) -> Assembly:
     hull = [k for k, wall in enumerate(is_wall) if not wall]
     owners = [names[k // 4] for k in hull]
     # the boundary faces as (point indices, plane key): equal sign rows, one oriented plane
-    fused = _fuse([(faces[k], planes.rows[k]) for k in hull], owners, points, planes.scaled)
+    try:
+        fused = _fuse([(faces[k], planes.rows[k]) for k in hull], owners, points, planes.scaled)
+    except AssemblyError as exc:
+        raise AssemblyError(f"{target}: {exc}") from exc
 
-    # compact the vertex array to the ones the hull actually uses; a boundary face is
-    # not shared, so its plane's normal is its own, and a fused face's Newell normal
-    # is the sum of its triangles' (dropping collinear corners leaves it unchanged)
+    # compact the vertex array to the ones the hull actually uses; a fused face's Newell
+    # normal is the sum of its triangles' (dropping collinear corners leaves it unchanged)
     used = sorted({i for f, _ in fused for i in f})
     remap = {old: new for new, old in enumerate(used)}
     mesh_faces = tuple(tuple(remap[i] for i in f) for f, _ in fused)

@@ -29,37 +29,20 @@ def _csv(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _table1() -> str:
-    rows = [["tile", "faces", "volume", "volume_float"]]
-    for kind in _FUNDAMENTALS:
+def _tile_table(kinds, counts=()) -> str:
+    """One row per tile kind: its name, the record's counts fields, faces and volume."""
+    rows = [["tile", *counts, "faces", "volume", "volume_float"]]
+    for kind in kinds:
         rec = catalog.record(kind)
-        rows.append([kind.value, rec.faces_text(), format_volume(rec.volume),
-                     f"{embed(rec.volume):.17g}"])
-    return _csv(rows)
-
-
-def _table2() -> str:
-    rows = [["tile", "N0", "N1", "N2", "faces", "volume", "volume_float"]]
-    for kind in _COMPOSITES:
-        rec = catalog.record(kind)
-        rows.append([kind.value, rec.N0, rec.N1, rec.N2, rec.faces_text(),
+        rows.append([kind.value, *(getattr(rec, c) for c in counts), rec.faces_text(),
                      format_volume(rec.volume), f"{embed(rec.volume):.17g}"])
     return _csv(rows)
 
 
-def _matrix_csv() -> str:
-    rows = [["tile", "T1", "T2", "T3", "T4"]]
-    for i, kind in enumerate(inflation.COMPOSITE_ORDER):
-        rows.append([kind.value] + [inflation.M.rows[i][j] for j in range(4)])
-    return _csv(rows)
-
-
-def _projection_csv() -> str:
-    proj = inflation.projection_matrix()
-    rows = [["tile", "T1", "T2", "T3", "T4"]]
-    for i, kind in enumerate(inflation.COMPOSITE_ORDER):
-        rows.append([kind.value] + [str(x) for x in proj[i]])
-    return _csv(rows)
+def _square_table(matrix) -> str:
+    """A 4x4 matrix, one row per composite tile T1..T4."""
+    return _csv([["tile", "T1", "T2", "T3", "T4"]]
+                + [[kind.value, *row] for kind, row in zip(inflation.COMPOSITE_ORDER, matrix)])
 
 
 def _markdown() -> str:
@@ -128,8 +111,8 @@ def build_bundle() -> dict[str, str]:
     """All report files as {name: content}, byte-stable across runs."""
     return {
         "report.md": _markdown(),
-        "table1.csv": _table1(),
-        "table2.csv": _table2(),
-        "inflation_matrix.csv": _matrix_csv(),
-        "projection.csv": _projection_csv(),
+        "table1.csv": _tile_table(_FUNDAMENTALS),
+        "table2.csv": _tile_table(_COMPOSITES, ("N0", "N1", "N2")),
+        "inflation_matrix.csv": _square_table(inflation.M.rows),
+        "projection.csv": _square_table(inflation.projection_matrix()),
     }

@@ -1245,8 +1245,9 @@ def test_walls_match_all_faces_reference(monkeypatch, target):
         if target in REFUSED:
             with pytest.raises(AssemblyError) as exc:
                 assembly._build(wiring)
-            assert str(exc.value) == (f"the boundary triangles in the plane of a face of "
-                                      f"{REFUSED[target]} do not fuse into one simple polygon")
+            assert str(exc.value) == (f"{wiring}: the boundary triangles in the plane of a "
+                                      f"face of {REFUSED[target]} do not fuse into one simple "
+                                      f"polygon")
             return
     a = assembly._build(wiring)
     split = ([], [])
@@ -1260,6 +1261,35 @@ def test_walls_match_all_faces_reference(monkeypatch, target):
     by_index = sum(faces[_point_set(c)] == 2 for _, c in split[0])
     if target in WALLS_BY_INDEX:
         assert (by_index, len(split[0])) == WALLS_BY_INDEX[target]
+
+
+def test_two_phase_planes_match_one_pass(monkeypatch):
+    # _decide sets the lone faces' planes and _build the rest: the table the
+    # pairwise test reads is that of one _planes pass over every face
+    seen = []
+    monkeypatch.setattr(assembly, "_overlaps",
+                        lambda *a, _f=assembly._overlaps: seen.append(a) or _f(*a))
+    pairwise = []
+    for target in ["E", *SUBLISTS]:
+        wiring, left_out = SUBLISTS.get(target, ("E", ()))
+        coords, tets, subset = assembly._SOURCES[wiring]
+        tets = [t for k, t in enumerate(tets if subset is None else [tets[i] for i in subset])
+                if k not in left_out]
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setitem(assembly._SOURCES, wiring, (coords, tets, None))
+            try:
+                assembly._build(wiring)
+            except AssemblyError:
+                assert target in REFUSED
+        if seen:
+            (points, _, planes), = seen
+            want_points, faces = _build_faces(coords, tets)
+            want = assembly._planes(points, faces)
+            assert points == want_points
+            assert (planes.normals, planes.rows) == (want.normals, want.rows), target
+            pairwise.append(target)
+    assert len(pairwise) == 59  # E and 58 of the 65 sub-lists
 
 
 # how the build decides each face: (shared whole, a wall by index; no tile
@@ -1712,9 +1742,9 @@ def test_kernel_overlaps_contacts_and_zero_normals():
     assert _kernel_pairs(tets)[0] == _overlapping_pairs(tets) == [(0, 1)]
 
 
-def _planes_per_face(points, faces):
-    """Each face's normal and sign row computed on its own, as _planes did
-    before faces on one point set shared a plane: the reference."""
+def _planes_reference(points, faces):
+    """Each face's normal and sign row from its own corners, the slot
+    arithmetic written out: the reference for _planes."""
     slots = assembly._Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
     packed = slots.pack(scaled)
@@ -1740,8 +1770,9 @@ def _build_faces(coords, tets):
 
 
 # per wiring: (faces on the points of an earlier face wound the same way
-# round, the other way round); the moved wirings of
-# test_exact_overlap_matches_float_reference follow the nine targets
+# round, the other way round), the partners whose windings _decide reads;
+# the moved wirings of test_exact_overlap_matches_float_reference follow
+# the nine targets
 _PARTNERS = [(t, None, (0, 0), n) for t, n in (
     ("d1", (0, 48)), ("i1", (0, 22)), ("E", (0, 2)), ("C", (0, 2)), ("T1", (0, 6)),
     ("T2", (0, 1)), ("T3", (0, 2)), ("T3bar", (0, 2)), ("T4", (0, 2)))] + [
@@ -1762,7 +1793,7 @@ def test_partner_planes_match_per_face(wiring, moved, move, partners):
         coords[moved] = _moved_in_x(coords[moved], move)
     points, faces = _build_faces(coords, tets)
     planes = assembly._planes(points, faces)
-    normals, rows = _planes_per_face(points, faces)
+    normals, rows = _planes_reference(points, faces)
     assert planes.first == [[set(g) for g in faces].index(set(f)) for f in faces]
     for k in range(len(faces)):
         assert (planes.normals[k], planes.rows[k]) == (normals[k], rows[k]), k
