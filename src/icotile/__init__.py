@@ -9,16 +9,18 @@ presentation boundary.
 
 import sys
 
-from . import catalog, golden
-from .catalog import TileKind, record
+# golden first, so sys.modules lists catalog after it: a scan of the loaded modules
+# (perfbench's span wrapper) that reads a lazy catalog name then finds it in catalog
+from . import golden, catalog
+from .catalog import TileKind
 from .golden import GoldenRational, SIGMA, SQRT5, TAU, embed, tau_pow
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # geometry, inflation, and inflation's CountVector, M and inflate_counts
-    # resolve on first use, so a subcommand loads only the layers it reads.
+    # geometry, inflation, its CountVector, M and inflate_counts, and catalog's
+    # record resolve on first use, so a subcommand loads only the layers it reads.
     # __import__ takes an import statement's path, which -X importtime
     # reports (importlib.import_module's is not); `from . import geometry`
     # here would re-enter this hook without end
@@ -27,6 +29,8 @@ def __getattr__(name):
         return sys.modules[f"{__name__}.{name}"]
     if name in ("CountVector", "M", "inflate_counts"):
         return getattr(__getattr__("inflation"), name)
+    if name == "record":
+        return catalog.record
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -2,7 +2,6 @@
 
 import sys
 
-from ..catalog import CMVolume, EdgeScheme, cm_volume, edge_scheme
 from .assembly import (
     ASSEMBLY_TARGETS,
     Assembly,
@@ -20,19 +19,21 @@ from .assembly import (
     squared_edges,
 )
 
-# axes and placement load on first use: only the axis-classes check and the
-# tests read them, so build and report need not pay to compile and run them;
+# axes, placement and the catalog's records load on first use: only checks
+# and tests read them, so a build need not pay to compile and run them;
 # __import__, as in icotile.__getattr__, so that -X importtime lists them
-_LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"), "axes"),
+_LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"),
+                         f"{__name__}.axes"),
          **dict.fromkeys(("AmbiguityError", "CongruenceError", "GlueError",
-                          "face_correspondences", "glue", "realize"), "placement")}
+                          "face_correspondences", "glue", "realize"), f"{__name__}.placement"),
+         **dict.fromkeys(("CMVolume", "EdgeScheme", "cm_volume", "edge_scheme"),
+                         "icotile._catalog")}
 
 
 def __getattr__(name):
     if name in _LAZY:
-        module = f"{__name__}.{_LAZY[name]}"
-        __import__(module)
-        return getattr(sys.modules[module], name)
+        __import__(_LAZY[name])
+        return getattr(sys.modules[_LAZY[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -583,14 +583,6 @@ def _fuse(faces: list, owners: list[str], points, scaled) -> list[tuple]:
     return out
 
 
-def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
-    """The rims of _fuse, lone triangles too, without collinear corners, and their owners."""
-    points = _points(points)
-    fused = _fuse(faces, owners, points, _planes(points, []).scaled)
-    return ([_drop_collinear(rim, points) for rim, _ in fused],
-            [{owners[s] for s in slots} for _, slots in fused])
-
-
 # ---------------------------------------------------------------------------
 # the assembly itself
 

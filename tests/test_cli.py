@@ -552,24 +552,73 @@ print(json.dumps({
                      "star_inflation": [True] * 4, "unknown": False}
 
 
+def test_catalog_records_load_on_first_read():
+    # the CLI and geometry load the tile vocabulary, not the record tables;
+    # the first read of any other catalog name loads them, a dunder does not
+    facts = _fresh_process("""
+import json, sys
+import icotile, icotile.cli, icotile.geometry
+from icotile import catalog
+loaded = sorted(m for m in sys.modules if m in ("icotile.catalog", "icotile._catalog"))
+path = hasattr(catalog, "__path__")
+probed = "icotile._catalog" in sys.modules
+try:
+    catalog.nonexistent
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+from icotile import _catalog
+star = {}
+exec("from icotile.catalog import *", star)
+print(json.dumps({
+    "loaded": loaded, "path": path, "probed": probed, "unknown": unknown,
+    "same": [catalog.FaceSpec is _catalog.FaceSpec, catalog.record is _catalog.record,
+             catalog._RECORDS is _catalog._RECORDS, icotile.record is _catalog.record,
+             icotile.geometry.CMVolume is _catalog.CMVolume,
+             _catalog.TileKind is catalog.TileKind],
+    "star": sorted(set(star) - {"__builtins__"}) == sorted(catalog.__all__)
+            and all(star[n] is getattr(catalog, n) for n in catalog.__all__),
+}))
+""")
+    assert facts == {"loaded": ["icotile.catalog"], "path": False, "probed": False,
+                     "unknown": "module 'icotile.catalog' has no attribute 'nonexistent'",
+                     "same": [True] * 6, "star": True}
+
+
+@pytest.mark.parametrize("args", [["build", "--shape", "T2"], ["catalog"]])
+def test_traced_cli_child_wraps_catalog_functions(args, tmp_path):
+    # perfbench/child_cli.py wraps the public functions it finds in the
+    # namespaces of the modules `import icotile.cli` loaded, before any
+    # record is read; catalog.all_records and total_volume must be found
+    child = Path(__file__).parents[1] / "perfbench" / "child_cli.py"
+    proc = subprocess.run([sys.executable, str(child), str(tmp_path / "spans"), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = [json.loads(line)[0] for line in (tmp_path / "spans").read_text().splitlines()]
+    assert ("catalog.all_records" in names) == (args == ["catalog"])
+
+
 # the icotile modules, and which of decimal, fractions and json, one
 # subcommand loads in a fresh interpreter, and its exit code
 _CORE = ["icotile", "icotile.catalog", "icotile.cli", "icotile.golden"]
+_RECORDS = sorted(_CORE + ["icotile._catalog"])
 _GEOMETRY = ["icotile.geometry", "icotile.geometry._wiring", "icotile.geometry.assembly"]
 _SUBCOMMAND_LOADS = [
-    (["catalog"], 0, _CORE),
+    (["catalog"], 0, _RECORDS),
     (["build", "--shape", "d2"], 2, _CORE),
     (["eigen", "--frobnicate"], 2, _CORE),
+    (["--help"], 0, _CORE),
     (["build", "--shape", "i1"], 0, sorted(_CORE + _GEOMETRY)),
-    (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_CORE + ["icotile.inflation"])),
-    (["eigen"], 0, sorted(_CORE + ["icotile.inflation"])),
-    (["ledger", "--verify"], 0, sorted(_CORE + ["icotile.inflation"])),
-    (["catalog", "--json"], 0, sorted(_CORE + ["json"])),
+    (["build", "--shape", "T2"], 0, sorted(_CORE + _GEOMETRY)),
+    (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_RECORDS + ["icotile.inflation"])),
+    (["eigen"], 0, sorted(_RECORDS + ["icotile.inflation"])),
+    (["ledger", "--verify"], 0, sorted(_RECORDS + ["icotile.inflation"])),
+    (["catalog", "--json"], 0, sorted(_RECORDS + ["json"])),
     (["inflate", "--tile", "T2", "--order", "3", "--json"], 0,
-     sorted(_CORE + ["icotile.inflation", "json"])),
+     sorted(_RECORDS + ["icotile.inflation", "json"])),
     (["build", "--shape", "i1", "--json"], 0, sorted(_CORE + _GEOMETRY + ["json"])),
     (["--max-order", "5000", "inflate", "--tile", "T2", "--order", "1000"], 0,
-     sorted(_CORE + ["decimal", "icotile.inflation"])),
+     sorted(_RECORDS + ["decimal", "icotile.inflation"])),
 ]
 
 

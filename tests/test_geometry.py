@@ -525,13 +525,22 @@ def test_assembly_volumes():
         assert abs(a.mesh.volume() - a.tile_volume_sum()) < 1e-9
 
 
+def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
+    """The rims of assembly._fuse, lone triangles too, without collinear
+    corners, and their owners: _fuse on its own, without a build around it."""
+    points = assembly._points(points)
+    fused = assembly._fuse(faces, owners, points, assembly._planes(points, []).scaled)
+    return ([assembly._drop_collinear(rim, points) for rim, _ in fused],
+            [{owners[s] for s in slots} for _, slots in fused])
+
+
 def test_fuse_coplanar_cancels_shared_edges():
     square = _rational([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 0, 0)])
     key = ("z = 0",)
     # a fan of three triangles: one face from the first triangle's first
     # corner, the collinear corner 4 dropped, owned by all three
     faces = [((1, 2, 3), key), ((1, 3, 4), key), ((4, 3, 0), key), ((0, 1, 3), ("x",))]
-    fused, owners = assembly._fuse_coplanar(faces, ["a", "b", "c", "d"], square)
+    fused, owners = _fuse_coplanar(faces, ["a", "b", "c", "d"], square)
     assert fused == [(1, 2, 3, 0), (0, 1, 3)]
     assert owners == [{"a", "b", "c"}, {"d"}]
     # a fan around an inner corner: the walk starts at the first corner on
@@ -539,7 +548,7 @@ def test_fuse_coplanar_cancels_shared_edges():
     star = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (-2, 0, 0), (0, -2, 0)])
     for first in ((0, 1, 2), (1, 2, 0)):
         fan = [first, (0, 2, 3), (0, 3, 4), (0, 4, 1)]
-        fused, owners = assembly._fuse_coplanar([(f, key) for f in fan], list("abcd"), star)
+        fused, owners = _fuse_coplanar([(f, key) for f in fan], list("abcd"), star)
         assert (fused, owners) == ([(1, 2, 3, 4)], [set("abcd")])
 
 
@@ -547,7 +556,7 @@ def test_fuse_coplanar_rejects_disjoint_triangles():
     points = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (4, 0, 0), (6, 0, 0), (4, 2, 0)])
     key = ("z = 0",)
     with pytest.raises(AssemblyError, match="one simple polygon"):
-        assembly._fuse_coplanar([((0, 1, 2), key), ((3, 4, 5), key)], ["a", "b"], points)
+        _fuse_coplanar([((0, 1, 2), key), ((3, 4, 5), key)], ["a", "b"], points)
 
 
 def test_fuse_coplanar_collinear_corners():
@@ -555,12 +564,12 @@ def test_fuse_coplanar_collinear_corners():
     # two collinear corners in a row on one side of a square are both dropped
     points = _rational([(0, 0, 0), (4, 0, 0), (4, 4, 0), (0, 4, 0), (1, 0, 0), (2, 0, 0)])
     fan = [(3, 0, 4), (3, 4, 5), (3, 5, 1), (3, 1, 2)]
-    fused, _ = assembly._fuse_coplanar([(f, key) for f in fan], list("abcd"), points)
+    fused, _ = _fuse_coplanar([(f, key) for f in fan], list("abcd"), points)
     assert fused == [(3, 0, 1, 2)]
     # a cycle whose corners all lie on one line is no polygon
     line = _rational([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
     with pytest.raises(AssemblyError, match="fewer than 3 corners"):
-        assembly._fuse_coplanar([((0, 1, 2), key)], ["a"], line)
+        _fuse_coplanar([((0, 1, 2), key)], ["a"], line)
 
 
 def _planar(corners):
