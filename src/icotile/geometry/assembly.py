@@ -42,7 +42,8 @@ a lone face f of tile t, and a tile u that holds the outside of f near f's
 centroid c.  The plane separating t and u passes through c, which lies
 inside t's facet f, so it must be f's plane.  So u meets it in a face wound
 the other way that contains c, and lone: a partner face would belong to a
-tile overlapping t.  This assumes a face wholly covered or wholly exposed.
+tile overlapping t.  This assumes a face wholly covered or wholly exposed,
+and a build checks it: each such plane's walls must cancel, split or not.
 
 A build hands on the facts it has decided rather than deriving them again.
 Its tiles take the points it has read, with their kinds and parities
@@ -300,18 +301,17 @@ def expected_triangle_census(kind: TileKind | str) -> Counter:
 # wiring interpretation
 
 
-# the first group of each kind in the d1 dissection (reversed: the first one wins)
-_FIRST_GROUP = {kind: ids for kind, ids, _ in reversed(_wiring.D1_GROUPS)}
-
+# each target's (coords, tets, groups): T1, T2 and T4 are the first group of their kind in
+# d1 (reversed: the first one wins), E and C the first and last three tiles of T1
+_FIRST_GROUP = {k: [_wiring.D1_TETS[i] for i in ids] for k, ids, _ in reversed(_wiring.D1_GROUPS)}
 _SOURCES = {
-    "d1": (_wiring.D1_COORDS, _wiring.D1_TETS, None),
-    "i1": (_wiring.I1_COORDS, _wiring.I1_TETS, None),
-    # the standalone T1, T2 and T4; E and C are the first and last three of T1
-    **{k: (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP[k]) for k in ("T1", "T2", "T4")},
-    "E": (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP["T1"][:3]),
-    "C": (_wiring.D1_COORDS, _wiring.D1_TETS, _FIRST_GROUP["T1"][3:]),
-    "T3": (_wiring.I1_COORDS, _wiring.T3_TETS, None),
-    "T3bar": (_wiring.I1_COORDS, _wiring.I1_TETS, _wiring.I1_T3BAR),
+    "d1": (_wiring.D1_COORDS, _wiring.D1_TETS, tuple(_wiring.D1_GROUPS)),
+    "i1": (_wiring.I1_COORDS, _wiring.I1_TETS, ()),
+    **{k: (_wiring.D1_COORDS, _FIRST_GROUP[k], ()) for k in ("T1", "T2", "T4")},
+    "E": (_wiring.D1_COORDS, _FIRST_GROUP["T1"][:3], ()),
+    "C": (_wiring.D1_COORDS, _FIRST_GROUP["T1"][3:], ()),
+    "T3": (_wiring.I1_COORDS, _wiring.T3_TETS, ()),
+    "T3bar": (_wiring.I1_COORDS, [_wiring.I1_TETS[i] for i in _wiring.I1_T3BAR], ()),
 }
 
 # faces of tetrahedron abcd wound outward, by the sign of det(b - a, c - a, d - a)
@@ -648,14 +648,20 @@ def _cancels(edges) -> bool:
     return Counter(edges) == Counter((v, u) for u, v in edges)
 
 
-def _decide(points, faces, planes: _Planes) -> tuple[list[bool], bool]:
-    """Each face's wall flag by the one wall rule, and whether the face-to-face
-    certificate holds (module docstring).  It sets the planes of the faces
-    whose points no other face shares, and only those."""
+def _closes(triangles, points, scaled) -> bool:
+    """Whether the triangles' directed edges _cancel, as they are or once _split."""
+    edges = [(f[i - 1], f[i]) for f in triangles for i in range(3)]
+    return _cancels(edges) or _cancels(_split(edges, points, scaled))
+
+
+def _decide(points, faces, planes: _Planes) -> tuple[list[bool], bool, list[int]]:
+    """Each face's wall flag by the one wall rule, whether the face-to-face
+    certificate holds, and the tiles of the planes whose walls do not close
+    (module docstring).  It sets the planes of the lone faces, and only those."""
     first = planes.first
     size = Counter(first)
     lone = [j for j, n in size.items() if n == 1]  # in order, each its group's first
-    rows, normals = _fill(points, faces, planes, lone).rows, planes.normals
+    rows, normals, scaled = _fill(points, faces, planes, lone).rows, planes.normals, planes.scaled
     is_wall = [size[j] > 1 or rows[k][1] != 0 for k, j in enumerate(first)]
     holds = not any(size[j] > 2 or faces[j][faces[j].index(faces[k][0]) - 2] == faces[k][1]
                     for k, j in enumerate(first) if j != k)
@@ -665,28 +671,25 @@ def _decide(points, faces, planes: _Planes) -> tuple[list[bool], bool]:
     for k in lone:
         if rows[k][1]:
             cut.setdefault(sum(rows[k]), []).append(k)
+    unclosed = []  # the tile of the first lone face of each plane whose walls do not close
     for on in cut.values():
-        edges = [(f[i - 1], f[i]) for f in map(faces.__getitem__, on) for i in range(3)]
-        if len({rows[k] for k in on}) == 2 and (
-                _cancels(edges) or _cancels(_split(edges, points, planes.scaled))):
+        if len({rows[k] for k in on}) == 2 and _closes([faces[k] for k in on], points, scaled):
             continue
         holds = False
         for k in on:
             is_wall[k] = any(_holds(points, faces, normals, g, k)
                              for g in on if rows[g] != rows[k])
+        if not _closes([faces[k] for k in on if is_wall[k]], points, scaled):
+            unclosed.append(on[0] // 4)
     # the first supporting face's centroid in no other supporting face of its plane
     hull = [k for k in lone if not rows[k][1]]
     holds = holds and not any(_holds(points, faces, normals, k, hull[0])
                               for k in hull[1:] if rows[k] == rows[hull[0]])
-    return is_wall, holds
+    return is_wall, holds, unclosed
 
 
-def _build(target: str) -> Assembly:
-    coords, tets, subset = _SOURCES[target]
-    if subset is not None:
-        tets = [tets[i] for i in subset]
-
-    # only the tiles' points, in the wiring's order
+def _build(target: str, coords, tets, groups=()) -> Assembly:
+    """Build tets, each (kind, point labels), on their points alone, in coords' order."""
     labels = {lab for _, labs in tets for lab in labs}
     index = {lab: k for k, lab in enumerate(lab for lab in coords if lab in labels)}
     points = _points([coords[lab] for lab in index])
@@ -708,7 +711,7 @@ def _build(target: str) -> Assembly:
     # points, set as the certificate and the pairwise tests need them
     faces = [(ids[i], ids[j], ids[k]) for ids, t in zip(vert_ids, tiles) for i, j, k in t.faces]
     planes = _planes(points, faces, ())
-    is_wall, holds = _decide(points, faces, planes)
+    is_wall, holds, unclosed = _decide(points, faces, planes)
     if not holds:
         _fill(points, faces, planes, [k for k, n in enumerate(planes.normals) if n is None])
         # no two tetrahedra may share interior volume
@@ -717,6 +720,9 @@ def _build(target: str) -> Assembly:
             a, b = overlaps[0]
             raise AssemblyError(f"{target}: tiles {tiles[a].name} and {tiles[b].name} overlap")
     names = [t.name for t in tiles]
+    if unclosed:
+        raise AssemblyError(f"{target}: the walls in the plane of a face of {names[unclosed[0]]} "
+                            "do not close")
     hull = [k for k, wall in enumerate(is_wall) if not wall]
     owners = [names[k // 4] for k in hull]
     # the boundary faces as (point indices, plane key): equal sign rows, one oriented plane
@@ -738,7 +744,6 @@ def _build(target: str) -> Assembly:
         tuple(normals[hull[slots[0]]] if len(slots) == 1 else
               _vsum(normals[hull[s]] for s in slots) for _, slots in fused))
 
-    groups = tuple(_wiring.D1_GROUPS) if target == "d1" else ()
     return Assembly(target, tuple(tiles), mesh, groups,
                     _FaceTable(points, faces, is_wall, names))
 
@@ -748,7 +753,7 @@ def assemble(target: str) -> Assembly:
     """Instantiate one of the precomputed clusters; see ASSEMBLY_TARGETS."""
     if target not in _SOURCES:
         raise KeyError(f"unknown assembly target {target!r}; choose from {ASSEMBLY_TARGETS}")
-    return _build(target)
+    return _build(target, *_SOURCES[target])
 
 
 def dihedrals(mesh: Mesh) -> list[Dihedral]:
