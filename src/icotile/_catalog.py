@@ -22,7 +22,7 @@ The raw triangle census before merging is kept as auxiliary data.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import lcm, sqrt
 from operator import index, mul
@@ -32,6 +32,7 @@ from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt, tau_pow
 
 _SHAPE_SIDES = {"triangle": 3, "trapezoid": 4, "pentagon": 5}
 _TAU2 = TAU * TAU
+_EDGE_NAMES = {ONE: "1", TAU: "tau", _TAU2: "tau^2"}
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,7 @@ class FaceSpec:
         return _FAMILY_AXIS[triangle_family([e * e for e in self.edges])]
 
     def edge_names(self) -> str:
-        return "(" + ",".join(_edge_name(e) for e in self.edges) + ")"
-
-
-def _edge_name(e: GoldenRational) -> str:
-    if e == ONE:
-        return "1"
-    if e == TAU:
-        return "tau"
-    if e == TAU * TAU:
-        return "tau^2"
-    return str(e)
+        return "(" + ",".join(_EDGE_NAMES.get(e) or str(e) for e in self.edges) + ")"
 
 
 def triangle_family(squares) -> str:
@@ -178,12 +169,17 @@ _EDGE_LENGTHS = {
 _FACE_EDGES = ((0, 1, 3), (0, 2, 4), (1, 2, 5), (3, 4, 5))
 
 
+def _face_specs(census) -> tuple[FaceSpec, ...]:
+    shapes = {n: shape for shape, n in _SHAPE_SIDES.items()}
+    return tuple(FaceSpec(shapes[len(edges)], edges, n) for edges, n in census)
+
+
 def _tet_faces(lengths) -> tuple[FaceSpec, ...]:
     """Face census of a tetrahedron with these six edge lengths: one
     FaceSpec per sorted edge triple, equilateral faces first, then by edges."""
     census = Counter(tuple(sorted(lengths[i] for i in face)) for face in _FACE_EDGES)
-    return tuple(FaceSpec("triangle", edges, census[edges])
-                 for edges in sorted(census, key=lambda e: (e[0] != e[2], e)))
+    return _face_specs((edges, census[edges])
+                       for edges in sorted(census, key=lambda e: (e[0] != e[2], e)))
 
 
 def gram_determinant(squares) -> GoldenRational:
@@ -264,68 +260,42 @@ def _tile_volume(kind: TileKind, lengths) -> GoldenRational:
     return cm.exact_root
 
 
+# One row per composite: its composition, its faces after coplanar fusion as
+# (edges, multiplicity) pairs, (N0, N1, N2), and its triangles before fusion,
+# or None where they are its faces.  E and C precede T1, whose volume sums theirs.
+_Composite = namedtuple("_Composite", "composition faces counts premerge")
+_COMPOSITES = {
+    # E: two t4 matched on the two equilateral faces of a t1 (nonconvex octahedron)
+    TileKind.E: _Composite(((TileKind.t4, 2), (TileKind.t1, 1)),
+                           ((_R1TT, 6), (_R11T, 2)), (6, 12, 8), None),
+    # C: a t6 sandwiched between two t3 on its (tau,tau,tau) faces
+    TileKind.C: _Composite(((TileKind.t3, 2), (TileKind.t6, 1)),
+                           ((_R11T, 6), (_R1TT, 2)), (6, 12, 8), None),
+    # T1 = E + C, C inserted between the legs of E on two (1,tau,tau) faces
+    TileKind.T1: _Composite(((TileKind.E, 1), (TileKind.C, 1)),
+                            ((_R11T, 4), (_TRAP, 4)), (8, 14, 8), ((_R11T, 8), (_R1TT, 4))),
+    TileKind.T2: _Composite(((TileKind.t2, 1), (TileKind.t4, 1)),
+                            ((_R1TT, 2), (_RTT2, 2)), (4, 6, 4), ((_R11T, 2), (_R1TT, 4))),
+    TileKind.T3: _Composite(((TileKind.t5, 2), (TileKind.t6, 1)),
+                            ((_R1TT, 5), (_PENT, 1)), (6, 10, 6), ((_R11T, 2), (_R1TT, 6))),
+    TileKind.T4: _Composite(((TileKind.t3, 1), (TileKind.t6, 1), (TileKind.t5, 1)),
+                            ((_R11T, 3), (_R1TT, 3), (_TRAP, 1)), (6, 11, 7),
+                            ((_R11T, 4), (_R1TT, 4))),
+}
+# T3bar: T3's three tiles, one t5 re-seated by a 120 degree turn about its
+# base axis; the pentagon never forms and two trapezoids appear instead
+_COMPOSITES[TileKind.T3bar] = _COMPOSITES[TileKind.T3]._replace(faces=((_R1TT, 4), (_TRAP, 2)))
+
+
 def _records() -> dict[TileKind, TileRecord]:
     recs = {kind: TileRecord(kind, _tet_faces(lengths), _tile_volume(kind, lengths),
                              edge_lengths=lengths)
             for kind, lengths in _EDGE_LENGTHS.items()}
-
-    def vol_of(comp):
-        return sum((recs[k].volume * n for k, n in comp), GoldenRational(0))
-
-    # E: two t4 matched on the two equilateral faces of a t1 (nonconvex octahedron)
-    comp_E = ((TileKind.t4, 2), (TileKind.t1, 1))
-    recs[TileKind.E] = TileRecord(
-        TileKind.E,
-        (FaceSpec("triangle", _R1TT, 6), FaceSpec("triangle", _R11T, 2)),
-        vol_of(comp_E), comp_E, 6, 12, 8,
-        premerge_triangles=(FaceSpec("triangle", _R1TT, 6), FaceSpec("triangle", _R11T, 2)),
-    )
-    # C: a t6 sandwiched between two t3 on its (tau,tau,tau) faces
-    comp_C = ((TileKind.t3, 2), (TileKind.t6, 1))
-    recs[TileKind.C] = TileRecord(
-        TileKind.C,
-        (FaceSpec("triangle", _R11T, 6), FaceSpec("triangle", _R1TT, 2)),
-        vol_of(comp_C), comp_C, 6, 12, 8,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 6), FaceSpec("triangle", _R1TT, 2)),
-    )
-    # T1 = E + C, C inserted between the legs of E on two (1,tau,tau) faces
-    comp_T1 = ((TileKind.E, 1), (TileKind.C, 1))
-    recs[TileKind.T1] = TileRecord(
-        TileKind.T1,
-        (FaceSpec("triangle", _R11T, 4), FaceSpec("trapezoid", _TRAP, 4)),
-        vol_of(comp_T1), comp_T1, 8, 14, 8,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 8), FaceSpec("triangle", _R1TT, 4)),
-    )
-    comp_T2 = ((TileKind.t2, 1), (TileKind.t4, 1))
-    recs[TileKind.T2] = TileRecord(
-        TileKind.T2,
-        (FaceSpec("triangle", _R1TT, 2), FaceSpec("triangle", _RTT2, 2)),
-        vol_of(comp_T2), comp_T2, 4, 6, 4,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 4)),
-    )
-    comp_T3 = ((TileKind.t5, 2), (TileKind.t6, 1))
-    recs[TileKind.T3] = TileRecord(
-        TileKind.T3,
-        (FaceSpec("triangle", _R1TT, 5), FaceSpec("pentagon", _PENT, 1)),
-        vol_of(comp_T3), comp_T3, 6, 10, 6,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 6)),
-    )
-    # T3bar: same three tiles, one t5 re-seated by a 120 degree turn about its
-    # base axis; the pentagon never forms and two trapezoids appear instead
-    recs[TileKind.T3bar] = TileRecord(
-        TileKind.T3bar,
-        (FaceSpec("triangle", _R1TT, 4), FaceSpec("trapezoid", _TRAP, 2)),
-        vol_of(comp_T3), comp_T3, 6, 10, 6,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 2), FaceSpec("triangle", _R1TT, 6)),
-    )
-    comp_T4 = ((TileKind.t3, 1), (TileKind.t6, 1), (TileKind.t5, 1))
-    recs[TileKind.T4] = TileRecord(
-        TileKind.T4,
-        (FaceSpec("triangle", _R11T, 3), FaceSpec("triangle", _R1TT, 3),
-         FaceSpec("trapezoid", _TRAP, 1)),
-        vol_of(comp_T4), comp_T4, 6, 11, 7,
-        premerge_triangles=(FaceSpec("triangle", _R11T, 4), FaceSpec("triangle", _R1TT, 4)),
-    )
+    for kind, (comp, faces, counts, premerge) in _COMPOSITES.items():
+        volume = sum((recs[k].volume * n for k, n in comp), GoldenRational(0))
+        faces = _face_specs(faces)
+        premerge = faces if premerge is None else _face_specs(premerge)
+        recs[kind] = TileRecord(kind, faces, volume, comp, *counts, premerge_triangles=premerge)
     return recs
 
 
@@ -400,17 +370,16 @@ def total_volume(inv) -> GoldenRational:
                           _VOLUME_DEN)
 
 
-_INVENTORIES = {
-    "i1": Inventory("i1", ((TileKind.t1, 7), (TileKind.t2, 6), (TileKind.t5, 2), (TileKind.t6, 1))),
-    "itau": Inventory("itau", ((TileKind.t1, 1), (TileKind.t2, 8), (TileKind.t3, 10),
-                               (TileKind.t4, 10), (TileKind.t5, 16), (TileKind.t6, 3))),
-    "d1-fundamental": Inventory("d1-fundamental", ((TileKind.t1, 3), (TileKind.t2, 4),
-                                                   (TileKind.t3, 10), (TileKind.t4, 10),
-                                                   (TileKind.t5, 4), (TileKind.t6, 7))),
-    "d1-composite": Inventory("d1-composite", ((TileKind.T1, 3), (TileKind.T2, 4), (TileKind.T4, 4))),
-    "dtau-composite": Inventory("dtau-composite", ((TileKind.T1, 7), (TileKind.T2, 18),
-                                                   (TileKind.T3, 14), (TileKind.T4, 10))),
-}
+_INVENTORIES = {inv.target: inv for inv in (
+    Inventory("i1", ((TileKind.t1, 7), (TileKind.t2, 6), (TileKind.t5, 2), (TileKind.t6, 1))),
+    Inventory("itau", ((TileKind.t1, 1), (TileKind.t2, 8), (TileKind.t3, 10),
+                       (TileKind.t4, 10), (TileKind.t5, 16), (TileKind.t6, 3))),
+    Inventory("d1-fundamental", ((TileKind.t1, 3), (TileKind.t2, 4), (TileKind.t3, 10),
+                                 (TileKind.t4, 10), (TileKind.t5, 4), (TileKind.t6, 7))),
+    Inventory("d1-composite", ((TileKind.T1, 3), (TileKind.T2, 4), (TileKind.T4, 4))),
+    Inventory("dtau-composite", ((TileKind.T1, 7), (TileKind.T2, 18), (TileKind.T3, 14),
+                                 (TileKind.T4, 10))),
+)}
 
 INVENTORY_TARGETS = tuple(_INVENTORIES)
 

@@ -622,7 +622,7 @@ class Assembly:
 
     def volume_exact(self) -> GoldenRational:
         """Sum of the cataloged volumes of the constituent tetrahedra."""
-        return sum((catalog.record(t.kind).volume for t in self.tiles), GoldenRational(0))
+        return catalog.total_volume(self.fundamental_counts())
 
     def tile_volume_sum(self) -> float:
         """Float image of the exact volumes of the placed tiles."""

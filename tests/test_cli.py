@@ -57,6 +57,14 @@ def test_catalog_dump(runner):
     assert via_flag.output == res.output
 
 
+def test_catalog_dump_pinned(runner):
+    # every record's face census, volume, composition, counts and axis classes
+    res = runner.invoke(main, ["catalog", "dump"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == (
+        "eb4b4081c93c1168e7b3e5a30253af15bade6696006f091d690cac87b9fa1fa5")
+
+
 def test_inflate_example(runner):
     res = runner.invoke(main, ["inflate", "--tile", "T2", "--order", "3"])
     assert res.exit_code == 0
