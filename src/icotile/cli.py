@@ -2,33 +2,49 @@
 
 Seven subcommands: catalog, inflate, eigen, ledger, build, verify,
 report.  Every command accepts --json for machine output.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error.  The parser is the
+standard library's argparse; help pages and usage errors keep click's
+layout and messages, which the golden files pin.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-
-import click
+from typing import NamedTuple
 
 from . import catalog
 from .catalog import ASSEMBLY_TARGETS
 from .golden import embed, embed_decimal
 
-__all__ = ["main", "RunConfig", "canonical_json"]
+__all__ = ["main", "RunConfig", "UsageError", "canonical_json"]
 
 _FACE_WORDS = {3: "triangular", 4: "quadrilateral", 5: "pentagonal", 6: "hexagonal"}
 
+_ABOUT = """Exact golden-ratio tiling toolkit.
 
-@dataclass(frozen=True)
-class RunConfig:
+Tile catalog, tau-inflation counts, spectral data, decomposition
+ledger, 3D assembly export, self-verification and report bundles."""
+
+
+class RunConfig(NamedTuple):
     """Global knobs, from flags or ICOTILE_MAX_ORDER / ICOTILE_OUTPUT_PATH."""
 
     max_order: int = 50
     output_path: str | None = None
+
+
+class UsageError(Exception):
+    """A usage error: exit code 2, shown under the usage line of the parser
+    (the subcommand's, once one is chosen) that met it."""
+
+    exit_code, parser = 2, None
+
+    def format_message(self) -> str:
+        return self.args[0]
 
 
 _MEMO_TYPES, _INT = {float, str}, {int}
@@ -80,7 +96,7 @@ def canonical_json(obj) -> str:
 
 
 def _echo_json(obj) -> None:
-    click.echo(canonical_json(obj))
+    print(canonical_json(obj))
 
 
 def _write(path: Path, text: str) -> None:
@@ -93,21 +109,34 @@ def _write(path: Path, text: str) -> None:
         # a parent that is not a directory reads "File exists" or "Not a directory": name it
         file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
         reason = f"{file} is not a directory" if file else exc.strerror or exc
-        raise click.UsageError(f"cannot write {path}: {reason}")
+        raise UsageError(f"cannot write {path}: {reason}")
 
 
-class _LazyChoice(click.Choice):
-    """click.Choice over read(), which imports its module only when the
-    choices are read (a value, the help, a usage message), not for other
-    commands."""
+def _choice(flag: str, names):
+    """An option type: one of names(), which imports its module only when a
+    value, the help or a missing-option message needs the names."""
+    def convert(text: str) -> str:
+        known = names()
+        if text not in known:
+            some = "one of " if len(known) > 1 else ""
+            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not "
+                             f"{some}{', '.join(map(repr, known))}.")
+        return text
+    convert.choices = names
+    return convert
 
-    def __init__(self, read):
-        self.case_sensitive = True
-        self._read = read
 
-    @property
-    def choices(self):
-        return self._read()
+def _count(flag: str):
+    """An option type: an integer >= 0."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not a valid integer.")
+        if value < 0:
+            raise UsageError(f"Invalid value for {flag!r}: must be non-negative")
+        return value
+    return convert
 
 
 def _check_names():
@@ -120,60 +149,207 @@ def _tile_names():
     return tuple(sorted(inflation.BASES))
 
 
-def _non_negative(ctx, param, value):
-    if value < 0:
-        raise click.BadParameter("must be non-negative")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """argparse with click's surface: option names match whole, a value may
+    start with "-", every error is a UsageError naming the parser that met
+    it, and the help is click's two-column page."""
+
+    def __init__(self, **kw):
+        # argparse's own formatter only checks metavars here; a fixed width
+        # spares it a terminal query (and a shutil import) per option
+        super().__init__(**kw, allow_abbrev=False,
+                         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
+        self._actions[0].help = "Show this message and exit."
+        self.commands: list[tuple[str, str]] = []  # (name, help) rows, on the top parser
+
+    def parse_known_args(self, args, namespace=None):
+        valued, joined = {f for a in self._actions if a.nargs != 0 for f in a.option_strings}, []
+        for arg in args:  # "--out -x" as "--out=-x", which argparse reads as click does
+            if joined and joined[-1] in valued and arg[:1] == "-" and arg != "--":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        try:
+            namespace, extra = super().parse_known_args(joined, namespace)
+            if extra:
+                flags = [a.partition("=")[0] for a in extra if a[:1] == "-" and a != "-"]
+                s = "s" if len(extra) > 1 else ""
+                raise UsageError(f"No such option {flags[0]!r}." if flags else
+                                 f"Got unexpected extra argument{s} ({' '.join(extra)})")
+        except UsageError as exc:
+            exc.parser = exc.parser or self
+            raise
+        return namespace, extra
+
+    def error(self, message: str):
+        head, _, tail = message.partition(": ")
+        flag = head.removeprefix("argument ").split("/")[-1]
+        if head == "the following arguments are required":
+            flag = tail.split(", ")[0]
+            message = "Missing command." if flag == "command" else f"Missing option {flag!r}."
+        elif tail == "expected one argument":
+            message = f"Option {flag!r} requires an argument."
+        elif tail.startswith("ignored explicit argument"):
+            message = f"Option {flag!r} does not take a value."
+        raise UsageError(message)
+
+    def format_help(self) -> str:
+        """click's page: the usage line, the description rewrapped, then the
+        options (and the commands) as two-column lists."""
+        import shutil
+        import textwrap
+
+        width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+        blocks = [f"Usage: {self.usage}"]
+        blocks += [textwrap.fill(p, width, initial_indent="  ", subsequent_indent="  ")
+                   for p in self.description.split("\n\n")]
+        options = [(_term(a), a.help + ("  [required]" if a.required else ""))
+                   for a in self._actions[1:] + self._actions[:1] if a.option_strings and a.help]
+        blocks.append("Options:\n" + _columns(options, width))
+        if self.commands:
+            limit = width - 6 - max(len(name) for name, _ in self.commands)
+            blocks.append("Commands:\n" + _columns(
+                [(name, _summary(text, limit)) for name, text in self.commands], width))
+        return "\n\n".join(blocks) + "\n"
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.option("--max-order", type=int, default=50, show_default=True,
-              envvar="ICOTILE_MAX_ORDER", callback=_non_negative,
-              help="Largest accepted inflation order.")
-@click.option("--output-path", type=click.Path(), default=None,
-              envvar="ICOTILE_OUTPUT_PATH",
-              help="Default destination for build and report output.")
-@click.pass_context
-def main(ctx, max_order, output_path):
-    """Exact golden-ratio tiling toolkit.
+def _term(action) -> str:
+    """An option's names and value: its choices in brackets, else its metavar."""
+    names = getattr(action.type, "choices", None)
+    value = f" [{'|'.join(names())}]" if names else f" {action.metavar}" if action.metavar else ""
+    return ", ".join(action.option_strings) + value
 
-    Tile catalog, tau-inflation counts, spectral data, decomposition
-    ledger, 3D assembly export, self-verification and report bundles.
-    """
-    # inflation counts and volumes are printed in full, whatever their length
-    if hasattr(sys, "set_int_max_str_digits"):
+
+def _summary(text: str, limit: int) -> str:
+    """click's command summary: the one-sentence text, or as many of its
+    words as fit before "..." in limit characters."""
+    if len(text) <= limit:
+        return text
+    words = text.split()
+    while words and len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+def _columns(rows: list[tuple[str, str]], width: int) -> str:
+    """click's definition list: the terms in a column at most 30 wide, each
+    text wrapped beside its term, or under a term too wide for the column."""
+    import textwrap
+
+    col = min(max(len(term) for term, _ in rows), 30) + 2
+    indent = "\n" + " " * (col + 2)
+    lines = []
+    for term, text in rows:
+        lead = f"  {term:{col}}" if len(term) <= col - 2 else f"  {term}{indent}"
+        lines.append(lead + indent.join(textwrap.wrap(text, max(width - col - 2, 10))))
+    return "\n".join(lines)
+
+
+_JSON = ("--json", {"dest": "as_json", "action": "store_true", "help": "Emit JSON."})
+_COMMANDS: dict = {}  # name -> (function, options as (flag, add_argument keywords))
+
+
+def _command(name: str, *options):
+    def register(run):
+        _COMMANDS[name] = (run, options)
+        return run
+    return register
+
+
+def _command_name(text: str) -> str:
+    if text not in _COMMANDS:
+        raise UsageError(f"No such command {text!r}.")
+    return text
+
+
+def _top_parser(prog: str) -> _Parser:
+    """The global options, which read ICOTILE_MAX_ORDER and ICOTILE_OUTPUT_PATH
+    (and no other variable) as their defaults, the command and its arguments."""
+    top = _Parser(prog=prog, usage=f"{prog} [OPTIONS] COMMAND [ARGS]...", description=_ABOUT)
+    top.add_argument("--max-order", type=_count("--max-order"), metavar="INTEGER",
+                     default=os.environ.get("ICOTILE_MAX_ORDER") or "50",
+                     help="Largest accepted inflation order.  [default: 50]")
+    top.add_argument("--output-path", metavar="PATH",
+                     default=os.environ.get("ICOTILE_OUTPUT_PATH") or None,
+                     help="Default destination for build and report output.")
+    top.add_argument("command", type=_command_name)
+    top.add_argument("args", nargs=argparse.REMAINDER)
+    top.commands = sorted((name, run.__doc__) for name, (run, _) in _COMMANDS.items())
+    return top
+
+
+def _command_parser(prog: str, name: str) -> _Parser:
+    """A subcommand's options, and catalog's optional MODE."""
+    run, options = _COMMANDS[name]
+    usage = f"{prog} {name} [OPTIONS]"
+    sub = _Parser(prog=f"{prog} {name}", usage=usage + " [[dump]]" * (name == "catalog"),
+                  description=run.__doc__)
+    if name == "catalog":
+        sub.add_argument("mode", nargs="?", type=_choice("[[dump]]", lambda: ("dump",)))
+    for flag, kw in options:
+        sub.add_argument(flag, **kw)
+    return sub
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run the command line on args (default sys.argv[1:]) as prog_name
+    (default the script's name).  Standalone, exit with the command's code,
+    2 after printing a usage error, 1 when stdout's reader has gone;
+    otherwise return None or 1 and raise UsageError.  --help prints the
+    page and exits 0 either way."""
+    if hasattr(sys, "set_int_max_str_digits"):  # counts and volumes print in full
         sys.set_int_max_str_digits(0)
-    ctx.obj = RunConfig(max_order=max_order, output_path=output_path)
+    prog = prog_name or os.path.basename(sys.argv[0])
+    parser = _top_parser(prog)
+    try:
+        top = parser.parse_args(sys.argv[1:] if args is None else list(args))
+        parser = _command_parser(prog, top.command)  # only the chosen command's parser is built
+        options = vars(parser.parse_args(top.args))
+        run = _COMMANDS[top.command][0]
+        code = run(RunConfig(top.max_order, top.output_path), **options)
+        sys.stdout.flush()
+    except UsageError as exc:
+        exc.parser = exc.parser or parser
+        if not standalone_mode:
+            raise
+        print(f"Usage: {exc.parser.usage}\nTry '{exc.parser.prog} --help' for help.\n\n"
+              f"Error: {exc.format_message()}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+    except BrokenPipeError:
+        if not standalone_mode:
+            raise
+        # the reader left (`| head`): exit 1 quietly, stdout on devnull for the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    if standalone_mode:
+        sys.exit(code or 0)
+    return code
 
 
-@main.command("catalog")
-@click.argument("mode", required=False, type=click.Choice(["dump"]))
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-def cmd_catalog(mode, as_json):
+@_command("catalog", _JSON)
+def cmd_catalog(cfg: RunConfig, mode, as_json):
     """List the thirteen tile records (MODE `dump` forces JSON)."""
     records = catalog.all_records()
     if as_json or mode == "dump":
         _echo_json([rec.to_json() for rec in records])
         return
     header = f"{'tile':6} {'volume':14} {'volume_float':14} faces"
-    click.echo(header)
+    print(header)
     for rec in records:
-        click.echo(f"{rec.kind.value:6} {catalog.format_volume(rec.volume):14} "
-                   f"{embed(rec.volume):<14.7f} {rec.faces_text()}")
+        print(f"{rec.kind.value:6} {catalog.format_volume(rec.volume):14} "
+              f"{embed(rec.volume):<14.7f} {rec.faces_text()}")
 
 
-@main.command("inflate")
-@click.option("--tile", required=True,
-              type=_LazyChoice(_tile_names),
-              help="Starting patch: one composite tile or a dodecahedron.")
-@click.option("--order", required=True, type=int, callback=_non_negative,
-              help="Inflation power n.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@click.pass_obj
+@_command("inflate",
+          ("--tile", {"type": _choice("--tile", _tile_names), "required": True,
+                      "help": "Starting patch: one composite tile or a dodecahedron."}),
+          ("--order", {"type": _count("--order"), "required": True, "metavar": "INTEGER",
+                       "help": "Inflation power n."}),
+          _JSON)
 def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     """Composite-tile counts after n rounds of tau-inflation."""
     if order > cfg.max_order:
-        raise click.UsageError(
+        raise UsageError(
             f"--order {order} exceeds --max-order {cfg.max_order}")
     from . import inflation
 
@@ -194,13 +370,12 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
             "volume_float": approx,
         })
         return
-    click.echo(f"counts: {' '.join(str(c) for c in counts.c)}")
-    click.echo(f"volume: {volume} = {approx_text}")
+    print(f"counts: {' '.join(str(c) for c in counts.c)}")
+    print(f"volume: {volume} = {approx_text}")
 
 
-@main.command("eigen")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-def cmd_eigen(as_json):
+@_command("eigen", _JSON)
+def cmd_eigen(cfg: RunConfig, as_json):
     """Spectral data of the inflation matrix."""
     from . import inflation
 
@@ -208,19 +383,18 @@ def cmd_eigen(as_json):
     if as_json:
         _echo_json(sd.to_json())
         return
-    click.echo(f"characteristic polynomial: {inflation.format_poly(inflation.char_poly())}")
-    click.echo("eigenvalues: " + ", ".join(f"{x:.7f}" for x in sd.eigenvalues))
-    click.echo("right PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.right_pf))
-    click.echo("left PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.left_pf))
+    print(f"characteristic polynomial: {inflation.format_poly(inflation.char_poly())}")
+    print("eigenvalues: " + ", ".join(f"{x:.7f}" for x in sd.eigenvalues))
+    print("right PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.right_pf))
+    print("left PF (L1): " + ", ".join(f"{x:.7f}" for x in sd.left_pf))
 
 
-@main.command("ledger")
-@click.option("--verify", "do_verify", is_flag=True,
-              help="Re-verify each entry; print one status line per entry.")
-@click.option("--corrupt", is_flag=True, hidden=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@click.pass_context
-def cmd_ledger(ctx, do_verify, corrupt, as_json):
+@_command("ledger",
+          ("--verify", {"dest": "do_verify", "action": "store_true",
+                        "help": "Re-verify each entry; print one status line per entry."}),
+          ("--corrupt", {"action": "store_true"}),  # hidden: corrupts the first entry
+          _JSON)
+def cmd_ledger(cfg: RunConfig, do_verify, corrupt, as_json):
     """The recorded dodecahedral decompositions."""
     from . import inflation
 
@@ -245,13 +419,13 @@ def cmd_ledger(ctx, do_verify, corrupt, as_json):
         })
     elif do_verify:
         for d, rep in results:
-            click.echo(f"{'OK' if rep.ok else 'FAIL'} {d.name}")
+            print(f"{'OK' if rep.ok else 'FAIL'} {d.name}")
     else:
         for d, rep in results:
             status = "" if rep.ok else "  [FAILS]"
-            click.echo(d.describe() + status)
+            print(d.describe() + status)
     if not all_ok:
-        ctx.exit(1)
+        return 1
 
 
 def _face_breakdown(mesh) -> str:
@@ -266,20 +440,18 @@ def _face_breakdown(mesh) -> str:
     return f"{total} faces ({', '.join(parts)})"
 
 
-@main.command("build")
-@click.option("--shape", required=True, type=click.Choice(ASSEMBLY_TARGETS),
-              help="Assembly target.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write mesh here (.obj wavefront or .json patch).")
-@click.option("--json", "as_json", is_flag=True, help="Emit the patch as JSON.")
-@click.pass_obj
+@_command("build",
+          ("--shape", {"type": _choice("--shape", lambda: ASSEMBLY_TARGETS), "required": True,
+                       "help": "Assembly target."}),
+          ("--out", {"metavar": "FILE", "help": "Write mesh here (.obj wavefront or .json patch)."}),
+          ("--json", dict(_JSON[1], help="Emit the patch as JSON.")))
 def cmd_build(cfg: RunConfig, shape, out, as_json):
     """Assemble a shape from tetrahedra and export its mesh."""
     option = "--out"
     if out is None and cfg.output_path:
         out, option = cfg.output_path, "--output-path"
     if out is not None and Path(out).suffix not in (".obj", ".json"):
-        raise click.UsageError(f"{option} must end in .obj or .json")
+        raise UsageError(f"{option} must end in .obj or .json")
 
     from .geometry import assemble, export_obj, export_patch
 
@@ -295,20 +467,19 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
         _echo_json(export_patch(asm))
         return
     n0, n1, _ = asm.mesh.counts()
-    click.echo(f"{shape}: {len(asm.tiles)} tetrahedra")
-    click.echo(f"hull: {n0} vertices, {n1} edges, {_face_breakdown(asm.mesh)}")
-    click.echo(f"hull volume: {asm.mesh.volume():.7f}")
+    print(f"{shape}: {len(asm.tiles)} tetrahedra")
+    print(f"hull: {n0} vertices, {n1} edges, {_face_breakdown(asm.mesh)}")
+    print(f"hull volume: {asm.mesh.volume():.7f}")
     if out is not None:
-        click.echo(f"wrote {out}")
+        print(f"wrote {out}")
 
 
-@main.command("verify")
-@click.option("--check", "names", multiple=True,
-              type=_LazyChoice(_check_names),
-              help="Run only the named checks (repeatable).")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
-@click.pass_context
-def cmd_verify(ctx, names, as_json):
+@_command("verify",
+          ("--check", {"dest": "names", "action": "append", "default": [],
+                       "type": _choice("--check", _check_names),
+                       "help": "Run only the named checks (repeatable)."}),
+          _JSON)
+def cmd_verify(cfg: RunConfig, names, as_json):
     """Re-derive and confirm every published identity."""
     from . import checks
 
@@ -324,21 +495,18 @@ def cmd_verify(ctx, names, as_json):
         })
     else:
         for r in results:
-            click.echo(f"{'OK' if r.ok else 'FAIL'} {r.name}: {r.detail}")
+            print(f"{'OK' if r.ok else 'FAIL'} {r.name}: {r.detail}")
     if not all_ok:
-        ctx.exit(1)
+        return 1
 
 
-@main.command("report")
-@click.option("--out", type=click.Path(file_okay=False), default=None,
-              help="Directory for the bundle (default: report).")
-@click.option("--json", "as_json", is_flag=True,
-              help="Emit the bundle inline instead of writing files.")
-@click.pass_obj
+@_command("report",
+          ("--out", {"metavar": "DIRECTORY", "help": "Directory for the bundle (default: report)."}),
+          ("--json", dict(_JSON[1], help="Emit the bundle inline instead of writing files.")))
 def cmd_report(cfg: RunConfig, out, as_json):
     """Write the markdown + CSV report bundle."""
     if out == "":
-        raise click.UsageError("--out must name a directory, not ''")
+        raise UsageError("--out must name a directory, not ''")
     from . import report
 
     bundle = report.build_bundle()
@@ -348,8 +516,8 @@ def cmd_report(cfg: RunConfig, out, as_json):
     outdir = Path(out or cfg.output_path or "report")
     for name, text in bundle.items():
         _write(outdir / name, text)
-        click.echo(f"wrote {outdir / name}")
+        print(f"wrote {outdir / name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m icotile.cli")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,14 +13,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
 import pytest
-from click.testing import CliRunner
 
-from icotile import checks, inflation
+from icotile import checks, cli, inflation
 from icotile.catalog import ASSEMBLY_TARGETS
 from icotile.cli import canonical_json, main
 from icotile.golden import TAU, embed, tau_pow
@@ -26,9 +28,49 @@ from icotile.golden import TAU, embed, tau_pow
 GOLDEN = Path(__file__).parent / "golden"
 
 
+class _Runner:
+    """main run in-process as prog `main`: its stdout, stderr, the two
+    together (`output`) and its exit code.  env values of None unset a
+    variable, and terminal_width sets COLUMNS."""
+
+    def __init__(self, tmp_path: Path):
+        self.tmp_path = tmp_path
+
+    @contextlib.contextmanager
+    def isolated_filesystem(self):
+        home = os.getcwd()
+        os.chdir(tempfile.mkdtemp(dir=self.tmp_path))
+        try:
+            yield
+        finally:
+            os.chdir(home)
+
+    def invoke(self, cli_main, args, env=None, terminal_width=None):
+        res = SimpleNamespace(exception=None, exit_code=0)
+        out, err = io.StringIO(), io.StringIO()
+        env = {**(env or {}), **({"COLUMNS": str(terminal_width)} if terminal_width else {})}
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            for name, value in env.items():
+                if value is None:
+                    mp.delenv(name, raising=False)
+                else:
+                    mp.setenv(name, value)
+            try:
+                cli_main(args, prog_name="main")
+            except SystemExit as exc:
+                res.exit_code = exc.code or 0
+            except Exception as exc:
+                res.exception, res.exit_code = exc, 1
+        res.stdout, res.stderr = out.getvalue(), err.getvalue()
+        res.output = res.stdout + res.stderr
+        return res
+
+
 @pytest.fixture()
-def runner():
-    return CliRunner()
+def runner(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return _Runner(tmp_path)
 
 
 def _golden(name: str) -> str:
@@ -395,9 +437,9 @@ def test_global_flag_validation(runner):
     assert runner.invoke(main, ["catalog"], env={"ICOTILE_MAX_ORDER": "-5"}).exit_code == 2
 
 
-# what each subcommand option would read as ICOTILE_<COMMAND>_<PARAM> under
-# click's automatic environment prefix (the hidden --corrupt was exempt even
-# then), set to a value that changes the run
+# what each subcommand option, ICOTILE_<COMMAND>_<DEST> in the parser's option
+# table, would have read under click's automatic environment prefix (the
+# hidden --corrupt was exempt even then), set to a value that changes the run
 _HOSTILE_ENV = {
     "ICOTILE_CATALOG_AS_JSON": "1",
     "ICOTILE_INFLATE_TILE": "T1",
@@ -426,9 +468,8 @@ def _run_in_empty_dir(runner, args, env):
 
 
 def test_subcommand_options_ignore_environment(runner):
-    derived = {f"ICOTILE_{name.upper()}_{param.name.upper()}"
-               for name, cmd in main.commands.items()
-               for param in cmd.params if isinstance(param, click.Option)}
+    derived = {f"ICOTILE_{name.upper()}_{kw.get('dest', flag[2:]).upper()}"
+               for name, (_, options) in cli._COMMANDS.items() for flag, kw in options}
     assert derived == set(_HOSTILE_ENV)
     clean = dict.fromkeys(_HOSTILE_ENV)  # None unsets, should the caller have them set
     runs = (["catalog"], ["inflate"], ["inflate", "--tile", "T2", "--order", "2"],
@@ -475,6 +516,79 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == _golden("inflate_t2_order3.txt")
+
+
+def test_closed_pipe_exits_1_quietly():
+    # as `| head -c 1` does: the reader takes one byte of 376 kB and closes the pipe
+    with subprocess.Popen(
+            [sys.executable, "-m", "icotile.cli", "--max-order", "100000", "inflate", "--tile",
+             "T2", "--order", "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"c"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
+# the contract of perfbench/oracles.py `cli_edge` for a usage error; the
+# abbreviations are refused whole, as click refused them
+_USAGE_ERRORS = [
+    (["inflate", "--ord", "3", "--tile", "T2"], {}),
+    (["eigen", "--js"], {}),
+    (["--max-ord", "60", "catalog"], {}),
+    (["frobnicate"], {}),
+    ([], {}),
+    (["catalog", "dump", "extra"], {}),
+    (["inflate", "--tile", "T2"], {}),
+    (["inflate", "--tile", "T2", "--order", "x"], {}),
+    (["catalog"], {"ICOTILE_MAX_ORDER": "abc"}),
+]
+
+
+@pytest.mark.parametrize("args, env", _USAGE_ERRORS, ids=[
+    " ".join([*(f"{k}={v}" for k, v in env.items()), *args]) or "no-command"
+    for args, env in _USAGE_ERRORS])
+def test_usage_error_contract(args, env):
+    proc = subprocess.run([sys.executable, "-m", "icotile.cli", *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, **env})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Usage: python -m icotile.cli" in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("Error: ")
+    assert "Traceback" not in proc.stderr
+
+
+_LOADED_MODULES = """
+import sys
+{run}
+sys.stderr.write("\\n" + " ".join(sorted(sys.modules)))
+"""
+_RUN_MAIN = """
+from icotile.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+"""
+
+
+def _loaded_modules(run: str, *args: str) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES.format(run=run), *args],
+                          capture_output=True, text=True, timeout=120)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_cli_starts_on_the_standard_library():
+    # the bare interpreter's modules (this host's site may load certifi from
+    # a .pth file), icotile's and the standard library's, and nothing more
+    bare = _loaded_modules("")
+    cli_import = _loaded_modules("import icotile.cli")
+    assert not cli_import & {"click", "dataclasses", "inspect"}
+    for args in (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
+                 ["ledger", "--verify"], ["build", "--shape", "T2"], ["eigen", "--js"]):
+        extra = {m for m in _loaded_modules(_RUN_MAIN, *args) - bare
+                 if m.partition(".")[0] not in ("icotile", *sys.stdlib_module_names)}
+        assert extra == set(), args
 
 
 def _fresh_process(code: str) -> dict:
@@ -653,7 +767,7 @@ print(json.dumps({{"code": code, "loaded": loaded}}))
 def test_light_subcommands_skip_numpy():
     facts = _fresh_process("""
 import contextlib, io, json, sys
-import click
+from icotile import cli
 from icotile.cli import main
 runs = (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
         ["ledger", "--verify"], ["build", "--shape", "d2"],
@@ -664,7 +778,7 @@ for args in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             codes.append(main(args, standalone_mode=False))
-        except click.UsageError as exc:
+        except cli.UsageError as exc:
             codes.append(exc.exit_code)
             messages.append(exc.format_message())
 print(json.dumps({"codes": codes, "messages": messages,
@@ -803,7 +917,6 @@ def test_canonical_json_matches_reference_on_every_json_output(runner, monkeypat
 _ALL_SUBCOMMANDS = r"""
 import contextlib, io, json, os, sys
 {block}
-import click
 from icotile.cli import main
 from icotile.catalog import ASSEMBLY_TARGETS
 runs = [["verify"], ["verify", "--json"], ["report", "--json"], ["report", "--out", "bundle"]]
