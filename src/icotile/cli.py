@@ -2,14 +2,14 @@
 
 Seven subcommands: catalog, inflate, eigen, ledger, build, verify,
 report.  Every command accepts --json for machine output.  Exit codes:
-0 success, 1 verification failure, 2 usage error.  The parser is the
-standard library's argparse; help pages and usage errors keep click's
-layout and messages, which the golden files pin.
+0 success, 1 verification failure, 2 usage error.  Each option is one
+(flag, keywords) row, which both the parser and the help page read; help
+pages and usage errors keep click's layout and messages, which the golden
+files pin.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -38,10 +38,10 @@ class RunConfig(NamedTuple):
 
 
 class UsageError(Exception):
-    """A usage error: exit code 2, shown under the usage line of the parser
-    (the subcommand's, once one is chosen) that met it."""
+    """A usage error: exit code 2, shown under the usage line of the command
+    line (the subcommand's, once one is chosen)."""
 
-    exit_code, parser = 2, None
+    exit_code = 2
 
     def format_message(self) -> str:
         return self.args[0]
@@ -112,31 +112,24 @@ def _write(path: Path, text: str) -> None:
         raise UsageError(f"cannot write {path}: {reason}")
 
 
-def _choice(flag: str, names):
-    """An option type: one of names(), which imports its module only when a
-    value, the help or a missing-option message needs the names."""
-    def convert(text: str) -> str:
-        known = names()
+def _value(flag: str, kw: dict, text: str):
+    """text as option flag's value: one of its choices (their module loads on
+    first need), an integer >= 0 for type int, else text itself."""
+    if "choices" in kw:
+        known = kw["choices"]()
         if text not in known:
             some = "one of " if len(known) > 1 else ""
             raise UsageError(f"Invalid value for {flag!r}: {text!r} is not "
                              f"{some}{', '.join(map(repr, known))}.")
+    if kw.get("type") is not int:
         return text
-    convert.choices = names
-    return convert
-
-
-def _count(flag: str):
-    """An option type: an integer >= 0."""
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise UsageError(f"Invalid value for {flag!r}: {text!r} is not a valid integer.")
-        if value < 0:
-            raise UsageError(f"Invalid value for {flag!r}: must be non-negative")
-        return value
-    return convert
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"Invalid value for {flag!r}: {text!r} is not a valid integer.")
+    if value < 0:
+        raise UsageError(f"Invalid value for {flag!r}: must be non-negative")
+    return value
 
 
 def _check_names():
@@ -149,75 +142,11 @@ def _tile_names():
     return tuple(sorted(inflation.BASES))
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with click's surface: option names match whole, a value may
-    start with "-", every error is a UsageError naming the parser that met
-    it, and the help is click's two-column page."""
-
-    def __init__(self, **kw):
-        # argparse's own formatter only checks metavars here; a fixed width
-        # spares it a terminal query (and a shutil import) per option
-        super().__init__(**kw, allow_abbrev=False,
-                         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78))
-        self._actions[0].help = "Show this message and exit."
-        self.commands: list[tuple[str, str]] = []  # (name, help) rows, on the top parser
-
-    def parse_known_args(self, args, namespace=None):
-        valued, joined = {f for a in self._actions if a.nargs != 0 for f in a.option_strings}, []
-        for arg in args:  # "--out -x" as "--out=-x", which argparse reads as click does
-            if joined and joined[-1] in valued and arg[:1] == "-" and arg != "--":
-                joined[-1] += "=" + arg
-            else:
-                joined.append(arg)
-        try:
-            namespace, extra = super().parse_known_args(joined, namespace)
-            if extra:
-                flags = [a.partition("=")[0] for a in extra if a[:1] == "-" and a != "-"]
-                s = "s" if len(extra) > 1 else ""
-                raise UsageError(f"No such option {flags[0]!r}." if flags else
-                                 f"Got unexpected extra argument{s} ({' '.join(extra)})")
-        except UsageError as exc:
-            exc.parser = exc.parser or self
-            raise
-        return namespace, extra
-
-    def error(self, message: str):
-        head, _, tail = message.partition(": ")
-        flag = head.removeprefix("argument ").split("/")[-1]
-        if head == "the following arguments are required":
-            flag = tail.split(", ")[0]
-            message = "Missing command." if flag == "command" else f"Missing option {flag!r}."
-        elif tail == "expected one argument":
-            message = f"Option {flag!r} requires an argument."
-        elif tail.startswith("ignored explicit argument"):
-            message = f"Option {flag!r} does not take a value."
-        raise UsageError(message)
-
-    def format_help(self) -> str:
-        """click's page: the usage line, the description rewrapped, then the
-        options (and the commands) as two-column lists."""
-        import shutil
-        import textwrap
-
-        width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
-        blocks = [f"Usage: {self.usage}"]
-        blocks += [textwrap.fill(p, width, initial_indent="  ", subsequent_indent="  ")
-                   for p in self.description.split("\n\n")]
-        options = [(_term(a), a.help + ("  [required]" if a.required else ""))
-                   for a in self._actions[1:] + self._actions[:1] if a.option_strings and a.help]
-        blocks.append("Options:\n" + _columns(options, width))
-        if self.commands:
-            limit = width - 6 - max(len(name) for name, _ in self.commands)
-            blocks.append("Commands:\n" + _columns(
-                [(name, _summary(text, limit)) for name, text in self.commands], width))
-        return "\n\n".join(blocks) + "\n"
-
-
-def _term(action) -> str:
+def _term(flag: str, kw: dict) -> str:
     """An option's names and value: its choices in brackets, else its metavar."""
-    names = getattr(action.type, "choices", None)
-    value = f" [{'|'.join(names())}]" if names else f" {action.metavar}" if action.metavar else ""
-    return ", ".join(action.option_strings) + value
+    names = kw.get("choices")
+    value = f" [{'|'.join(names())}]" if names else f" {kw['metavar']}" if "metavar" in kw else ""
+    return flag + value
 
 
 def _summary(text: str, limit: int) -> str:
@@ -246,7 +175,17 @@ def _columns(rows: list[tuple[str, str]], width: int) -> str:
 
 
 _JSON = ("--json", {"dest": "as_json", "action": "store_true", "help": "Emit JSON."})
-_COMMANDS: dict = {}  # name -> (function, options as (flag, add_argument keywords))
+_HELP = ("-h, --help", {"action": "store_true", "help": "Show this message and exit."})
+# the global options: ICOTILE_MAX_ORDER and ICOTILE_OUTPUT_PATH (and no other
+# variable) stand in for an absent flag
+_GLOBALS = (
+    ("--max-order", {"type": int, "metavar": "INTEGER",
+                     "help": "Largest accepted inflation order.  [default: 50]"}),
+    ("--output-path", {"metavar": "PATH",
+                       "help": "Default destination for build and report output."}),
+)
+_COMMANDS: dict = {}  # name -> (function, options as (flag, keywords))
+_USAGE_TAIL = {None: " COMMAND [ARGS]...", "catalog": " [[dump]]"}  # after "PROG [NAME] [OPTIONS]"
 
 
 def _command(name: str, *options):
@@ -256,39 +195,69 @@ def _command(name: str, *options):
     return register
 
 
-def _command_name(text: str) -> str:
-    if text not in _COMMANDS:
-        raise UsageError(f"No such command {text!r}.")
-    return text
+def _page(here: str, name: str | None) -> str:
+    """click's help page: the usage line, the description rewrapped, then the
+    options (and the commands) as two-column lists."""
+    import shutil
+    import textwrap
+
+    width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
+    run, options = _COMMANDS[name] if name else (None, _GLOBALS)
+    blocks = [f"Usage: {here} [OPTIONS]{_USAGE_TAIL.get(name, '')}"]
+    blocks += [textwrap.fill(p, width, initial_indent="  ", subsequent_indent="  ")
+               for p in (run.__doc__ if run else _ABOUT).split("\n\n")]
+    rows = [(_term(flag, kw), kw["help"] + "  [required]" * bool(kw.get("required")))
+            for flag, kw in (*options, _HELP) if "help" in kw]
+    blocks.append("Options:\n" + _columns(rows, width))
+    if name is None:
+        limit = width - 6 - max(map(len, _COMMANDS))
+        commands = [(n, _summary(run.__doc__, limit)) for n, (run, _) in sorted(_COMMANDS.items())]
+        blocks.append("Commands:\n" + _columns(commands, width))
+    return "\n\n".join(blocks) + "\n"
 
 
-def _top_parser(prog: str) -> _Parser:
-    """The global options, which read ICOTILE_MAX_ORDER and ICOTILE_OUTPUT_PATH
-    (and no other variable) as their defaults, the command and its arguments."""
-    top = _Parser(prog=prog, usage=f"{prog} [OPTIONS] COMMAND [ARGS]...", description=_ABOUT)
-    top.add_argument("--max-order", type=_count("--max-order"), metavar="INTEGER",
-                     default=os.environ.get("ICOTILE_MAX_ORDER") or "50",
-                     help="Largest accepted inflation order.  [default: 50]")
-    top.add_argument("--output-path", metavar="PATH",
-                     default=os.environ.get("ICOTILE_OUTPUT_PATH") or None,
-                     help="Default destination for build and report output.")
-    top.add_argument("command", type=_command_name)
-    top.add_argument("args", nargs=argparse.REMAINDER)
-    top.commands = sorted((name, run.__doc__) for name, (run, _) in _COMMANDS.items())
-    return top
-
-
-def _command_parser(prog: str, name: str) -> _Parser:
-    """A subcommand's options, and catalog's optional MODE."""
-    run, options = _COMMANDS[name]
-    usage = f"{prog} {name} [OPTIONS]"
-    sub = _Parser(prog=f"{prog} {name}", usage=usage + " [[dump]]" * (name == "catalog"),
-                  description=run.__doc__)
-    if name == "catalog":
-        sub.add_argument("mode", nargs="?", type=_choice("[[dump]]", lambda: ("dump",)))
+def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str]]:
+    """One walk over argv with the global options (name None) or command
+    name's: their values by dest and the words no option took (the global walk
+    stops at the first, the command; catalog's first is its MODE).  Names match
+    whole, "--" ends the options, and -h/--help prints the page and exits."""
+    options = _GLOBALS if name is None else _COMMANDS[name][1]
+    rows = {alias: (flag, kw) for flag, kw in (*options, _HELP) for alias in flag.split(", ")}
+    values = {kw.get("dest", flag[2:]): kw.get("default", False if kw.get("action") else None)
+              for flag, kw in options}
+    words, ended, rest = [], False, iter(argv)
+    for arg in rest:
+        if ended or arg[:1] != "-" or arg == "-":
+            if name is None:
+                return values, [arg, *rest]
+            if name == "catalog" and not words:
+                _value("[[dump]]", {"choices": lambda: ("dump",)}, arg)
+            words.append(arg)
+        elif arg == "--":
+            ended = True
+        else:
+            alias, eq, value = arg.partition("=") if arg[:2] == "--" else (arg, "", "")
+            if alias not in rows:
+                raise UsageError(f"No such option {alias!r}.")
+            flag, kw = rows[alias]
+            dest, action = kw.get("dest", flag[2:]), kw.get("action")
+            if action == "store_true" and eq:
+                raise UsageError(f"Option {alias!r} does not take a value.")
+            if flag == _HELP[0]:
+                print(_page(here, name), end="")
+                sys.exit(0)
+            if action != "store_true" and not eq:
+                value = next(rest, "--")  # "--" ends the options, so it is no value
+                if value == "--":
+                    raise UsageError(f"Option {alias!r} requires an argument.")
+            value = True if action == "store_true" else _value(flag, kw, value)
+            values[dest] = values[dest] + [value] if action == "append" else value
     for flag, kw in options:
-        sub.add_argument(flag, **kw)
-    return sub
+        if kw.get("required") and values[kw.get("dest", flag[2:])] is None:
+            raise UsageError(f"Missing option {flag!r}.")
+    if name == "catalog":
+        values["mode"] = words.pop(0) if words else None
+    return values, words
 
 
 def main(args=None, prog_name=None, standalone_mode=True):
@@ -299,21 +268,31 @@ def main(args=None, prog_name=None, standalone_mode=True):
     page and exits 0 either way."""
     if hasattr(sys, "set_int_max_str_digits"):  # counts and volumes print in full
         sys.set_int_max_str_digits(0)
-    prog = prog_name or os.path.basename(sys.argv[0])
-    parser = _top_parser(prog)
+    prog = here = prog_name or os.path.basename(sys.argv[0])
+    name = None  # the chosen command: its usage heads the errors met after it
     try:
-        top = parser.parse_args(sys.argv[1:] if args is None else list(args))
-        parser = _command_parser(prog, top.command)  # only the chosen command's parser is built
-        options = vars(parser.parse_args(top.args))
-        run = _COMMANDS[top.command][0]
-        code = run(RunConfig(top.max_order, top.output_path), **options)
+        top, rest = _parse(prog, None, sys.argv[1:] if args is None else list(args))
+        if rest and rest[0] not in _COMMANDS:
+            raise UsageError(f"No such command {rest[0]!r}.")
+        if top["max-order"] is None:  # each variable is read only when its flag is absent
+            top["max-order"] = _value("--max-order", _GLOBALS[0][1],
+                                      os.environ.get("ICOTILE_MAX_ORDER") or "50")
+        if top["output-path"] is None:
+            top["output-path"] = os.environ.get("ICOTILE_OUTPUT_PATH") or None
+        if not rest:
+            raise UsageError("Missing command.")
+        name, here = rest[0], f"{prog} {rest[0]}"
+        options, extra = _parse(here, name, rest[1:])
+        if extra:
+            s = "s" if len(extra) > 1 else ""
+            raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+        code = _COMMANDS[name][0](RunConfig(top["max-order"], top["output-path"]), **options)
         sys.stdout.flush()
     except UsageError as exc:
-        exc.parser = exc.parser or parser
         if not standalone_mode:
             raise
-        print(f"Usage: {exc.parser.usage}\nTry '{exc.parser.prog} --help' for help.\n\n"
-              f"Error: {exc.format_message()}", file=sys.stderr)
+        print(f"Usage: {here} [OPTIONS]{_USAGE_TAIL.get(name, '')}\n"
+              f"Try '{here} --help' for help.\n\nError: {exc.format_message()}", file=sys.stderr)
         sys.exit(exc.exit_code)
     except BrokenPipeError:
         if not standalone_mode:
@@ -333,24 +312,22 @@ def cmd_catalog(cfg: RunConfig, mode, as_json):
     if as_json or mode == "dump":
         _echo_json([rec.to_json() for rec in records])
         return
-    header = f"{'tile':6} {'volume':14} {'volume_float':14} faces"
-    print(header)
+    print(f"{'tile':6} {'volume':14} {'volume_float':14} faces")
     for rec in records:
         print(f"{rec.kind.value:6} {catalog.format_volume(rec.volume):14} "
               f"{embed(rec.volume):<14.7f} {rec.faces_text()}")
 
 
 @_command("inflate",
-          ("--tile", {"type": _choice("--tile", _tile_names), "required": True,
+          ("--tile", {"choices": _tile_names, "required": True,
                       "help": "Starting patch: one composite tile or a dodecahedron."}),
-          ("--order", {"type": _count("--order"), "required": True, "metavar": "INTEGER",
+          ("--order", {"type": int, "required": True, "metavar": "INTEGER",
                        "help": "Inflation power n."}),
           _JSON)
 def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     """Composite-tile counts after n rounds of tau-inflation."""
     if order > cfg.max_order:
-        raise UsageError(
-            f"--order {order} exceeds --max-order {cfg.max_order}")
+        raise UsageError(f"--order {order} exceeds --max-order {cfg.max_order}")
     from . import inflation
 
     counts = inflation.inflate_counts(inflation.BASES[tile], order)
@@ -441,7 +418,7 @@ def _face_breakdown(mesh) -> str:
 
 
 @_command("build",
-          ("--shape", {"type": _choice("--shape", lambda: ASSEMBLY_TARGETS), "required": True,
+          ("--shape", {"choices": lambda: ASSEMBLY_TARGETS, "required": True,
                        "help": "Assembly target."}),
           ("--out", {"metavar": "FILE", "help": "Write mesh here (.obj wavefront or .json patch)."}),
           ("--json", dict(_JSON[1], help="Emit the patch as JSON.")))
@@ -476,7 +453,7 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
 
 @_command("verify",
           ("--check", {"dest": "names", "action": "append", "default": [],
-                       "type": _choice("--check", _check_names),
+                       "choices": _check_names,
                        "help": "Run only the named checks (repeatable)."}),
           _JSON)
 def cmd_verify(cfg: RunConfig, names, as_json):

@@ -336,6 +336,59 @@ def test_output_path_under_a_file_is_usage_error(runner, tmp_path, monkeypatch, 
     assert stat.S_ISFIFO((tmp_path / "afile").stat().st_mode)
 
 
+# each help page not pinned elsewhere, as prog `main` at COLUMNS 80, and the
+# top-level page at 40, where the command summaries are cut with "..."
+_HELP_PAGES = [
+    ([], 80, "top_help.txt"),
+    ([], 40, "top_help_40.txt"),
+    (["catalog"], 80, "catalog_help.txt"),
+    (["eigen"], 80, "eigen_help.txt"),
+    (["ledger"], 80, "ledger_help.txt"),
+    (["build"], 80, "build_help.txt"),
+    (["report"], 80, "report_help.txt"),
+]
+
+
+@pytest.mark.parametrize("args, width, golden", _HELP_PAGES,
+                         ids=[g.removesuffix(".txt") for _, _, g in _HELP_PAGES])
+def test_help_pages(runner, args, width, golden):
+    res = runner.invoke(main, args + ["--help"], terminal_width=width)
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    assert res.stdout == _golden(golden)
+
+
+def test_help_page_under_the_module_prog_name():
+    # a prog name with spaces, which every in-process run (prog `main`) misses
+    proc = subprocess.run([sys.executable, "-m", "icotile.cli", "inflate", "--help"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "COLUMNS": "80"})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == _golden("inflate_help.txt").replace(
+        "main inflate", "python -m icotile.cli inflate")
+
+
+# the variables stand in for an absent flag only: a flag wins over a variable,
+# even one that would be refused, and an empty variable is no value
+@pytest.mark.parametrize("env, args, code, says, wrote", [
+    ({"ICOTILE_MAX_ORDER": "abc"}, ["--max-order", "5", "inflate", "--tile", "T2", "--order", "5"],
+     0, "counts: ", []),
+    ({"ICOTILE_MAX_ORDER": ""}, ["inflate", "--tile", "T2", "--order", "50"], 0, "counts: ", []),
+    ({"ICOTILE_MAX_ORDER": ""}, ["inflate", "--tile", "T2", "--order", "51"],
+     2, "Error: --order 51 exceeds --max-order 50\n", []),
+    ({"ICOTILE_OUTPUT_PATH": "env.obj"}, ["--output-path", "flag.json", "build", "--shape", "T2"],
+     0, "wrote flag.json\n", ["flag.json"]),
+], ids=["flag-over-invalid-max-order", "empty-max-order-50", "empty-max-order-51",
+        "flag-over-output-path"])
+def test_environment_defaults(runner, env, args, code, says, wrote):
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, args, env=env)
+        assert res.exit_code == code, res.output
+        assert says in res.output
+        assert sorted(p.name for p in Path().iterdir()) == wrote
+
+
 def test_verify_passing_subset(runner):
     res = runner.invoke(main, ["verify", "--check", "tile-volumes",
                                "--check", "ledger"])
@@ -530,31 +583,36 @@ def test_closed_pipe_exits_1_quietly():
     assert err == ""
 
 
-# the contract of perfbench/oracles.py `cli_edge` for a usage error; the
-# abbreviations are refused whole, as click refused them
+# the contract of perfbench/oracles.py `cli_edge` for a usage error, and the
+# error each names: the first fault in argument order; the abbreviations are
+# refused whole, as click refused them
 _USAGE_ERRORS = [
-    (["inflate", "--ord", "3", "--tile", "T2"], {}),
-    (["eigen", "--js"], {}),
-    (["--max-ord", "60", "catalog"], {}),
-    (["frobnicate"], {}),
-    ([], {}),
-    (["catalog", "dump", "extra"], {}),
-    (["inflate", "--tile", "T2"], {}),
-    (["inflate", "--tile", "T2", "--order", "x"], {}),
-    (["catalog"], {"ICOTILE_MAX_ORDER": "abc"}),
+    (["inflate", "--ord", "3", "--tile", "T2"], {}, "No such option '--ord'."),
+    (["eigen", "--js"], {}, "No such option '--js'."),
+    (["--max-ord", "60", "catalog"], {}, "No such option '--max-ord'."),
+    (["--tol-predicates", "0", "catalog"], {}, "No such option '--tol-predicates'."),
+    (["catalog", "--max-order", "5"], {}, "No such option '--max-order'."),
+    (["frobnicate"], {}, "No such command 'frobnicate'."),
+    ([], {}, "Missing command."),
+    (["catalog", "dump", "extra"], {}, "Got unexpected extra argument (extra)"),
+    (["inflate", "--tile", "T2"], {}, "Missing option '--order'."),
+    (["inflate", "--tile", "T2", "--order", "x"], {},
+     "Invalid value for '--order': 'x' is not a valid integer."),
+    (["catalog"], {"ICOTILE_MAX_ORDER": "abc"},
+     "Invalid value for '--max-order': 'abc' is not a valid integer."),
 ]
 
 
-@pytest.mark.parametrize("args, env", _USAGE_ERRORS, ids=[
+@pytest.mark.parametrize("args, env, error", _USAGE_ERRORS, ids=[
     " ".join([*(f"{k}={v}" for k, v in env.items()), *args]) or "no-command"
-    for args, env in _USAGE_ERRORS])
-def test_usage_error_contract(args, env):
+    for args, env, _ in _USAGE_ERRORS])
+def test_usage_error_contract(args, env, error):
     proc = subprocess.run([sys.executable, "-m", "icotile.cli", *args], capture_output=True,
                           text=True, timeout=120, env={**os.environ, **env})
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Usage: python -m icotile.cli" in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("Error: ")
+    assert proc.stderr.splitlines()[-1] == f"Error: {error}"
     assert "Traceback" not in proc.stderr
 
 
@@ -580,15 +638,19 @@ def _loaded_modules(run: str, *args: str) -> set[str]:
 
 def test_cli_starts_on_the_standard_library():
     # the bare interpreter's modules (this host's site may load certifi from
-    # a .pth file), icotile's and the standard library's, and nothing more
+    # a .pth file), icotile's and the standard library's, and nothing more;
+    # never argparse, nor the gettext and locale that it loads
     bare = _loaded_modules("")
     cli_import = _loaded_modules("import icotile.cli")
-    assert not cli_import & {"click", "dataclasses", "inspect"}
+    assert not cli_import & {"click", "dataclasses", "inspect", "argparse", "gettext", "locale"}
     for args in (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
-                 ["ledger", "--verify"], ["build", "--shape", "T2"], ["eigen", "--js"]):
-        extra = {m for m in _loaded_modules(_RUN_MAIN, *args) - bare
+                 ["ledger", "--verify"], ["build", "--shape", "T2"], ["--help"],
+                 ["eigen", "--js"]):
+        loaded = _loaded_modules(_RUN_MAIN, *args)
+        extra = {m for m in loaded - bare
                  if m.partition(".")[0] not in ("icotile", *sys.stdlib_module_names)}
         assert extra == set(), args
+        assert not loaded & {"argparse", "gettext", "locale"}, args
 
 
 def _fresh_process(code: str) -> dict:
