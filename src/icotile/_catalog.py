@@ -23,11 +23,10 @@ The raw triangle census before merging is kept as auxiliary data.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from math import lcm, sqrt
 from operator import index, mul
 
-from .catalog import CATALOG_ORDER, TileKind, tile_kind
+from .catalog import CATALOG_ORDER, TileKind, _Record, tile_kind
 from .golden import ONE, TAU, GoldenRational, embed, exact_sqrt, tau_pow
 
 _SHAPE_SIDES = {"triangle": 3, "trapezoid": 4, "pentagon": 5}
@@ -35,8 +34,7 @@ _TAU2 = TAU * TAU
 _EDGE_NAMES = {ONE: "1", TAU: "tau", _TAU2: "tau^2"}
 
 
-@dataclass(frozen=True)
-class FaceSpec:
+class FaceSpec(_Record):
     """A congruence class of faces: shape, edge multiset, multiplicity.
 
     axis_class, derived from shape and edges, is the symmetry axis the face
@@ -49,7 +47,7 @@ class FaceSpec:
     edges: tuple[GoldenRational, ...]
     multiplicity: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         if self.shape not in _SHAPE_SIDES:
             raise ValueError(f"unknown face shape {self.shape!r}")
         if len(self.edges) != _SHAPE_SIDES[self.shape]:
@@ -82,8 +80,7 @@ def triangle_family(squares) -> str:
 _FAMILY_AXIS = {"equilateral": "three-fold", "robinson": "five-fold", "other": "none"}
 
 
-@dataclass(frozen=True)
-class TileRecord:
+class TileRecord(_Record):
     kind: TileKind
     faces: tuple[FaceSpec, ...]
     volume: GoldenRational
@@ -94,7 +91,7 @@ class TileRecord:
     premerge_triangles: tuple[FaceSpec, ...] = ()
     edge_lengths: tuple[GoldenRational, ...] = ()  # AB, AC, AD, BC, BD, CD; t1..t6 only
 
-    def __post_init__(self):
+    def _check(self):
         if not self.kind.is_fundamental:
             if None in (self.N0, self.N1, self.N2):
                 raise ValueError(f"{self.kind}: composite records need N0/N1/N2")
@@ -128,14 +125,13 @@ class TileRecord:
         return ";".join(f"{f.multiplicity}x{f.edge_names()}" for f in self.faces)
 
 
-@dataclass(frozen=True)
-class Inventory:
+class Inventory(_Record):
     """A named multiset of tiles making up a target polyhedron."""
 
     target: str
     counts: tuple[tuple[TileKind, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         for kind, n in self.counts:
             if index(n) <= 0:
                 raise ValueError(f"{self.target}: count for {kind} must be positive")
@@ -193,8 +189,7 @@ def gram_determinant(squares) -> GoldenRational:
 _PAIRS = ("ab", "ac", "ad", "bc", "bd", "cd")  # the order of _EDGE_LENGTHS
 
 
-@dataclass(frozen=True)
-class EdgeScheme:
+class EdgeScheme(_Record):
     """Six squared edge lengths, indexed by vertex pairs of (A, B, C, D)."""
 
     ab: GoldenRational
@@ -204,7 +199,7 @@ class EdgeScheme:
     bd: GoldenRational
     cd: GoldenRational
 
-    def __post_init__(self):
+    def _check(self):
         for name in _PAIRS:
             if getattr(self, name).sign() <= 0:
                 raise ValueError(f"squared edge {name} must be positive")
@@ -224,8 +219,7 @@ def edge_scheme(kind: TileKind | str) -> EdgeScheme:
     return EdgeScheme(*(e * e for e in record(kind).edge_lengths))
 
 
-@dataclass(frozen=True)
-class CMVolume:
+class CMVolume(_Record):
     """Exact V^2 and its real root; exact_root is None (inexact) unless V^2
     is a square in Q(tau), as it is for all six tiles."""
 

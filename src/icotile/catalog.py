@@ -1,5 +1,6 @@
-"""The tile vocabulary: kinds, catalog order, assembly targets.  The records,
-volumes and inventories are icotile._catalog's, loaded on their first read."""
+"""The tile vocabulary: kinds, catalog order, assembly targets, and the
+frozen-record base of the package's records.  The records, volumes and
+inventories are icotile._catalog's, loaded on their first read."""
 
 import sys
 from enum import Enum
@@ -63,6 +64,60 @@ def tile_kind(x) -> TileKind:
         return _KINDS[x]
     except (KeyError, TypeError):
         return TileKind(x)
+
+
+class _Record:
+    """A frozen record, as a frozen dataclass is, without loading dataclasses:
+    its fields are its class's annotated names in order, and a class attribute
+    is a field's default.  The constructor takes every field but those in
+    _derived, then runs _check, which may set or normalise fields with
+    object.__setattr__; _replace goes through it again.  repr leaves out the
+    fields in _hidden.  Records compare and hash by their fields, or by
+    identity when declared eq=False."""
+
+    _derived = _hidden = ()
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._init = tuple(f for f in cls._fields if f not in cls._derived)
+        cls._names = frozenset(cls._init)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._init if f in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self._init, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != self._names:
+            raise TypeError(f"{type(self).__name__} takes the fields {self._init}")
+        self.__dict__.update(values)
+        self._check()
+
+    def _check(self):
+        pass
+
+    def _replace(self, **changes):
+        return type(self)(**dict({f: self.__dict__[f] for f in self._init}, **changes))
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{f}={self.__dict__[f]!r}" for f in self._fields if f not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 CATALOG_ORDER = [

@@ -8,10 +8,8 @@ returns structured results; the CLI `verify` command renders them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import catalog, inflation, report
-from .catalog import TileKind, triangle_family
+from .catalog import TileKind, _Record, triangle_family
 from .golden import SQRT5, GoldenRational, embed, tau_pow
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
@@ -45,8 +43,7 @@ _D1_HULL = (20, 30, 12)
 _I1_HULL = (12, 30, 20)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     name: str
     ok: bool
     detail: str

@@ -76,13 +76,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import chain
 from operator import index
 
 from .. import catalog
-from ..catalog import TileKind, tile_kind
+from ..catalog import TileKind, _Record, tile_kind
 from ..golden import TAU, GoldenRational, embed, pair_sign
 from . import _wiring
 
@@ -112,7 +111,7 @@ def _record(cls, *values):
     """A frozen record of cls with its fields set, in order, to values its
     constructor would derive: for facts a build has already decided."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    obj.__dict__.update(zip(cls._fields, values))
     return obj
 
 
@@ -133,8 +132,7 @@ def _parity(exact: tuple) -> int:
     return parity
 
 
-@dataclass(frozen=True, eq=False)
-class PlacedTile:
+class PlacedTile(_Record, eq=False):
     """A fundamental tile: four vertices as doubled Z[tau] pairs, nested
     (4, 3, 2) ints, read from any nested integer sequence.  parity is the
     exact sign of (b-a).((c-a)x(d-a)), and faces are wound outward for it;
@@ -144,10 +142,11 @@ class PlacedTile:
 
     kind: TileKind
     exact: tuple
-    name: str = field(default="", compare=False)
-    parity: int = field(init=False)
+    name: str = ""
+    parity: int
+    _derived = ("parity",)
 
-    def __post_init__(self):
+    def _check(self):
         kind = _fundamental(self.kind)
         exact = _points(self.exact)
         object.__setattr__(self, "kind", kind)
@@ -178,8 +177,7 @@ class PlacedTile:
         return abs(GoldenRational(*_scalar_triple(self.exact), 48))
 
 
-@dataclass(frozen=True, eq=False)
-class Mesh:
+class Mesh(_Record, eq=False):
     """Polygonal outer surface: shared vertices, outward-wound faces.
 
     exact holds the vertices as doubled Z[tau] pairs, nested (V, 3, 2)
@@ -193,11 +191,11 @@ class Mesh:
     exact: tuple
     faces: tuple[tuple[int, ...], ...]
     provenance: tuple[tuple[str, ...], ...]
-    edge_faces: tuple[tuple[tuple[int, int], tuple[int, ...]], ...] = field(
-        init=False, repr=False)
-    normals: tuple = field(init=False, repr=False)
+    edge_faces: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    normals: tuple
+    _derived = _hidden = ("edge_faces", "normals")
 
-    def __post_init__(self):
+    def _check(self):
         exact = _points(self.exact)
         # a face's Newell normal, the sum of tail x head over its edges, is its
         # fan's sum of (f[i] - f[0]) x (f[i+1] - f[0]), k - 2 terms
@@ -240,8 +238,7 @@ def _edge_faces(faces) -> tuple:
     return tuple((e, tuple(incident[e])) for e in sorted(incident))
 
 
-@dataclass(frozen=True, eq=False)
-class TriangleFace:
+class TriangleFace(_Record, eq=False):
     """One tetrahedron face inside an assembly, with its owner's name;
     corners are doubled Z[tau] pairs, nested (3, 3, 2)."""
 
@@ -249,8 +246,7 @@ class TriangleFace:
     corners: tuple
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Record):
     """Interior angle along one mesh edge, None when the edge is open; its
     exact class is "atan2", "pi-atan2" or "neither" (see dihedrals)."""
 
@@ -592,20 +588,20 @@ def _fuse(faces: list, owners: list[str], points, scaled) -> list[tuple]:
 _FaceTable = namedtuple("_FaceTable", "points faces is_wall names")
 
 
-@dataclass(frozen=True, eq=False)
-class Assembly:
+class Assembly(_Record, eq=False):
     """A verified packing of fundamental tetrahedra with its outer hull.
 
     walls and boundary_triangles hold each tile face, in tile and face
     order, as a TriangleFace owned by its tile.  They are derived from the
-    build's face table on first read and then kept; dataclasses.replace
-    carries the table over, so they stay the build's whatever it replaces."""
+    build's face table on first read and then kept; _replace carries the
+    table over, so they stay the build's whatever it replaces."""
 
     target: str
     tiles: tuple[PlacedTile, ...]
     mesh: Mesh
     groups: tuple[tuple[str, tuple[int, ...], str], ...]
-    _faces: _FaceTable = field(repr=False)
+    _faces: _FaceTable
+    _hidden = ("_faces",)
 
     @cached_property
     def walls(self) -> tuple[TriangleFace, ...]:

@@ -301,7 +301,7 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
     exact = np.asarray(built.mesh.exact).copy()
     exact[0, axis, 0] += 1
     mesh = assembly.Mesh(exact, built.mesh.faces, built.mesh.provenance)
-    moved = dataclasses.replace(built, mesh=mesh)
+    moved = built._replace(mesh=mesh)
     monkeypatch.setattr(geometry, "assemble",
                         lambda t: moved if t == target else assemble(t))
     assert checks._check_assemblies() == (False, detail)
@@ -312,12 +312,11 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
 def test_assemblies_check_decides_volumes_exactly(monkeypatch):
     def inward(a):  # every hull face wound inward: the hull volume changes sign
         faces = tuple(f[::-1] for f in a.mesh.faces)
-        return dataclasses.replace(a, mesh=assembly.Mesh(a.mesh.exact, faces, a.mesh.provenance))
+        return a._replace(mesh=assembly.Mesh(a.mesh.exact, faces, a.mesh.provenance))
 
     d1 = assemble("d1")
     assert d1.tiles[0].kind is not TileKind.t6
-    relabeled = dataclasses.replace(
-        d1, tiles=(dataclasses.replace(d1.tiles[0], kind="t6"),) + d1.tiles[1:])
+    relabeled = d1._replace(tiles=(d1.tiles[0]._replace(kind="t6"),) + d1.tiles[1:])
     for target, moved, detail in (("d1", inward(d1), "d1 volume additivity"),
                                   ("d1", relabeled, "d1 volume vs exact"),
                                   ("i1", inward(assemble("i1")), "i1 volume additivity")):
@@ -336,7 +335,7 @@ def test_assemblies_check_decides_dihedrals_exactly(monkeypatch):
     monkeypatch.setattr(geometry, "assemble", assemble)
     d1 = assemble("d1").mesh
     monkeypatch.setattr(geometry, "dihedrals", lambda mesh: [
-        dataclasses.replace(r, angle_class="atan2") if mesh is d1 else r for r in dihedrals(mesh)])
+        r._replace(angle_class="atan2") if mesh is d1 else r for r in dihedrals(mesh)])
     ok, detail = checks._check_assemblies()
     assert not ok and detail.startswith("d1 dihedral ")
 
@@ -346,14 +345,14 @@ def test_tile_volumes_check_reads_catalog_edge_lengths(monkeypatch):
     t2 = catalog.record("t2")
     lengths = t2.edge_lengths[:4] + (GoldenRational(1),) + t2.edge_lengths[5:]
     monkeypatch.setitem(catalog._RECORDS, TileKind.t2,
-                        dataclasses.replace(t2, edge_lengths=lengths))
+                        t2._replace(edge_lengths=lengths))
     assert checks._check_tile_volumes() == (False, "t2: got 1/12, want tau/12")
 
 
 def test_composite_volumes_check_reads_catalog(monkeypatch):
     t2 = catalog.record("T2")
     monkeypatch.setitem(catalog._RECORDS, TileKind.T2,
-                        dataclasses.replace(t2, volume=t2.volume * 2))
+                        t2._replace(volume=t2.volume * 2))
     assert checks._check_composite_volumes() == (
         False, "T2: (1+2tau)/6 vs (1+2tau)/12")
 
@@ -422,7 +421,7 @@ def test_spectrum_check_failure_details(monkeypatch):
     sd = inflation.pf_vectors()
 
     def serve(**changes):
-        monkeypatch.setattr(inflation, "pf_vectors", lambda: dataclasses.replace(sd, **changes))
+        monkeypatch.setattr(inflation, "pf_vectors", lambda: sd._replace(**changes))
 
     lam = sd.eigenvalues[1] + 1e-6
     serve(eigenvalues=(sd.eigenvalues[0], lam) + sd.eigenvalues[2:])

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from icotile import checks, cli, inflation
+from icotile import _ledger, checks, cli, inflation
 from icotile.catalog import ASSEMBLY_TARGETS
 from icotile.cli import canonical_json, main
 from icotile.golden import TAU, embed, tau_pow
@@ -232,12 +232,12 @@ def test_ledger_corrupt_flag_not_from_environment(runner):
 
 
 def test_wrong_ledger_entry_fails_without_traceback(runner, monkeypatch):
-    entries = inflation._ledger_data()
+    entries = _ledger._ledger_data()
     first = entries[0]
     last = first.parts[-1]
     wrong = dataclasses.replace(first, parts=first.parts[:-1] + (
         dataclasses.replace(last, count=last.count + 1),))
-    monkeypatch.setattr(inflation, "_ledger_data", lambda: (wrong,) + entries[1:])
+    monkeypatch.setattr(_ledger, "_ledger_data", lambda: (wrong,) + entries[1:])
 
     def run(args, code):
         res = runner.invoke(main, args)
@@ -639,18 +639,22 @@ def _loaded_modules(run: str, *args: str) -> set[str]:
 def test_cli_starts_on_the_standard_library():
     # the bare interpreter's modules (this host's site may load certifi from
     # a .pth file), icotile's and the standard library's, and nothing more;
-    # never argparse, nor the gettext and locale that it loads
+    # never argparse, nor the gettext and locale that it loads; and only the
+    # ledger's dataclasses load dataclasses and the inspect that it loads
     bare = _loaded_modules("")
     cli_import = _loaded_modules("import icotile.cli")
     assert not cli_import & {"click", "dataclasses", "inspect", "argparse", "gettext", "locale"}
+    builds = [["build", "--shape", target] for target in ASSEMBLY_TARGETS]
     for args in (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
-                 ["ledger", "--verify"], ["build", "--shape", "T2"], ["--help"],
-                 ["eigen", "--js"]):
+                 ["ledger", "--verify"], *builds, ["--help"], ["eigen", "--js"]):
         loaded = _loaded_modules(_RUN_MAIN, *args)
         extra = {m for m in loaded - bare
                  if m.partition(".")[0] not in ("icotile", *sys.stdlib_module_names)}
         assert extra == set(), args
         assert not loaded & {"argparse", "gettext", "locale"}, args
+        if args[0] != "ledger":
+            assert not loaded & {"dataclasses", "inspect"}, args
+    assert "icotile._ledger" not in _loaded_modules("import icotile.inflation")
 
 
 def _fresh_process(code: str) -> dict:
@@ -795,8 +799,8 @@ _SUBCOMMAND_LOADS = [
     (["build", "--shape", "i1"], 0, sorted(_CORE + _GEOMETRY)),
     (["build", "--shape", "T2"], 0, sorted(_CORE + _GEOMETRY)),
     (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_RECORDS + ["icotile.inflation"])),
-    (["eigen"], 0, sorted(_RECORDS + ["icotile.inflation"])),
-    (["ledger", "--verify"], 0, sorted(_RECORDS + ["icotile.inflation"])),
+    (["eigen"], 0, sorted(_CORE + ["icotile.inflation"])),
+    (["ledger", "--verify"], 0, sorted(_RECORDS + ["icotile._ledger", "icotile.inflation"])),
     (["catalog", "--json"], 0, sorted(_RECORDS + ["json"])),
     (["inflate", "--tile", "T2", "--order", "3", "--json"], 0,
      sorted(_RECORDS + ["icotile.inflation", "json"])),

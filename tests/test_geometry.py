@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -1197,7 +1196,7 @@ def test_build_records_match_public_constructors(target):
     assert "walls" not in vars(a) and "boundary_triangles" not in vars(a)
     assert a.walls is a.walls and a.boundary_triangles is a.boundary_triangles
     walls = [(f.owner, f.corners) for f in a.walls]
-    moved = dataclasses.replace(a, tiles=a.tiles[::-1], mesh=public)
+    moved = a._replace(tiles=a.tiles[::-1], mesh=public)
     assert [(f.owner, f.corners) for f in moved.walls] == walls
 
 
