@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # geometry, inflation, its CountVector, M and inflate_counts, and catalog's
-    # record resolve on first use, so a subcommand loads only the layers it reads.
+    # geometry, inflation, and its CountVector, M and inflate_counts resolve on
+    # first use, so a subcommand loads only the layers it reads.
     # __import__ takes an import statement's path, which -X importtime
     # reports (importlib.import_module's is not); `from . import geometry`
     # here would re-enter this hook without end
@@ -29,8 +29,6 @@ def __getattr__(name):
         return sys.modules[f"{__name__}.{name}"]
     if name in ("CountVector", "M", "inflate_counts"):
         return getattr(__getattr__("inflation"), name)
-    if name == "record":
-        return catalog.record
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "golden",
     "inflate_counts",
     "inflation",
-    "record",
     "tau_pow",
     "__version__",
 ]

@@ -98,9 +98,6 @@ class TileRecord(_Record):
             if self.N0 - self.N1 + self.N2 != 2:
                 raise ValueError(f"{self.kind}: Euler relation violated")
 
-    def composition_dict(self) -> dict[TileKind, int]:
-        return dict(self.composition)
-
     def to_json(self) -> dict:
         out = {
             "kind": self.kind.value,

@@ -1,5 +1,5 @@
-"""The tile vocabulary: kinds, catalog order, assembly targets, and the
-frozen-record base of the package's records.  The records, volumes and
+"""The tile vocabulary (kinds, catalog order, assembly targets, starting
+patches) and the package's frozen-record base.  The records, volumes and
 inventories are icotile._catalog's, loaded on their first read."""
 
 import sys
@@ -25,6 +25,7 @@ __all__ = [
     "inventory",
     "INVENTORY_TARGETS",
     "ASSEMBLY_TARGETS",
+    "STARTING_PATCHES",
     "CATALOG_ORDER",
 ]
 
@@ -93,6 +94,13 @@ class _Record:
         self.__dict__.update(values)
         self._check()
 
+    @classmethod
+    def _decided(cls, *values):
+        """A record of values in field order, unchecked: for facts already decided."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls._fields, values))
+        return obj
+
     def _check(self):
         pass
 
@@ -126,9 +134,11 @@ CATALOG_ORDER = [
     TileKind.T1, TileKind.T2, TileKind.T3, TileKind.T4, TileKind.T3bar,
 ]
 
-# the clusters geometry.assemble() builds; kept here so the CLI can list
-# them without loading the geometry layer
+# the clusters geometry.assemble() builds, and the starting patches that
+# inflation.BASES holds (a composite tile or a dodecahedron); kept here so the
+# CLI can list them without loading the geometry layer or the records
 ASSEMBLY_TARGETS = ("d1", "i1", "E", "C", "T1", "T2", "T3", "T3bar", "T4")
+STARTING_PATCHES = ("T1", "T2", "T3", "T4", "d1", "dtau")
 
 
 def __getattr__(name):

@@ -3,9 +3,10 @@
 Seven subcommands: catalog, inflate, eigen, ledger, build, verify,
 report.  Every command accepts --json for machine output.  Exit codes:
 0 success, 1 verification failure, 2 usage error.  Each option is one
-(flag, keywords) row, which both the parser and the help page read; help
-pages and usage errors keep click's layout and messages, which the golden
-files pin.
+(flag, keywords) row, which both the parser and the help page read; a row
+whose name does not start with "-" takes a word (catalog's MODE) and shows
+on the usage line.  Help pages and usage errors keep click's layout and
+messages, which the golden files pin.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import catalog
-from .catalog import ASSEMBLY_TARGETS
 from .golden import embed, embed_decimal
 
 __all__ = ["main", "RunConfig", "UsageError", "canonical_json"]
@@ -42,9 +42,6 @@ class UsageError(Exception):
     line (the subcommand's, once one is chosen)."""
 
     exit_code = 2
-
-    def format_message(self) -> str:
-        return self.args[0]
 
 
 _MEMO_TYPES, _INT = {float, str}, {int}
@@ -95,10 +92,6 @@ def canonical_json(obj) -> str:
     return value(obj, "")
 
 
-def _echo_json(obj) -> None:
-    print(canonical_json(obj))
-
-
 def _write(path: Path, text: str) -> None:
     """Write text, creating missing parent directories; a path that cannot
     be written (say, under an existing file) is a usage error."""
@@ -113,7 +106,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _value(flag: str, kw: dict, text: str):
-    """text as option flag's value: one of its choices (their module loads on
+    """text as row flag's value: one of its choices (their module loads on
     first need), an integer >= 0 for type int, else text itself."""
     if "choices" in kw:
         known = kw["choices"]()
@@ -135,11 +128,6 @@ def _value(flag: str, kw: dict, text: str):
 def _check_names():
     from . import checks
     return checks.CHECK_NAMES
-
-
-def _tile_names():
-    from . import inflation
-    return tuple(sorted(inflation.BASES))
 
 
 def _term(flag: str, kw: dict) -> str:
@@ -185,7 +173,6 @@ _GLOBALS = (
                        "help": "Default destination for build and report output."}),
 )
 _COMMANDS: dict = {}  # name -> (function, options as (flag, keywords))
-_USAGE_TAIL = {None: " COMMAND [ARGS]...", "catalog": " [[dump]]"}  # after "PROG [NAME] [OPTIONS]"
 
 
 def _command(name: str, *options):
@@ -193,6 +180,13 @@ def _command(name: str, *options):
         _COMMANDS[name] = (run, options)
         return run
     return register
+
+
+def _usage(here: str, name: str | None) -> str:
+    """The usage line: the top level's, or command name's with its positional rows."""
+    tail = (" COMMAND [ARGS]..." if name is None else
+            "".join(f" {flag}" for flag, _ in _COMMANDS[name][1] if flag[:1] != "-"))
+    return f"Usage: {here} [OPTIONS]{tail}"
 
 
 def _page(here: str, name: str | None) -> str:
@@ -203,7 +197,7 @@ def _page(here: str, name: str | None) -> str:
 
     width = max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
     run, options = _COMMANDS[name] if name else (None, _GLOBALS)
-    blocks = [f"Usage: {here} [OPTIONS]{_USAGE_TAIL.get(name, '')}"]
+    blocks = [_usage(here, name)]
     blocks += [textwrap.fill(p, width, initial_indent="  ", subsequent_indent="  ")
                for p in (run.__doc__ if run else _ABOUT).split("\n\n")]
     rows = [(_term(flag, kw), kw["help"] + "  [required]" * bool(kw.get("required")))
@@ -218,20 +212,23 @@ def _page(here: str, name: str | None) -> str:
 
 def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str]]:
     """One walk over argv with the global options (name None) or command
-    name's: their values by dest and the words no option took (the global walk
-    stops at the first, the command; catalog's first is its MODE).  Names match
-    whole, "--" ends the options, and -h/--help prints the page and exits."""
+    name's: their values by dest and the words that neither an option nor a
+    positional row took (the global walk stops at the first, the command).
+    Names match whole, "--" ends the options, and -h/--help prints the page
+    and exits."""
     options = _GLOBALS if name is None else _COMMANDS[name][1]
     rows = {alias: (flag, kw) for flag, kw in (*options, _HELP) for alias in flag.split(", ")}
     values = {kw.get("dest", flag[2:]): kw.get("default", False if kw.get("action") else None)
               for flag, kw in options}
+    slots = [(flag, kw) for flag, kw in options if flag[:1] != "-"]  # the positional rows
     words, ended, rest = [], False, iter(argv)
     for arg in rest:
         if ended or arg[:1] != "-" or arg == "-":
             if name is None:
                 return values, [arg, *rest]
-            if name == "catalog" and not words:
-                _value("[[dump]]", {"choices": lambda: ("dump",)}, arg)
+            if len(words) < len(slots):
+                flag, kw = slots[len(words)]
+                values[kw["dest"]] = _value(flag, kw, arg)
             words.append(arg)
         elif arg == "--":
             ended = True
@@ -255,9 +252,7 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
     for flag, kw in options:
         if kw.get("required") and values[kw.get("dest", flag[2:])] is None:
             raise UsageError(f"Missing option {flag!r}.")
-    if name == "catalog":
-        values["mode"] = words.pop(0) if words else None
-    return values, words
+    return values, words[len(slots):]
 
 
 def main(args=None, prog_name=None, standalone_mode=True):
@@ -291,8 +286,8 @@ def main(args=None, prog_name=None, standalone_mode=True):
     except UsageError as exc:
         if not standalone_mode:
             raise
-        print(f"Usage: {here} [OPTIONS]{_USAGE_TAIL.get(name, '')}\n"
-              f"Try '{here} --help' for help.\n\nError: {exc.format_message()}", file=sys.stderr)
+        print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
+              file=sys.stderr)
         sys.exit(exc.exit_code)
     except BrokenPipeError:
         if not standalone_mode:
@@ -305,12 +300,12 @@ def main(args=None, prog_name=None, standalone_mode=True):
     return code
 
 
-@_command("catalog", _JSON)
+@_command("catalog", ("[[dump]]", {"dest": "mode", "choices": lambda: ("dump",)}), _JSON)
 def cmd_catalog(cfg: RunConfig, mode, as_json):
     """List the thirteen tile records (MODE `dump` forces JSON)."""
     records = catalog.all_records()
     if as_json or mode == "dump":
-        _echo_json([rec.to_json() for rec in records])
+        print(canonical_json([rec.to_json() for rec in records]))
         return
     print(f"{'tile':6} {'volume':14} {'volume_float':14} faces")
     for rec in records:
@@ -319,7 +314,7 @@ def cmd_catalog(cfg: RunConfig, mode, as_json):
 
 
 @_command("inflate",
-          ("--tile", {"choices": _tile_names, "required": True,
+          ("--tile", {"choices": lambda: catalog.STARTING_PATCHES, "required": True,
                       "help": "Starting patch: one composite tile or a dodecahedron."}),
           ("--order", {"type": int, "required": True, "metavar": "INTEGER",
                        "help": "Inflation power n."}),
@@ -341,11 +336,11 @@ def cmd_inflate(cfg: RunConfig, tile, order, as_json):
     else:
         approx_text = f"{approx:.7f}"
     if as_json:
-        _echo_json({
+        print(canonical_json({
             "counts": list(counts.c),
             "volume": volume.to_json(),
             "volume_float": approx,
-        })
+        }))
         return
     print(f"counts: {' '.join(str(c) for c in counts.c)}")
     print(f"volume: {volume} = {approx_text}")
@@ -358,7 +353,7 @@ def cmd_eigen(cfg: RunConfig, as_json):
 
     sd = inflation.pf_vectors()
     if as_json:
-        _echo_json(sd.to_json())
+        print(canonical_json(sd.to_json()))
         return
     print(f"characteristic polynomial: {inflation.format_poly(inflation.char_poly())}")
     print("eigenvalues: " + ", ".join(f"{x:.7f}" for x in sd.eigenvalues))
@@ -381,7 +376,7 @@ def cmd_ledger(cfg: RunConfig, do_verify, corrupt, as_json):
     results = [(d, inflation.verify_decomposition(d)) for d in entries]
     all_ok = all(rep.ok for _, rep in results)
     if as_json:
-        _echo_json({
+        print(canonical_json({
             "entries": [
                 {
                     "name": d.name,
@@ -393,7 +388,7 @@ def cmd_ledger(cfg: RunConfig, do_verify, corrupt, as_json):
                 for d, rep in results
             ],
             "ok": all_ok,
-        })
+        }))
     elif do_verify:
         for d, rep in results:
             print(f"{'OK' if rep.ok else 'FAIL'} {d.name}")
@@ -418,7 +413,7 @@ def _face_breakdown(mesh) -> str:
 
 
 @_command("build",
-          ("--shape", {"choices": lambda: ASSEMBLY_TARGETS, "required": True,
+          ("--shape", {"choices": lambda: catalog.ASSEMBLY_TARGETS, "required": True,
                        "help": "Assembly target."}),
           ("--out", {"metavar": "FILE", "help": "Write mesh here (.obj wavefront or .json patch)."}),
           ("--json", dict(_JSON[1], help="Emit the patch as JSON.")))
@@ -441,7 +436,7 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
             payload = canonical_json(export_patch(asm)) + "\n"
         _write(path, payload)
     if as_json:
-        _echo_json(export_patch(asm))
+        print(canonical_json(export_patch(asm)))
         return
     n0, n1, _ = asm.mesh.counts()
     print(f"{shape}: {len(asm.tiles)} tetrahedra")
@@ -463,13 +458,13 @@ def cmd_verify(cfg: RunConfig, names, as_json):
     results = checks.run_checks(tuple(names) or None)
     all_ok = all(r.ok for r in results)
     if as_json:
-        _echo_json({
+        print(canonical_json({
             "checks": [
                 {"name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results
             ],
             "ok": all_ok,
-        })
+        }))
     else:
         for r in results:
             print(f"{'OK' if r.ok else 'FAIL'} {r.name}: {r.detail}")
@@ -488,7 +483,7 @@ def cmd_report(cfg: RunConfig, out, as_json):
 
     bundle = report.build_bundle()
     if as_json:
-        _echo_json({"files": bundle})
+        print(canonical_json({"files": bundle}))
         return
     outdir = Path(out or cfg.output_path or "report")
     for name, text in bundle.items():

@@ -3,7 +3,6 @@
 import sys
 
 from .assembly import (
-    ASSEMBLY_TARGETS,
     Assembly,
     AssemblyError,
     Dihedral,
@@ -19,15 +18,13 @@ from .assembly import (
     squared_edges,
 )
 
-# axes, placement and the catalog's records load on first use: only checks
-# and tests read them, so a build need not pay to compile and run them;
-# __import__, as in icotile.__getattr__, so that -X importtime lists them
+# axes and placement load on first use: only checks and tests read them, so a
+# build need not pay to compile and run them; __import__, as in
+# icotile.__getattr__, so that -X importtime lists them
 _LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"),
                          f"{__name__}.axes"),
          **dict.fromkeys(("AmbiguityError", "CongruenceError", "GlueError",
-                          "face_correspondences", "glue", "realize"), f"{__name__}.placement"),
-         **dict.fromkeys(("CMVolume", "EdgeScheme", "cm_volume", "edge_scheme"),
-                         "icotile._catalog")}
+                          "face_correspondences", "glue", "realize"), f"{__name__}.placement")}
 
 
 def __getattr__(name):
@@ -38,23 +35,18 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ASSEMBLY_TARGETS",
     "AmbiguityError",
     "Assembly",
     "AssemblyError",
-    "CMVolume",
     "CongruenceError",
     "Dihedral",
-    "EdgeScheme",
     "GlueError",
     "Mesh",
     "PlacedTile",
     "TriangleFace",
     "assemble",
     "axis_classes",
-    "cm_volume",
     "dihedrals",
-    "edge_scheme",
     "expected_face_census",
     "expected_triangle_census",
     "export_obj",

@@ -92,7 +92,6 @@ __all__ = [
     "Dihedral",
     "Assembly",
     "AssemblyError",
-    "ASSEMBLY_TARGETS",
     "assemble",
     "dihedrals",
     "squared_edges",
@@ -100,19 +99,9 @@ __all__ = [
     "export_patch",
 ]
 
-ASSEMBLY_TARGETS = catalog.ASSEMBLY_TARGETS
-
 
 class AssemblyError(RuntimeError):
     """The tile set is not a packing (overlap or inconsistent wiring)."""
-
-
-def _record(cls, *values):
-    """A frozen record of cls with its fields set, in order, to values its
-    constructor would derive: for facts a build has already decided."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls._fields, values))
-    return obj
 
 
 def _fundamental(kind) -> TileKind:
@@ -700,7 +689,7 @@ def _build(target: str, coords, tets, groups=()) -> Assembly:
             kind, parity = _fundamental(kind_name), _parity(exact)
         except ValueError as exc:
             raise AssemblyError(f"{target}: {name}: {exc}") from exc
-        tiles.append(_record(PlacedTile, kind, exact, name, parity))
+        tiles.append(PlacedTile._decided(kind, exact, name, parity))
         count[kind_name] += 1
 
     # overlap, walls and hull planes read one table: outward-wound face planes at
@@ -733,8 +722,8 @@ def _build(target: str, coords, tets, groups=()) -> Assembly:
     remap = {old: new for new, old in enumerate(used)}
     mesh_faces = tuple(tuple(remap[i] for i in f) for f, _ in fused)
     normals = planes.normals
-    mesh = _record(
-        Mesh, tuple(points[i] for i in used), mesh_faces,
+    mesh = Mesh._decided(
+        tuple(points[i] for i in used), mesh_faces,
         tuple(tuple(sorted({owners[s] for s in slots})) for _, slots in fused),
         _edge_faces(mesh_faces),
         tuple(normals[hull[slots[0]]] if len(slots) == 1 else
@@ -746,9 +735,10 @@ def _build(target: str, coords, tets, groups=()) -> Assembly:
 
 @lru_cache(maxsize=None)
 def assemble(target: str) -> Assembly:
-    """Instantiate one of the precomputed clusters; see ASSEMBLY_TARGETS."""
+    """Instantiate one of the precomputed clusters; see catalog.ASSEMBLY_TARGETS."""
     if target not in _SOURCES:
-        raise KeyError(f"unknown assembly target {target!r}; choose from {ASSEMBLY_TARGETS}")
+        raise KeyError(f"unknown assembly target {target!r}; "
+                       f"choose from {catalog.ASSEMBLY_TARGETS}")
     return _build(target, *_SOURCES[target])
 
 
@@ -765,7 +755,7 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
     out = []
     for edge, fs in mesh.edge_faces:
         if len(fs) != 2:
-            out.append(_record(Dihedral, edge, fs, None, None))
+            out.append(Dihedral._decided(edge, fs, None, None))
             continue
         f1, f2 = fs
         dot = _dot(normals[f1], normals[f2])
@@ -778,7 +768,7 @@ def dihedrals(mesh: Mesh) -> list[Dihedral]:
                 angle_class = "pi-atan2" if pair_sign(da, db) > 0 else "atan2"
             cos = (da + db * tau) / math.sqrt(floats[f1] * floats[f2])
             got = known[key] = (math.pi - math.acos(min(max(cos, -1.0), 1.0)), angle_class)
-        out.append(_record(Dihedral, edge, fs, *got))
+        out.append(Dihedral._decided(edge, fs, *got))
     return out
 
 

@@ -182,9 +182,6 @@ class GoldenRational:
         """Galois conjugate: tau -> 1 - tau."""
         return GoldenRational(self.a + self.b, -self.b, self.den)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction_pair(self) -> tuple[fractions.Fraction, fractions.Fraction]:
         """(A, B) with self = A + B*tau."""
         return fractions.Fraction(self.a, self.den), fractions.Fraction(self.b, self.den)

@@ -146,10 +146,6 @@ class InflationMatrix:
 
     rows = _M_ROWS
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def power(self, n: int):
         """M^n: the four unit rows of inflate_counts; entries grow like tau^(3n)."""
         return tuple(_inflate(_IDENT, n))
@@ -171,9 +167,7 @@ def inflate_counts(c: CountVector, n: int) -> CountVector:
     """Row convention: counts c inflate to c * M^n; c is checked once (module docstring)."""
     if not isinstance(c, CountVector):
         c = CountVector(c)
-    out = object.__new__(CountVector)
-    out.__dict__["c"] = _inflate((c.c,), n)[0]
-    return out
+    return CountVector._decided(_inflate((c.c,), n)[0])
 
 
 def _inflate(vectors, n: int) -> list[tuple[int, int, int, int]]:
@@ -351,8 +345,8 @@ def __getattr__(name):
                                       for k in COMPOSITE_ORDER))
                     for target in ("d1-composite", "dtau-composite"))
         # the starting patches by name: one composite tile or a dodecahedron
-        globals().update(D1_COUNTS=d1, DTAU_COUNTS=dtau, BASES={
-            **{f"T{i + 1}": CountVector.unit(i) for i in range(4)}, "d1": d1, "dtau": dtau})
+        globals().update(D1_COUNTS=d1, DTAU_COUNTS=dtau, BASES=dict(zip(
+            catalog.STARTING_PATCHES, (*map(CountVector.unit, range(4)), d1, dtau))))
     elif name in _LEDGER_NAMES:
         __import__(f"{__package__}._ledger")
         globals()[name] = getattr(sys.modules[f"{__package__}._ledger"], name)

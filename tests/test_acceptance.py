@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from icotile import catalog, checks, geometry, inflation, report
-from icotile.catalog import TileKind, triangle_family
+from icotile.catalog import TileKind, cm_volume, edge_scheme, triangle_family
 from icotile.geometry import (
     assemble,
     axis_classes,
-    cm_volume,
     dihedrals,
-    edge_scheme,
     expected_face_census,
     face_axis_class,
     squared_edges,
@@ -88,7 +86,7 @@ def test_criterion_02_composite_volumes_exact():
     for name, expect in want.items():
         rec = catalog.record(name)
         assert rec.volume == expect
-        assert catalog.total_volume(rec.composition_dict()) == expect
+        assert catalog.total_volume(dict(rec.composition)) == expect
 
 
 def test_criterion_03_inventory_consistency():

@@ -74,11 +74,11 @@ def test_composite_volumes_match_compositions():
     for name, vol in want.items():
         rec = catalog.record(name)
         assert rec.volume == vol
-        assert rec.volume == catalog.total_volume(rec.composition_dict())
+        assert rec.volume == catalog.total_volume(dict(rec.composition))
 
 
 def test_compositions():
-    comp = {k.value: catalog.record(k).composition_dict() for k in CATALOG_ORDER
+    comp = {k.value: dict(catalog.record(k).composition) for k in CATALOG_ORDER
             if not catalog.record(k).kind.is_fundamental}
     as_names = {k: {t.value: n for t, n in v.items()} for k, v in comp.items()}
     assert as_names["E"] == {"t1": 1, "t4": 2}
@@ -128,7 +128,7 @@ def test_premerge_triangle_bookkeeping():
     for name, n in want.items():
         rec = catalog.record(name)
         tris = sum(f.multiplicity for f in rec.premerge_triangles)
-        expanded = catalog.expand_to_fundamental(rec.composition_dict())
+        expanded = catalog.expand_to_fundamental(dict(rec.composition))
         tets = sum(expanded.values())
         assert tris == n
         # each internal glue joint hides two triangles; a connected

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -492,7 +493,8 @@ def test_global_flag_validation(runner):
 
 # what each subcommand option, ICOTILE_<COMMAND>_<DEST> in the parser's option
 # table, would have read under click's automatic environment prefix (the
-# hidden --corrupt was exempt even then), set to a value that changes the run
+# hidden --corrupt was exempt even then; click read no positional argument
+# from it), set to a value that changes the run
 _HOSTILE_ENV = {
     "ICOTILE_CATALOG_AS_JSON": "1",
     "ICOTILE_INFLATE_TILE": "T1",
@@ -522,7 +524,8 @@ def _run_in_empty_dir(runner, args, env):
 
 def test_subcommand_options_ignore_environment(runner):
     derived = {f"ICOTILE_{name.upper()}_{kw.get('dest', flag[2:]).upper()}"
-               for name, (_, options) in cli._COMMANDS.items() for flag, kw in options}
+               for name, (_, options) in cli._COMMANDS.items() for flag, kw in options
+               if flag[:1] == "-"}
     assert derived == set(_HOSTILE_ENV)
     clean = dict.fromkeys(_HOSTILE_ENV)  # None unsets, should the caller have them set
     runs = (["catalog"], ["inflate"], ["inflate", "--tile", "T2", "--order", "2"],
@@ -595,6 +598,7 @@ _USAGE_ERRORS = [
     (["frobnicate"], {}, "No such command 'frobnicate'."),
     ([], {}, "Missing command."),
     (["catalog", "dump", "extra"], {}, "Got unexpected extra argument (extra)"),
+    (["catalog", "foo"], {}, "Invalid value for '[[dump]]': 'foo' is not 'dump'."),
     (["inflate", "--tile", "T2"], {}, "Missing option '--order'."),
     (["inflate", "--tile", "T2", "--order", "x"], {},
      "Invalid value for '--order': 'x' is not a valid integer."),
@@ -684,7 +688,7 @@ from icotile.geometry import glue, realize, axis_classes, PlacedTile
 print(json.dumps({{
     "loaded": loaded,
     "module": geometry is sys.modules["icotile.geometry"],
-    "targets": geometry.ASSEMBLY_TARGETS is icotile.catalog.ASSEMBLY_TARGETS,
+    "targets": hasattr(geometry, "ASSEMBLY_TARGETS"),  # the catalog's name only
     "unknown": hasattr(icotile, "nonexistent"),
     "built": built,
     "lazy": [m for m in lazy if m in sys.modules],
@@ -694,7 +698,7 @@ print(json.dumps({{
     "unknown_in_geometry": hasattr(geometry, "nonexistent"),
 }}))
 """)
-    assert facts == {"loaded": [], "module": True, "targets": True, "unknown": False,
+    assert facts == {"loaded": [], "module": True, "targets": False, "unknown": False,
                      "built": [], "lazy": ["icotile.geometry.axes", "icotile.geometry.placement"],
                      "names": ["icotile.geometry.placement", "icotile.geometry.placement",
                                "icotile.geometry.axes", "icotile.geometry.assembly"],
@@ -761,16 +765,15 @@ exec("from icotile.catalog import *", star)
 print(json.dumps({
     "loaded": loaded, "path": path, "probed": probed, "unknown": unknown,
     "same": [catalog.FaceSpec is _catalog.FaceSpec, catalog.record is _catalog.record,
-             catalog._RECORDS is _catalog._RECORDS, icotile.record is _catalog.record,
-             icotile.geometry.CMVolume is _catalog.CMVolume,
-             _catalog.TileKind is catalog.TileKind],
+             catalog._RECORDS is _catalog._RECORDS, _catalog.TileKind is catalog.TileKind],
+    "second_paths": [hasattr(icotile, "record"), hasattr(icotile.geometry, "CMVolume")],
     "star": sorted(set(star) - {"__builtins__"}) == sorted(catalog.__all__)
             and all(star[n] is getattr(catalog, n) for n in catalog.__all__),
 }))
 """)
     assert facts == {"loaded": ["icotile.catalog"], "path": False, "probed": False,
                      "unknown": "module 'icotile.catalog' has no attribute 'nonexistent'",
-                     "same": [True] * 6, "star": True}
+                     "same": [True] * 4, "second_paths": [False, False], "star": True}
 
 
 @pytest.mark.parametrize("args", [["build", "--shape", "T2"], ["catalog"]])
@@ -807,6 +810,10 @@ _SUBCOMMAND_LOADS = [
     (["build", "--shape", "i1", "--json"], 0, sorted(_CORE + _GEOMETRY + ["json"])),
     (["--max-order", "5000", "inflate", "--tile", "T2", "--order", "1000"], 0,
      sorted(_RECORDS + ["decimal", "icotile.inflation"])),
+    # the help page and the usage errors before the inflation run read no record
+    (["inflate", "--help"], 0, _CORE),
+    (["inflate", "--tile", "T9", "--order", "2"], 2, _CORE),
+    (["inflate", "--tile", "T2", "--order", "60"], 2, _CORE),
 ]
 
 
@@ -846,7 +853,7 @@ for args in runs:
             codes.append(main(args, standalone_mode=False))
         except cli.UsageError as exc:
             codes.append(exc.exit_code)
-            messages.append(exc.format_message())
+            messages.append(str(exc))
 print(json.dumps({"codes": codes, "messages": messages,
                   "numpy": "numpy" in sys.modules,
                   "checks": "icotile.checks" in sys.modules}))
@@ -1025,3 +1032,94 @@ def test_subcommands_run_without_numpy(tmp_path):
     assert [line.split(":")[0] for line in text.splitlines() if not line.startswith("OK ")] == [
         "FAIL projection"]
     assert [c["name"] for c in json.loads(json_text)["checks"] if not c["ok"]] == ["projection"]
+
+
+# the seeded argv sweep: whole command lines drawn from the option tables,
+# then mutated token by token; sha256 over (argv, exit code, stdout, stderr)
+_SWEEP_SIZE = 3000
+_SWEEP_SHA = "27535a36295102709fe23891895d64e9f25a9558c82c215df8842c0447392266"
+_SWEEP_INTS = ("0", "2", "7", "50", "51")
+_SWEEP_PATHS = ("a.obj", "b.json", "c.stl", "d", "e/f.obj")
+_SWEEP_UNKNOWN = ("--bogus", "-x", "--jso", "--order", "-5", "--help", "-h")
+_NON_UTF8 = b"\xff".decode("utf-8", "surrogateescape")
+
+
+def _sweep_value(rng, kw):
+    if "choices" in kw:
+        return rng.choice(kw["choices"]())
+    return rng.choice(_SWEEP_INTS if kw.get("type") is int else _SWEEP_PATHS)
+
+
+def _sweep_command_line(rng):
+    """A valid command line: some global options, a command, its required
+    options and about half of the others, a positional row's word included."""
+    argv = []
+    for flag, kw in cli._GLOBALS:
+        if rng.random() < 0.2:
+            argv += [flag, _sweep_value(rng, kw)]
+    name = rng.choice(sorted(cli._COMMANDS))
+    argv.append(name)
+    for flag, kw in cli._COMMANDS[name][1]:
+        if not kw.get("required") and rng.random() < 0.5:
+            continue
+        if flag[:1] != "-":
+            argv.append(_sweep_value(rng, kw))
+        elif kw.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            for _ in range(rng.randint(1, 2) if kw.get("action") == "append" else 1):
+                argv += [flag, _sweep_value(rng, kw)]
+    return argv
+
+
+def _sweep_mutate(rng, argv):
+    """argv with one token dropped, duplicated or swapped with its neighbour,
+    an option joined to its value by "=", or "--", "-", an unknown flag or a
+    non-UTF-8 byte (as os.fsdecode reads it) put in."""
+    argv, k = list(argv), rng.randrange(len(argv))
+    kind = rng.randrange(7)
+    if kind == 0:
+        del argv[k]
+    elif kind == 1:
+        argv.insert(k, argv[k])
+    elif kind == 2 and k + 1 < len(argv):
+        argv[k], argv[k + 1] = argv[k + 1], argv[k]
+    elif kind == 3 and argv[k][:2] == "--" and k + 1 < len(argv):
+        argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
+    elif kind == 4:
+        argv.insert(k, rng.choice(("--", "-")))
+    elif kind == 5:
+        argv.insert(k, rng.choice(_SWEEP_UNKNOWN))
+    else:  # kind 6, or a swap or join with nothing to swap or join
+        argv[k] = rng.choice((argv[k] + _NON_UTF8, _NON_UTF8 + argv[k]))
+    return argv
+
+
+def test_seeded_argv_sweep(runner, monkeypatch):
+    # every exit is 0, 1 or 2 and nothing else leaves main; a usage error
+    # prints nothing on stdout and ends on its Error: line; the digest pins
+    # every byte, files are written under tmp_path only
+    rng, digest, runs = random.Random(41), hashlib.sha256(), 0
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("ICOTILE_MAX_ORDER", "ICOTILE_OUTPUT_PATH"):
+        monkeypatch.delenv(name, raising=False)
+    while runs < _SWEEP_SIZE:
+        argv = _sweep_command_line(rng)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            argv = _sweep_mutate(rng, argv) if argv else argv
+        if "verify" in argv and not any(a.startswith("--check") for a in argv):
+            continue  # the full battery takes a second
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(argv, prog_name="main")
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert out == "", argv
+            assert err.splitlines()[-1].startswith("Error: "), (argv, err)
+        digest.update(repr((argv, code, out, err)).encode())
+        runs += 1
+    assert digest.hexdigest() == _SWEEP_SHA

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from icotile import catalog
-from icotile.catalog import triangle_family
+from icotile.catalog import ASSEMBLY_TARGETS, cm_volume, edge_scheme, triangle_family
 from icotile.cli import canonical_json
 from icotile.geometry import (
     AmbiguityError,
@@ -22,9 +22,7 @@ from icotile.geometry import (
     PlacedTile,
     assemble,
     axis_classes,
-    cm_volume,
     dihedrals,
-    edge_scheme,
     expected_face_census,
     expected_triangle_census,
     export_obj,
@@ -164,7 +162,7 @@ def test_scheme_names_are_the_catalogs():
 
     from icotile import geometry
     for name in ("EdgeScheme", "CMVolume", "edge_scheme", "cm_volume"):
-        assert getattr(geometry, name) is getattr(catalog, name)
+        assert hasattr(catalog, name) and not hasattr(geometry, name)
     assert importlib.util.find_spec("icotile.geometry.schemes") is None
 
 
@@ -503,7 +501,7 @@ def test_assembly_counts_and_censuses():
         assert tri_census == expected_triangle_census(target)
         assert a.fundamental_counts() == {
             k: n for k, n in catalog.expand_to_fundamental(
-                rec.composition_dict()).items()}
+                dict(rec.composition)).items()}
 
 
 def test_assembly_volumes():
@@ -1320,12 +1318,23 @@ def _sweep_lists():
     return out
 
 
+# the sub-lists of _sweep_lists() whose built hull is not closed: a hull
+# vertex inside an edge of a neighbouring face, which fusion does not split
+NOT_CLOSED = [280, 432, 598, 1122, 1131, 1269]
+
+
+def _closed(mesh) -> bool:
+    """Each directed edge of mesh's faces appears as often as its reverse."""
+    edges = Counter((f[i - 1], f[i]) for f in mesh.faces for i in range(len(f)))
+    return all(edges[a, b] == edges[b, a] for a, b in edges)
+
+
 def test_any_sublist_builds_its_volume_or_is_refused():
     # every sub-list of d1 and i1 is a packing: the build gives a hull that
     # encloses its tiles' volume, or refuses it as one whose hull it cannot
-    # give (REFUSALS); none overlaps
-    tally = Counter()
-    for wiring, kept in _sweep_lists():
+    # give (REFUSALS); none overlaps, and every hull but NOT_CLOSED's is closed
+    tally, not_closed = Counter(), []
+    for index, (wiring, kept) in enumerate(_sweep_lists()):
         coords, tets, _ = assembly._SOURCES[wiring]
         try:
             a = assembly._build(wiring, coords, [tets[k] for k in kept])
@@ -1336,7 +1345,11 @@ def test_any_sublist_builds_its_volume_or_is_refused():
             continue
         tally["built"] += 1
         assert a.mesh.volume_exact() == sum((t.volume() for t in a.tiles), GoldenRational(0))
+        if not _closed(a.mesh):
+            not_closed.append(index)
     assert tally == {"built": 600, "fuse": 363, "close": 602}
+    assert not_closed == NOT_CLOSED
+    assert all(_closed(assemble(t).mesh) for t in ASSEMBLY_TARGETS)
 
 
 # how the build decides each face: (shared whole, a wall by index; no tile

@@ -23,7 +23,7 @@ def test_matrix_rows():
     assert inflation.M.rows == ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 1))
     assert inflation.M.det == 1
     assert inflation.M.trace == 5
-    assert inflation.M[0, 3] == 2
+    assert inflation.M.rows[0][3] == 2
 
 
 def _matmul(a, b):

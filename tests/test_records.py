@@ -9,7 +9,8 @@ import hashlib
 import pytest
 
 from icotile import _ledger, catalog, checks, inflation
-from icotile.geometry import ASSEMBLY_TARGETS, assemble, dihedrals
+from icotile.catalog import ASSEMBLY_TARGETS
+from icotile.geometry import assemble, dihedrals
 from icotile.geometry.assembly import Dihedral, Mesh, PlacedTile
 from icotile.golden import ONE, TAU
 
