@@ -133,9 +133,6 @@ class Inventory(_Record):
             if index(n) <= 0:
                 raise ValueError(f"{self.target}: count for {kind} must be positive")
 
-    def counts_dict(self) -> dict[TileKind, int]:
-        return dict(self.counts)
-
 
 _T = TAU
 _TRAP = (ONE, ONE, ONE, _T)  # isosceles trapezoid from a (1,1,tau) and a (1,tau,tau)
@@ -328,7 +325,7 @@ def format_volume(v: GoldenRational) -> str:
 
 def _as_counts(inv) -> dict[TileKind, int]:
     if isinstance(inv, Inventory):
-        return inv.counts_dict()
+        return dict(inv.counts)
     # index, not int: a float or str count raises instead of truncating
     counts = {tile_kind(k): index(n) for k, n in inv.items()}
     if any(n < 0 for n in counts.values()):

@@ -46,9 +46,6 @@ class Part:
         if self.block in ("d1", "dtau") and self.order != 0:
             raise ValueError("dodecahedral blocks carry no inflation order")
 
-    def counts(self) -> CountVector:
-        return inflate_counts(BASES[self.block], self.order).scaled(self.count)
-
     def volume(self) -> GoldenRational:
         m, base = _volume_base(self)
         return tau_pow(3 * m) * base.scaled(self.count).total_volume()

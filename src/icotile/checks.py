@@ -70,7 +70,7 @@ def _check_composite_volumes() -> tuple[bool, str]:
 def _check_inventories() -> tuple[bool, str]:
     comp = catalog.inventory("d1-composite")
     fund = catalog.inventory("d1-fundamental")
-    if catalog.expand_to_fundamental(comp) != fund.counts_dict():
+    if catalog.expand_to_fundamental(comp) != dict(fund.counts):
         return False, "composite dodecahedron expansion disagrees with tile inventory"
     vol_d = catalog.total_volume(fund)
     if vol_d != _D1_VOLUME:
@@ -231,7 +231,7 @@ def _check_axis_classes() -> tuple[bool, str]:
     for target in ("d1", "i1"):
         walls = assemble(target).walls
         corners = [wall.corners for wall in walls]
-        for w, got, sq in zip(walls, axis_classes(corners), squared_edges(corners)):
+        for w, got, sq in zip(walls, axis_classes(corners), map(squared_edges, corners)):
             fam = triangle_family(sq)
             axis = catalog._FAMILY_AXIS[fam]
             if axis == "none":

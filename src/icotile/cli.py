@@ -255,12 +255,11 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
     return values, words[len(slots):]
 
 
-def main(args=None, prog_name=None, standalone_mode=True):
+def main(args=None, prog_name=None):
     """Run the command line on args (default sys.argv[1:]) as prog_name
-    (default the script's name).  Standalone, exit with the command's code,
-    2 after printing a usage error, 1 when stdout's reader has gone;
-    otherwise return None or 1 and raise UsageError.  --help prints the
-    page and exits 0 either way."""
+    (default the script's name) and exit with the command's code: 2 after
+    printing a usage error, 1 when stdout's reader has gone, 0 after
+    --help prints the page."""
     if hasattr(sys, "set_int_max_str_digits"):  # counts and volumes print in full
         sys.set_int_max_str_digits(0)
     prog = here = prog_name or os.path.basename(sys.argv[0])
@@ -284,20 +283,14 @@ def main(args=None, prog_name=None, standalone_mode=True):
         code = _COMMANDS[name][0](RunConfig(top["max-order"], top["output-path"]), **options)
         sys.stdout.flush()
     except UsageError as exc:
-        if not standalone_mode:
-            raise
         print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
         sys.exit(exc.exit_code)
     except BrokenPipeError:
-        if not standalone_mode:
-            raise
         # the reader left (`| head`): exit 1 quietly, stdout on devnull for the last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    if standalone_mode:
-        sys.exit(code or 0)
-    return code
+    sys.exit(code or 0)
 
 
 @_command("catalog", ("[[dump]]", {"dest": "mode", "choices": lambda: ("dump",)}), _JSON)
@@ -488,6 +481,7 @@ def cmd_report(cfg: RunConfig, out, as_json):
     outdir = Path(out or cfg.output_path or "report")
     for name, text in bundle.items():
         _write(outdir / name, text)
+    for name in bundle:  # only once all are written: a usage error prints nothing here
         print(f"wrote {outdir / name}")
 
 

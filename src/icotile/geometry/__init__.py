@@ -12,7 +12,6 @@ from .assembly import (
     assemble,
     dihedrals,
     expected_face_census,
-    expected_triangle_census,
     export_obj,
     export_patch,
     squared_edges,
@@ -21,8 +20,7 @@ from .assembly import (
 # axes and placement load on first use: only checks and tests read them, so a
 # build need not pay to compile and run them; __import__, as in
 # icotile.__getattr__, so that -X importtime lists them
-_LAZY = {**dict.fromkeys(("axis_classes", "face_axis_class", "icosahedron_vertices"),
-                         f"{__name__}.axes"),
+_LAZY = {"axis_classes": f"{__name__}.axes",
          **dict.fromkeys(("AmbiguityError", "CongruenceError", "GlueError",
                           "face_correspondences", "glue", "realize"), f"{__name__}.placement")}
 
@@ -48,13 +46,10 @@ __all__ = [
     "axis_classes",
     "dihedrals",
     "expected_face_census",
-    "expected_triangle_census",
     "export_obj",
     "export_patch",
-    "face_axis_class",
     "face_correspondences",
     "glue",
-    "icosahedron_vertices",
     "realize",
     "squared_edges",
 ]

@@ -245,41 +245,20 @@ class Dihedral(_Record):
     angle_class: str | None
 
 
-def squared_edges(corners) -> tuple[GoldenRational, ...] | list[tuple]:
+def squared_edges(corners) -> tuple[GoldenRational, ...]:
     """Exact squared lengths of a polygon's edges in cyclic order; corners
-    are doubled Z[tau] pairs, nested (k, 3, 2).  A stack (..., k, 3, 2)
-    gives a list of those tuples, one per polygon in row-major order."""
-    corners = corners.tolist() if hasattr(corners, "tolist") else corners
-    if isinstance(corners, str):  # it would nest without end
-        raise ValueError("corners must nest as (..., k, 3, 2) integers")
-    try:
-        p = _points(corners)
-    except ValueError:  # a stack
-        out = []
-        for sub in corners:
-            got = squared_edges(sub)
-            out += got if isinstance(got, list) else [got]
-        return out
+    are doubled Z[tau] pairs, nested (k, 3, 2)."""
+    p = _points(corners)
     return tuple(GoldenRational(*_dot(d, d), 4) for d in map(_sub, p[1:] + p[:1], p))
-
-
-def _census(specs) -> Counter:
-    """Multiplicities of FaceSpecs keyed on sorted exact squared edge lengths."""
-    out: Counter = Counter()
-    for spec in specs:
-        out[tuple(sorted(e * e for e in spec.edges))] += spec.multiplicity
-    return out
 
 
 def expected_face_census(kind: TileKind | str) -> Counter:
     """The cataloged post-merge face census in Mesh.face_census() form."""
-    return Counter({(len(sq), sq): n for sq, n in _census(catalog.record(kind).faces).items()})
-
-
-def expected_triangle_census(kind: TileKind | str) -> Counter:
-    """The cataloged pre-merge triangle census (composite kinds only), keyed
-    on sorted exact squared edge lengths."""
-    return _census(catalog.record(kind).premerge_triangles)
+    out: Counter = Counter()
+    for spec in catalog.record(kind).faces:
+        sq = tuple(sorted(e * e for e in spec.edges))
+        out[len(sq), sq] += spec.multiplicity
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +483,13 @@ def _overlaps(points, vert_ids, planes: _Planes) -> list[tuple[int, int]]:
 # coplanar fusion of boundary triangles
 
 
-def _drop_collinear(cycle: tuple[int, ...], points) -> tuple[int, ...]:
-    """A cycle of distinct point indices without its corners collinear with
-    their neighbours, all tested before any is dropped: dropping one leaves
-    the others' collinearity unchanged.  AssemblyError if fewer than 3
-    corners remain."""
-    out = tuple(v for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1])
-                if _normal(points[u], points[v], points[w]) != _ZERO)
-    if len(out) < 3:
+def _collinear(cycle: tuple[int, ...], points) -> set[int]:
+    """The corners of a cycle of distinct point indices collinear with their
+    neighbours: dropping some leaves the others' collinearity unchanged.
+    AssemblyError if fewer than 3 are not."""
+    out = {v for u, v, w in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1])
+           if _normal(points[u], points[v], points[w]) == _ZERO}
+    if len(cycle) - len(out) < 3:
         raise AssemblyError("a fused face has fewer than 3 corners not collinear "
                             "with their neighbours")
     return out
@@ -548,12 +526,14 @@ def _rim(edges) -> tuple[int, ...] | None:
 def _fuse(faces: list, owners: list[str], points, scaled) -> list[tuple]:
     """Fuse the triangles of each oriented plane, given as (cycle, plane key) with their
     owners' names, into the _rim of their edges in triangle order (_split at the plane's
-    corners if need be: T-junctions) less collinear corners, paired with their slots and
-    kept in the first one's.  AssemblyError if the edges are not one simple cycle."""
+    corners if need be: T-junctions), paired with their slots and kept in the first one's.
+    A rim drops each corner collinear with its neighbours that no rim keeps as a real
+    corner, so that no hull vertex lies inside another face's edge.  AssemblyError if the
+    edges are not one simple cycle."""
     planes: dict[tuple, list[int]] = {}
     for slot, (_, key) in enumerate(faces):
         planes.setdefault(key, []).append(slot)
-    out = []
+    out, flat = [], {}  # flat: the place in out of each rim with collinear corners, to them
     for slots in planes.values():
         if len(slots) == 1:  # a lone triangle, of a tile that is not flat, is its own rim
             out.append((tuple(faces[slots[0]][0]), slots))
@@ -564,7 +544,15 @@ def _fuse(faces: list, owners: list[str], points, scaled) -> list[tuple]:
         if rim is None:
             raise AssemblyError(f"the boundary triangles in the plane of a face of "
                                 f"{owners[slots[0]]} do not fuse into one simple polygon")
-        out.append((_drop_collinear(rim, points), slots))
+        corners = _collinear(rim, points)
+        if corners:
+            flat[len(out)] = corners
+        out.append((rim, slots))
+    if flat:
+        real = {v for i, (rim, _) in enumerate(out) for v in rim if v not in flat.get(i, ())}
+        for i, corners in flat.items():
+            rim, slots = out[i]
+            out[i] = tuple(v for v in rim if v not in corners or v in real), slots
     return out
 
 

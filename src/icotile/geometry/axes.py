@@ -20,20 +20,15 @@ from itertools import combinations
 
 from ..golden import GoldenRational
 from . import _wiring
-from .assembly import _dot, _embed_doubled, _normal, _points, _sub, _vsum
+from .assembly import _dot, _normal, _points, _sub, _vsum
 
-__all__ = ["icosahedron_vertices", "axis_classes", "face_axis_class"]
+__all__ = ["axis_classes"]
 
 
 def _doubled_vertices() -> tuple:
     """The twelve vertices as doubled Z[tau] pairs, nested (12, 3, 2): the
     points of the i1 wiring."""
     return tuple(_wiring.I1_COORDS.values())
-
-
-def icosahedron_vertices() -> tuple:
-    """The twelve vertices, edge length 1, centered at the origin, nested (12, 3)."""
-    return _embed_doubled(_doubled_vertices())
 
 
 def _one_per_pair(dirs) -> tuple:
@@ -82,8 +77,3 @@ def axis_classes(faces) -> list[str]:
     """
     lines = _axis_lines()
     return [lines.get(_line(_normal(*_points(face)[:3])), "none") for face in faces]
-
-
-def face_axis_class(corners) -> str:
-    """axis_classes of the one face with these corners, nested (k, 3, 2)."""
-    return axis_classes([corners])[0]

@@ -111,9 +111,6 @@ class CountVector(_Record):
         """Basis vector for tile T_(i+1)."""
         return cls(tuple(1 if j == i else 0 for j in range(4)))
 
-    def __add__(self, other: "CountVector") -> "CountVector":
-        return CountVector(tuple(a + b for a, b in zip(self.c, other.c)))
-
     def scaled(self, n: int) -> "CountVector":
         return CountVector(tuple(n * a for a in self.c))
 
@@ -126,9 +123,6 @@ class CountVector(_Record):
 
     def __iter__(self):
         return iter(self.c)
-
-    def __getitem__(self, i):
-        return self.c[i]
 
 
 def _mat_mul(a, b):
@@ -149,15 +143,6 @@ class InflationMatrix:
     def power(self, n: int):
         """M^n: the four unit rows of inflate_counts; entries grow like tau^(3n)."""
         return tuple(_inflate(_IDENT, n))
-
-    @property
-    def det(self) -> int:
-        """det(M): for a 4x4 matrix, the constant term of det(xI - M)."""
-        return char_poly()[-1]
-
-    @property
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(4))
 
 
 M = InflationMatrix()
@@ -341,7 +326,7 @@ def __getattr__(name):
     # this namespace (perfbench's span wrapper) finds them
     if name in ("D1_COUNTS", "DTAU_COUNTS", "BASES"):
         from .catalog import inventory
-        d1, dtau = (CountVector(tuple(inventory(target).counts_dict().get(k, 0)
+        d1, dtau = (CountVector(tuple(dict(inventory(target).counts).get(k, 0)
                                       for k in COMPOSITE_ORDER))
                     for target in ("d1-composite", "dtau-composite"))
         # the starting patches by name: one composite tile or a dodecahedron

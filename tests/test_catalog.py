@@ -142,7 +142,7 @@ def test_expand_to_fundamental():
     comp = catalog.inventory("d1-composite")
     fund = catalog.inventory("d1-fundamental")
     expanded = catalog.expand_to_fundamental(comp)
-    assert expanded == fund.counts_dict()
+    assert expanded == dict(fund.counts)
     named = {k.value: n for k, n in expanded.items()}
     assert named == {"t1": 3, "t2": 4, "t3": 10, "t4": 10, "t5": 4, "t6": 7}
     assert sum(named.values()) == 38
@@ -150,12 +150,12 @@ def test_expand_to_fundamental():
 
 def test_inventories_and_volumes():
     i1 = catalog.inventory("i1")
-    named = {k.value: n for k, n in i1.counts_dict().items()}
+    named = {k.value: n for k, n in dict(i1.counts).items()}
     assert named == {"t1": 7, "t2": 6, "t5": 2, "t6": 1}
     assert catalog.total_volume(i1) == GoldenRational(10, 10, 12)
 
     itau = catalog.inventory("itau")
-    named_tau = {k.value: n for k, n in itau.counts_dict().items()}
+    named_tau = {k.value: n for k, n in dict(itau.counts).items()}
     assert named_tau == {"t1": 1, "t2": 8, "t3": 10, "t4": 10, "t5": 16, "t6": 3}
     assert catalog.total_volume(itau) == TAU3 * catalog.total_volume(i1)
 
@@ -163,7 +163,7 @@ def test_inventories_and_volumes():
     assert catalog.total_volume(d1) == GoldenRational(24, 42, 12)
 
     dtau = catalog.inventory("dtau-composite")
-    named_d = {k.value: n for k, n in dtau.counts_dict().items()}
+    named_d = {k.value: n for k, n in dict(dtau.counts).items()}
     assert named_d == {"T1": 7, "T2": 18, "T3": 14, "T4": 10}
     assert catalog.total_volume(dtau) == GoldenRational(108, 174, 12)
     assert catalog.total_volume(dtau) == TAU3 * catalog.total_volume(d1)

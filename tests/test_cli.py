@@ -457,6 +457,17 @@ def test_report_empty_out_is_usage_error(runner, env):
         assert list(Path().iterdir()) == []
 
 
+def test_report_write_blocked_midway_prints_nothing(runner):
+    # a bundle file that cannot be written after report.md was is a usage
+    # error: exit 2 and an empty stdout, the "wrote" lines held back
+    with runner.isolated_filesystem():
+        Path("d/table1.csv").mkdir(parents=True)
+        res = runner.invoke(main, ["report", "--out", "d"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == "Error: cannot write d/table1.csv: Is a directory"
+
+
 def test_report_deterministic(runner):
     with runner.isolated_filesystem():
         assert runner.invoke(main, ["report", "--out", "a"]).exit_code == 0
@@ -680,8 +691,11 @@ import contextlib, io, json, sys
 import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
 loaded = [m for m in ("numpy", "icotile.geometry") if m in sys.modules]
 {reach}
-with contextlib.redirect_stdout(io.StringIO()):
-    icotile.cli.main(["build", "--shape", "i1"], standalone_mode=False)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        icotile.cli.main(["build", "--shape", "i1"])
+except SystemExit as exc:
+    assert exc.code == 0
 lazy = ("icotile.geometry.axes", "icotile.geometry.placement")
 built = [m for m in lazy if m in sys.modules]
 from icotile.geometry import glue, realize, axis_classes, PlacedTile
@@ -840,7 +854,6 @@ print(json.dumps({{"code": code, "loaded": loaded}}))
 def test_light_subcommands_skip_numpy():
     facts = _fresh_process("""
 import contextlib, io, json, sys
-from icotile import cli
 from icotile.cli import main
 runs = (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
         ["ledger", "--verify"], ["build", "--shape", "d2"],
@@ -848,17 +861,19 @@ runs = (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
         ["build", "--shape", "d1", "--out", "d1.stl"])
 codes, messages = [], []
 for args in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            codes.append(main(args, standalone_mode=False))
-        except cli.UsageError as exc:
-            codes.append(exc.exit_code)
-            messages.append(str(exc))
+            main(args)
+        except SystemExit as exc:
+            codes.append(exc.code)
+    if codes[-1] == 2:
+        messages.append(err.getvalue().splitlines()[-1].removeprefix("Error: "))
 print(json.dumps({"codes": codes, "messages": messages,
                   "numpy": "numpy" in sys.modules,
                   "checks": "icotile.checks" in sys.modules}))
 """)
-    assert facts["codes"] == [None, None, None, None, 2, 2, 2]
+    assert facts["codes"] == [0, 0, 0, 0, 2, 2, 2]
     assert facts["messages"] == [
         "Invalid value for '--shape': 'd2' is not one of 'd1', 'i1', 'E', 'C', "
         "'T1', 'T2', 'T3', 'T3bar', 'T4'.",
@@ -1001,7 +1016,10 @@ out = []
 for args in runs:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(args, standalone_mode=False)
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
     out.append([args, code, buf.getvalue()])
 files = {{os.path.join(d, f): open(os.path.join(d, f), encoding="utf-8").read()
          for d, _, names in os.walk(".") for f in names}}
