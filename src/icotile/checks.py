@@ -179,8 +179,7 @@ def _check_ledger() -> tuple[bool, str]:
 
 
 def _check_assemblies() -> tuple[bool, str]:
-    from .geometry import assemble, dihedrals, expected_face_census, squared_edges
-    from .geometry.assembly import _dot, _sub
+    from .geometry import _dot, _sub, assemble, dihedrals, expected_face_census, squared_edges
 
     d1 = assemble("d1")
     if d1.mesh.counts() != _D1_HULL:
@@ -225,7 +224,8 @@ def _check_assemblies() -> tuple[bool, str]:
 
 
 def _check_axis_classes() -> tuple[bool, str]:
-    from .geometry import assemble, axis_classes, squared_edges
+    from .geometry import assemble, squared_edges
+    from .geometry.axes import axis_classes
 
     n = 0
     for target in ("d1", "i1"):

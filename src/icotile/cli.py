@@ -11,6 +11,7 @@ messages, which the golden files pin.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -92,6 +93,15 @@ def canonical_json(obj) -> str:
     return value(obj, "")
 
 
+def _unwritable(path: Path) -> str | None:
+    """Why path cannot be written, as far as can be told before writing: a
+    parent that is not a directory, or path itself a directory."""
+    file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
+    if file:
+        return f"{file} is not a directory"
+    return os.strerror(errno.EISDIR) if path.is_dir() else None
+
+
 def _write(path: Path, text: str) -> None:
     """Write text, creating missing parent directories; a path that cannot
     be written (say, under an existing file) is a usage error."""
@@ -100,9 +110,7 @@ def _write(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         # a parent that is not a directory reads "File exists" or "Not a directory": name it
-        file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
-        reason = f"{file} is not a directory" if file else exc.strerror or exc
-        raise UsageError(f"cannot write {path}: {reason}")
+        raise UsageError(f"cannot write {path}: {_unwritable(path) or exc.strerror or exc}")
 
 
 def _value(flag: str, kw: dict, text: str):
@@ -479,6 +487,9 @@ def cmd_report(cfg: RunConfig, out, as_json):
         print(canonical_json({"files": bundle}))
         return
     outdir = Path(out or cfg.output_path or "report")
+    for name in bundle:  # checked before the first write: a refused bundle writes nothing
+        if reason := _unwritable(outdir / name):
+            raise UsageError(f"cannot write {outdir / name}: {reason}")
     for name, text in bundle.items():
         _write(outdir / name, text)
     for name in bundle:  # only once all are written: a usage error prints nothing here

@@ -19,8 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from ..golden import GoldenRational
-from . import _wiring
-from .assembly import _dot, _normal, _points, _sub, _vsum
+from . import _dot, _normal, _points, _sub, _vsum, _wiring
 
 __all__ = ["axis_classes"]
 

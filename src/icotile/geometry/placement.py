@@ -1,7 +1,7 @@
 """Exact placement of fundamental tiles: canonical pose and face gluing.
 
 Tiles sit in the half-integer icosahedral frame of the assemblies, as
-doubled Z[tau] pairs (see assembly.PlacedTile).  glue() attaches a copy of
+doubled Z[tau] pairs (see geometry.PlacedTile).  glue() attaches a copy of
 one tile onto a face of another, with the new tile on the far side; when
 the shared face has a symmetry that makes several attachments legal, the
 caller must disambiguate with an explicit vertex correspondence.
@@ -15,11 +15,9 @@ from itertools import combinations, permutations
 
 from ..catalog import TileKind, edge_scheme
 from ..golden import ZERO, GoldenRational
-from . import _wiring
-from .assembly import PlacedTile, _dot, _normal, _sub
+from . import PlacedTile, _dot, _normal, _sub, _wiring
 
 __all__ = [
-    "PlacedTile",
     "GlueError",
     "CongruenceError",
     "AmbiguityError",

@@ -36,7 +36,6 @@ else:  # stand-ins, imported on the first read of an attribute: get_type_hints r
 
 __all__ = [
     "GoldenRational",
-    "conj",
     "pair_sign",
     "tau_pow",
     "embed",
@@ -219,11 +218,6 @@ def pair_sign(a: int, b: int) -> int:
         return -1
     # mixed signs, so neither is 0 and p^2 != 5 b^2: the larger of |p|, |b|*sqrt5 wins
     return 1 if (p * p > 5 * b * b) == (p > 0) else -1
-
-
-def conj(x: GoldenRational) -> GoldenRational:
-    """Galois conjugation tau -> 1 - tau, an involutive ring homomorphism."""
-    return _as_golden(x).conj()
 
 
 def _lucas_pair(n: int) -> tuple[int, int]:

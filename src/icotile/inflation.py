@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import catalog
 from .catalog import TileKind, _Record
-from .golden import TAU, GoldenRational, _lucas_pair, conj, embed, tau_pow
+from .golden import TAU, GoldenRational, _lucas_pair, embed, tau_pow
 
 __all__ = [
     "CountVector",
@@ -80,7 +80,7 @@ COMPOSITE_ORDER = (TileKind.T1, TileKind.T2, TileKind.T3, TileKind.T4)
 _M_ROWS = ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 1))
 
 # the eigenvalues of M in decreasing absolute value: tau^3, tau, sigma, sigma^3
-_SPECTRUM = (tau_pow(3), TAU, conj(TAU), conj(tau_pow(3)))
+_SPECTRUM = (tau_pow(3), TAU, TAU.conj(), tau_pow(3).conj())
 
 # the catalog's volumes of (T1, T2, T3, T4) as (a, b, den), V_Ti = (a[i] +
 # b[i]*tau) / den, set by _volume_row on first use

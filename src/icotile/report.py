@@ -13,10 +13,9 @@ import csv
 import io
 
 from . import catalog, inflation
-from .catalog import format_volume
 from .golden import embed
 
-__all__ = ["build_bundle", "format_volume"]
+__all__ = ["build_bundle"]
 
 _FUNDAMENTALS = [k for k in catalog.CATALOG_ORDER if k.is_fundamental]
 _COMPOSITES = [k for k in catalog.CATALOG_ORDER if not k.is_fundamental]
@@ -35,7 +34,7 @@ def _tile_table(kinds, counts=()) -> str:
     for kind in kinds:
         rec = catalog.record(kind)
         rows.append([kind.value, *(getattr(rec, c) for c in counts), rec.faces_text(),
-                     format_volume(rec.volume), f"{embed(rec.volume):.17g}"])
+                     catalog.format_volume(rec.volume), f"{embed(rec.volume):.17g}"])
     return _csv(rows)
 
 

@@ -12,14 +12,8 @@ import pytest
 
 from icotile import catalog, checks, geometry, inflation, report
 from icotile.catalog import TileKind, cm_volume, edge_scheme, triangle_family
-from icotile.geometry import (
-    assemble,
-    axis_classes,
-    dihedrals,
-    expected_face_census,
-    squared_edges,
-)
-from icotile.geometry import assembly
+from icotile.geometry import assemble, axes, dihedrals, expected_face_census, squared_edges
+from icotile.geometry.axes import axis_classes
 from icotile.golden import GoldenRational, SQRT5, embed, tau_pow
 
 GR = GoldenRational
@@ -252,9 +246,9 @@ def test_criterion_08_assemblies():
     for i in range(12):
         assert len(d1.mesh.faces[i]) == 5
         corners = [d1.mesh.exact[j] for j in d1.mesh.faces[i]]
-        normal = assembly._normal(*corners[:3])
+        normal = geometry._normal(*corners[:3])
         assert normal != ((0, 0),) * 3
-        assert all(assembly._dot(assembly._sub(c, corners[0]), normal) == (0, 0)
+        assert all(geometry._dot(geometry._sub(c, corners[0]), normal) == (0, 0)
                    for c in corners[3:])
         assert squared_edges(corners) == (1,) * 5
     assert abs(d1.mesh.volume() - d1.tile_volume_sum()) <= 1e-9
@@ -297,7 +291,7 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
     built = assemble(target)
     exact = np.asarray(built.mesh.exact).copy()
     exact[0, axis, 0] += 1
-    mesh = assembly.Mesh(exact, built.mesh.faces, built.mesh.provenance)
+    mesh = geometry.Mesh(exact, built.mesh.faces, built.mesh.provenance)
     moved = built._replace(mesh=mesh)
     monkeypatch.setattr(geometry, "assemble",
                         lambda t: moved if t == target else assemble(t))
@@ -309,7 +303,7 @@ def test_assemblies_check_decides_hull_exactly(monkeypatch, target, axis, detail
 def test_assemblies_check_decides_volumes_exactly(monkeypatch):
     def inward(a):  # every hull face wound inward: the hull volume changes sign
         faces = tuple(f[::-1] for f in a.mesh.faces)
-        return a._replace(mesh=assembly.Mesh(a.mesh.exact, faces, a.mesh.provenance))
+        return a._replace(mesh=geometry.Mesh(a.mesh.exact, faces, a.mesh.provenance))
 
     d1 = assemble("d1")
     assert d1.tiles[0].kind is not TileKind.t6
@@ -457,11 +451,11 @@ def test_run_checks_rejects_unknown_names():
 
 def test_axis_classes_check_fails_on_wall_off_axis(monkeypatch):
     wall = assemble("d1").walls[0]
-    monkeypatch.setattr(geometry, "axis_classes", lambda faces: [
+    monkeypatch.setattr(axes, "axis_classes", lambda faces: [
         "two-fold" if c is wall.corners else got for c, got in zip(faces, axis_classes(faces))])
     assert checks._check_axis_classes() == (False, "d1: wall of t2-0 off-axis")
     # the expected axis of each wall family is the catalog's
-    monkeypatch.setattr(geometry, "axis_classes", axis_classes)
+    monkeypatch.setattr(axes, "axis_classes", axis_classes)
     monkeypatch.setitem(catalog._FAMILY_AXIS, "robinson", "none")
     assert checks._check_axis_classes() == (False, "d1: unexpected wall family robinson")
 

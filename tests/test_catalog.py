@@ -201,7 +201,7 @@ def _outcome(fn, x):
                                "t7", "", 1, None, ["t1"], _Name("t3"), _Name("T3bar"),
                                _Name("t7")], ids=repr)
 def test_kind_lookup_matches_the_enum_call(x):
-    from icotile.geometry.assembly import _fundamental
+    from icotile.geometry import _fundamental
     want = _outcome(TileKind, x)
     assert _outcome(catalog.tile_kind, x) is want
     for fn in (catalog.record, catalog.edge_scheme, _fundamental,

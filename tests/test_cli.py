@@ -458,14 +458,15 @@ def test_report_empty_out_is_usage_error(runner, env):
 
 
 def test_report_write_blocked_midway_prints_nothing(runner):
-    # a bundle file that cannot be written after report.md was is a usage
-    # error: exit 2 and an empty stdout, the "wrote" lines held back
+    # a bundle file that cannot be written, though report.md before it can,
+    # is a usage error: exit 2, an empty stdout and no file written
     with runner.isolated_filesystem():
         Path("d/table1.csv").mkdir(parents=True)
         res = runner.invoke(main, ["report", "--out", "d"])
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1] == "Error: cannot write d/table1.csv: Is a directory"
+        assert not Path("d/report.md").exists()
 
 
 def test_report_deterministic(runner):
@@ -684,8 +685,8 @@ def _fresh_process(code: str) -> dict:
 @pytest.mark.parametrize("reach", ["geometry = icotile.geometry",
                                    "from icotile import geometry"])
 def test_geometry_loads_on_demand(reach):
-    # geometry loads on first use, and a build loads neither axes nor
-    # placement, whose names geometry resolves on first use in turn
+    # geometry loads on first use, and a build loads neither of its submodules
+    # axes and placement, whose names geometry does not hold
     facts = _fresh_process(f"""
 import contextlib, io, json, sys
 import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
@@ -696,38 +697,24 @@ try:
         icotile.cli.main(["build", "--shape", "i1"])
 except SystemExit as exc:
     assert exc.code == 0
-lazy = ("icotile.geometry.axes", "icotile.geometry.placement")
-built = [m for m in lazy if m in sys.modules]
-from icotile.geometry import glue, realize, axis_classes, PlacedTile
+built = [m for m in ("icotile.geometry.axes", "icotile.geometry.placement") if m in sys.modules]
+try:
+    from icotile.geometry import glue
+    forwarded = True
+except ImportError:
+    forwarded = False
 print(json.dumps({{
     "loaded": loaded,
     "module": geometry is sys.modules["icotile.geometry"],
     "targets": hasattr(geometry, "ASSEMBLY_TARGETS"),  # the catalog's name only
     "unknown": hasattr(icotile, "nonexistent"),
     "built": built,
-    "lazy": [m for m in lazy if m in sys.modules],
-    "names": [glue.__module__, realize.__module__, axis_classes.__module__,
-              PlacedTile.__module__],
-    "glue": glue is sys.modules["icotile.geometry.placement"].glue,
+    "forwarded": forwarded,
     "unknown_in_geometry": hasattr(geometry, "nonexistent"),
 }}))
 """)
     assert facts == {"loaded": [], "module": True, "targets": False, "unknown": False,
-                     "built": [], "lazy": ["icotile.geometry.axes", "icotile.geometry.placement"],
-                     "names": ["icotile.geometry.placement", "icotile.geometry.placement",
-                               "icotile.geometry.axes", "icotile.geometry.assembly"],
-                     "glue": True, "unknown_in_geometry": False}
-
-
-def test_lazy_geometry_modules_show_in_importtime():
-    # the lazy names load their module by an import statement's path, which
-    # -X importtime lists with its self time
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
-                           "from icotile.geometry import axis_classes"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    listed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
-    assert "icotile.geometry.axes" in listed
+                     "built": [], "forwarded": False, "unknown_in_geometry": False}
 
 
 def test_package_surface_loads_on_demand():
@@ -807,7 +794,7 @@ def test_traced_cli_child_wraps_catalog_functions(args, tmp_path):
 # subcommand loads in a fresh interpreter, and its exit code
 _CORE = ["icotile", "icotile.catalog", "icotile.cli", "icotile.golden"]
 _RECORDS = sorted(_CORE + ["icotile._catalog"])
-_GEOMETRY = ["icotile.geometry", "icotile.geometry._wiring", "icotile.geometry.assembly"]
+_GEOMETRY = ["icotile.geometry", "icotile.geometry._wiring"]
 _SUBCOMMAND_LOADS = [
     (["catalog"], 0, _RECORDS),
     (["build", "--shape", "d2"], 2, _CORE),
@@ -828,6 +815,13 @@ _SUBCOMMAND_LOADS = [
     (["inflate", "--help"], 0, _CORE),
     (["inflate", "--tile", "T9", "--order", "2"], 2, _CORE),
     (["inflate", "--tile", "T2", "--order", "60"], 2, _CORE),
+    # a full verify fails one check by design (projection); neither it nor
+    # report loads placement, which only tests read, and report loads no axes
+    (["verify"], 1, sorted(_RECORDS + _GEOMETRY + [
+        "icotile._ledger", "icotile.checks", "icotile.geometry.axes", "icotile.inflation",
+        "icotile.report"])),
+    (["report", "--json"], 0, sorted(_RECORDS + _GEOMETRY + [
+        "icotile._ledger", "icotile.inflation", "icotile.report", "json"])),
 ]
 
 

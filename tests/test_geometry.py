@@ -11,27 +11,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from icotile import catalog
+from icotile import catalog, geometry
 from icotile.catalog import ASSEMBLY_TARGETS, cm_volume, edge_scheme, triangle_family
 from icotile.cli import canonical_json
 from icotile.geometry import (
-    AmbiguityError,
     AssemblyError,
-    CongruenceError,
-    GlueError,
     PlacedTile,
+    _wiring,
     assemble,
-    axis_classes,
+    axes,
     dihedrals,
     expected_face_census,
     export_obj,
     export_patch,
+    squared_edges,
+)
+from icotile.geometry.axes import axis_classes
+from icotile.geometry.placement import (
+    AmbiguityError,
+    CongruenceError,
+    GlueError,
     face_correspondences,
     glue,
     realize,
-    squared_edges,
 )
-from icotile.geometry import _wiring, assembly, axes
 from icotile.golden import GoldenRational, embed, fibonacci, pair_sign, tau_pow
 
 TAU2 = tau_pow(2)
@@ -40,7 +43,7 @@ ATAN2 = math.atan(2.0)
 
 
 # ---------------------------------------------------------------------------
-# reference: the int64 numpy Z[tau] kernel that assembly.py used to run,
+# reference: the int64 numpy Z[tau] kernel that the geometry module used to run,
 # copied verbatim; arrays whose last axis holds (a, b) for a + b*tau
 
 
@@ -157,7 +160,6 @@ def test_cm_degenerate_rejected():
 def test_scheme_names_are_the_catalogs():
     import importlib.util
 
-    from icotile import geometry
     for name in ("EdgeScheme", "CMVolume", "edge_scheme", "cm_volume"):
         assert hasattr(catalog, name) and not hasattr(geometry, name)
     assert importlib.util.find_spec("icotile.geometry.schemes") is None
@@ -233,23 +235,23 @@ def _rational(points):
 
 
 def _triple(v: np.ndarray) -> np.ndarray:
-    """assembly._scalar_triple of (..., 4, 3, 2) tetrahedra as (..., 2) int64 pairs."""
-    out = [assembly._scalar_triple(t) for t in v.reshape(-1, 4, 3, 2).tolist()]
+    """geometry._scalar_triple of (..., 4, 3, 2) tetrahedra as (..., 2) int64 pairs."""
+    out = [geometry._scalar_triple(t) for t in v.reshape(-1, 4, 3, 2).tolist()]
     return np.array(out, dtype=np.int64).reshape(*v.shape[:-3], 2)
 
 
 def _free_planes(tets: np.ndarray) -> tuple:
-    """Outward-wound faces (T, 4, 3) and assembly._face_planes of free
+    """Outward-wound faces (T, 4, 3) and geometry._face_planes of free
     (T, 4, 3, 2) tetrahedra, each vertex its own point."""
     ids = np.arange(4 * len(tets)).reshape(-1, 4)
     wound = np.where(_gsign(_triple(tets))[:, None, None] < 0,
-                     assembly._WOUND[-1], assembly._WOUND[1])
+                     geometry._WOUND[-1], geometry._WOUND[1])
     faces = ids[:, :1, None] + wound
     return faces, *_face_planes(tets.reshape(-1, 3, 2), faces)
 
 
 def _overlapping_pairs(tets: np.ndarray) -> list[tuple[int, int]]:
-    """assembly._overlaps of free (T, 4, 3, 2) tetrahedra."""
+    """geometry._overlaps of free (T, 4, 3, 2) tetrahedra."""
     signs = _free_planes(tets)[-1]
     return _overlaps(tets, np.arange(4 * len(tets)).reshape(-1, 4), signs)
 
@@ -296,16 +298,16 @@ def test_flat_tile_rejected():
         PlacedTile(kind="t1", exact=flat)
     coords = {lab: tuple(map(tuple, q)) for lab, q in zip("abcd", flat.tolist())}
     with pytest.raises(AssemblyError, match="T2: t1-0: .*flat"):
-        assembly._build("T2", coords, [("t1", tuple("abcd"))])
+        geometry._build("T2", coords, [("t1", tuple("abcd"))])
 
 
 def test_composite_kind_rejected():
     # as one tetrahedron a "T1" would have volume 1/12, not T1's (2+3tau)/6
     with pytest.raises(ValueError, match="T1 is not a fundamental tile"):
         PlacedTile(kind="T1", exact=realize("t1").exact)
-    coords, tets, _ = assembly._SOURCES["T2"]
+    coords, tets, _ = geometry._SOURCES["T2"]
     with pytest.raises(AssemblyError, match="T2: T1-0: T1 is not a fundamental tile"):
-        assembly._build("T2", coords, [("T1", tets[0][1])])
+        geometry._build("T2", coords, [("T1", tets[0][1])])
 
 
 def test_realize_volume_matches_cm():
@@ -520,12 +522,12 @@ def test_assembly_volumes():
 
 
 def _fuse_coplanar(faces: list, owners: list[str], points) -> tuple[list, list]:
-    """The rims of assembly._fuse and their owners: _fuse on its own, without
+    """The rims of geometry._fuse and their owners: _fuse on its own, without
     a build around it, its collinearity test applied to lone triangles too."""
-    points = assembly._points(points)
-    fused = assembly._fuse(faces, owners, points, assembly._planes(points, []).scaled)
+    points = geometry._points(points)
+    fused = geometry._fuse(faces, owners, points, geometry._planes(points, []).scaled)
     for rim, _ in fused:
-        assembly._collinear(rim, points)
+        geometry._collinear(rim, points)
     return ([rim for rim, _ in fused],
             [{owners[s] for s in slots} for _, slots in fused])
 
@@ -635,7 +637,7 @@ def test_dihedral_class_neither():
         assert rec.angle_class == "neither"
         assert abs(rec.angle - math.acos(-math.sqrt(5) / 3)) < 1e-9
     # an open edge has no angle and no class
-    tri = assembly.Mesh(exact=_rational([(0, 0, 0), (2, 0, 0), (0, 2, 0)]), faces=((0, 1, 2),),
+    tri = geometry.Mesh(exact=_rational([(0, 0, 0), (2, 0, 0), (0, 2, 0)]), faces=((0, 1, 2),),
                         provenance=((),))
     assert {(d.angle, d.angle_class) for d in dihedrals(tri)} == {(None, None)}
 
@@ -643,20 +645,20 @@ def test_dihedral_class_neither():
 def _dihedrals_reference(mesh):
     """dihedrals as it ran edge by edge, each face's |n|^2 and its float
     computed anew on every edge it holds: the reference."""
-    tau = embed(assembly.TAU)
+    tau = embed(geometry.TAU)
     out = []
     for edge, fs in mesh.edge_faces:
         if len(fs) != 2:
-            out.append(assembly.Dihedral(edge, fs, None, None))
+            out.append(geometry.Dihedral(edge, fs, None, None))
             continue
         n1, n2 = (mesh.normals[f] for f in fs)
-        dot, q1, q2 = assembly._dot(n1, n2), assembly._dot(n1, n1), assembly._dot(n2, n2)
+        dot, q1, q2 = geometry._dot(n1, n2), geometry._dot(n1, n1), geometry._dot(n2, n2)
         (da, db), (pa, pb), (qa, qb) = dot, q1, q2
         angle_class = "neither"
-        if assembly._mul((5 * da, 5 * db), dot) == assembly._mul(q1, q2):
+        if geometry._mul((5 * da, 5 * db), dot) == geometry._mul(q1, q2):
             angle_class = "pi-atan2" if GoldenRational(da, db).sign() > 0 else "atan2"
         cos = (da + db * tau) / math.sqrt((pa + pb * tau) * (qa + qb * tau))
-        out.append(assembly.Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
+        out.append(geometry.Dihedral(edge, fs, math.pi - math.acos(min(max(cos, -1.0), 1.0)),
                                      angle_class))
     return out
 
@@ -667,14 +669,14 @@ def test_dihedrals_match_per_edge_reference():
     # an open mesh: two triangles hinged on one edge, and a lone square
     hinge = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 3), (4, 4, 0), (6, 4, 0),
                        (6, 6, 0), (4, 6, 0)])
-    meshes.append(assembly.Mesh(exact=hinge, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6, 7)),
+    meshes.append(geometry.Mesh(exact=hinge, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6, 7)),
                                 provenance=((),) * 3))
     # two hinges whose normals have one dot product, -8, but squared norms 16
     # and 40 against 4 and 20: their angles differ, so a key on n1.n2 alone
     # would give the second hinge the first one's angle
     hinges = _rational([(0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 3),
                         (10, 0, 0), (11, 0, 0), (10, 2, 0), (11, 4, 2)])
-    meshes.append(assembly.Mesh(exact=hinges, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6), (5, 4, 7)),
+    meshes.append(geometry.Mesh(exact=hinges, faces=((0, 1, 2), (1, 0, 3), (4, 5, 6), (5, 4, 7)),
                                 provenance=((),) * 4))
     for mesh in meshes:
         got, want = dihedrals(mesh), _dihedrals_reference(mesh)
@@ -684,12 +686,12 @@ def test_dihedrals_match_per_edge_reference():
         # dihedrals sets its records as a build does: field for field what
         # the constructor gives
         for d in got:
-            public = assembly.Dihedral(d.edge, d.faces, d.angle, d.angle_class)
-            assert type(d) is assembly.Dihedral and vars(d) == vars(public)
+            public = geometry.Dihedral(d.edge, d.faces, d.angle, d.angle_class)
+            assert type(d) is geometry.Dihedral and vars(d) == vars(public)
             assert d == public and hash(d) == hash(public)
     assert sum(d.angle is None for d in dihedrals(meshes[-2])) == 8
     normals = meshes[-1].normals
-    assert assembly._dot(*normals[:2]) == assembly._dot(*normals[2:]) == (-8, 0)
+    assert geometry._dot(*normals[:2]) == geometry._dot(*normals[2:]) == (-8, 0)
     closed = [d.angle for d in dihedrals(meshes[-1]) if d.angle is not None]
     assert len(closed) == 2 and closed[0] != closed[1]
 
@@ -724,7 +726,7 @@ def test_mesh_fan_normals_match_edge_walk():
     other = _rational([(0, 0, 0), (4, 0, 0), (4, 4, 0), (2, 1, 0), (0, 4, 0), (2, 2, 6)])
     for points, face in ((square, (3, 0, 1, 2)), (square, (3, 0, 4, 5, 1, 2)),
                          (other, (0, 1, 2, 3, 4)), (other, (0, 1, 5, 4))):
-        mesh = assembly.Mesh(exact=points, faces=(face,), provenance=((),))
+        mesh = geometry.Mesh(exact=points, faces=(face,), provenance=((),))
         assert (np.asarray(mesh.normals) == _per_face_mesh_reference(mesh)[1]).all()
         assert any(map(any, mesh.normals[0]))
 
@@ -753,7 +755,7 @@ def _tets_overlap(v1: np.ndarray, v2: np.ndarray, tol: float) -> bool:
     """True if the interiors intersect: separating axis test on the 4 + 4
     face normals and the 36 edge-edge cross products at once.
 
-    The float reference for the exact assembly._overlaps."""
+    The float reference for the exact geometry._overlaps."""
     e1, e2 = (v[[1, 2, 3, 2, 3, 3]] - v[[0, 0, 0, 1, 1, 2]] for v in (v1, v2))
     axes = np.concatenate([np.cross(e1[[0, 0, 1, 3]], e1[[1, 2, 2, 4]]),
                            np.cross(e2[[0, 0, 1, 3]], e2[[1, 2, 2, 4]]),
@@ -785,7 +787,7 @@ def _float_overlaps(tets: np.ndarray) -> list[tuple[int, int]]:
 ], ids=["None-0", "B-12", "v0-6", "i1-None-0", "i1-i0-0", "i1-i3-4",
         "B-tau-12", "i1-i3-tau-3", "i1-i3-minus-tau-4"])
 def test_exact_overlap_matches_float_reference(wiring, moved, move, n_pairs):
-    coords, tets, _ = assembly._SOURCES[wiring]
+    coords, tets, _ = geometry._SOURCES[wiring]
     coords = dict(coords)
     if moved:
         coords[moved] = _moved_in_x(coords[moved], move)
@@ -798,7 +800,7 @@ def test_exact_overlap_matches_float_reference(wiring, moved, move, n_pairs):
     assert len(got) == n_pairs
     if n_pairs:
         with pytest.raises(AssemblyError, match="overlap"):
-            assembly._build(wiring, coords, tets)
+            geometry._build(wiring, coords, tets)
 
 
 def test_exact_overlap_contacts_and_zero_normals():
@@ -824,7 +826,7 @@ def test_exact_overlap_contacts_and_zero_normals():
 
 def _triple_reference(v: np.ndarray) -> np.ndarray:
     """Triple product (b-a).((c-a)x(d-a)) of (..., 4, 3, 2) tetrahedra on the
-    numpy kernel: the reference for the scalar assembly._scalar_triple."""
+    numpy kernel: the reference for the scalar geometry._scalar_triple."""
     e = v[..., 1:, :, :] - v[..., :1, :, :]
     return _gdot(e[..., 0, :, :], _gcross(e[..., 1, :, :], e[..., 2, :, :]))
 
@@ -988,32 +990,32 @@ def test_mesh_magnitude_guard():
     d1 = assemble("d1").mesh
     # at the bound the classes and the volume scale; scaled by 2**16,
     # dihedrals() used to report every edge as atan2 with a NaN angle
-    big = assembly.Mesh(exact=np.asarray(d1.exact) * 2**3, faces=d1.faces,
+    big = geometry.Mesh(exact=np.asarray(d1.exact) * 2**3, faces=d1.faces,
                         provenance=d1.provenance)
     assert {rec.angle_class for rec in dihedrals(big)} == {"pi-atan2"}
     assert big.volume_exact() == d1.volume_exact() * 2**9
     # past the old int64 bound the classes and the volume stay exact
     for exact, scale in ((np.asarray(d1.exact) * 2**16, 2**48),
                          (_shifted(d1.exact, 2**3 + 1), 1)):
-        mesh = assembly.Mesh(exact=exact, faces=d1.faces, provenance=d1.provenance)
+        mesh = geometry.Mesh(exact=exact, faces=d1.faces, provenance=d1.provenance)
         assert {rec.angle_class for rec in dihedrals(mesh)} == {"pi-atan2"}
         assert mesh.volume_exact() == d1.volume_exact() * scale
     ring = np.zeros((17, 3, 2), dtype=np.int64)
-    assembly.Mesh(exact=ring, faces=(tuple(range(16)),), provenance=((),))
-    wide = assembly.Mesh(exact=ring, faces=(tuple(range(17)),), provenance=((),))
+    geometry.Mesh(exact=ring, faces=(tuple(range(16)),), provenance=((),))
+    wide = geometry.Mesh(exact=ring, faces=(tuple(range(17)),), provenance=((),))
     assert wide.counts() == (17, 17, 1) and wide.normals == (((0, 0),) * 3,)
 
 
 def test_build_magnitude_guard():
     # a build's slot width follows the largest coordinate of its tiles'
     # points; a point no tile uses is not packed
-    coords, tets, _ = assembly._SOURCES["T2"]
+    coords, tets, _ = geometry._SOURCES["T2"]
     scaled = {lab: tuple((8 * a, 8 * b) for a, b in q) for lab, q in coords.items()}
-    assert (assembly._build("T2", scaled, tets).mesh.volume_exact()
+    assert (geometry._build("T2", scaled, tets).mesh.volume_exact()
             == assemble("T2").volume_exact() * 2**9)
     unused = min(set(coords) - {lab for _, labs in tets for lab in labs})
     scaled[unused] = ((9, 0), *scaled[unused][1:])
-    assert (assembly._build("T2", scaled, tets).mesh.volume_exact()
+    assert (geometry._build("T2", scaled, tets).mesh.volume_exact()
             == assemble("T2").volume_exact() * 2**9)
 
 
@@ -1173,11 +1175,11 @@ def test_walls_and_boundary_pinned(target):
 def test_build_records_match_public_constructors(target):
     # a build sets its records from facts it has decided; the public
     # constructors derive the same from the same inputs
-    a = assembly._build(target, *assembly._SOURCES[target])
+    a = geometry._build(target, *geometry._SOURCES[target])
     for t in a.tiles:  # kind, exact, name and parity
         assert vars(t) == vars(PlacedTile(t.kind, t.exact, t.name))
     mesh = a.mesh
-    public = assembly.Mesh(mesh.exact, mesh.faces, mesh.provenance)
+    public = geometry.Mesh(mesh.exact, mesh.faces, mesh.provenance)
     assert vars(mesh) == vars(public)  # normals and edge_faces too
     # walls are built on first read, from the build's face table, and kept
     export_obj(a)
@@ -1248,15 +1250,15 @@ def test_walls_match_all_faces_reference(target):
     # the nine targets, and sub-lists of d1 and i1, most of which take the
     # pairwise path, with many planes of faces wound both ways
     wiring, left_out = SUBLISTS.get(target, (target, ()))
-    coords, tets, _ = assembly._SOURCES[wiring]
+    coords, tets, _ = geometry._SOURCES[wiring]
     tets = [t for k, t in enumerate(tets) if k not in left_out]
     if target in REFUSED:
         refusal, tile = REFUSED[target]
         with pytest.raises(AssemblyError) as exc:
-            assembly._build(wiring, coords, tets)
+            geometry._build(wiring, coords, tets)
         assert str(exc.value) == f"{wiring}: " + REFUSALS[refusal].format(tile)
         return
-    a = assembly._build(wiring, coords, tets)
+    a = geometry._build(wiring, coords, tets)
     split = ([], [])
     for (u, g), wall in np.ndenumerate(_walls_reference(a)):
         tile = a.tiles[u]
@@ -1274,22 +1276,22 @@ def test_two_phase_planes_match_one_pass(monkeypatch):
     # _decide sets the lone faces' planes and _build the rest: the table the
     # pairwise test reads is that of one _planes pass over every face
     seen = []
-    monkeypatch.setattr(assembly, "_overlaps",
-                        lambda *a, _f=assembly._overlaps: seen.append(a) or _f(*a))
+    monkeypatch.setattr(geometry, "_overlaps",
+                        lambda *a, _f=geometry._overlaps: seen.append(a) or _f(*a))
     pairwise = []
     for target in ["E", *SUBLISTS]:
         wiring, left_out = SUBLISTS.get(target, ("E", ()))
-        coords, tets, _ = assembly._SOURCES[wiring]
+        coords, tets, _ = geometry._SOURCES[wiring]
         tets = [t for k, t in enumerate(tets) if k not in left_out]
         seen.clear()
         try:
-            assembly._build(wiring, coords, tets)
+            geometry._build(wiring, coords, tets)
         except AssemblyError:
             assert target in REFUSED
         if seen:
             (points, _, planes), = seen
             want_points, faces = _build_faces(coords, tets)
-            want = assembly._planes(points, faces)
+            want = geometry._planes(points, faces)
             assert points == want_points
             assert (planes.normals, planes.rows) == (want.normals, want.rows), target
             pairwise.append(target)
@@ -1299,12 +1301,12 @@ def test_two_phase_planes_match_one_pass(monkeypatch):
 def _sweep_lists():
     """SUBLISTS, then 1500 random sub-lists of d1 or i1 (seed 2026), as
     (wiring, indices of the tiles kept)."""
-    out = [(w, [k for k in range(len(assembly._SOURCES[w][1])) if k not in left_out])
+    out = [(w, [k for k in range(len(geometry._SOURCES[w][1])) if k not in left_out])
            for w, left_out in SUBLISTS.values()]
     rng = random.Random(2026)
     for _ in range(1500):
         wiring = rng.choice(["d1", "i1"])
-        n = len(assembly._SOURCES[wiring][1])
+        n = len(geometry._SOURCES[wiring][1])
         size = rng.randint(2, n - 1)
         out.append((wiring, sorted(rng.sample(range(n), size))))
     return out
@@ -1320,11 +1322,11 @@ def _conforms(mesh) -> bool:
     """No vertex of mesh lies strictly inside one of its edges (exact)."""
     ex = mesh.exact
     for (u, w), _ in mesh.edge_faces:
-        d = assembly._sub(ex[w], ex[u])
-        a, b = assembly._dot(d, d)
+        d = geometry._sub(ex[w], ex[u])
+        a, b = geometry._dot(d, d)
         for v, p in enumerate(ex):
-            if v not in (u, w) and assembly._normal(ex[u], ex[w], p) == assembly._ZERO:
-                t, s = assembly._dot(assembly._sub(p, ex[u]), d)
+            if v not in (u, w) and geometry._normal(ex[u], ex[w], p) == geometry._ZERO:
+                t, s = geometry._dot(geometry._sub(p, ex[u]), d)
                 if pair_sign(t, s) > 0 and pair_sign(a - t, b - s) > 0:
                     return False
     return True
@@ -1336,9 +1338,9 @@ def test_any_sublist_builds_its_volume_or_is_refused():
     # give (REFUSALS); none overlaps, and every hull is closed and conforms
     tally = Counter()
     for index, (wiring, kept) in enumerate(_sweep_lists()):
-        coords, tets, _ = assembly._SOURCES[wiring]
+        coords, tets, _ = geometry._SOURCES[wiring]
         try:
-            a = assembly._build(wiring, coords, [tets[k] for k in kept])
+            a = geometry._build(wiring, coords, [tets[k] for k in kept])
         except AssemblyError as exc:
             text = str(exc)  # any other refusal is tallied under its own text
             tally["close" if text.endswith(" do not close") else
@@ -1358,8 +1360,8 @@ def test_kept_collinear_corner_closes_the_hull():
     # keep 7 as a real corner, so it stays and the mesh is closed (t1-0 meets
     # them at B alone).  Dropped, it left 7 inside the edge 1-2 and 18 edges
     assert _sweep_lists()[598] == ("d1", [22, 24, 31])
-    coords, tets, _ = assembly._SOURCES["d1"]
-    a = assembly._build("d1", coords, [tets[k] for k in (22, 24, 31)])
+    coords, tets, _ = geometry._SOURCES["d1"]
+    a = geometry._build("d1", coords, [tets[k] for k in (22, 24, 31)])
     assert [t.name for t in a.tiles] == ["t3-0", "t1-0", "t5-0"]
     assert a.mesh.counts() == (9, 17, 11)
     assert (1, 7, 2, 8) in a.mesh.faces
@@ -1370,7 +1372,7 @@ def test_kept_collinear_corner_closes_the_hull():
 # vertex above its plane, boundary; the rest, walls where their planes'
 # edges cancel, else where a face wound the other way covers their
 # centroids), how many points it packs, its tiles' vertices alone, and the
-# rule that proved the packing (assembly's module docstring): the
+# rule that proved the packing (geometry's module docstring): the
 # face-to-face certificate, or the pairwise overlap test
 FACES_DECIDED = {"d1": ((96, 36, 20), 23, "face-to-face"), "i1": ((44, 20, 0), 12, "face-to-face"),
                  "E": ((4, 6, 2), 6, "pairwise"), "C": ((4, 8, 0), 6, "face-to-face"),
@@ -1382,14 +1384,14 @@ _RULE_CALLS = {"face-to-face": [], "pairwise": ["_overlaps"]}
 
 
 def _decided(*build):
-    """The rule that decided assembly._build(*build), read from the pairwise
+    """The rule that decided geometry._build(*build), read from the pairwise
     stages it ran, and the build, or the AssemblyError it raised."""
     calls = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(assembly, "_overlaps",
-                  lambda *a, _f=assembly._overlaps: calls.append("_overlaps") or _f(*a))
+        m.setattr(geometry, "_overlaps",
+                  lambda *a, _f=geometry._overlaps: calls.append("_overlaps") or _f(*a))
         try:
-            got = assembly._build(*build)
+            got = geometry._build(*build)
         except AssemblyError as exc:
             return calls, exc
     return next(rule for rule, want in _RULE_CALLS.items() if calls == want), got
@@ -1398,16 +1400,16 @@ def _decided(*build):
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_faces_decided_by_index_plane_or_coverage(monkeypatch, target):
     # the slot count of each _Slots the build makes: its points, and no more
-    packed, init = [], assembly._Slots.__init__
+    packed, init = [], geometry._Slots.__init__
 
     def counted(self, points, n):
         packed.append(n)
         init(self, points, n)
 
-    monkeypatch.setattr(assembly._Slots, "__init__", counted)
+    monkeypatch.setattr(geometry._Slots, "__init__", counted)
     split = []
-    monkeypatch.setattr(assembly, "_split", lambda *a, _f=assembly._split: split.append(a) or _f(*a))
-    rule, a = _decided(target, *assembly._SOURCES[target])
+    monkeypatch.setattr(geometry, "_split", lambda *a, _f=geometry._split: split.append(a) or _f(*a))
+    rule, a = _decided(target, *geometry._SOURCES[target])
     assert split == []  # its planes cancel and fuse by index, with no edge split
     signs = _free_planes(np.stack([t.exact for t in a.tiles]))[-1]
     corners = [_point_set(_face(t, g)) for t in a.tiles for g in range(4)]
@@ -1427,16 +1429,16 @@ def _general_path(a):
     """The pairwise overlap test on a build's face table, and each face's
     wall flag by the numpy all-faces coverage reference."""
     points, faces, _, _ = a._faces
-    planes = assembly._planes(points, faces)
+    planes = geometry._planes(points, faces)
     vert_ids = [[points.index(p) for p in t.exact] for t in a.tiles]
-    return assembly._overlaps(points, vert_ids, planes), _walls_reference(a).ravel().tolist()
+    return geometry._overlaps(points, vert_ids, planes), _walls_reference(a).ravel().tolist()
 
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_certified_builds_agree_with_the_pairwise_tests(target):
     # where the certificate decided, the pairwise test finds no overlap, and
     # the coverage reference finds the same walls
-    a = assembly._build(target, *assembly._SOURCES[target])
+    a = geometry._build(target, *geometry._SOURCES[target])
     assert _general_path(a) == ([], list(a._faces.is_wall))
 
 
@@ -1463,7 +1465,7 @@ def test_certificates_fall_back():
     # tile (four faces on the same points wound the same way round), a tile
     # and a two-tile split of it, and the cube covered twice, where the first
     # lone face's centroid lies on the other cover's diagonal
-    coords, tets, _ = assembly._SOURCES["T2"]
+    coords, tets, _ = geometry._SOURCES["T2"]
     t2 = tets[0]
     split = {"o": _pt(0, 0, 0), "x": _pt(4, 0, 0), "y": _pt(0, 4, 0), "z": _pt(0, 0, 4),
              "m": _pt(2, 0, 0)}
@@ -1487,7 +1489,7 @@ def test_a_hole_takes_the_pairwise_test():
     # the hole have points above them and their planes' edges do not cancel,
     # so the face-to-face certificate refuses it; the pairwise test proves
     # the packing, and the faces around the hole are boundary
-    coords, tets, _ = assembly._SOURCES["d1"]
+    coords, tets, _ = geometry._SOURCES["d1"]
     d1 = assemble("d1")
     owners = {f.owner for f in d1.boundary_triangles}
     inner = [k for k, t in enumerate(d1.tiles) if t.name not in owners]
@@ -1589,7 +1591,7 @@ def test_a_partly_covered_face_is_refused():
               "e": _pt(1, 1, 2), "f": _pt(2, 1, 2), "g": _pt(1, 2, 2), "h": _pt(1, 1, 1)}
     wiring = [("t1", tuple("abcd")), ("t1", tuple("efgh"))]
     with pytest.raises(AssemblyError) as exc:
-        assembly._build("pair", points, wiring)
+        geometry._build("pair", points, wiring)
     assert str(exc.value) == "pair: " + REFUSALS["close"].format("t1-0")
 
 
@@ -1603,7 +1605,7 @@ _FAR = ((2 * 10**20 + 6, -(4 * 10**19)), (-(2 * 10**20), 2), (8, 2 * 10**20 + 2)
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
 def test_translation_commutes_with_the_build(target):
-    coords, tets, _ = assembly._SOURCES[target]
+    coords, tets, _ = geometry._SOURCES[target]
     want = _decided(target, coords, tets)
     got = _decided(target, {lab: _translated(p, _FAR) for lab, p in coords.items()}, tets)
     assert got[0] == want[0]
@@ -1621,7 +1623,7 @@ def test_translation_commutes_with_the_build(target):
 
 def _with_far_copy(target):
     """Target's wiring and a copy of it moved by _FAR, as (coords, tets)."""
-    coords, tets, _ = assembly._SOURCES[target]
+    coords, tets, _ = geometry._SOURCES[target]
     far = {lab + "'": _translated(p, _FAR) for lab, p in coords.items()}
     return ({**coords, **far},
             tets + [(kind, tuple(lab + "'" for lab in labs)) for kind, labs in tets])
@@ -1651,22 +1653,22 @@ def test_one_way_planes_never_split(monkeypatch):
     # above hold one triangle each, and beside a far copy every hull plane of
     # i1 and of d1 has points above it (d1's: a pentagon of three triangles)
     split = []
-    monkeypatch.setattr(assembly, "_split",
-                        lambda *a, _f=assembly._split: split.append(a) or _f(*a))
+    monkeypatch.setattr(geometry, "_split",
+                        lambda *a, _f=geometry._split: split.append(a) or _f(*a))
     for target in ("E", "i1", "d1"):
-        wiring = assembly._SOURCES[target][:2] if target == "E" else _with_far_copy(target)
+        wiring = geometry._SOURCES[target][:2] if target == "E" else _with_far_copy(target)
         rule, got = _decided(target, *wiring)
         assert rule == "pairwise" and len(got.mesh.faces) == {"E": 8, "i1": 40, "d1": 24}[target]
     assert split == []
 
 
-def _beyond(face: assembly.TriangleFace, opposite) -> tuple:
+def _beyond(face: geometry.TriangleFace, opposite) -> tuple:
     """A point just beyond a face of a tile: its first corner plus sigma^6 =
     13 - 8 tau, about 0.056, times the step from the tile's opposite vertex
     to its second corner."""
-    step = assembly._sub(face.corners[1], opposite)
+    step = geometry._sub(face.corners[1], opposite)
     return tuple((a + x, b + y) for (a, b), (x, y) in
-                 zip(face.corners[0], (assembly._mul((13, -8), d) for d in step)))
+                 zip(face.corners[0], (geometry._mul((13, -8), d) for d in step)))
 
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
@@ -1678,13 +1680,13 @@ def test_unused_points_change_nothing(target):
     (tile,) = [t for t in t2.tiles if t.name == face.owner]
     (opposite,) = set(tile.exact) - set(face.corners)
     near = _beyond(face, opposite)
-    normal = assembly._normal(*face.corners)
-    height, tile_height = (GoldenRational(*assembly._dot(normal, assembly._sub(p, q)))
+    normal = geometry._normal(*face.corners)
+    height, tile_height = (GoldenRational(*geometry._dot(normal, geometry._sub(p, q)))
                            for p, q in ((near, face.corners[0]), (face.corners[1], opposite)))
     assert 0 < height < tile_height / 10
     far = ((2 * 10**6, 0), (-(10**6), 10**6), (3, -(10**6)))
-    coords, tets, groups = assembly._SOURCES[target]
-    got = assembly._build(target, {"far": far, **coords, "near": near}, tets, groups)
+    coords, tets, groups = geometry._SOURCES[target]
+    got = geometry._build(target, {"far": far, **coords, "near": near}, tets, groups)
     want = assemble(target)
     for faces in ("walls", "boundary_triangles"):
         assert ([(f.owner, f.corners) for f in getattr(got, faces)]
@@ -1696,7 +1698,7 @@ def test_unused_points_change_nothing(target):
 
 
 def test_assemble_rejects_unknown():
-    assert set(assembly._SOURCES) == set(catalog.ASSEMBLY_TARGETS)
+    assert set(geometry._SOURCES) == set(catalog.ASSEMBLY_TARGETS)
     with pytest.raises((KeyError, ValueError)):
         assemble("d2")
 
@@ -1708,7 +1710,7 @@ def test_assemble_rejects_unknown():
 def _wiring_arrays(target):
     """The build's points (P, 3, 2), its tiles' vertex ids (T, 4) and their
     outward faces (T, 4, 3), as the reference reads them."""
-    coords, tets, _ = assembly._SOURCES[target]
+    coords, tets, _ = geometry._SOURCES[target]
     labels = list(coords)
     points = np.array([coords[lab] for lab in labels], dtype=np.int64)
     ids = np.array([[labels.index(lab) for lab in labs] for _, labs in tets])
@@ -1731,13 +1733,13 @@ def _stage1_reference(signs, ids):
 
 
 def _kernel_pairs(tets):
-    """assembly._overlaps of free (T, 4, 3, 2) tetrahedra, each vertex its
+    """geometry._overlaps of free (T, 4, 3, 2) tetrahedra, each vertex its
     own point, wound by the reference's parity."""
     faces, *_ = _free_planes(tets)
-    points = assembly._points(tets.reshape(-1, 3, 2))
-    planes = assembly._planes(points, [tuple(f) for f in faces.reshape(-1, 3).tolist()])
+    points = geometry._points(tets.reshape(-1, 3, 2))
+    planes = geometry._planes(points, [tuple(f) for f in faces.reshape(-1, 3).tolist()])
     vert_ids = np.arange(4 * len(tets)).reshape(-1, 4).tolist()
-    return assembly._overlaps(points, vert_ids, planes), planes, vert_ids
+    return geometry._overlaps(points, vert_ids, planes), planes, vert_ids
 
 
 @pytest.mark.parametrize("target", catalog.ASSEMBLY_TARGETS)
@@ -1745,14 +1747,14 @@ def test_kernel_matches_numpy_reference(target):
     a = assemble(target)
     points, ids, faces = _wiring_arrays(target)
     normals, _, signs = _face_planes(points, faces)
-    planes = assembly._planes(assembly._points(points), [tuple(f) for f in
+    planes = geometry._planes(geometry._points(points), [tuple(f) for f in
                                                          faces.reshape(-1, 3).tolist()])
     # the sign row of every face, and the normals it came from
     assert _sign_rows(planes, len(points)) == signs.reshape(-1, len(points)).tolist()
     assert np.asarray(planes.normals).tolist() == normals.reshape(-1, 3, 2).tolist()
     # the stage-1 pair list (d1 leaves one pair, which the edge-edge stage parts)
     masks = [sum(map(planes.slots.bit, set(v))) for v in ids.tolist()]
-    pairs = assembly._candidates(planes.rows, masks)
+    pairs = geometry._candidates(planes.rows, masks)
     assert pairs == _stage1_reference(signs, ids)
     assert len(pairs) == (1 if target == "d1" else 0)
     # the hull-plane grouping: equal sign rows, in the kernel and in the reference
@@ -1786,18 +1788,18 @@ def test_kernel_matches_numpy_reference(target):
     ("d1", "B", (0, 1), 12), ("i1", "i3", (0, 1), 3), ("i1", "i3", (0, -1), 4),
 ], ids=["B-12", "v0-6", "i1-i3-4", "B-tau-12", "i1-i3-tau-3", "i1-i3-minus-tau-4"])
 def test_kernel_overlaps_match_reference(wiring, moved, move, n_pairs):
-    coords = dict(assembly._SOURCES[wiring][0])
+    coords = dict(geometry._SOURCES[wiring][0])
     coords[moved] = _moved_in_x(coords[moved], move)
     labels = list(coords)
     exact = np.array([coords[lab] for lab in labels])
     ids = np.array([[labels.index(lab) for lab in labs]
-                    for _, labs in assembly._SOURCES[wiring][1]])
+                    for _, labs in geometry._SOURCES[wiring][1]])
     tets = exact[ids]
     pairs, planes, vert_ids = _kernel_pairs(tets)
     assert pairs == _overlapping_pairs(tets) and len(pairs) == n_pairs
     signs = _free_planes(tets)[-1]
     masks = [sum(map(planes.slots.bit, v)) for v in vert_ids]
-    assert assembly._candidates(planes.rows, masks) == _stage1_reference(
+    assert geometry._candidates(planes.rows, masks) == _stage1_reference(
         signs, np.arange(4 * len(tets)).reshape(-1, 4))
 
 
@@ -1819,12 +1821,12 @@ def test_kernel_overlaps_contacts_and_zero_normals():
 def _planes_reference(points, faces):
     """Each face's normal and sign row from its own corners, the slot
     arithmetic written out: the reference for _planes."""
-    slots = assembly._Slots(points, len(points))
+    slots = geometry._Slots(points, len(points))
     scaled = [slots.scaled(p) for p in points]
     packed = slots.pack(scaled)
-    normals = [assembly._normal(points[i], points[j], points[k]) for i, j, k in faces]
-    offsets = [assembly._at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
-    rows = [slots.signs(assembly._at(n, packed) - c * slots.ones)
+    normals = [geometry._normal(points[i], points[j], points[k]) for i, j, k in faces]
+    offsets = [geometry._at(n, scaled[f[0]]) for n, f in zip(normals, faces)]
+    rows = [slots.signs(geometry._at(n, packed) - c * slots.ones)
             for n, c in zip(normals, offsets)]
     return normals, rows
 
@@ -1834,7 +1836,7 @@ def _build_faces(coords, tets):
     a wiring."""
     labels = {lab for _, labs in tets for lab in labs}
     index = {lab: k for k, lab in enumerate(lab for lab in coords if lab in labels)}
-    points = assembly._points([coords[lab] for lab in index])
+    points = geometry._points([coords[lab] for lab in index])
     faces = []
     for kind, labs in tets:
         ids = [index[lab] for lab in labs]
@@ -1859,12 +1861,12 @@ _PARTNERS = [(t, None, (0, 0), n) for t, n in (
 @pytest.mark.parametrize("wiring, moved, move, partners", _PARTNERS, ids=[
     f"{w}-{m}-{a},{b}" if m else w for w, m, (a, b), _ in _PARTNERS])
 def test_partner_planes_match_per_face(wiring, moved, move, partners):
-    coords, tets, _ = assembly._SOURCES[wiring]
+    coords, tets, _ = geometry._SOURCES[wiring]
     coords = dict(coords)
     if moved:
         coords[moved] = _moved_in_x(coords[moved], move)
     points, faces = _build_faces(coords, tets)
-    planes = assembly._planes(points, faces)
+    planes = geometry._planes(points, faces)
     normals, rows = _planes_reference(points, faces)
     assert planes.first == [[set(g) for g in faces].index(set(f)) for f in faces]
     for k in range(len(faces)):
@@ -1881,7 +1883,7 @@ def test_fibonacci_sign_lemma():
     # |A|, |B| < F(k): A + B*tau and A*F(k) + B*F(k+1) share their sign
     rng = random.Random(17)
     for points in ([((1, 0),) * 3], [((0, 3),) * 3], [((-2**40, 1),) * 3]):
-        slots = assembly._Slots(points, 1)
+        slots = geometry._Slots(points, 1)
         f, g = slots.fib
         bound = 5184 * max(abs(x) for p in points for q in p for x in q) ** 4
         assert f > bound and g - f <= bound  # the least such F(k)
@@ -1896,11 +1898,11 @@ def test_fibonacci_sign_lemma():
             assert (got > 0) - (got < 0) == want, (a, b)
             # the scaled form: the integer dot of n with a scaled point
             n, x = ((a, b), (0, 0), (0, 0)), ((1, 0), (0, 0), (0, 0))
-            assert assembly._at(n, slots.scaled(x)) == got
+            assert geometry._at(n, slots.scaled(x)) == got
 
 
 def test_slot_decoder_at_its_bounds():
-    slots = assembly._Slots([((1, 0),) * 3], 7)
+    slots = geometry._Slots([((1, 0),) * 3], 7)
     top = 2 ** (slots.width - 1) - 1
     values = [top, -top, 0, 1, -1, top, 0]
     total = sum(v << slots.width * i for i, v in enumerate(values))
@@ -1921,4 +1923,4 @@ def test_malformed_coordinates_raise():
     with pytest.raises(ValueError, match="nest"):
         PlacedTile(kind="t1", exact=[[(0.5, 0), (0, 0), (0, 0)]] * 4)
     with pytest.raises(ValueError, match="nest"):
-        assembly.Mesh(exact=[[(0, 0), (0, 0)]], faces=(), provenance=())
+        geometry.Mesh(exact=[[(0, 0), (0, 0)]], faces=(), provenance=())

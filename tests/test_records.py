@@ -10,8 +10,7 @@ import pytest
 
 from icotile import _ledger, catalog, checks, inflation
 from icotile.catalog import ASSEMBLY_TARGETS
-from icotile.geometry import assemble, dihedrals
-from icotile.geometry.assembly import Dihedral, Mesh, PlacedTile
+from icotile.geometry import Dihedral, Mesh, PlacedTile, assemble, dihedrals
 from icotile.golden import ONE, TAU
 
 _T2_POINTS = (((0, 1), (0, 1), (0, 1)), ((1, 0), (0, 0), (1, 1)),
