@@ -224,6 +224,7 @@ def _check_assemblies() -> tuple[bool, str]:
 
 
 def _check_axis_classes() -> tuple[bool, str]:
+    from ._catalog import _FAMILY_AXIS
     from .geometry import assemble, squared_edges
     from .geometry.axes import axis_classes
 
@@ -233,7 +234,7 @@ def _check_axis_classes() -> tuple[bool, str]:
         corners = [wall.corners for wall in walls]
         for w, got, sq in zip(walls, axis_classes(corners), map(squared_edges, corners)):
             fam = triangle_family(sq)
-            axis = catalog._FAMILY_AXIS[fam]
+            axis = _FAMILY_AXIS[fam]
             if axis == "none":
                 return False, f"{target}: unexpected wall family {fam}"
             if got != axis:

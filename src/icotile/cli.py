@@ -145,17 +145,6 @@ def _term(flag: str, kw: dict) -> str:
     return flag + value
 
 
-def _summary(text: str, limit: int) -> str:
-    """click's command summary: the one-sentence text, or as many of its
-    words as fit before "..." in limit characters."""
-    if len(text) <= limit:
-        return text
-    words = text.split()
-    while words and len(" ".join(words)) + 3 > limit:
-        words.pop()
-    return " ".join(words) + "..."
-
-
 def _columns(rows: list[tuple[str, str]], width: int) -> str:
     """click's definition list: the terms in a column at most 30 wide, each
     text wrapped beside its term, or under a term too wide for the column."""
@@ -212,8 +201,12 @@ def _page(here: str, name: str | None) -> str:
             for flag, kw in (*options, _HELP) if "help" in kw]
     blocks.append("Options:\n" + _columns(rows, width))
     if name is None:
+        # click's command summary: the one-sentence text, or as many of its
+        # words as fit before "..." in limit characters
         limit = width - 6 - max(map(len, _COMMANDS))
-        commands = [(n, _summary(run.__doc__, limit)) for n, (run, _) in sorted(_COMMANDS.items())]
+        commands = [(n, textwrap.shorten(run.__doc__, limit, placeholder="...",
+                                         break_on_hyphens=False))
+                    for n, (run, _) in sorted(_COMMANDS.items())]
         blocks.append("Commands:\n" + _columns(commands, width))
     return "\n\n".join(blocks) + "\n"
 
@@ -429,15 +422,12 @@ def cmd_build(cfg: RunConfig, shape, out, as_json):
     from .geometry import assemble, export_obj, export_patch
 
     asm = assemble(shape)
+    suffix = None if out is None else Path(out).suffix
+    patch = canonical_json(export_patch(asm)) if as_json or suffix == ".json" else None
     if out is not None:
-        path = Path(out)
-        if path.suffix == ".obj":
-            payload = export_obj(asm)
-        else:
-            payload = canonical_json(export_patch(asm)) + "\n"
-        _write(path, payload)
+        _write(Path(out), export_obj(asm) if suffix == ".obj" else patch + "\n")
     if as_json:
-        print(canonical_json(export_patch(asm)))
+        print(patch)
         return
     n0, n1, _ = asm.mesh.counts()
     print(f"{shape}: {len(asm.tiles)} tetrahedra")

@@ -54,12 +54,8 @@ def _axes() -> dict[str, tuple]:
     pairs = [_vsum((verts[i], verts[j])) for i, j in sorted(adjacent)]
     triples = [_vsum((verts[i], verts[j], verts[k])) for i, j, k in combinations(range(12), 3)
                if {(i, j), (j, k), (i, k)} <= adjacent]
-    axes = {"five-fold": _one_per_pair(verts), "three-fold": _one_per_pair(triples),
+    return {"five-fold": _one_per_pair(verts), "three-fold": _one_per_pair(triples),
             "two-fold": _one_per_pair(pairs)}
-    sizes = [len(a) for a in axes.values()]
-    if sizes != [6, 10, 15]:
-        raise RuntimeError(f"axis extraction produced wrong class sizes: {sizes}")
-    return axes
 
 
 @lru_cache(maxsize=None)

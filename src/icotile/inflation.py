@@ -19,7 +19,7 @@ spectrum is known in closed form) and embedded numerically afterward.
 
 M^n is computed in closed form.  With E3 and E1 the eigenprojectors of M
 for tau^3 and tau (exact in Q(tau), derived from M.rows by the Lagrange
-product after the four eigenvalues are checked to be distinct roots of
+product after the four distinct eigenvalues are checked to be roots of
 char_poly()) and bars for Galois conjugates,
 
     M^n = tau^(3n) E3 + sigma^(3n) E3bar + tau^n E1 + sigma^n E1bar,
@@ -89,7 +89,7 @@ _VOLUME_ROW = None
 
 def _volume_row():
     global _VOLUME_ROW
-    from .catalog import _VOLUME_A, _VOLUME_B, _VOLUME_DEN
+    from ._catalog import _VOLUME_A, _VOLUME_B, _VOLUME_DEN
     _VOLUME_ROW = (*(tuple(v[k] for k in COMPOSITE_ORDER) for v in (_VOLUME_A, _VOLUME_B)),
                    _VOLUME_DEN)
     return _VOLUME_ROW
@@ -160,7 +160,7 @@ def _inflate(vectors, n: int) -> list[tuple[int, int, int, int]]:
     tau^m * D*E[i][j], tau^m = q + p*tau, is q*u + p*v (_SpectralParts.weights)."""
     if n < 0:
         raise ValueError("negative inflation order")
-    parts = _spectral_parts(_M_ROWS)
+    parts = _spectral_parts()
     q3, p3, q1, p1 = _tau_powers(n)
     den, weights, rows = parts.den, parts.weights, []
     for c0, c1, c2, c3 in vectors:
@@ -229,20 +229,19 @@ class _SpectralParts(NamedTuple):
 
 
 @cache
-def _spectral_parts(rows) -> _SpectralParts:
-    """Eigenprojectors E3, E1 of the 4x4 integer matrix rows for tau^3 and tau.
+def _spectral_parts(rows=_M_ROWS) -> _SpectralParts:
+    """Eigenprojectors E3, E1 of the 4x4 integer matrix rows (M's by
+    default, so _inflate's lookup hashes no key) for tau^3 and tau.
 
     Before the Lagrange product E_l = prod over m != l of (A - mI)/(l - m)
-    is taken over l, m in (tau^3, tau, sigma, sigma^3), each of the four is
-    checked to be an exact root of _char_poly(rows) and the four to be
-    distinct; ValueError if not.  Built on first use, then cached.
+    is taken over l, m in the four distinct constants of _SPECTRUM (tau^3,
+    tau, sigma, sigma^3), each is checked to be an exact root of
+    _char_poly(rows); ValueError if not.  Built on first use, then cached.
     """
     coeffs = _char_poly(rows)
     for lam in _SPECTRUM:
         if sum((c * lam ** (4 - k) for k, c in enumerate(coeffs)), GoldenRational(0)) != 0:
             raise ValueError(f"{lam} is not a root of the characteristic polynomial {coeffs}")
-    if len(set(_SPECTRUM)) != 4:
-        raise ValueError("the eigenvalues are not distinct")
 
     def projector(lam):
         return reduce(_mat_mul, (
@@ -313,7 +312,7 @@ def pf_vectors() -> SpectralData:
 def projection_matrix() -> tuple[tuple[GoldenRational, ...], ...]:
     """P = E3, M's eigenprojector for tau^3: the exact limit of
     tau^(-3n) M^n, equal to v u^T / (u.v) for the PF vectors; P^2 = P."""
-    return _spectral_parts(M.rows).projector
+    return _spectral_parts().projector
 
 
 _LEDGER_NAMES = ("Part", "Decomposition", "VerifyReport", "verify_decomposition",

@@ -331,6 +331,74 @@ def test_assemblies_check_decides_dihedrals_exactly(monkeypatch):
     assert not ok and detail.startswith("d1 dihedral ")
 
 
+def test_assemblies_check_failure_details(monkeypatch):
+    def serve(**swap):  # build swap[t] where the check asks for t
+        monkeypatch.setattr(geometry, "assemble", lambda t: assemble(swap.get(t, t)))
+
+    serve(d1="i1")
+    assert checks._check_assemblies() == (False, "d1 hull counts (12, 30, 20)")
+    serve(i1="d1")
+    assert checks._check_assemblies() == (False, "i1 hull counts (20, 30, 12)")
+    serve(T1="T2")
+    assert checks._check_assemblies() == (False, "T1 counts (4, 6, 4)")
+    serve()
+    # T2's census read as T3's: the counts agree, the faces do not
+    census = expected_face_census
+    monkeypatch.setattr(geometry, "expected_face_census", lambda t: census("T3" if t == "T2" else t))
+    assert checks._check_assemblies() == (False, "T2 face census")
+    monkeypatch.setattr(geometry, "expected_face_census", census)
+    # a published i1 volume that the build does not meet
+    monkeypatch.setattr(checks, "_I1_VOLUME", checks._I1_VOLUME * 2)
+    assert checks._check_assemblies() == (False, "i1 exact volume")
+
+
+def test_tile_volumes_check_reads_catalog_volume(monkeypatch):
+    # t4's edges give the published volume, its record another
+    t4 = catalog.record("t4")
+    monkeypatch.setitem(catalog._RECORDS, TileKind.t4, t4._replace(volume=t4.volume * 2))
+    assert checks._check_tile_volumes() == (False, "t4: catalog volume mismatch")
+
+
+def test_projection_check_failure_details(monkeypatch):
+    P = inflation.projection_matrix()
+    monkeypatch.setattr(inflation, "projection_matrix", lambda: P[:3] + (P[2],))
+    assert checks._check_projection() == (
+        False, "projection entries differ from the published matrix")
+    # 2P, published as such, is not idempotent: (2P)^2 = 4P
+    doubled = tuple(tuple(x * 2 for x in row) for row in P)
+    expected = checks._projection_expected
+    monkeypatch.setattr(inflation, "projection_matrix", lambda: doubled)
+    monkeypatch.setattr(checks, "_projection_expected", lambda: doubled)
+    assert checks._check_projection() == (False, "P^2 != P at (0, 0)")
+    monkeypatch.setattr(inflation, "projection_matrix", lambda: P)
+    monkeypatch.setattr(checks, "_projection_expected", expected)
+    # M^n read as zero: err(n) = max |P[i][j]| at every n, a ratio of exactly 1
+    monkeypatch.setattr(inflation.InflationMatrix, "power", lambda self, n: ((0,) * 4,) * 4)
+    assert checks._check_projection() == (
+        False, "convergence ratio 1.0000 not within 10% of tau^2")
+
+
+def test_ledger_check_fails_on_published_volumes(monkeypatch):
+    big = inflation.dodecahedron_ledger()[-1]
+    published = checks._D_TAU10_VOLUME
+    monkeypatch.setattr(checks, "_D_TAU10_VOLUME", published * 2)
+    assert checks._check_ledger() == (False, f"{big.name} total volume {published}")
+    monkeypatch.setattr(checks, "_D_TAU10_VOLUME", published)
+    # the d(tau^10) sum agrees with its typed value, but not with tau^30 times d1's
+    monkeypatch.setattr(checks, "_D1_VOLUME", checks._D1_VOLUME * 2)
+    assert checks._check_ledger() == (False, "tau^30 scaling identity fails")
+
+
+def test_report_determinism_check_fails_on_a_changed_bundle(monkeypatch):
+    bundle = report.build_bundle()
+    changed = {**bundle, "report.md": bundle["report.md"] + "\n"}
+    short = {k: v for k, v in bundle.items() if k != "projection.csv"}
+    for second in (changed, short):
+        runs = iter((bundle, second))
+        monkeypatch.setattr(report, "build_bundle", lambda: next(runs))
+        assert checks._check_report_determinism() == (False, "bundle differs between runs")
+
+
 def test_tile_volumes_check_reads_catalog_edge_lengths(monkeypatch):
     # t2 with BD = 1 instead of tau has the edges of t1
     t2 = catalog.record("t2")

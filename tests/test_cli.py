@@ -682,11 +682,11 @@ def _fresh_process(code: str) -> dict:
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("reach", ["geometry = icotile.geometry",
-                                   "from icotile import geometry"])
+@pytest.mark.parametrize("reach", ["from icotile import geometry"])
 def test_geometry_loads_on_demand(reach):
-    # geometry loads on first use, and a build loads neither of its submodules
-    # axes and placement, whose names geometry does not hold
+    # geometry loads on first use, by its own path (the package root names
+    # no module), and a build loads neither of its submodules axes and
+    # placement, whose names geometry does not hold
     facts = _fresh_process(f"""
 import contextlib, io, json, sys
 import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
@@ -718,31 +718,18 @@ print(json.dumps({{
 
 
 def test_package_surface_loads_on_demand():
-    # inflation and its three top-level names resolve on first use, to the
-    # very objects of icotile.inflation; a bare import loads neither layer
+    # the package root is bare: `import icotile` loads no icotile module and
+    # offers none of their names, each of which is imported from its home
     facts = _fresh_process("""
 import json, sys
 import icotile
-bare = sorted(m for m in sys.modules if m.startswith("icotile."))
-from icotile import inflation, CountVector, M, inflate_counts
-named = [CountVector is inflation.CountVector, M is inflation.M,
-         inflate_counts is inflation.inflate_counts,
-         inflation is sys.modules["icotile.inflation"]]
-star = {}
-exec("from icotile import *", star)
 print(json.dumps({
-    "bare": bare,
-    "named": named,
-    "star": all(star[n] is getattr(icotile, n) for n in icotile.__all__),
-    "star_inflation": [star[n] is getattr(inflation, n)
-                       for n in ("CountVector", "M", "inflate_counts")]
-                      + [star["inflation"] is inflation],
-    "unknown": hasattr(icotile, "nonexistent"),
+    "loaded": sorted(m for m in sys.modules if m.startswith("icotile.")),
+    "names": sorted(n for n in vars(icotile) if not n.startswith("__")),
+    "reached": [hasattr(icotile, n) for n in ("golden", "inflation", "TAU", "inflate_counts")],
 }))
 """)
-    assert facts == {"bare": ["icotile.catalog", "icotile.golden"],
-                     "named": [True] * 4, "star": True,
-                     "star_inflation": [True] * 4, "unknown": False}
+    assert facts == {"loaded": [], "names": [], "reached": [False] * 4}
 
 
 def test_catalog_records_load_on_first_read():

@@ -551,7 +551,22 @@ def test_comparisons_total_order():
     assert abs(SIGMA) == TAU - 1
 
 
-_MODULES = ["icotile", "icotile.catalog", "icotile.checks", "icotile.cli", "icotile.golden",
+def test_comparisons_with_other_types():
+    # >= is exact, as <, <= and > are
+    assert TAU >= TAU and TAU >= 1 and TAU >= Fraction(8, 5) and not TAU >= Fraction(13, 8)
+    assert not TAU >= TAU + GoldenRational(1, 0, 10**9) and not SIGMA >= 0
+    # a value that is no int, Fraction or GoldenRational is unequal, and unordered
+    assert (ONE == "1", ONE != "1", ONE == 1.0) == (False, True, False)
+    for other in ("1", 1.0, None):
+        for compare in (ONE.__lt__, ONE.__le__, ONE.__gt__, ONE.__ge__):
+            with pytest.raises(TypeError, match=f"^cannot interpret {type(other).__name__} "
+                                                 f"as GoldenRational$"):
+                compare(other)
+    with pytest.raises(TypeError, match="^cannot interpret str as GoldenRational$"):
+        "1" >= ONE
+
+
+_MODULES = ["icotile.catalog", "icotile.checks", "icotile.cli", "icotile.golden",
             "icotile.inflation", "icotile.report", "icotile.geometry", "icotile.geometry.axes",
             "icotile.geometry.placement"]
 
@@ -579,8 +594,11 @@ _FRONTS = {"icotile.catalog": "icotile._catalog", "icotile.inflation": "icotile.
 
 def test_one_home_per_public_name():
     # every class and function a module lists in __all__ is its own, so each
-    # public name has one home; the package front and the two fronts that
-    # load their records on first read are the exceptions
+    # public name has one home; the two fronts that load their records on
+    # first read, catalog and inflation, are the exceptions. The package
+    # root binds no class or function at all
+    assert not [n for n, obj in vars(icotile).items()
+                if isinstance(obj, type) or inspect.isroutine(obj)]
     names = [m.name for m in pkgutil.walk_packages(icotile.__path__, "icotile.")]
     assert "icotile.geometry.axes" in names
     elsewhere = []

@@ -158,9 +158,9 @@ def test_total_volume_matches_sum_of_products():
 
 @pytest.mark.parametrize("off", [1, -1])
 def test_inexact_division_raises(monkeypatch, off):
-    parts = inflation._spectral_parts(inflation.M.rows)
+    parts = inflation._spectral_parts()
     monkeypatch.setattr(inflation, "_spectral_parts",
-                        lambda rows: parts._replace(den=parts.den + off))
+                        lambda: parts._replace(den=parts.den + off))
     for base in inflation.BASES.values():
         for n in (0, 1, 5, 1000):
             with pytest.raises(ArithmeticError, match="not an integer"):
@@ -170,7 +170,8 @@ def test_inexact_division_raises(monkeypatch, off):
 
 
 def test_spectral_parts():
-    parts = inflation._spectral_parts(inflation.M.rows)
+    parts = inflation._spectral_parts()  # M's rows by default
+    assert parts == inflation._spectral_parts(inflation.M.rows)
     assert parts.den == 30
     assert parts.projector == inflation.projection_matrix() == checks._projection_expected()
     # the same P from the Perron-Frobenius vectors: v u^T / (u.v)

@@ -107,6 +107,26 @@ def test_replace_reruns_the_constructors_checks():
         tile._replace(parity=1)
 
 
+def test_constructors_refuse_malformed_fields():
+    # each public record's constructor names what is wrong with its fields
+    with pytest.raises(ValueError, match="^unknown face shape 'hexagon'$"):
+        catalog.FaceSpec("hexagon", (ONE,) * 6)
+    with pytest.raises(ValueError, match="^trapezoid needs 4 edges$"):
+        catalog.FaceSpec("trapezoid", (ONE, ONE, TAU))
+    t2 = catalog.record("T2")
+    for field in ("N0", "N1", "N2"):
+        with pytest.raises(ValueError, match="^T2: composite records need N0/N1/N2$"):
+            t2._replace(**{field: None})
+    assert catalog.record("t2")._replace(N0=None).N0 is None  # a fundamental tile has none
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="^d1: count for t1 must be positive$"):
+            catalog.Inventory("d1", ((catalog.TileKind.t2, 1), (catalog.TileKind.t1, count)))
+    for points in (_T2_POINTS[:3], _T2_POINTS + _T2_POINTS[:1]):
+        with pytest.raises(ValueError, match=rf"^a tile has 4 vertices of 3 doubled pairs, "
+                                             rf"not {len(points)}$"):
+            PlacedTile("t2", points, "a")
+
+
 @pytest.mark.parametrize("args, kwargs", [
     ((), {}),  # c missing
     (((1, 2, 3, 4), 5), {}),  # too many
