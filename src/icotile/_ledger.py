@@ -7,14 +7,16 @@ consistency, summing the parts of each inflation order before it inflates
 them or scales their volume; the ledger and verify commands and the report
 run it on every entry they show.  Callers read these names from
 icotile.inflation, which loads this module on the first read of one.
+Its records are on the catalog's frozen-record base, so reading the
+ledger loads no dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 from operator import add, index
 
+from .catalog import _Record
 from .golden import GoldenRational, tau_pow
 from .inflation import BASES, D1_COUNTS, CountVector, _inflate, inflate_counts
 
@@ -22,8 +24,7 @@ __all__ = ["Part", "Decomposition", "VerifyReport", "verify_decomposition",
            "dodecahedron_ledger"]
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(_Record):
     """One term of a decomposition: count copies of a block.
 
     block is 'd1', 'dtau', or one of 'T1'..'T4'; order is the inflation
@@ -34,7 +35,7 @@ class Part:
     order: int
     count: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.block not in BASES:
             raise ValueError(f"unknown block {self.block!r}")
         object.__setattr__(self, "order", index(self.order))
@@ -77,8 +78,7 @@ def _by_order(terms) -> dict[int, tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """target_base inflated n times equals the multiset of parts."""
 
     name: str
@@ -95,11 +95,10 @@ class Decomposition:
     def mutant(self) -> "Decomposition":
         """This entry with its first part's count raised by one."""
         first = self.parts[0]
-        return replace(self, parts=(replace(first, count=first.count + 1),) + self.parts[1:])
+        return self._replace(parts=(first._replace(count=first.count + 1),) + self.parts[1:])
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     count_consistent: bool
     volume_consistent: bool
 
@@ -120,7 +119,7 @@ def verify_decomposition(d: Decomposition) -> VerifyReport:
     vol_parts = sum((tau_pow(3 * m) * CountVector(c).total_volume()
                      for m, c in volumes.items()), GoldenRational(0))
     vol_target = tau_pow(3 * d.order) * d.target_base.total_volume()
-    return VerifyReport(total == d.target_counts().c, vol_parts == vol_target)
+    return VerifyReport._decided(total == d.target_counts().c, vol_parts == vol_target)
 
 
 @cache

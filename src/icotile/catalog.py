@@ -67,16 +67,28 @@ def tile_kind(x) -> TileKind:
         return TileKind(x)
 
 
+class _DataclassFields:
+    # a record class's __dataclass_fields__, for dataclasses.fields and
+    # dataclasses.replace (which then calls the constructor, as _replace
+    # does): made per class on its first read, which loads dataclasses
+    def __get__(self, obj, cls):
+        if "_dataclass_fields" not in cls.__dict__:
+            from dataclasses import make_dataclass
+            cls._dataclass_fields = make_dataclass(cls.__name__, cls._init).__dataclass_fields__
+        return cls._dataclass_fields
+
+
 class _Record:
     """A frozen record, as a frozen dataclass is, without loading dataclasses:
     its fields are its class's annotated names in order, and a class attribute
     is a field's default.  The constructor takes every field but those in
     _derived, then runs _check, which may set or normalise fields with
-    object.__setattr__; _replace goes through it again.  repr leaves out the
-    fields in _hidden.  Records compare and hash by their fields, or by
-    identity when declared eq=False."""
+    object.__setattr__; _replace goes through it again, and so does
+    dataclasses.replace.  repr leaves out the fields in _hidden.  Records
+    compare and hash by their fields, or by identity when declared eq=False."""
 
     _derived = _hidden = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls, eq=True):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))

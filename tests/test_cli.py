@@ -655,21 +655,21 @@ def _loaded_modules(run: str, *args: str) -> set[str]:
 def test_cli_starts_on_the_standard_library():
     # the bare interpreter's modules (this host's site may load certifi from
     # a .pth file), icotile's and the standard library's, and nothing more;
-    # never argparse, nor the gettext and locale that it loads; and only the
-    # ledger's dataclasses load dataclasses and the inspect that it loads
+    # never argparse, nor the gettext and locale that it loads, nor
+    # dataclasses and the inspect that it loads, not even for the commands
+    # that read the ledger
     bare = _loaded_modules("")
     cli_import = _loaded_modules("import icotile.cli")
     assert not cli_import & {"click", "dataclasses", "inspect", "argparse", "gettext", "locale"}
     builds = [["build", "--shape", target] for target in ASSEMBLY_TARGETS]
     for args in (["catalog"], ["inflate", "--tile", "T2", "--order", "3"], ["eigen"],
-                 ["ledger", "--verify"], *builds, ["--help"], ["eigen", "--js"]):
+                 ["ledger"], ["ledger", "--verify"], ["verify", "--check", "ledger"],
+                 ["report", "--json"], *builds, ["--help"], ["eigen", "--js"]):
         loaded = _loaded_modules(_RUN_MAIN, *args)
         extra = {m for m in loaded - bare
                  if m.partition(".")[0] not in ("icotile", *sys.stdlib_module_names)}
         assert extra == set(), args
-        assert not loaded & {"argparse", "gettext", "locale"}, args
-        if args[0] != "ledger":
-            assert not loaded & {"dataclasses", "inspect"}, args
+        assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "inspect"}, args
     assert "icotile._ledger" not in _loaded_modules("import icotile.inflation")
 
 

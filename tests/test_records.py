@@ -1,10 +1,14 @@
 """The frozen records: equality, hash, repr, frozenness and _replace, as the
-frozen dataclasses they replace had them; the ledger's stay dataclasses."""
+frozen dataclasses they replace had them, and dataclasses.replace and
+dataclasses.fields on every record, the ledger's too, through the record
+base's adapter."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -139,7 +143,52 @@ def test_constructor_takes_exactly_its_fields(args, kwargs):
         inflation.CountVector(*args, **kwargs)
 
 
-def test_ledger_records_stay_dataclasses():
+@pytest.mark.parametrize("record, changes", [
+    (inflation.CountVector((1, 2, 3, 4)), {"c": [4, 3, 2, 1]}),
+    (catalog.FaceSpec("triangle", (ONE, ONE, TAU)), {"multiplicity": 2}),
+    (Dihedral((0, 1), (2, 3), 1.5, "atan2"), {"angle_class": None}),
+    (checks.CheckResult("x", True, "ok"), {"ok": False, "detail": "no"}),
+    (inflation.Part("T2", 1, 2), {"order": 3}),
+    (inflation.Part("T2", 1, 2), {}),
+])
+def test_dataclasses_replace_is_replace(record, changes):
+    got = dataclasses.replace(record, **changes)
+    assert type(got) is type(record) and got is not record
+    assert got == record._replace(**changes) and repr(got) == repr(record._replace(**changes))
+
+
+def test_dataclasses_fields_are_each_classs_own():
+    # the fields are made per class on the first read, whichever class comes
+    # first; a derived field (PlacedTile's parity) is no constructor field
+    tile = PlacedTile("t2", _T2_POINTS, "a")
+    for _ in range(2):
+        assert [f.name for f in dataclasses.fields(inflation.Part)] == ["block", "order", "count"]
+        assert [f.name for f in dataclasses.fields(tile)] == ["kind", "exact", "name"]
+    assert dataclasses.is_dataclass(tile) and not dataclasses.is_dataclass(catalog._Record)
+    swapped = (_T2_POINTS[1], _T2_POINTS[0], *_T2_POINTS[2:])
+    assert dataclasses.replace(tile, exact=swapped).parity == -tile.parity
+    with pytest.raises(TypeError):  # parity is derived, as _replace refuses it
+        dataclasses.replace(tile, parity=1)
+
+
+def test_ledger_loads_no_dataclasses():
+    # reading and verifying every ledger entry, and a mutant, in a fresh
+    # process loads neither dataclasses nor the inspect that it loads
+    code = """
+import sys
+from icotile import inflation
+entries = inflation.dodecahedron_ledger()
+assert len(entries) == 7 and all(inflation.verify_decomposition(d).ok for d in entries)
+assert not inflation.verify_decomposition(entries[0].mutant()).ok
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_ledger_records_take_dataclasses_replace():
     # the benchmark harness mutates ledger entries with dataclasses.replace;
     # the first read of a ledger name binds it in inflation, where perfbench's
     # span wrapper looks for it
@@ -154,3 +203,8 @@ def test_ledger_records_stay_dataclasses():
     assert mutant == entry.mutant() and not inflation.verify_decomposition(mutant).ok
     with pytest.raises(ValueError, match="negative count"):
         dataclasses.replace(part, count=-1)
+    with pytest.raises(ValueError, match="negative count"):
+        part._replace(count=-1)
+    report = inflation.verify_decomposition(entry)
+    assert report == inflation.VerifyReport(True, True) and report.ok
+    assert repr(report) == "VerifyReport(count_consistent=True, volume_consistent=True)"
