@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import catalog
 from .golden import embed, embed_decimal
 
-__all__ = ["main", "RunConfig", "UsageError", "canonical_json"]
+__all__ = ["main", "run", "RunConfig", "UsageError", "canonical_json"]
 
 _FACE_WORDS = {3: "triangular", 4: "quadrilateral", 5: "pentagonal", 6: "hexagonal"}
 
@@ -242,7 +242,7 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
             if action == "store_true" and eq:
                 raise UsageError(f"Option {alias!r} does not take a value.")
             if flag == _HELP[0]:
-                print(_page(here, name), end="")
+                print(_page(here, name), end="", flush=True)  # a write error meets main's handler
                 sys.exit(0)
             if action != "store_true" and not eq:
                 value = next(rest, "--")  # "--" ends the options, so it is no value
@@ -259,8 +259,8 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
 def main(args=None, prog_name=None):
     """Run the command line on args (default sys.argv[1:]) as prog_name
     (default the script's name) and exit with the command's code: 2 after
-    printing a usage error, 1 when stdout's reader has gone, 0 after
-    --help prints the page."""
+    printing a usage error, 1 when stdout cannot be written (quietly when
+    its reader has gone), 0 after --help prints the page."""
     if hasattr(sys, "set_int_max_str_digits"):  # counts and volumes print in full
         sys.set_int_max_str_digits(0)
     prog = here = prog_name or os.path.basename(sys.argv[0])
@@ -287,11 +287,29 @@ def main(args=None, prog_name=None):
         print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
         sys.exit(exc.exit_code)
-    except BrokenPipeError:
-        # the reader left (`| head`): exit 1 quietly, stdout on devnull for the last flush
+    except OSError as exc:
+        if exc.filename is not None:  # a path's error; a stream's carries no name
+            raise
+        # stdout failed: exit 1, stdout on devnull so the last flush cannot fail;
+        # quietly when the reader left (`| head`), else say why (a full disk)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"Error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         sys.exit(1)
     sys.exit(code or 0)
+
+
+def run(prog_name=None):
+    """The process entry (the icotile script, python -m icotile.cli): main,
+    then both streams flushed and os._exit with its code.  The interpreter's
+    teardown is skipped, and with it atexit hooks; every file a command
+    writes is closed before main exits."""
+    try:
+        main(prog_name=prog_name)
+    except SystemExit as exc:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(exc.code)
 
 
 @_command("catalog", ("[[dump]]", {"dest": "mode", "choices": lambda: ("dump",)}), _JSON)
@@ -487,4 +505,4 @@ def cmd_report(cfg: RunConfig, out, as_json):
 
 
 if __name__ == "__main__":
-    main(prog_name="python -m icotile.cli")
+    run("python -m icotile.cli")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -21,9 +23,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from icotile import _ledger, checks, cli, inflation
+from icotile import _ledger, checks, cli, inflation, report
 from icotile.catalog import ASSEMBLY_TARGETS
 from icotile.cli import canonical_json, main
+from icotile.geometry import assemble, export_obj, export_patch
 from icotile.golden import TAU, embed, tau_pow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -596,6 +599,87 @@ def test_closed_pipe_exits_1_quietly():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1
     assert err == ""
+
+
+def _env(buffered: bool = True) -> dict:
+    """This environment with stdout block-buffered (to a file) or unbuffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ["catalog"], ["--help"],
+    ["--max-order", "10000", "inflate", "--tile", "T2", "--order", "10000"],
+], ids=["short", "help", "long"])
+def test_full_stdout_exits_1_with_one_line(args, buffered):
+    # a write error other than the closed pipe, met by a print or by main's
+    # final flush: one line on stderr and exit 1, no traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "icotile.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=_env(buffered))
+    assert proc.returncode == 1
+    assert proc.stderr == f"Error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+# the process entry (main, then a hard exit) against main in-process: the
+# same stdout, stderr and SystemExit code, a long stdout block-buffered to a file
+_ENTRY_RUNS = [
+    (["catalog"], 0), (["verify"], 1), (["build", "--shape", "d2"], 2), (["--help"], 0),
+    (["--max-order", "30000", "inflate", "--tile", "T2", "--order", "30000"], 0),
+]
+
+
+@pytest.mark.parametrize("args, code", _ENTRY_RUNS, ids=[" ".join(a) for a, _ in _ENTRY_RUNS])
+def test_process_entry_matches_main(tmp_path, monkeypatch, args, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(tmp_path / "stdout", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "icotile.cli", *args], stdout=out,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=_env())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main(args, prog_name="python -m icotile.cli")
+    assert proc.returncode == exc.value.code == code
+    assert (tmp_path / "stdout").read_text(encoding="utf-8") == out.getvalue()
+    assert proc.stderr == err.getvalue()
+    if args == ["--help"]:
+        assert out.getvalue() == _golden("top_help.txt").replace(
+            "Usage: main", "Usage: python -m icotile.cli")
+
+
+def test_process_entry_writes_every_file(tmp_path):
+    # the files a fresh process writes before its hard exit: d1's exports
+    # (test_exports_pinned pins the in-process texts) and the report bundle
+    def entry(*args):
+        subprocess.run([sys.executable, "-m", "icotile.cli", *args],
+                       check=True, capture_output=True, timeout=120)
+
+    asm = assemble("d1")
+    for name, text in (("d1.json", canonical_json(export_patch(asm)) + "\n"),
+                       ("d1.obj", export_obj(asm))):
+        entry("build", "--shape", "d1", "--out", str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+    entry("report", "--out", str(tmp_path / "r"))
+    bundle = report.build_bundle()
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(bundle)
+    for name, text in bundle.items():
+        assert (tmp_path / "r" / name).read_bytes() == text.encode("utf-8"), name
+
+
+def test_console_script_entry_skips_teardown():
+    # pyproject's icotile script, called as an installer's wrapper calls it:
+    # the output is written in full and no atexit hook runs after it
+    scripts = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, attr = re.search(r'^icotile = "(.+):(.+)"$', scripts, re.M).groups()
+    code = (f"import atexit, sys; atexit.register(print, 'atexit ran'); "
+            f"from {module} import {attr}; sys.argv[0] = 'icotile'; sys.exit({attr}())")
+    proc = subprocess.run([sys.executable, "-c", code, "ledger", "--verify"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == _golden("ledger_verify.txt")
+    assert proc.stderr == ""
 
 
 # the contract of perfbench/oracles.py `cli_edge` for a usage error, and the
