@@ -95,11 +95,15 @@ def canonical_json(obj) -> str:
 
 def _unwritable(path: Path) -> str | None:
     """Why path cannot be written, as far as can be told before writing: a
-    parent that is not a directory, or path itself a directory."""
-    file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
-    if file:
-        return f"{file} is not a directory"
-    return os.strerror(errno.EISDIR) if path.is_dir() else None
+    parent that is not a directory, path itself a directory, or a name that
+    cannot be looked up (one too long)."""
+    try:
+        file = next((p for p in reversed(path.parents) if p.exists() and not p.is_dir()), None)
+        if file:
+            return f"{file} is not a directory"
+        return os.strerror(errno.EISDIR) if path.is_dir() else None
+    except OSError as exc:
+        return exc.strerror
 
 
 def _write(path: Path, text: str) -> None:
@@ -242,7 +246,8 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
             if action == "store_true" and eq:
                 raise UsageError(f"Option {alias!r} does not take a value.")
             if flag == _HELP[0]:
-                print(_page(here, name), end="", flush=True)  # a write error meets main's handler
+                print(_page(here, name), end="")
+                _flush_stdout()  # a write error meets main's handler
                 sys.exit(0)
             if action != "store_true" and not eq:
                 value = next(rest, "--")  # "--" ends the options, so it is no value
@@ -254,6 +259,14 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
         if kw.get("required") and values[kw.get("dest", flag[2:])] is None:
             raise UsageError(f"Missing option {flag!r}.")
     return values, words[len(slots):]
+
+
+def _flush_stdout() -> None:
+    """Flush stdout.  It is None when fd 1 was closed at start-up, and print
+    then drops every line: an unwritable stream, as a full disk is."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.flush()
 
 
 def main(args=None, prog_name=None):
@@ -282,7 +295,7 @@ def main(args=None, prog_name=None):
             s = "s" if len(extra) > 1 else ""
             raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
         code = _COMMANDS[name][0](RunConfig(top["max-order"], top["output-path"]), **options)
-        sys.stdout.flush()
+        _flush_stdout()
     except UsageError as exc:
         print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
@@ -290,9 +303,11 @@ def main(args=None, prog_name=None):
     except OSError as exc:
         if exc.filename is not None:  # a path's error; a stream's carries no name
             raise
-        # stdout failed: exit 1, stdout on devnull so the last flush cannot fail;
-        # quietly when the reader left (`| head`), else say why (a full disk)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout failed: exit 1, stdout (unless None) on devnull so the last
+        # flush cannot fail; quietly when the reader left (`| head`), else
+        # say why (a full disk, a closed fd 1)
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             print(f"Error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         sys.exit(1)
@@ -307,7 +322,8 @@ def run(prog_name=None):
     try:
         main(prog_name=prog_name)
     except SystemExit as exc:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None: fd 1 was closed at start-up
+            sys.stdout.flush()
         sys.stderr.flush()
         os._exit(exc.code)
 

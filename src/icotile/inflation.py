@@ -34,19 +34,24 @@ tau^n.  The result, nonnegative as c and M are, is not checked again.  A
 count vector's volume is one dot product with the (T1..T4) row of the
 catalog's common-denominator volume table.
 
-The ledger of dodecahedral decompositions (Part, Decomposition,
-VerifyReport, dodecahedron_ledger, verify_decomposition) is
-icotile._ledger's, and the starting patches (BASES, D1_COUNTS,
-DTAU_COUNTS) and the volume table read the catalog's records: each is
-loaded on its first read, so the spectral data needs neither.
+The ledger holds specific inflations of single tiles whose count vectors
+regroup into whole unit dodecahedra d(1) and tau-scaled dodecahedra
+d(tau) plus leftover composite tiles.  verify_decomposition checks an
+entry for exact count and volume consistency, summing the parts of each
+inflation order before it inflates them or scales their volume; the
+ledger and verify commands and the report run it on every entry they
+show.
+
+The starting patches (BASES, D1_COUNTS, DTAU_COUNTS) and the volume table
+read the catalog's records, so one reader binds all four on the first
+need of any: the spectral data loads no records.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cache, reduce
 from math import lcm
-from operator import index
+from operator import add, index
 from typing import NamedTuple
 
 from . import catalog
@@ -83,13 +88,23 @@ _M_ROWS = ((1, 2, 2, 2), (0, 2, 1, 0), (1, 2, 1, 1), (1, 1, 1, 1))
 _SPECTRUM = (tau_pow(3), TAU, TAU.conj(), tau_pow(3).conj())
 
 # the catalog's volumes of (T1, T2, T3, T4) as (a, b, den), V_Ti = (a[i] +
-# b[i]*tau) / den, set by _volume_row on first use
+# b[i]*tau) / den, set by _read_catalog on first use
 _VOLUME_ROW = None
 
 
-def _volume_row():
-    global _VOLUME_ROW
+@cache
+def _read_catalog():
+    """Bind BASES, D1_COUNTS, DTAU_COUNTS and _VOLUME_ROW from the catalog's
+    records, once, and return _VOLUME_ROW."""
+    global BASES, D1_COUNTS, DTAU_COUNTS, _VOLUME_ROW
     from ._catalog import _VOLUME_A, _VOLUME_B, _VOLUME_DEN
+    from .catalog import inventory
+    D1_COUNTS, DTAU_COUNTS = (CountVector(tuple(dict(inventory(target).counts).get(k, 0)
+                                                for k in COMPOSITE_ORDER))
+                              for target in ("d1-composite", "dtau-composite"))
+    # the starting patches by name: one composite tile or a dodecahedron
+    BASES = dict(zip(catalog.STARTING_PATCHES,
+                     (*map(CountVector.unit, range(4)), D1_COUNTS, DTAU_COUNTS)))
     _VOLUME_ROW = (*(tuple(v[k] for k in COMPOSITE_ORDER) for v in (_VOLUME_A, _VOLUME_B)),
                    _VOLUME_DEN)
     return _VOLUME_ROW
@@ -117,7 +132,7 @@ class CountVector(_Record):
     def total_volume(self) -> GoldenRational:
         """catalog.total_volume of these counts, read as (T1, T2, T3, T4)."""
         c0, c1, c2, c3 = self.c
-        (a0, a1, a2, a3), (b0, b1, b2, b3), den = _VOLUME_ROW or _volume_row()
+        (a0, a1, a2, a3), (b0, b1, b2, b3), den = _VOLUME_ROW or _read_catalog()
         return GoldenRational(c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3,
                               c0 * b0 + c1 * b1 + c2 * b2 + c3 * b3, den)
 
@@ -315,25 +330,142 @@ def projection_matrix() -> tuple[tuple[GoldenRational, ...], ...]:
     return _spectral_parts().projector
 
 
-_LEDGER_NAMES = ("Part", "Decomposition", "VerifyReport", "verify_decomposition",
-                 "dodecahedron_ledger")
+class Part(_Record):
+    """One term of a decomposition: count copies of a block.
+
+    block is 'd1', 'dtau', or one of 'T1'..'T4'; order is the inflation
+    order m of T_j^(m) and must be 0 for the dodecahedral blocks.
+    """
+
+    block: str
+    order: int
+    count: int
+
+    def _check(self):
+        if self.block not in catalog.STARTING_PATCHES:
+            raise ValueError(f"unknown block {self.block!r}")
+        object.__setattr__(self, "order", index(self.order))
+        object.__setattr__(self, "count", index(self.count))
+        if self.count < 0:
+            raise ValueError("negative count")
+        if self.order < 0:
+            raise ValueError("negative order")
+        if self.block in ("d1", "dtau") and self.order != 0:
+            raise ValueError("dodecahedral blocks carry no inflation order")
+
+    def volume(self) -> GoldenRational:
+        m, base = _volume_base(self)
+        return tau_pow(3 * m) * base.scaled(self.count).total_volume()
+
+    def label(self) -> str:
+        if self.block in ("d1", "dtau"):
+            name = "d(1)" if self.block == "d1" else "d(tau)"
+        elif self.order:
+            name = f"{self.block}^({self.order})"
+        else:
+            name = self.block
+        return name if self.count == 1 else f"{self.count} {name}"
+
+
+def _volume_base(p: Part) -> tuple[int, CountVector]:
+    """(m, c) with the volume of one block of p equal to tau^(3m) *
+    c.total_volume(): d(tau) is d(1) scaled by tau."""
+    _read_catalog()
+    return (1, D1_COUNTS) if p.block == "dtau" else (p.order, BASES[p.block])
+
+
+_ZERO_COUNTS = (0, 0, 0, 0)
+
+
+def _by_order(terms) -> dict[int, tuple[int, ...]]:
+    """{m: the sum of count * c} over (m, c, count) terms."""
+    out = {}
+    for m, c, count in terms:
+        out[m] = tuple(map(add, out.get(m, _ZERO_COUNTS), [count * x for x in c]))
+    return out
+
+
+class Decomposition(_Record):
+    """target_base inflated n times equals the multiset of parts."""
+
+    name: str
+    target_base: CountVector
+    order: int
+    parts: tuple[Part, ...]
+
+    def target_counts(self) -> CountVector:
+        return inflate_counts(self.target_base, self.order)
+
+    def describe(self) -> str:
+        return f"{self.name} = " + " + ".join(p.label() for p in self.parts)
+
+    def mutant(self) -> "Decomposition":
+        """This entry with its first part's count raised by one."""
+        first = self.parts[0]
+        return self._replace(parts=(first._replace(count=first.count + 1),) + self.parts[1:])
+
+
+class VerifyReport(_Record):
+    count_consistent: bool
+    volume_consistent: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.count_consistent and self.volume_consistent
+
+
+def verify_decomposition(d: Decomposition) -> VerifyReport:
+    """Check a decomposition for exact count and volume consistency.
+
+    c * M^m and tau^(3m) * volume(c) are linear in c, so the parts are
+    summed by order first: one inflation and one tau power per order."""
+    _read_catalog()
+    counts = _by_order((p.order, BASES[p.block], p.count) for p in d.parts)
+    volumes = _by_order((*_volume_base(p), p.count) for p in d.parts)
+    rows = (_inflate((c,), m)[0] for m, c in counts.items())
+    total = tuple(map(sum, zip(_ZERO_COUNTS, *rows)))
+    vol_parts = sum((tau_pow(3 * m) * CountVector(c).total_volume()
+                     for m, c in volumes.items()), GoldenRational(0))
+    vol_target = tau_pow(3 * d.order) * d.target_base.total_volume()
+    return VerifyReport._decided(total == d.target_counts().c, vol_parts == vol_target)
+
+
+@cache
+def _ledger_data() -> tuple[Decomposition, ...]:
+    _read_catalog()
+    P = Part
+    return (
+        Decomposition("T1^(2)", BASES["T1"], 2, (
+            P("d1", 0, 1), P("T2", 1, 2), P("T3", 1, 1), P("T4", 1, 1),
+            P("T2", 0, 1), P("T3", 0, 4))),
+        Decomposition("T2^(3)", BASES["T2"], 3, (
+            P("d1", 0, 1), P("T2", 2, 2), P("T2", 0, 5), P("T3", 0, 6))),
+        Decomposition("T3^(2)", BASES["T3"], 2, (
+            P("d1", 0, 1), P("T2", 0, 5), P("T3", 0, 6))),
+        Decomposition("T4^(2)", BASES["T4"], 2, (
+            P("d1", 0, 1), P("T2", 0, 3), P("T3", 0, 5))),
+        Decomposition("T2^(4)", BASES["T2"], 4, (
+            P("d1", 0, 2), P("dtau", 0, 1), P("T2", 2, 4), P("T2", 1, 5),
+            P("T3", 1, 6), P("T2", 0, 10), P("T3", 0, 12))),
+        Decomposition("T1^(4)", BASES["T1"], 4, (
+            P("d1", 0, 13), P("dtau", 0, 2), P("T2", 2, 9), P("T2", 1, 14),
+            P("T3", 1, 14), P("T4", 1, 3), P("T2", 0, 45), P("T3", 0, 68))),
+        Decomposition("d(tau^10)", D1_COUNTS, 10, (
+            P("d1", 0, 432139), P("dtau", 0, 92850), P("T1", 0, 1064050),
+            P("T2", 0, 6341550), P("T3", 0, 4720730), P("T4", 0, 1064050))),
+    )
+
+
+def dodecahedron_ledger() -> list[Decomposition]:
+    """The seven recorded dodecahedral decompositions, unverified: each
+    reader checks the entries it uses with verify_decomposition."""
+    return list(_ledger_data())
 
 
 def __getattr__(name):
-    # the starting patches, which read the catalog's inventories, and the
-    # ledger's names are bound here on their first read, so that a scan of
+    # the starting patches are bound on their first read, so that a scan of
     # this namespace (perfbench's span wrapper) finds them
-    if name in ("D1_COUNTS", "DTAU_COUNTS", "BASES"):
-        from .catalog import inventory
-        d1, dtau = (CountVector(tuple(dict(inventory(target).counts).get(k, 0)
-                                      for k in COMPOSITE_ORDER))
-                    for target in ("d1-composite", "dtau-composite"))
-        # the starting patches by name: one composite tile or a dodecahedron
-        globals().update(D1_COUNTS=d1, DTAU_COUNTS=dtau, BASES=dict(zip(
-            catalog.STARTING_PATCHES, (*map(CountVector.unit, range(4)), d1, dtau))))
-    elif name in _LEDGER_NAMES:
-        __import__(f"{__package__}._ledger")
-        globals()[name] = getattr(sys.modules[f"{__package__}._ledger"], name)
-    else:
+    if name not in ("D1_COUNTS", "DTAU_COUNTS", "BASES"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _read_catalog()
     return globals()[name]

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from icotile import _ledger, checks, cli, inflation, report
+from icotile import checks, cli, inflation, report
 from icotile.catalog import ASSEMBLY_TARGETS
 from icotile.cli import canonical_json, main
 from icotile.geometry import assemble, export_obj, export_patch
@@ -236,12 +236,12 @@ def test_ledger_corrupt_flag_not_from_environment(runner):
 
 
 def test_wrong_ledger_entry_fails_without_traceback(runner, monkeypatch):
-    entries = _ledger._ledger_data()
+    entries = inflation._ledger_data()
     first = entries[0]
     last = first.parts[-1]
     wrong = dataclasses.replace(first, parts=first.parts[:-1] + (
         dataclasses.replace(last, count=last.count + 1),))
-    monkeypatch.setattr(_ledger, "_ledger_data", lambda: (wrong,) + entries[1:])
+    monkeypatch.setattr(inflation, "_ledger_data", lambda: (wrong,) + entries[1:])
 
     def run(args, code):
         res = runner.invoke(main, args)
@@ -338,6 +338,23 @@ def test_output_path_under_a_file_is_usage_error(runner, tmp_path, monkeypatch, 
     assert "Error: cannot write afile/" in res.output
     assert ": afile is not a directory\n" in res.output
     assert stat.S_ISFIFO((tmp_path / "afile").stat().st_mode)
+
+
+_LONG_NAME = "a" * 300  # longer than a file system takes for one name
+
+
+@pytest.mark.parametrize("args, path", [
+    (["report", "--out", _LONG_NAME], f"{_LONG_NAME}/report.md"),
+    (["build", "--shape", "T2", "--out", f"{_LONG_NAME}/x.obj"], f"{_LONG_NAME}/x.obj"),
+], ids=["report", "build"])
+def test_out_name_too_long_is_usage_error(runner, tmp_path, args, path):
+    # a name that cannot be looked up, met by report's check before its first
+    # write or by build's mkdir: exit 2 and no file written
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output.endswith(
+        f"\n\nError: cannot write {path}: {os.strerror(errno.ENAMETOOLONG)}\n")
+    assert res.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 # each help page not pinned elsewhere, as prog `main` at COLUMNS 80, and the
@@ -621,6 +638,12 @@ def test_full_stdout_exits_1_with_one_line(args, buffered):
                               stderr=subprocess.PIPE, text=True, timeout=120, env=_env(buffered))
     assert proc.returncode == 1
     assert proc.stderr == f"Error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    # fd 1 closed (`>&-`): sys.stdout is None, and print drops every line
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                           "icotile.cli", *args],
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=_env(buffered))
+    assert proc.returncode == 1
+    assert proc.stderr == f"Error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
 
 
 # the process entry (main, then a hard exit) against main in-process: the
@@ -754,7 +777,7 @@ def test_cli_starts_on_the_standard_library():
                  if m.partition(".")[0] not in ("icotile", *sys.stdlib_module_names)}
         assert extra == set(), args
         assert not loaded & {"argparse", "gettext", "locale", "dataclasses", "inspect"}, args
-    assert "icotile._ledger" not in _loaded_modules("import icotile.inflation")
+    assert "icotile._catalog" not in _loaded_modules("import icotile.inflation")
 
 
 def _fresh_process(code: str) -> dict:
@@ -875,7 +898,7 @@ _SUBCOMMAND_LOADS = [
     (["build", "--shape", "T2"], 0, sorted(_CORE + _GEOMETRY)),
     (["inflate", "--tile", "T2", "--order", "3"], 0, sorted(_RECORDS + ["icotile.inflation"])),
     (["eigen"], 0, sorted(_CORE + ["icotile.inflation"])),
-    (["ledger", "--verify"], 0, sorted(_RECORDS + ["icotile._ledger", "icotile.inflation"])),
+    (["ledger", "--verify"], 0, sorted(_RECORDS + ["icotile.inflation"])),
     (["catalog", "--json"], 0, sorted(_RECORDS + ["json"])),
     (["inflate", "--tile", "T2", "--order", "3", "--json"], 0,
      sorted(_RECORDS + ["icotile.inflation", "json"])),
@@ -889,10 +912,9 @@ _SUBCOMMAND_LOADS = [
     # a full verify fails one check by design (projection); neither it nor
     # report loads placement, which only tests read, and report loads no axes
     (["verify"], 1, sorted(_RECORDS + _GEOMETRY + [
-        "icotile._ledger", "icotile.checks", "icotile.geometry.axes", "icotile.inflation",
-        "icotile.report"])),
+        "icotile.checks", "icotile.geometry.axes", "icotile.inflation", "icotile.report"])),
     (["report", "--json"], 0, sorted(_RECORDS + _GEOMETRY + [
-        "icotile._ledger", "icotile.inflation", "icotile.report", "json"])),
+        "icotile.inflation", "icotile.report", "json"])),
 ]
 
 

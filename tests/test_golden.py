@@ -588,15 +588,15 @@ def test_public_annotations_resolve(name):
                 typing.get_type_hints(routine)
 
 
-# the first-read fronts, each with the module whose names it lends
-_FRONTS = {"icotile.catalog": "icotile._catalog", "icotile.inflation": "icotile._ledger"}
+# the first-read front, with the module whose names it lends
+_FRONTS = {"icotile.catalog": "icotile._catalog"}
 
 
 def test_one_home_per_public_name():
     # every class and function a module lists in __all__ is its own, so each
-    # public name has one home; the two fronts that load their records on
-    # first read, catalog and inflation, are the exceptions. The package
-    # root binds no class or function at all
+    # public name has one home; catalog, the front that loads its records
+    # on first read, is the exception. The package root binds no class or
+    # function at all
     assert not [n for n, obj in vars(icotile).items()
                 if isinstance(obj, type) or inspect.isroutine(obj)]
     names = [m.name for m in pkgutil.walk_packages(icotile.__path__, "icotile.")]
