@@ -247,7 +247,6 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
                 raise UsageError(f"Option {alias!r} does not take a value.")
             if flag == _HELP[0]:
                 print(_page(here, name), end="")
-                _flush_stdout()  # a write error meets main's handler
                 sys.exit(0)
             if action != "store_true" and not eq:
                 value = next(rest, "--")  # "--" ends the options, so it is no value
@@ -261,19 +260,12 @@ def _parse(here: str, name: str | None, argv: list[str]) -> tuple[dict, list[str
     return values, words[len(slots):]
 
 
-def _flush_stdout() -> None:
-    """Flush stdout.  It is None when fd 1 was closed at start-up, and print
-    then drops every line: an unwritable stream, as a full disk is."""
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.flush()
-
-
 def main(args=None, prog_name=None):
     """Run the command line on args (default sys.argv[1:]) as prog_name
-    (default the script's name) and exit with the command's code: 2 after
-    printing a usage error, 1 when stdout cannot be written (quietly when
-    its reader has gone), 0 after --help prints the page."""
+    (default the script's name) and raise SystemExit with the command's
+    code: 0, 1 when a check fails, 2 after a usage error, whose message goes
+    to stderr if stderr takes it.  An OSError from writing a stream passes
+    through, and no file descriptor is touched; run maps it to exit 1."""
     if hasattr(sys, "set_int_max_str_digits"):  # counts and volumes print in full
         sys.set_int_max_str_digits(0)
     prog = here = prog_name or os.path.basename(sys.argv[0])
@@ -295,37 +287,44 @@ def main(args=None, prog_name=None):
             s = "s" if len(extra) > 1 else ""
             raise UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})")
         code = _COMMANDS[name][0](RunConfig(top["max-order"], top["output-path"]), **options)
-        _flush_stdout()
     except UsageError as exc:
-        print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
-              file=sys.stderr)
-        sys.exit(exc.exit_code)
-    except OSError as exc:
-        if exc.filename is not None:  # a path's error; a stream's carries no name
-            raise
-        # stdout failed: exit 1, stdout (unless None) on devnull so the last
-        # flush cannot fail; quietly when the reader left (`| head`), else
-        # say why (a full disk, a closed fd 1)
-        if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"Error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        sys.exit(1)
+        try:  # None: fd 2 was closed at start-up, and print would write stdout
+            if sys.stderr is not None:
+                print(f"{_usage(here, name)}\nTry '{here} --help' for help.\n\nError: {exc}",
+                      file=sys.stderr)
+        finally:  # exit 2 whether or not stderr took the message
+            sys.exit(exc.exit_code)
     sys.exit(code or 0)
 
 
 def run(prog_name=None):
     """The process entry (the icotile script, python -m icotile.cli): main,
-    then both streams flushed and os._exit with its code.  The interpreter's
-    teardown is skipped, and with it atexit hooks; every file a command
-    writes is closed before main exits."""
+    then stdout flushed and os._exit with main's code.  A stream's OSError
+    (one with no filename), from main or from that flush, exits 1 with one
+    line on stderr, none when the reader has gone (`| head`).  So does a
+    stdout that is None (fd 1 closed at start-up: print dropped every line),
+    but for a usage error, which prints nothing there.  A path's OSError
+    passes through, and a failure to write stderr changes no exit code.  The
+    interpreter's teardown is skipped, and with it atexit hooks; every file
+    a command writes is closed before main exits."""
     try:
-        main(prog_name=prog_name)
-    except SystemExit as exc:
-        if sys.stdout is not None:  # None: fd 1 was closed at start-up
+        try:
+            main(prog_name=prog_name)
+        except SystemExit as exc:
+            code = exc.code
+        if sys.stdout is not None:
             sys.stdout.flush()
-        sys.stderr.flush()
-        os._exit(exc.code)
+        elif code != UsageError.exit_code:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    except OSError as exc:
+        if exc.filename is not None:  # a path's error; a stream's carries no name
+            raise
+        try:  # a failure to write stderr leaves the exit code 1
+            if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
+                print(f"Error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        finally:
+            os._exit(1)
+    os._exit(code)
 
 
 @_command("catalog", ("[[dump]]", {"dest": "mode", "choices": lambda: ("dump",)}), _JSON)

@@ -631,8 +631,8 @@ def _env(buffered: bool = True) -> dict:
     ["--max-order", "10000", "inflate", "--tile", "T2", "--order", "10000"],
 ], ids=["short", "help", "long"])
 def test_full_stdout_exits_1_with_one_line(args, buffered):
-    # a write error other than the closed pipe, met by a print or by main's
-    # final flush: one line on stderr and exit 1, no traceback
+    # a write error other than the closed pipe, met by a print or by run's
+    # flush: one line on stderr and exit 1, no traceback
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "icotile.cli", *args], stdout=full,
                               stderr=subprocess.PIPE, text=True, timeout=120, env=_env(buffered))
@@ -644,6 +644,41 @@ def test_full_stdout_exits_1_with_one_line(args, buffered):
                           stderr=subprocess.PIPE, text=True, timeout=120, env=_env(buffered))
     assert proc.returncode == 1
     assert proc.stderr == f"Error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+
+
+# fd 2 closed (`2>&-`): a failure to write stderr leaves the exit code
+# as it is, and a usage error's message goes nowhere, stdout included
+_CLOSED_STDERR_RUNS = [
+    (["build", "--shape", "d2"], "", 2), (["--help"], "", 0),
+    (["verify", "--check", "ledger"], "", 0), (["catalog"], " > /dev/full", 1),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args, redirect, code", _CLOSED_STDERR_RUNS,
+                         ids=[" ".join(a) + r for a, r, _ in _CLOSED_STDERR_RUNS])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, args, redirect, code):
+    with open(tmp_path / "stdout", "wb") as out:
+        proc = subprocess.run(["sh", "-c", f'exec "$@"{redirect} 2>&-', "sh", sys.executable,
+                               "-m", "icotile.cli", *args], stdout=out, timeout=120, env=_env())
+    assert proc.returncode == code
+    if code == 2:
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_main_leaves_file_descriptors_alone(monkeypatch):
+    # in-process, a stream's OSError passes through main, and the stream's
+    # descriptor still points where it did
+    with open("/dev/full", "w", buffering=1) as full:
+        rdev = os.fstat(full.fileno()).st_rdev
+        monkeypatch.setattr(sys, "stdout", full)
+        with pytest.raises(OSError) as exc:
+            main(["catalog"], prog_name="main")
+        monkeypatch.undo()
+        assert exc.value.errno == errno.ENOSPC
+        assert os.fstat(full.fileno()).st_rdev == rdev
+        full.buffer.raw.close()  # else closing full flushes the failed line again
 
 
 # the process entry (main, then a hard exit) against main in-process: the
