@@ -82,19 +82,47 @@ def test_inflate_counts_composes_on_large_counts():
     for a, b in ((50, 977), (1000, 2000)):
         twice = inflation.inflate_counts(inflation.inflate_counts(c, a), b)
         assert twice == inflation.inflate_counts(c, a + b), (a, b)
+    # a miss of the tau-power memo and a hit give the same rows
+    vectors = [inflation.CountVector(tuple(rng.randrange(10**199, 10**200) for _ in range(4)))
+               for _ in range(4)]
+    for n in (50, 3000):
+        for v in vectors:
+            inflation._tau_powers.cache_clear()
+            miss = inflation.inflate_counts(v, n)
+            assert inflation.inflate_counts(v, n) == miss, n
+            assert inflation._tau_powers.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 def test_tau_powers_triple_the_lucas_pair():
-    # F(3n) = F(n)(L(n)^2 - (-1)^n) and L(3n) = L(n)(L(n)^2 - 3(-1)^n)
-    for n in [*range(301), 30001, 30000]:
+    # F(3n) = F(n)(L(n)^2 - (-1)^n) and L(3n) = L(n)(L(n)^2 - 3(-1)^n).  The
+    # memo of 16 orders returns what the uncached function does, read back in
+    # reverse once the forward pass has evicted all but the last 16 orders.
+    memo = inflation._tau_powers
+    assert memo.cache_info().maxsize == 16
+    orders = [*range(301), 30001, 30000]
+    memo.cache_clear()
+    for n in orders + orders[::-1]:
         f3, l3 = _lucas_pair(3 * n)
         f, l = _lucas_pair(n)
-        assert inflation._tau_powers(n) == ((l3 - f3) >> 1, f3, (l - f) >> 1, f), n
+        assert memo(n) == memo.__wrapped__(n) == ((l3 - f3) >> 1, f3, (l - f) >> 1, f), n
+    assert memo.cache_info()[:2] == (16, 2 * len(orders) - 16)  # hits, misses
 
 
 def test_inflate_counts_rejects_negative_order():
+    """Also once the order's tau powers are in the memo: 2.0 hashes like 2
+    and 1.0 like True, but each still raises TypeError, and no order below 0
+    reaches the memo."""
+    c = inflation.D1_COUNTS
+    for n in (2, True):
+        inflation.inflate_counts(c, n)
+        with pytest.raises(TypeError):
+            inflation.inflate_counts(c, float(n))
+    before = inflation._tau_powers.cache_info()
     with pytest.raises(ValueError):
-        inflation.inflate_counts(inflation.D1_COUNTS, -1)
+        inflation.inflate_counts(c, -1)
+    with pytest.raises(ValueError):
+        inflation.verify_decomposition(inflation.dodecahedron_ledger()[0]._replace(order=-1))
+    assert inflation._tau_powers.cache_info() == before
 
 
 @pytest.mark.parametrize("bad", [(1, 0, 0), (-1, 5, 0, 0), (0, -1, 3, 0), (1.0, 0, 0, 0)])
@@ -386,6 +414,9 @@ def test_ledger_entries_verify():
         assert rep.count_consistent
         assert rep.volume_consistent
         assert rep.ok
+        for p in d.parts:  # tau^(3m) read from the memo, against a fresh Lucas chain
+            base = inflation.BASES[p.block].scaled(p.count).total_volume()
+            assert p.volume() == tau_pow(3 * p.order) * base, p
     entries.clear()  # the caller's copy: the ledger keeps its entries
     assert len(inflation.dodecahedron_ledger()) == 7
 
