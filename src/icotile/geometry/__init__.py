@@ -1,5 +1,5 @@
 """Assembled tile clusters: dodecahedron, icosahedron and the composites.
-Submodules, loaded only when imported: axes (axis classes), placement (gluing).
+The submodule axes (axis classes) loads only when imported.
 
 assemble() instantiates a precomputed dissection (see _wiring) as a list
 of PlacedTiles, verifies that no two tetrahedra overlap, classifies every
@@ -151,17 +151,6 @@ class PlacedTile(_Record, eq=False):
     @property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         return _WOUND[self.parity]
-
-    def face_edge_squares(self, face_index: int) -> tuple[GoldenRational, ...]:
-        """Exact squared edge lengths of a face, in cyclic order."""
-        return squared_edges([self.exact[i] for i in self.faces[face_index]])
-
-    def find_face(self, edge_squares) -> int:
-        """Index of the unique face whose exact squared-edge multiset matches."""
-        hits = [i for i in range(4) if sorted(self.face_edge_squares(i)) == sorted(edge_squares)]
-        if len(hits) != 1:
-            raise ValueError(f"{len(hits)} faces of {self.kind.value} match {edge_squares}")
-        return hits[0]
 
     def volume(self) -> GoldenRational:
         """Exact volume: |triple product| / 6, or / 48 in doubled coordinates."""

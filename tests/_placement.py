@@ -1,11 +1,15 @@
 """Exact placement of fundamental tiles: canonical pose and face gluing.
 
 Tiles sit in the half-integer icosahedral frame of the assemblies, as
-doubled Z[tau] pairs (see geometry.PlacedTile).  glue() attaches a copy of
-one tile onto a face of another, with the new tile on the far side; when
-the shared face has a symmetry that makes several attachments legal, the
-caller must disambiguate with an explicit vertex correspondence.
-Congruence, handedness and duplicate attachments are decided exactly.
+doubled Z[tau] pairs (see icotile.geometry.PlacedTile).  glue() attaches
+a copy of one tile onto a face of another, with the new tile on the far
+side; when the shared face has a symmetry that makes several attachments
+legal, the caller must disambiguate with an explicit vertex
+correspondence.  Congruence, handedness and duplicate attachments are
+decided exactly.
+
+A reference kept in the tests: no command or check reads it, and the
+tests check wiring facts against it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from ..catalog import TileKind, edge_scheme
-from ..golden import ZERO, GoldenRational
-from . import PlacedTile, _dot, _normal, _sub, _wiring
+from icotile.catalog import TileKind, edge_scheme
+from icotile.geometry import PlacedTile, _dot, _normal, _sub, _wiring, squared_edges
+from icotile.golden import ZERO, GoldenRational
 
 __all__ = [
     "GlueError",
@@ -24,6 +28,8 @@ __all__ = [
     "realize",
     "glue",
     "face_correspondences",
+    "face_edge_squares",
+    "find_face",
 ]
 
 
@@ -48,6 +54,19 @@ def _corners(tile: PlacedTile, face: int) -> tuple:
     if face not in range(4):
         raise ValueError(f"face index must be 0..3, not {face!r}")
     return tuple(tile.exact[i] for i in tile.faces[face])
+
+
+def face_edge_squares(tile: PlacedTile, i: int) -> tuple[GoldenRational, ...]:
+    """Exact squared edge lengths of face i of tile, in cyclic order."""
+    return squared_edges([tile.exact[j] for j in tile.faces[i]])
+
+
+def find_face(tile: PlacedTile, squares) -> int:
+    """Index of the unique face of tile whose exact squared-edge multiset matches."""
+    hits = [i for i in range(4) if sorted(face_edge_squares(tile, i)) == sorted(squares)]
+    if len(hits) != 1:
+        raise ValueError(f"{len(hits)} faces of {tile.kind.value} match {squares}")
+    return hits[0]
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import random
 import re
 import shutil
@@ -827,8 +828,8 @@ def _fresh_process(code: str) -> dict:
 @pytest.mark.parametrize("reach", ["from icotile import geometry"])
 def test_geometry_loads_on_demand(reach):
     # geometry loads on first use, by its own path (the package root names
-    # no module), and a build loads neither of its submodules axes and
-    # placement, whose names geometry does not hold
+    # no module), and a build does not load its submodule axes, whose names
+    # geometry does not hold
     facts = _fresh_process(f"""
 import contextlib, io, json, sys
 import icotile, icotile.cli, icotile.inflation, icotile.checks, icotile.report
@@ -839,24 +840,18 @@ try:
         icotile.cli.main(["build", "--shape", "i1"])
 except SystemExit as exc:
     assert exc.code == 0
-built = [m for m in ("icotile.geometry.axes", "icotile.geometry.placement") if m in sys.modules]
-try:
-    from icotile.geometry import glue
-    forwarded = True
-except ImportError:
-    forwarded = False
+built = [m for m in ("icotile.geometry.axes",) if m in sys.modules]
 print(json.dumps({{
     "loaded": loaded,
     "module": geometry is sys.modules["icotile.geometry"],
     "targets": hasattr(geometry, "ASSEMBLY_TARGETS"),  # the catalog's name only
     "unknown": hasattr(icotile, "nonexistent"),
     "built": built,
-    "forwarded": forwarded,
     "unknown_in_geometry": hasattr(geometry, "nonexistent"),
 }}))
 """)
     assert facts == {"loaded": [], "module": True, "targets": False, "unknown": False,
-                     "built": [], "forwarded": False, "unknown_in_geometry": False}
+                     "built": [], "unknown_in_geometry": False}
 
 
 def test_package_surface_loads_on_demand():
@@ -944,8 +939,7 @@ _SUBCOMMAND_LOADS = [
     (["inflate", "--help"], 0, _CORE),
     (["inflate", "--tile", "T9", "--order", "2"], 2, _CORE),
     (["inflate", "--tile", "T2", "--order", "60"], 2, _CORE),
-    # a full verify fails one check by design (projection); neither it nor
-    # report loads placement, which only tests read, and report loads no axes
+    # a full verify fails one check by design (projection); report loads no axes
     (["verify"], 1, sorted(_RECORDS + _GEOMETRY + [
         "icotile.checks", "icotile.geometry.axes", "icotile.inflation", "icotile.report"])),
     (["report", "--json"], 0, sorted(_RECORDS + _GEOMETRY + [
@@ -971,6 +965,15 @@ import json
 print(json.dumps({{"code": code, "loaded": loaded}}))
 """)
     assert facts == {"code": code, "loaded": loaded}
+
+
+def test_every_package_module_has_a_reader():
+    # each module of the package is loaded by a subcommand above: the
+    # package ships no module that only tests read
+    import icotile
+    loaded = {m for _, _, mods in _SUBCOMMAND_LOADS for m in mods if m.startswith("icotile")}
+    modules = {m.name for m in pkgutil.walk_packages(icotile.__path__, "icotile.")}
+    assert loaded == {"icotile"} | modules
 
 
 def test_light_subcommands_skip_numpy():
@@ -1172,6 +1175,46 @@ def test_subcommands_run_without_numpy(tmp_path):
     assert [line.split(":")[0] for line in text.splitlines() if not line.startswith("OK ")] == [
         "FAIL projection"]
     assert [c["name"] for c in json.loads(json_text)["checks"] if not c["ok"]] == ["projection"]
+
+
+_JSON_OUTPUTS = r"""
+import contextlib, hashlib, io, json
+from icotile.catalog import ASSEMBLY_TARGETS
+from icotile.cli import main
+runs = [["build", "--shape", t, "--json"] for t in ASSEMBLY_TARGETS]
+runs += [["report", "--json"], ["catalog", "dump"], ["eigen", "--json"], ["ledger", "--json"],
+         ["verify", "--json"]]
+out = []
+for args in runs:
+    buf, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(buf):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
+    out.append([args, code, hashlib.sha256(buf.getvalue().encode()).hexdigest()])
+print(json.dumps({"hash": hash("icotile"), "runs": out}))
+"""
+
+
+def test_json_outputs_agree_across_hash_seeds(tmp_path):
+    # one process has one hash seed, so a set order leaking into an output
+    # shows only between processes: each JSON output, byte for byte, under
+    # PYTHONHASHSEED 1 and 2
+    import icotile
+    path = os.pathsep.join([str(Path(icotile.__file__).resolve().parents[1]), *sys.path])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ICOTILE_")}
+    facts = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _JSON_OUTPUTS],
+                              capture_output=True, text=True, timeout=300, cwd=tmp_path,
+                              env={**env, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        facts.append(json.loads(proc.stdout))
+    one, two = facts
+    assert one["hash"] != two["hash"]  # the two seeds hash strings apart
+    assert one["runs"] == two["runs"]
+    assert [code for _, code, _ in one["runs"]] == [0] * (len(ASSEMBLY_TARGETS) + 4) + [1]
 
 
 # the seeded argv sweep: whole command lines drawn from the option tables,

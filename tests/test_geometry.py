@@ -27,15 +27,18 @@ from icotile.geometry import (
     squared_edges,
 )
 from icotile.geometry.axes import axis_classes
-from icotile.geometry.placement import (
+from icotile.golden import GoldenRational, embed, fibonacci, pair_sign, tau_pow
+
+from _placement import (
     AmbiguityError,
     CongruenceError,
     GlueError,
     face_correspondences,
+    face_edge_squares,
+    find_face,
     glue,
     realize,
 )
-from icotile.golden import GoldenRational, embed, fibonacci, pair_sign, tau_pow
 
 TAU2 = tau_pow(2)
 FUNDAMENTALS = ("t1", "t2", "t3", "t4", "t5", "t6")
@@ -226,7 +229,7 @@ def _squares(tile):
 
 
 def _tau_faces(tile):
-    return [i for i in range(4) if tile.face_edge_squares(i) == (TAU2,) * 3]
+    return [i for i in range(4) if face_edge_squares(tile, i) == (TAU2,) * 3]
 
 
 def _rational(points):
@@ -288,7 +291,7 @@ def test_parity_derived_from_exact():
     assert _wound_outward(t2) and _wound_outward(swapped)
     assert swapped.volume() == t2.volume()
     # the swapped copy takes t4 on its unit face like the original does
-    placed = glue(swapped, swapped.find_face((1, 1, 1)), "t4", realize("t4").find_face((1, 1, 1)))
+    placed = glue(swapped, find_face(swapped, (1, 1, 1)), "t4", find_face(realize("t4"), (1, 1, 1)))
     assert _overlapping_pairs(np.stack([swapped.exact, placed.exact])) == []
 
 
@@ -317,12 +320,12 @@ def test_realize_volume_matches_cm():
 
 def test_find_face():
     t = realize("t5")
-    fi = t.find_face((TAU2, TAU2, TAU2))
-    assert t.face_edge_squares(fi) == (TAU2,) * 3
+    fi = find_face(t, (TAU2, TAU2, TAU2))
+    assert face_edge_squares(t, fi) == (TAU2,) * 3
     with pytest.raises(ValueError):
-        realize("t1").find_face((TAU2, TAU2, TAU2))
+        find_face(realize("t1"), (TAU2, TAU2, TAU2))
     with pytest.raises(ValueError):
-        realize("t1").find_face((1, 1, 1))  # two equilateral faces
+        find_face(realize("t1"), (1, 1, 1))  # two equilateral faces
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +345,9 @@ def _proper_glues(fixed, fixed_face, kind, moving_face):
 
 def test_glue_is_isometric():
     t2 = realize("t2")
-    f2 = t2.find_face((1, 1, 1))
+    f2 = find_face(t2, (1, 1, 1))
     t4 = realize("t4")
-    f4 = t4.find_face((1, 1, 1))
+    f4 = find_face(t4, (1, 1, 1))
     placed = glue(t2, f2, t4, f4)
     assert _squares(placed) == _squares(t4)
     # the two faces coincide as point sets, and the tiles only touch
@@ -354,30 +357,30 @@ def test_glue_is_isometric():
 
 def test_glue_t2_t4_unambiguous():
     t2 = realize("t2")
-    f2 = t2.find_face((1, 1, 1))
-    f4 = realize("t4").find_face((1, 1, 1))
+    f2 = find_face(t2, (1, 1, 1))
+    f4 = find_face(realize("t4"), (1, 1, 1))
     placed = glue(t2, f2, "t4", f4)
     assert t2.volume() + placed.volume() == catalog.record("T2").volume
 
 
 def test_glue_congruence_error():
     t3 = realize("t3")
-    tau_face = t3.find_face((TAU2, TAU2, TAU2))
+    tau_face = find_face(t3, (TAU2, TAU2, TAU2))
     with pytest.raises(CongruenceError):
         glue(t3, tau_face, "t1", 0)
     t2 = realize("t2")
-    eq_face = t2.find_face((1, 1, 1))
-    rob_face = t2.find_face((1, TAU2, TAU2))
+    eq_face = find_face(t2, (1, 1, 1))
+    rob_face = find_face(t2, (1, TAU2, TAU2))
     with pytest.raises(CongruenceError):
         glue(t2, eq_face, "t2", rob_face)
     with pytest.raises(ValueError):
-        glue(t2, eq_face, "t4", realize("t4").find_face((1, 1, 1)),
+        glue(t2, eq_face, "t4", find_face(realize("t4"), (1, 1, 1)),
              correspondence=(0, 0, 1))
 
 
 def test_glue_ambiguity_and_handedness():
     t5 = realize("t5")
-    f5 = t5.find_face((TAU2, TAU2, TAU2))
+    f5 = find_face(t5, (TAU2, TAU2, TAU2))
     tau_faces = _tau_faces(realize("t6"))
     assert len(tau_faces) == 2
     with pytest.raises(AmbiguityError):
@@ -428,7 +431,7 @@ def test_three_tile_pentagon_census():
     # two trapezoid walls, two close a planar pentagon, one gives a third
     # shape; none of them overlap in volume
     t5 = realize("t5")
-    f5 = t5.find_face((TAU2, TAU2, TAU2))
+    f5 = find_face(t5, (TAU2, TAU2, TAU2))
 
     seen, middles = set(), []
     for j in _tau_faces(realize("t6")):

@@ -567,8 +567,7 @@ def test_comparisons_with_other_types():
 
 
 _MODULES = ["icotile.catalog", "icotile.checks", "icotile.cli", "icotile.golden",
-            "icotile.inflation", "icotile.report", "icotile.geometry", "icotile.geometry.axes",
-            "icotile.geometry.placement"]
+            "icotile.inflation", "icotile.report", "icotile.geometry", "icotile.geometry.axes"]
 
 
 @pytest.mark.parametrize("name", _MODULES)
