@@ -28,15 +28,21 @@ so each entry is a sum of two Galois traces, and one Lucas-pair doubling
 gives tau^n, and its tripling tau^(3n).  A count vector c is checked once,
 on entry; its sixteen dot products with a flat table of integer weights
 are taken in one pass over small ints, and with d0..d3 the four of column
-j, entry j is q3*d0 + p3*d1 + q1*d2 + p1*d3 over one common denominator,
-one checked division, where q3 + p3*tau = tau^(3n) and q1 + p1*tau =
-tau^n.  The result, nonnegative as c and M are, is not checked again.  A
-count vector's volume is one dot product with the (T1..T4) row of the
-catalog's common-denominator volume table.  (q3, p3, q1, p1) are memoised
-for the 16 orders read last, keyed on the order alone, never on a count
-vector (the ledger's volumes read tau^(3m) there too): an entry holds about
-0.74 bytes per unit of order (22 kB at n = 3*10^4, 0.74 MB at 10^6), and
-the memo helps only a process that inflates the same order more than once.
+j, entry j is (q3*d0 + p3*d1 + q1*d2 + p1*d3)/D, where q3 + p3*tau =
+tau^(3n), q1 + p1*tau = tau^n and D is the projectors' common
+denominator.  Each coefficient x is held as divmod(x, D) = (Q, R), so the
+entry is Q3*d0 + P3*d1 + Q1*d2 + P1*d3 plus (R3*d0 + S3*d1 + R1*d2 +
+S1*d3)/D, one checked division of a small sum: D divides it exactly when
+it divides the whole numerator.  The result, nonnegative as c and M are,
+is not checked again.  A count vector's volume is one dot product with
+the (T1..T4) row of the catalog's common-denominator volume table.  The
+divided coefficients are memoised for the 16 (order, D) pairs read last,
+never on a count vector, so an entry made under one D is never read
+under another, and the division by D is paid once per order, not per
+row; the ledger's volumes read tau^(3m) there too, as Q*D + R.  An entry
+holds about 0.74 bytes per unit of order (22 kB at n = 3*10^4, 0.74 MB
+at 10^6), and the memo helps only a process that inflates the same order
+more than once.
 
 The ledger holds specific inflations of single tiles whose count vectors
 regroup into whole unit dodecahedra d(1) and tau-scaled dodecahedra
@@ -176,32 +182,48 @@ def inflate_counts(c: CountVector, n: int) -> CountVector:
 
 def _inflate(vectors, n: int) -> list[tuple[int, int, int, int]]:
     """c * M^n for each 4-tuple of counts c (module docstring): the trace of
-    tau^m * D*E[i][j], tau^m = q + p*tau, is q*u + p*v (_SpectralParts.weights)."""
+    tau^m * D*E[i][j], tau^m = q + p*tau, is q*u + p*v (_SpectralParts.weights).
+    With q = Q*D + R for each coefficient, D divides the sum exactly iff it
+    divides the part on the small remainders R."""
     if n < 0:
         raise ValueError("negative inflation order")
     parts = _spectral_parts()
-    q3, p3, q1, p1 = _tau_powers(n)
     den, weights, rows = parts.den, parts.weights, []
+    (q3, p3, q1, p1), (r3, s3, r1, s1) = _tau_powers(n, den)
     for c0, c1, c2, c3 in vectors:
         d = [c0 * w0 + c1 * w1 + c2 * w2 + c3 * w3 for w0, w1, w2, w3 in weights]
-        x0, r0 = divmod(q3 * d[0] + p3 * d[1] + q1 * d[2] + p1 * d[3], den)
-        x1, r1 = divmod(q3 * d[4] + p3 * d[5] + q1 * d[6] + p1 * d[7], den)
-        x2, r2 = divmod(q3 * d[8] + p3 * d[9] + q1 * d[10] + p1 * d[11], den)
-        x3, r3 = divmod(q3 * d[12] + p3 * d[13] + q1 * d[14] + p1 * d[15], den)
-        if r0 or r1 or r2 or r3:
+        x0, e0 = divmod(r3 * d[0] + s3 * d[1] + r1 * d[2] + s1 * d[3], den)
+        x1, e1 = divmod(r3 * d[4] + s3 * d[5] + r1 * d[6] + s1 * d[7], den)
+        x2, e2 = divmod(r3 * d[8] + s3 * d[9] + r1 * d[10] + s1 * d[11], den)
+        x3, e3 = divmod(r3 * d[12] + s3 * d[13] + r1 * d[14] + s1 * d[15], den)
+        if e0 or e1 or e2 or e3:
             raise ArithmeticError(f"entry of c * M^{n} is not an integer")
-        rows.append((x0, x1, x2, x3))
+        rows.append((q3 * d[0] + p3 * d[1] + q1 * d[2] + p1 * d[3] + x0,
+                     q3 * d[4] + p3 * d[5] + q1 * d[6] + p1 * d[7] + x1,
+                     q3 * d[8] + p3 * d[9] + q1 * d[10] + p1 * d[11] + x2,
+                     q3 * d[12] + p3 * d[13] + q1 * d[14] + p1 * d[15] + x3))
     return rows
 
 
 @lru_cache(maxsize=16, typed=True)  # typed: order 1.0 misses True's entry, so it still raises
-def _tau_powers(n: int) -> tuple[int, int, int, int]:
+def _tau_powers(n: int, den: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(q, p) of tau^(3n) = q + p*tau, then of tau^n, n >= 0, from one Lucas
-    pair: F(3n) = F(n)(L(n)^2 - (-1)^n), L(3n) = L(n)(L(n)^2 - 3(-1)^n)."""
+    pair: F(3n) = F(n)(L(n)^2 - (-1)^n), L(3n) = L(n)(L(n)^2 - 3(-1)^n).
+    Each coefficient x is held as divmod(x, den): the four quotients, then
+    the four remainders."""
     f, l = _lucas_pair(n)  # tau^m = (L(m) - F(m))/2 + F(m)*tau
     s, l2 = (-1 if n & 1 else 1), l * l  # (-1)^n, L(n)^2
     f3, l3 = f * (l2 - s), l * (l2 - 3 * s)
-    return (l3 - f3) >> 1, f3, (l - f) >> 1, f
+    (q3, r3), (p3, s3), (q1, r1), (p1, s1) = map(
+        divmod, ((l3 - f3) >> 1, f3, (l - f) >> 1, f), (den, den, den, den))
+    return (q3, p3, q1, p1), (r3, s3, r1, s1)
+
+
+def _tau_cubed(m: int) -> GoldenRational:
+    """tau^(3m), rebuilt from the memo entry of order m as Q*D + R."""
+    den = _spectral_parts().den
+    (q, p, _, _), (r, s, _, _) = _tau_powers(m, den)
+    return GoldenRational(q * den + r, p * den + s)
 
 
 def _char_poly(rows) -> tuple[int, int, int, int, int]:
@@ -360,7 +382,7 @@ class Part(_Record):
 
     def volume(self) -> GoldenRational:
         m, base = _volume_base(self)
-        return GoldenRational(*_tau_powers(m)[:2]) * base.scaled(self.count).total_volume()
+        return _tau_cubed(m) * base.scaled(self.count).total_volume()
 
     def label(self) -> str:
         if self.block in ("d1", "dtau"):
@@ -430,9 +452,9 @@ def verify_decomposition(d: Decomposition) -> VerifyReport:
     volumes = _by_order((*_volume_base(p), p.count) for p in d.parts)
     rows = (_inflate((c,), m)[0] for m, c in counts.items())
     total = tuple(map(sum, zip(_ZERO_COUNTS, *rows)))
-    vol_parts = sum((GoldenRational(*_tau_powers(m)[:2]) * CountVector(c).total_volume()
+    vol_parts = sum((_tau_cubed(m) * CountVector(c).total_volume()
                      for m, c in volumes.items()), GoldenRational(0))
-    vol_target = GoldenRational(*_tau_powers(d.order)[:2]) * d.target_base.total_volume()
+    vol_target = _tau_cubed(d.order) * d.target_base.total_volume()
     return VerifyReport._decided(total == target, vol_parts == vol_target)
 
 

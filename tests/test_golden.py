@@ -566,8 +566,16 @@ def test_comparisons_with_other_types():
         "1" >= ONE
 
 
-_MODULES = ["icotile.catalog", "icotile.checks", "icotile.cli", "icotile.golden",
-            "icotile.inflation", "icotile.report", "icotile.geometry", "icotile.geometry.axes"]
+# the package's public modules: every one but those whose last name part
+# starts with "_"
+_MODULES = [m.name for m in pkgutil.walk_packages(icotile.__path__, "icotile.")
+            if not m.name.rpartition(".")[2].startswith("_")]
+
+
+def test_public_modules_are_derived_from_the_package():
+    assert sorted(_MODULES) == ["icotile.catalog", "icotile.checks", "icotile.cli",
+                                "icotile.geometry", "icotile.geometry.axes", "icotile.golden",
+                                "icotile.inflation", "icotile.report"]
 
 
 @pytest.mark.parametrize("name", _MODULES)

@@ -95,16 +95,21 @@ def test_inflate_counts_composes_on_large_counts():
 
 def test_tau_powers_triple_the_lucas_pair():
     # F(3n) = F(n)(L(n)^2 - (-1)^n) and L(3n) = L(n)(L(n)^2 - 3(-1)^n).  The
-    # memo of 16 orders returns what the uncached function does, read back in
-    # reverse once the forward pass has evicted all but the last 16 orders.
-    memo = inflation._tau_powers
+    # memo of 16 orders returns what the uncached function does, each
+    # coefficient x as divmod(x, D), read back in reverse once the forward
+    # pass has evicted all but the last 16 orders.
+    memo, den = inflation._tau_powers, inflation._spectral_parts().den
     assert memo.cache_info().maxsize == 16
     orders = [*range(301), 30001, 30000]
     memo.cache_clear()
     for n in orders + orders[::-1]:
         f3, l3 = _lucas_pair(3 * n)
         f, l = _lucas_pair(n)
-        assert memo(n) == memo.__wrapped__(n) == ((l3 - f3) >> 1, f3, (l - f) >> 1, f), n
+        quotients, remainders = entry = memo(n, den)
+        assert entry == memo.__wrapped__(n, den), n
+        assert all(0 <= r < den for r in remainders), n
+        assert tuple(q * den + r for q, r in zip(quotients, remainders)) == (
+            (l3 - f3) >> 1, f3, (l - f) >> 1, f), n
     assert memo.cache_info()[:2] == (16, 2 * len(orders) - 16)  # hits, misses
 
 
@@ -195,6 +200,33 @@ def test_inexact_division_raises(monkeypatch, off):
                 inflation.inflate_counts(base, n)
     with pytest.raises(ArithmeticError):
         inflation.verify_decomposition(inflation.dodecahedron_ledger()[0])
+
+
+def test_memo_entries_are_keyed_on_the_denominator(monkeypatch):
+    """An entry of the tau-power memo made under one D is never read under
+    another: the inexact-division scenario leaves its D+1 and D-1 entries in
+    the memo, and once D is restored the same orders inflate exactly."""
+    parts, orders = inflation._spectral_parts(), (0, 1, 5, 1000)
+    memo = inflation._tau_powers
+    memo.cache_clear()
+    for off in (1, -1):
+        with monkeypatch.context() as patch:
+            patch.setattr(inflation, "_spectral_parts",
+                          lambda: parts._replace(den=parts.den + off))
+            for base in inflation.BASES.values():
+                for n in orders:
+                    with pytest.raises(ArithmeticError, match="not an integer"):
+                        inflation.inflate_counts(base, n)
+            with pytest.raises(ArithmeticError):
+                inflation.verify_decomposition(inflation.dodecahedron_ledger()[0])
+    assert inflation._spectral_parts() is parts
+    assert memo.cache_info().currsize == 2 * (len(orders) + 1)  # and the ledger's order 2
+    for base in inflation.BASES.values():
+        for n in orders:
+            p = _power_by_squaring(n)
+            want = tuple(sum(base.c[i] * p[i][j] for i in range(4)) for j in range(4))
+            assert inflation.inflate_counts(base, n).c == want, (base, n)
+    assert all(inflation.verify_decomposition(d).ok for d in inflation.dodecahedron_ledger())
 
 
 def test_spectral_parts():
